@@ -10,15 +10,12 @@ from .model import (ModelError, PairwiseGroundModel, TemplatedModel,
                     GroundModelBuilder, ground, parse_model)
 from .symmetry import (LiftedGraph, TyingViolation, canonical_pattern,
                        compute_orbits, fix_node, trivial_lifting, verify_orbits)
-from .polytope import (ConstraintSystem, CyclePool, NotExchangeable,
-                       build_outer_system, detect_exchangeable_clusters,
-                       exchangeable_constraints, lifted_local, separate_cycles,
-                       OUTER_CHOICES)
-from .lpsolve import (Basis, InfeasibleError, LinearProgram, Row, Simplex,
-                      UnboundedError, solve)
+from .polytope import (ConstraintSystem, NotExchangeable, build_outer_system,
+                       detect_exchangeable_clusters, exchangeable_constraints,
+                       lifted_local, separate_cycles, OUTER_CHOICES)
+from .lpsolve import Basis, InfeasibleError, Row, Simplex, UnboundedError
 from .trw import (TrwResult, entropy_coefficients, frank_wolfe, golden_section,
-                  gradient, lifted_entropy_bound, lifted_linear_term,
-                  uniform_edge_appearance)
+                  gradient, lifted_entropy_bound, lifted_linear_term)
 from .spanning import (DisconnectedGraph, count_components, init_rho_uniform,
                        lifted_kruskal, lifted_mst_value, optimize_rho,
                        tree_edge_total)
@@ -34,14 +31,12 @@ __all__ = [
     "ground", "parse_model",
     "LiftedGraph", "TyingViolation", "canonical_pattern", "compute_orbits",
     "fix_node", "trivial_lifting", "verify_orbits",
-    "ConstraintSystem", "CyclePool", "NotExchangeable", "build_outer_system",
+    "ConstraintSystem", "NotExchangeable", "build_outer_system",
     "detect_exchangeable_clusters", "exchangeable_constraints", "lifted_local",
     "separate_cycles", "OUTER_CHOICES",
-    "Basis", "InfeasibleError", "LinearProgram", "Row", "Simplex",
-    "UnboundedError", "solve",
+    "Basis", "InfeasibleError", "Row", "Simplex", "UnboundedError",
     "TrwResult", "entropy_coefficients", "frank_wolfe", "golden_section",
     "gradient", "lifted_entropy_bound", "lifted_linear_term",
-    "uniform_edge_appearance",
     "DisconnectedGraph", "count_components", "init_rho_uniform",
     "lifted_kruskal", "lifted_mst_value", "optimize_rho", "tree_edge_total",
     "ExactResult", "TooLarge", "brute_force", "counting_elimination_complete",

@@ -50,6 +50,8 @@ def _build(args, w_value):
         raise ModelError(f"domain size must be >= 1, got {args.n}")
     if getattr(args, "tol", 1.0) <= 0:
         raise ModelError("tolerance must be positive")
+    if getattr(args, "max_iters", 1) < 1:
+        raise ModelError("--max-iters must be at least 1")
     if args.model in zoo.HAND_BUILT:
         g = zoo.build_hand_built(args.model,
                                  scale=1.0 if w_value is None else w_value)
@@ -67,6 +69,18 @@ def _build(args, w_value):
     return g, lg
 
 
+def _edge_orbit_weights(lg, text):
+    """Parse ``w1,w2,...``: exactly one weight per edge orbit."""
+    try:
+        weights = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise ModelError(f"weights must be numbers, got {text!r}") from None
+    if weights.size != len(lg.edge_orbits):
+        raise ModelError(f"need {len(lg.edge_orbits)} weights (one per edge orbit), "
+                         f"got {weights.size}")
+    return weights
+
+
 def _resolve_rho(lg, g, mode, outer, tol, max_iters):
     if mode == "uniform":
         return spanning.init_rho_uniform(lg)
@@ -76,11 +90,8 @@ def _resolve_rho(lg, g, mode, outer, tol, max_iters):
                                        tol=tol, max_iters=max_iters)
         return rho
     if mode.startswith("kruskal:"):
-        weights = np.array([float(v) for v in mode.split(":", 1)[1].split(",")])
-        if weights.size != len(lg.edge_orbits):
-            raise ModelError(f"kruskal mode needs {len(lg.edge_orbits)} weights, "
-                             f"got {weights.size}")
-        return spanning.lifted_kruskal(lg, weights)
+        return spanning.lifted_kruskal(
+            lg, _edge_orbit_weights(lg, mode.split(":", 1)[1]))
     raise ModelError(f"unknown rho mode {mode!r}")
 
 
@@ -149,9 +160,15 @@ def cmd_infer(args):
 
 def _parse_range(spec):
     parts = spec.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    lo, hi, step = (float(p) for p in parts)
+    if len(parts) not in (1, 3):
+        raise ModelError(f"W must be lo:hi:step or a single value, got {spec!r}")
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise ModelError(f"W must be numbers, got {spec!r}") from None
+    if len(values) == 1:
+        return values
+    lo, hi, step = values
     if step <= 0:
         raise ModelError("W range step must be positive")
     count = int(round((hi - lo) / step))
@@ -201,7 +218,7 @@ def cmd_orbits(args):
 def cmd_mst(args):
     g, lg = _build(args, args.W)
     if args.weights:
-        weights = np.array([float(v) for v in args.weights.split(",")])
+        weights = _edge_orbit_weights(lg, args.weights)
     else:
         weights = np.ones(len(lg.edge_orbits))
     rho = spanning.lifted_kruskal(lg, weights)
@@ -240,8 +257,6 @@ def make_parser():
                     help="uniform | optimize | kruskal:w1,w2,...")
     sp.add_argument("--tol", type=float, default=1e-4)
     sp.add_argument("--max-iters", dest="max_iters", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0,
-                    help="reserved for reproducibility; runs are deterministic")
     sp.add_argument("--out", default=None, help="CSV output path")
     sp.set_defaults(func=cmd_infer)
 
@@ -254,7 +269,6 @@ def make_parser():
     sp.add_argument("--rho", default="uniform")
     sp.add_argument("--tol", type=float, default=1e-4)
     sp.add_argument("--max-iters", dest="max_iters", type=int, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
     sp.add_argument("--jobs", type=int, default=1)
     sp.set_defaults(func=cmd_sweep)

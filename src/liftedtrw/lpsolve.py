@@ -58,19 +58,10 @@ class Basis:
 
 
 @dataclass
-class LinearProgram:
-    n_vars: int
-    rows: list[Row]
-    objective: np.ndarray
-    fixed_zero: np.ndarray | None = None
-
-
-@dataclass
 class SolveResult:
     x: np.ndarray
     objective: float
     basis: Basis
-    status: str
     iterations: int = 0
 
 
@@ -344,13 +335,6 @@ class Simplex:
             x=x,
             objective=float(c_struct @ x),
             basis=Basis(tuple(basis)),
-            status="optimal",
             iterations=iters,
         )
 
-
-def solve(lp, warm=None):
-    """One-shot interface: returns ``(x, objective, basis, status)``."""
-    simplex = Simplex(lp.n_vars, lp.rows, lp.fixed_zero)
-    res = simplex.solve(np.asarray(lp.objective, dtype=float), warm=warm)
-    return res.x, res.objective, res.basis, res.status

@@ -21,6 +21,7 @@ import numpy as np
 from .lpsolve import Row
 
 CYCLE_VIOLATION_TOL = 1e-6
+CUT_BATCH = 20  # most violated cycle rows returned per separation call
 
 
 class NotExchangeable(Exception):
@@ -29,31 +30,19 @@ class NotExchangeable(Exception):
 
 @dataclass
 class ConstraintSystem:
-    """Deduplicated sparse rows over the lifted variables."""
+    """Sparse rows over the lifted variables, deduplicated by canonical key."""
 
-    n_vars: int
     rows: list[Row] = field(default_factory=list)
-    fixed_zero: np.ndarray | None = None
     _keys: set = field(default_factory=set)
 
-    def add(self, coeffs, rel, rhs, tag=""):
-        row = Row.make(coeffs, rel, rhs, tag)
+    def add(self, row):
         key = row.canonical_key()
-        if key in self._keys:
-            return False
-        self._keys.add(key)
-        self.rows.append(row)
-        return True
+        if key not in self._keys:
+            self._keys.add(key)
+            self.rows.append(row)
 
-    def has(self, row):
+    def __contains__(self, row):
         return row.canonical_key() in self._keys
-
-    def violation(self, row, x):
-        val = sum(c * x[j] for j, c in row.coeffs) - row.rhs
-        return val if row.rel == "<=" else abs(val)
-
-    def max_violation(self, x):
-        return max((self.violation(r, x) for r in self.rows), default=0.0)
 
 
 def lifted_local(lg):
@@ -64,11 +53,10 @@ def lifted_local(lg):
     variables (one redundant side row is dropped, and rows that coincide after
     flip merging are deduplicated).
     """
-    cs = ConstraintSystem(n_vars=lg.n_vars,
-                          fixed_zero=lg.structural_zero_var.copy())
+    cs = ConstraintSystem()
     for orb in lg.node_orbits:
         coeffs = {lg.node_var(orb.id, t): 1.0 for t in range(orb.n_values)}
-        cs.add(coeffs, "=", 1.0, tag="local")
+        cs.add(Row.make(coeffs, "=", 1.0, tag="local"))
     for eo in lg.edge_orbits:
         u0, v0 = eo.rep
         nu = lg.model.nodes[u0].n_values
@@ -80,7 +68,7 @@ def lifted_local(lg):
                 coeffs[v] = coeffs.get(v, 0.0) + 1.0
             nvar = lg.node_var(eo.u_orbit, t)
             coeffs[nvar] = coeffs.get(nvar, 0.0) - 1.0
-            cs.add(coeffs, "=", 0.0, tag="local")
+            cs.add(Row.make(coeffs, "=", 0.0, tag="local"))
         for h in range(nv - 1):
             coeffs = {}
             for t in range(nu):
@@ -88,7 +76,7 @@ def lifted_local(lg):
                 coeffs[v] = coeffs.get(v, 0.0) + 1.0
             nvar = lg.node_var(eo.v_orbit, h)
             coeffs[nvar] = coeffs.get(nvar, 0.0) - 1.0
-            cs.add(coeffs, "=", 0.0, tag="local")
+            cs.add(Row.make(coeffs, "=", 0.0, tag="local"))
     return cs
 
 
@@ -172,28 +160,6 @@ def exchangeable_constraints(lg, node_orbit_id, c_offset):
 # Cycle inequality separation
 # ---------------------------------------------------------------------------
 
-class CyclePool:
-    """Cuts discovered so far, deduplicated by canonical row key."""
-
-    def __init__(self):
-        self.rows = []
-        self._keys = set()
-
-    def add(self, row):
-        key = row.canonical_key()
-        if key in self._keys:
-            return False
-        self._keys.add(key)
-        self.rows.append(row)
-        return True
-
-    def __contains__(self, row):
-        return row.canonical_key() in self._keys
-
-    def __len__(self):
-        return len(self.rows)
-
-
 def _binary_subgraph(model):
     """Edges between binary atom nodes, as (edge id, u, v)."""
     out = []
@@ -204,15 +170,16 @@ def _binary_subgraph(model):
     return out
 
 
-def separate_cycles(lg, tau, pool, max_rows=20, tol=CYCLE_VIOLATION_TOL):
-    """Find violated lifted cycle inequalities at ``tau``.
+def separate_cycles(lg, tau, cs):
+    """Find violated lifted cycle inequalities at ``tau`` and add them to ``cs``.
 
     Runs shortest-path separation on the ground graph: a two-layer mirror
     graph where staying in a layer costs the edge disagreement probability and
     switching layers costs one minus it.  A path from a node's copy in layer 0
     to its copy in layer 1 shorter than 1 yields a violated inequality, which
-    is projected onto orbit variables, deduplicated against ``pool`` and
-    returned (the most violated first).
+    is projected onto orbit variables and deduplicated against ``cs``.  The
+    ``CUT_BATCH`` most violated new rows are added to ``cs`` and returned,
+    the most violated first.
     """
     model = lg.model
     edges = _binary_subgraph(model)
@@ -239,7 +206,7 @@ def separate_cycles(lg, tau, pool, max_rows=20, tol=CYCLE_VIOLATION_TOL):
     seen_keys = set()
     for s in sources:
         dist, parent = _dijkstra(adj, 2 * s, 2 * s + 1, 2 * n_nodes)
-        if dist is None or dist >= 1.0 - tol:
+        if dist is None or dist >= 1.0 - CYCLE_VIOLATION_TOL:
             continue
         steps = _walk(parent, 2 * s, 2 * s + 1)
         coeffs = {}
@@ -252,19 +219,18 @@ def separate_cycles(lg, tau, pool, max_rows=20, tol=CYCLE_VIOLATION_TOL):
                 coeffs[var] = coeffs.get(var, 0.0) + sign
         row = Row.make(coeffs, "<=", n_cross - 1, tag="cycle")
         key = row.canonical_key()
-        if key in seen_keys or row in pool:
+        if key in seen_keys or row in cs:
             continue
         violation = sum(c * tau[j] for j, c in row.coeffs) - row.rhs
-        if violation <= tol:
+        if violation <= CYCLE_VIOLATION_TOL:
             continue
         seen_keys.add(key)
         found.append((violation, row))
 
     found.sort(key=lambda t: -t[0])
-    rows = []
-    for violation, row in found[:max_rows]:
-        pool.add(row)
-        rows.append(row)
+    rows = [row for _violation, row in found[:CUT_BATCH]]
+    for row in rows:
+        cs.add(row)
     return rows
 
 
@@ -317,9 +283,9 @@ class OuterSystem:
     n_tau: int
     n_vars: int
     cs: ConstraintSystem
+    fixed_zero: np.ndarray
     clusters: list[Cluster]
     use_cycles: bool
-    pool: CyclePool
     start_basis: list | None = None
 
     def uniform_point(self):
@@ -334,25 +300,24 @@ class OuterSystem:
             size = lg.model.nodes[u0].n_values * lg.model.nodes[v0].n_values
             for var, _count in lg.edge_orbit_vars(eo.id):
                 x[var] = 1.0 / size
-        if self.cs.fixed_zero is not None:
-            # hard consistency edges: mass uniform over the allowed diagonal
-            for eo in lg.edge_orbits:
-                vars_counts = lg.edge_orbit_vars(eo.id)
-                zeros = [v for v, _ in vars_counts if lg.structural_zero_var[v]]
-                if not zeros:
-                    continue
-                u0, v0 = eo.rep
-                k = lg.model.edge_index[(min(u0, v0), max(u0, v0))]
-                e = lg.model.edges[k]
-                mask = lg.model.structural_zero[k]
-                th = mask if (u0, v0) == (e.u, e.v) else mask.T
-                allowed = (~th)
-                nu, nv = th.shape
-                # uniform over the larger endpoint's values, consistent pairs only
-                for t in range(nu):
-                    for h in range(nv):
-                        var = lg.edge_var(eo.id, t, h)
-                        x[var] = (1.0 / max(nu, nv)) if allowed[t, h] else 0.0
+        # hard consistency edges: mass uniform over the allowed diagonal
+        for eo in lg.edge_orbits:
+            vars_counts = lg.edge_orbit_vars(eo.id)
+            zeros = [v for v, _ in vars_counts if lg.structural_zero_var[v]]
+            if not zeros:
+                continue
+            u0, v0 = eo.rep
+            k = lg.model.edge_index[(min(u0, v0), max(u0, v0))]
+            e = lg.model.edges[k]
+            mask = lg.model.structural_zero[k]
+            th = mask if (u0, v0) == (e.u, e.v) else mask.T
+            allowed = (~th)
+            nu, nv = th.shape
+            # uniform over the larger endpoint's values, consistent pairs only
+            for t in range(nu):
+                for h in range(nv):
+                    var = lg.edge_var(eo.id, t, h)
+                    x[var] = (1.0 / max(nu, nv)) if allowed[t, h] else 0.0
         for cl in self.clusters:
             n = cl.size
             ks = np.arange(n + 1)
@@ -377,7 +342,7 @@ def crash_basis(lg, cs):
     structural zeros are present (auxiliary-node systems fall back to the
     usual phase-1 start).
     """
-    if cs.fixed_zero is not None and cs.fixed_zero.any():
+    if lg.structural_zero_var.any():
         return None
     cols = []
     for orb in lg.node_orbits:
@@ -407,20 +372,17 @@ def build_outer_system(lg, outer):
             clusters.append(Cluster(cl.node_orbit, cl.edge_orbit, cl.size, n_vars))
             n_vars += n + 1
             for row in rows:
-                cs.rows.append(row)
-                cs._keys.add(row.canonical_key())
-    if cs.fixed_zero is not None and n_vars > lg.n_vars:
-        cs.fixed_zero = np.concatenate(
-            [cs.fixed_zero, np.zeros(n_vars - lg.n_vars, dtype=bool)])
-    cs.n_vars = n_vars
+                cs.add(row)
+    fixed_zero = np.concatenate(
+        [lg.structural_zero_var, np.zeros(n_vars - lg.n_vars, dtype=bool)])
     return OuterSystem(
         lg=lg,
         outer=outer,
         n_tau=lg.n_vars,
         n_vars=n_vars,
         cs=cs,
+        fixed_zero=fixed_zero,
         clusters=clusters,
         use_cycles=outer.startswith("cycle"),
-        pool=CyclePool(),
         start_basis=None if clusters else crash_basis(lg, cs),
     )

@@ -13,32 +13,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .symmetry import node_pattern
+from .symmetry import _UnionFind, node_pattern
 from .trw import frank_wolfe
+
+BOUND_TOL = 1e-12  # slack of optimize_rho's "bound did not increase" test
 
 
 class DisconnectedGraph(Exception):
     """The ground graph has no spanning tree."""
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-        return ra
 
 
 def _pinned_component_size(model, node_ids, edge_members, u0):
@@ -60,9 +42,7 @@ def _pinned_component_size(model, node_ids, edge_members, u0):
         ci = keys[key]
         class_of[i] = ci
         sizes[ci] += 1
-    uf = _UnionFind()
-    for ci in range(len(sizes)):
-        uf.add(ci)
+    uf = _UnionFind(len(sizes))
     for u, v in edge_members:
         uf.union(class_of[u], class_of[v])
     root = uf.find(class_of[u0])
@@ -99,9 +79,7 @@ def count_components(lg, node_orbit_ids=None, edge_orbit_ids=None):
                 if lg.edge_orbits[eid].u_orbit in node_set
                 and lg.edge_orbits[eid].v_orbit in node_set]
 
-    uf = _UnionFind()
-    for oid in node_set:
-        uf.add(oid)
+    uf = _UnionFind(len(lg.node_orbits))
     for eid in edge_ids:
         eo = lg.edge_orbits[eid]
         uf.union(eo.u_orbit, eo.v_orbit)
@@ -135,7 +113,7 @@ def lifted_kruskal(lg, weights):
         raise DisconnectedGraph("graph has nodes but no edges")
 
     order = sorted(range(len(lg.edge_orbits)), key=lambda e: (-weights[e], e))
-    uf = _UnionFind()
+    uf = _UnionFind(len(lg.node_orbits))
     comp_nodes = {}   # root -> set of node orbit ids
     comp_edges = {}   # root -> list of edge orbit ids
     ground_comps = {}  # root -> ground component count
@@ -158,9 +136,7 @@ def lifted_kruskal(lg, weights):
             nodes |= comp_nodes.pop(r)
             edges += comp_edges.pop(r)
             ground_comps.pop(r)
-        for o in new_orbits:
-            uf.add(o)
-            added.add(o)
+        added.update(new_orbits)
         it = iter(nb)
         first = next(it)
         root = uf.find(first)
@@ -250,7 +226,7 @@ def orbit_entropies(lg, tau):
     return node_h, edge_h
 
 
-def optimize_rho(lg, outer, rho0, outer_iters=10, bound_tol=1e-12, **fw_kwargs):
+def optimize_rho(lg, outer, rho0, outer_iters=10, **fw_kwargs):
     """Improve the edge appearances by conditional gradient on the bound.
 
     Each outer step solves the inner problem, weighs edge orbits by their
@@ -270,7 +246,7 @@ def optimize_rho(lg, outer, rho0, outer_iters=10, bound_tol=1e-12, **fw_kwargs):
         while step > 1e-4:
             cand = np.clip(rho + step * (direction - rho), 0.0, 1.0)
             cand_res = frank_wolfe(lg, outer=outer, rho=cand, **fw_kwargs)
-            if cand_res.bound <= res.bound + bound_tol:
+            if cand_res.bound <= res.bound + BOUND_TOL:
                 rho, res = cand, cand_res
                 accepted = True
                 break

@@ -399,6 +399,8 @@ class VerifyReport:
 
 
 class _UnionFind:
+    """Disjoint sets over ``0..n-1``; ``union`` returns the merged root."""
+
     def __init__(self, n):
         self.parent = list(range(n))
 
@@ -412,8 +414,7 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[rb] = ra
-            return True
-        return False
+        return ra
 
     def partition(self):
         groups = {}

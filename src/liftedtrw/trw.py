@@ -24,6 +24,11 @@ from .polytope import build_outer_system, separate_cycles
 LOG_CLAMP = 1e-12
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+LS_TOL = 1e-8            # golden-section bracket width of the line search
+CUT_ROUNDS = 50          # separate-and-resolve rounds per direction LP
+POLISH_EVERY = 25        # iterations between Newton polish attempts
+POLISH_SIZE_CAP = 1500   # largest KKT system the polish may factor
+
 
 def entropy_coefficients(lg, rho):
     """Per-orbit coefficients of the entropy terms in the bound.
@@ -109,12 +114,6 @@ def lifted_linear_term(tau, lg):
 def gradient(tau, rho, lg):
     """Gradient of the full objective (linear term minus entropy bound)."""
     return TrwObjective(lg, rho).grad(tau)
-
-
-def entropy_bound_gradient(tau, rho, lg):
-    """Gradient of the entropy bound alone, with logs clamped at 1e-12."""
-    obj = TrwObjective(lg, rho)
-    return obj.theta - obj.grad(tau)
 
 
 def golden_section(f, lo=0.0, hi=1.0, tol=1e-8):
@@ -222,10 +221,7 @@ def _newton_polish(obj, rows, fixed_zero, tau, active_tol=1e-7, pin_tol=1e-10,
     """
     n = obj.n_vars
     tau = np.asarray(tau, dtype=float)
-    pinned = np.zeros(n, dtype=bool)
-    if fixed_zero is not None:
-        pinned |= np.asarray(fixed_zero, dtype=bool)
-    pinned |= (tau <= pin_tol) & (obj.w == 0.0)
+    pinned = fixed_zero | ((tau <= pin_tol) & (obj.w == 0.0))
     free = np.where(~pinned)[0]
     if free.size == 0:
         return None
@@ -267,8 +263,7 @@ def _newton_polish(obj, rows, fixed_zero, tau, active_tol=1e-7, pin_tol=1e-10,
 
 
 def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
-                ls_tol=1e-8, cut_rounds=50, cut_batch=20, polish=True,
-                polish_every=25, polish_size_cap=1500):
+                polish=True):
     """Conditional gradient on the lifted TRW objective.
 
     Starts from the moments of the uniform distribution, solves a direction
@@ -285,6 +280,8 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
     """
     if rho is None:
         raise ValueError("edge appearance vector rho is required")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     t0 = time.perf_counter()
     if lg.n_vars == 0:
         return TrwResult(0.0, 0.0, np.zeros(0), [], [], 0, True, {}, outer,
@@ -292,7 +289,7 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
 
     system = build_outer_system(lg, outer)
     obj = TrwObjective(lg, rho, system.n_vars)
-    simplex = Simplex(system.n_vars, system.cs.rows, system.cs.fixed_zero)
+    simplex = Simplex(system.n_vars, system.cs.rows, system.fixed_zero)
     tau = system.uniform_point()
 
     gap_trace = []
@@ -307,9 +304,9 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
     it = 0
     clean_vertices = set()
     last_polish = -(10 ** 9)
-    n_pinned = int(system.cs.fixed_zero.sum()) if system.cs.fixed_zero is not None else 0
-    kkt_dim = system.n_vars - n_pinned + len(system.cs.rows)
-    may_polish = polish and kkt_dim <= polish_size_cap
+    n_built = len(system.cs.rows)
+    kkt_dim = system.n_vars - int(system.fixed_zero.sum()) + n_built
+    may_polish = polish and kkt_dim <= POLISH_SIZE_CAP
 
     def direction(gvec, warm):
         """Solve the direction LP, running cut separation at its vertex."""
@@ -318,11 +315,11 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
         pivots += res.iterations
         s = res.x
         if system.use_cycles:
-            for _ in range(cut_rounds):
+            for _ in range(CUT_ROUNDS):
                 key = s.round(9).tobytes()
                 if key in clean_vertices:
                     break
-                new_rows = separate_cycles(lg, s, system.pool, max_rows=cut_batch)
+                new_rows = separate_cycles(lg, s, system.cs)
                 if not new_rows:
                     clean_vertices.add(key)
                     break
@@ -339,7 +336,7 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
                        (0.5 * g_scale, 0.05 * g_scale, 1e-3, 1e-7)})
         best_cand, best_f = None, F
         for act_tol in tols:
-            cand = _newton_polish(obj, simplex.rows, system.cs.fixed_zero,
+            cand = _newton_polish(obj, system.cs.rows, system.fixed_zero,
                                   tau, active_tol=act_tol)
             if cand is not None:
                 f_cand = obj.value(cand)
@@ -352,7 +349,7 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
 
     while it < max_iters:
         it += 1
-        if may_polish and (it == 1 or it - last_polish >= polish_every):
+        if may_polish and (it == 1 or it - last_polish >= POLISH_EVERY):
             last_polish = it
             attempt_polish(gap if math.isfinite(gap) else 1.0)
 
@@ -363,10 +360,10 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
         obj_trace.append(F)
         if gap <= tol:
             if system.use_cycles:
-                new_rows = separate_cycles(lg, tau, system.pool, max_rows=cut_batch)
+                new_rows = separate_cycles(lg, tau, system.cs)
                 if new_rows:
                     simplex.add_rows(new_rows)
-                    last_polish = it - polish_every
+                    last_polish = it - POLISH_EVERY
                     continue
             # squeeze the certificate before declaring convergence: keep
             # refining while the face Newton still strictly improves
@@ -384,12 +381,12 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
         guard = (obj.w != 0.0) & (delta < 0.0) & (tau > 1e-6)
         if guard.any():
             hi = min(hi, float(np.min(0.99 * tau[guard] / -delta[guard])))
-        lam, flam = golden_section(obj.line_function(tau, delta), 0.0, hi, ls_tol)
+        lam, flam = golden_section(obj.line_function(tau, delta), 0.0, hi, LS_TOL)
         if flam > F:
             tau = tau + lam * delta
             F = flam
 
-    bound = F + max(gap, 0.0) if math.isfinite(gap) else F
+    bound = F + max(gap, 0.0)
     marginals = lg.node_marginals(tau)
     clusters = {cl.node_orbit: tau[cl.c_offset:cl.c_offset + cl.size + 1].copy()
                 for cl in system.clusters}
@@ -406,15 +403,7 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
         rho=np.asarray(rho, dtype=float),
         millis=(time.perf_counter() - t0) * 1000.0,
         lp_pivots=pivots,
-        n_cuts=len(system.pool),
+        n_cuts=len(system.cs.rows) - n_built,
         cluster_counts=clusters,
     )
 
-
-def uniform_edge_appearance(lg):
-    """A valid fallback rho: every edge orbit gets (|V| - 1) / |E|."""
-    n_nodes = len(lg.model.nodes)
-    n_edges = len(lg.model.edges)
-    if n_edges == 0:
-        return np.zeros(len(lg.edge_orbits))
-    return np.full(len(lg.edge_orbits), (n_nodes - 1) / n_edges)

@@ -1,6 +1,6 @@
 """Bundled test models.
 
-Three templated models (also shipped as ``.mln`` files for the CLI) and one
+Three templated models (the CLI accepts their names for ``--model``) and one
 hand-built ground model: a five-node ring with chords and pendant nodes whose
 symmetry group is the dihedral group of the ring, used throughout the tests
 because its lifted graph has a node orbit with zero entropy coefficient, a
@@ -8,8 +8,6 @@ non-flip edge orbit, and two flip-symmetric self-loop orbits.
 """
 
 from __future__ import annotations
-
-from importlib import resources
 
 import numpy as np
 
@@ -68,11 +66,6 @@ def build_hand_built(name, scale=1.0):
     if name == "ring_pendant":
         return ring_pendant_model(scale=scale)
     raise KeyError(f"unknown hand-built model {name!r}; have {sorted(HAND_BUILT)}")
-
-
-def bundled_path(name):
-    """Filesystem path of a bundled ``.mln`` file."""
-    return resources.files("liftedtrw").joinpath("models", f"{name}.mln")
 
 
 def build_model(name, n, w_value=None):

@@ -3,6 +3,8 @@
 import math
 import re
 
+import pytest
+
 import liftedtrw as lt
 from liftedtrw.cli import main
 
@@ -58,6 +60,24 @@ class TestInfer:
         code, _, _ = run_cli(capsys, "infer", "--model", "complete_graph",
                              "--n", "3", "--W", "1", "--tol", "-1")
         assert code == 2
+        cg = ("--model", "complete_graph", "--n", "6", "--W", "1")
+        cc = ("--model", "clique_cycle", "--n", "3", "--W", "1")  # 6 edge orbits
+        for argv in (("infer", *cg, "--max-iters", "0"),
+                     ("infer", *cg, "--max-iters", "-1"),
+                     ("infer", *cg, "--rho", "kruskal:a"),
+                     ("mst", *cc, "--weights", "1,2"),
+                     ("mst", *cc, "--weights", "1,2,3,4,5,6,7,8"),
+                     ("mst", *cc, "--weights", "1,2,3,4,5,x"),
+                     ("sweep", "--model", "complete_graph", "--n", "3", "--W=-1:1"),
+                     ("sweep", "--model", "complete_graph", "--n", "3", "--W=a:1:1")):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert err.startswith("error: "), argv
+        # no iteration means no gap, so no certified bound
+        lg = lt.compute_orbits(build("complete_graph", 6, 1.0))
+        for max_iters in (0, -1):
+            with pytest.raises(ValueError, match="max_iters"):
+                lt.frank_wolfe(lg, rho=lt.init_rho_uniform(lg), max_iters=max_iters)
 
     def test_optimized_rho_does_not_worsen_bound(self, capsys, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"

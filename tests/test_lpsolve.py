@@ -5,8 +5,7 @@ import pytest
 from scipy.optimize import linprog
 
 import liftedtrw as lt
-from liftedtrw.lpsolve import (Basis, InfeasibleError, LinearProgram, Row,
-                               Simplex, solve)
+from liftedtrw.lpsolve import Basis, InfeasibleError, Row, Simplex
 
 from conftest import build
 
@@ -49,19 +48,16 @@ def random_local_lp(seed, n_points=6):
 
 class TestSolve:
     def test_trivial_box(self):
-        lp = LinearProgram(1, [Row.make({0: 1.0}, "<=", 1.0)], np.array([1.0]))
-        x, obj, basis, status = solve(lp)
-        assert status == "optimal"
-        assert abs(obj - 1.0) < 1e-12
-        assert abs(x[0] - 1.0) < 1e-12
+        res = Simplex(1, [Row.make({0: 1.0}, "<=", 1.0)]).solve(np.array([1.0]))
+        assert abs(res.objective - 1.0) < 1e-12
+        assert abs(res.x[0] - 1.0) < 1e-12
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_lps_match_scipy(self, seed):
         n, rows, c = random_local_lp(seed)
-        lp = LinearProgram(n, rows, c)
-        x, obj, basis, status = solve(lp)
+        res = Simplex(n, rows).solve(c)
         ref = scipy_reference(n, rows, c)
-        assert abs(obj - ref) < 1e-8
+        assert abs(res.objective - ref) < 1e-8
 
     def test_lifted_local_lp_matches_ground_lp(self, ring_model, ring_lifted):
         """Maximizing a symmetric objective over the lifted local polytope
@@ -70,27 +66,24 @@ class TestSolve:
         g = ring_model
         cs = lt.lifted_local(lg)
         theta_bar = lg.lifted_theta
-        x, obj, basis, status = solve(
-            LinearProgram(lg.n_vars, cs.rows, theta_bar, cs.fixed_zero))
+        res = Simplex(lg.n_vars, cs.rows, lg.structural_zero_var).solve(theta_bar)
 
         from liftedtrw.symmetry import trivial_lifting
         lg0 = trivial_lifting(g)
         cs0 = lt.lifted_local(lg0)
         ref = scipy_reference(lg0.n_vars, cs0.rows, g.theta_vector())
-        assert abs(obj - ref) < 1e-7
+        assert abs(res.objective - ref) < 1e-7
 
     def test_infeasible_detected(self):
         rows = [Row.make({0: 1.0}, "=", 1.0), Row.make({0: 1.0}, "=", 2.0)]
         with pytest.raises(InfeasibleError):
-            solve(LinearProgram(1, rows, np.array([1.0])))
+            Simplex(1, rows).solve(np.array([1.0]))
 
     def test_fixed_zero_variables_stay_zero(self):
         rows = [Row.make({0: 1.0, 1: 1.0}, "<=", 1.0)]
-        lp = LinearProgram(2, rows, np.array([1.0, 2.0]),
-                           fixed_zero=np.array([False, True]))
-        x, obj, _, _ = solve(lp)
-        assert x[1] == 0.0
-        assert abs(obj - 1.0) < 1e-12
+        res = Simplex(2, rows, np.array([False, True])).solve(np.array([1.0, 2.0]))
+        assert res.x[1] == 0.0
+        assert abs(res.objective - 1.0) < 1e-12
 
 
 class TestWarmStart:
@@ -149,17 +142,17 @@ class TestInvariants:
 
     def test_deterministic(self):
         n, rows, c = random_local_lp(11)
-        a = solve(LinearProgram(n, rows, c))
-        b = solve(LinearProgram(n, rows, c))
-        np.testing.assert_array_equal(a[0], b[0])
-        assert a[2] == b[2]
+        a = Simplex(n, rows).solve(c)
+        b = Simplex(n, rows).solve(c)
+        np.testing.assert_array_equal(a.x, b.x)
+        assert a.basis == b.basis
 
     def test_crash_basis_accepted_on_local_system(self):
         g = build("complete_graph", 6, -1.0)
         lg = lt.compute_orbits(g)
         system = lt.build_outer_system(lg, "local")
         assert system.start_basis is not None
-        simplex = Simplex(system.n_vars, system.cs.rows, system.cs.fixed_zero)
+        simplex = Simplex(system.n_vars, system.cs.rows, system.fixed_zero)
         res = simplex.solve(lg.lifted_theta, warm=Basis(tuple(system.start_basis)))
         ref = scipy_reference(system.n_vars, system.cs.rows, lg.lifted_theta)
         assert abs(res.objective - ref) < 1e-8

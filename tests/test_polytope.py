@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import liftedtrw as lt
-from liftedtrw.lpsolve import LinearProgram, solve
-from liftedtrw.polytope import (CyclePool, NotExchangeable, build_outer_system,
+from liftedtrw.lpsolve import Simplex
+from liftedtrw.polytope import (NotExchangeable, build_outer_system,
                                 detect_exchangeable_clusters,
                                 exchangeable_constraints, lifted_local,
                                 separate_cycles)
@@ -100,7 +100,7 @@ class TestProjectionEquivalence:
                 tau = symmetrized_random_moments(g, lg, trial)
                 tau = tau + rng.normal(scale=0.05, size=lg.n_vars)
             lifted_ok = lifted_feasible(cs, tau) and not (
-                cs.fixed_zero is not None and (tau[cs.fixed_zero] > 1e-7).any())
+                tau[lg.structural_zero_var] > 1e-7).any()
             ground_ok = ground_local_feasible(g, lg.expand(tau))
             assert lifted_ok == ground_ok
             agree += 1
@@ -206,8 +206,7 @@ class TestSoundness:
                 probs = _count_distribution(g, members, seed)
                 x[cl.c_offset:cl.c_offset + cl.size + 1] = probs
             assert lifted_feasible(system.cs, x)
-            pool = CyclePool()
-            assert separate_cycles(lg, x, pool) == []
+            assert separate_cycles(lg, x, system.cs) == []
 
 
 def _count_distribution(g, members, seed):
@@ -236,9 +235,8 @@ class TestNesting:
             for outer in ("local", "local+exch"):
                 system = build_outer_system(lg, outer)
                 obj = np.concatenate([c, np.zeros(system.n_vars - lg.n_vars)])
-                _, val, _, _ = solve(LinearProgram(
-                    system.n_vars, system.cs.rows, obj, system.cs.fixed_zero))
-                values[outer] = val
+                values[outer] = Simplex(system.n_vars, system.cs.rows,
+                                        system.fixed_zero).solve(obj).objective
             assert values["local+exch"] <= values["local"] + 1e-9
 
     def test_exchangeable_exactness_on_complete_graph(self):
@@ -252,8 +250,8 @@ class TestNesting:
             for _ in range(6):
                 c = rng.normal(size=lg.n_vars)
                 obj = np.concatenate([c, np.zeros(system.n_vars - lg.n_vars)])
-                _, lp_val, _, _ = solve(LinearProgram(
-                    system.n_vars, system.cs.rows, obj, system.cs.fixed_zero))
+                lp_val = Simplex(system.n_vars, system.cs.rows,
+                                 system.fixed_zero).solve(obj).objective
                 best = -np.inf
                 for state in itertools.product((0, 1), repeat=n):
                     mu = np.zeros(g.n_features)
@@ -272,7 +270,7 @@ class TestSeparation:
         lg = lt.compute_orbits(g)
         system = build_outer_system(lg, "cycle")
         tau = system.uniform_point()
-        assert separate_cycles(lg, tau, CyclePool()) == []
+        assert separate_cycles(lg, tau, system.cs) == []
 
     def test_tree_graph_has_no_cycles(self):
         b = lt.GroundModelBuilder(range(3))
@@ -284,7 +282,7 @@ class TestSeparation:
         tau = np.full(lg.n_vars, 0.5)
         tau[lg.feat_to_var] = 0.0  # fill with a fractional-but-local point
         system = build_outer_system(lg, "cycle")
-        assert separate_cycles(lg, system.uniform_point(), CyclePool()) == []
+        assert separate_cycles(lg, system.uniform_point(), system.cs) == []
 
     def test_clique_cycle_fractional_point_is_cut(self):
         """The local optimum at strong repulsion violates a cycle inequality;
@@ -294,23 +292,21 @@ class TestSeparation:
         lg = lt.compute_orbits(g)
         system = build_outer_system(lg, "local")
         grad = lg.lifted_theta
-        x, val, basis, _ = solve(LinearProgram(
-            system.n_vars, system.cs.rows, grad, system.cs.fixed_zero))
+        res = Simplex(system.n_vars, system.cs.rows, system.fixed_zero).solve(grad)
+        x, val = res.x, res.objective
 
-        pool = CyclePool()
-        rows = separate_cycles(lg, x, pool, max_rows=50)
+        n_local = len(system.cs.rows)
+        rows = separate_cycles(lg, x, system.cs)
         assert rows
+        assert system.cs.rows[n_local:] == rows
 
         best_found = max(sum(c * x[j] for j, c in r.coeffs) - r.rhs for r in rows)
         best_exhaustive = _exhaustive_worst_violation(g, lg, x)
         assert best_exhaustive > 1e-6
         assert abs(best_found - best_exhaustive) < 1e-9
 
-        cs2 = lt.lifted_local(lg)
-        for r in rows:
-            cs2.rows.append(r)
-        _, val2, _, _ = solve(LinearProgram(
-            lg.n_vars, cs2.rows, grad, cs2.fixed_zero))
+        val2 = Simplex(system.n_vars, system.cs.rows,
+                       system.fixed_zero).solve(grad).objective
         assert val2 < val - 1e-6
 
 

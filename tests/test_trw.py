@@ -172,7 +172,7 @@ class TestGoldenSection:
         tau = system.uniform_point()
         grad = obj.grad(tau)
         from liftedtrw.lpsolve import Simplex
-        s = Simplex(system.n_vars, system.cs.rows, system.cs.fixed_zero).solve(grad).x
+        s = Simplex(system.n_vars, system.cs.rows, system.fixed_zero).solve(grad).x
         phi = obj.line_function(tau, s - tau)
         lam, _ = golden_section(phi, 0.0, 1.0 - 1e-9, 1e-8)
         grid = np.arange(0.0, 1.0, 1e-4)
