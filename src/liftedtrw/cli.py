@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import multiprocessing
 import os
 import sys
 import time
@@ -45,13 +46,19 @@ def _load_text(spec):
         return fh.read()
 
 
-def _build(args, w_value):
-    if args.n < 1:
+def _check_args(args):
+    """Reject bad settings before any work, so also for an empty W range."""
+    if getattr(args, "n", 1) < 1:
         raise ModelError(f"domain size must be >= 1, got {args.n}")
     if getattr(args, "tol", 1.0) <= 0:
         raise ModelError("tolerance must be positive")
     if getattr(args, "max_iters", 1) < 1:
         raise ModelError("--max-iters must be at least 1")
+    if getattr(args, "jobs", 1) < 1:
+        raise ModelError("--jobs must be at least 1")
+
+
+def _build(args, w_value):
     if args.model in zoo.HAND_BUILT:
         g = zoo.build_hand_built(args.model,
                                  scale=1.0 if w_value is None else w_value)
@@ -183,7 +190,9 @@ def cmd_sweep(args):
     w_values = _parse_range(args.W) if args.W else [None]
     tasks = [(args, w, o) for w in w_values for o in outers]
     if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # spawn, not fork: forking once OpenBLAS has started its threads is unsafe
+        with ProcessPoolExecutor(max_workers=args.jobs,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
             rows = list(pool.map(_run_one, tasks))
     else:
         rows = [_run_one(t) for t in tasks]
@@ -292,6 +301,7 @@ def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     except (ModelError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,14 +161,52 @@ def exchangeable_constraints(lg, node_orbit_id, c_offset):
 # Cycle inequality separation
 # ---------------------------------------------------------------------------
 
-def _binary_subgraph(model):
-    """Edges between binary atom nodes, as (edge id, u, v)."""
-    out = []
+@dataclass(frozen=True)
+class _MirrorGraph:
+    """The two-layer mirror graph of a model's binary subgraph, minus weights.
+
+    Ground node ``a`` has copies ``2a`` (layer 0) and ``2a + 1`` (layer 1).
+    ``adj`` lists ``(node, edge, crossing)`` per copy, where ``edge`` indexes
+    the binary edges and ``crossing`` says the step switches layers;
+    ``var01``/``var10`` are each binary edge's two disagreement variables;
+    ``first`` maps every source to the first source of its node orbit.
+    """
+
+    adj: list
+    var01: np.ndarray
+    var10: np.ndarray
+    sources: list
+    first: dict
+
+
+def _mirror_graph(lg):
+    """The mirror graph of ``lg``, built on first use and cached on ``lg``."""
+    mg = getattr(lg, "_mirror", None)
+    if mg is not None:
+        return mg
+    model = lg.model
+    adj = [[] for _ in range(2 * len(model.nodes))]
+    var01, var10, sources = [], [], set()
     for k, e in enumerate(model.edges):
-        if (model.nodes[e.u].kind == "atom" and model.nodes[e.v].kind == "atom"
-                and model.nodes[e.u].n_values == 2 and model.nodes[e.v].n_values == 2):
-            out.append((k, e.u, e.v))
-    return out
+        nu, nv = model.nodes[e.u], model.nodes[e.v]
+        if not (nu.kind == nv.kind == "atom" and nu.n_values == nv.n_values == 2):
+            continue
+        j = len(var01)
+        var01.append(int(lg.feat_to_var[model.edge_feature(k, 0, 1)]))
+        var10.append(int(lg.feat_to_var[model.edge_feature(k, 1, 0)]))
+        sources.update((e.u, e.v))
+        for a, b in ((e.u, e.v), (e.v, e.u)):
+            adj[2 * a].append((2 * b, j, False))
+            adj[2 * a + 1].append((2 * b + 1, j, False))
+            adj[2 * a].append((2 * b + 1, j, True))
+            adj[2 * a + 1].append((2 * b, j, True))
+    sources = sorted(sources)
+    first, orbit_first = {}, {}
+    for s in sources:
+        first[s] = orbit_first.setdefault(int(lg.node_orbit_of[s]), s)
+    lg._mirror = _MirrorGraph(adj, np.array(var01, dtype=int),
+                              np.array(var10, dtype=int), sources, first)
+    return lg._mirror
 
 
 def separate_cycles(lg, tau, cs):
@@ -180,42 +219,39 @@ def separate_cycles(lg, tau, cs):
     is projected onto orbit variables and deduplicated against ``cs``.  The
     ``CUT_BATCH`` most violated new rows are added to ``cs`` and returned,
     the most violated first.
+
+    Since ``tau`` is constant on orbits, an automorphism maps the shortest
+    paths from one member of a node orbit onto paths of the same length from
+    any other member.  So the search runs from the first source of each node
+    orbit, and from the orbit's other members only when that search finds a
+    violated cycle; the rows are those of a search from every source.
     """
-    model = lg.model
-    edges = _binary_subgraph(model)
-    if not edges:
+    mg = _mirror_graph(lg)
+    if not mg.sources:
         return []
     tau = np.asarray(tau)
+    lam = np.clip(tau[mg.var01] + tau[mg.var10], 0.0, 1.0)
+    weight = (lam.tolist(), (1.0 - lam).tolist())
 
-    n_nodes = len(model.nodes)
-    adj = [[] for _ in range(2 * n_nodes)]
-    lam = {}
-    for k, u, v in edges:
-        l = float(tau[lg.feat_to_var[model.edge_feature(k, 0, 1)]]
-                  + tau[lg.feat_to_var[model.edge_feature(k, 1, 0)]])
-        l = min(max(l, 0.0), 1.0)
-        lam[k] = l
-        for a, b in ((u, v), (v, u)):
-            adj[2 * a].append((2 * b, l, k, False))
-            adj[2 * a + 1].append((2 * b + 1, l, k, False))
-            adj[2 * a].append((2 * b + 1, 1.0 - l, k, True))
-            adj[2 * a + 1].append((2 * b, 1.0 - l, k, True))
-
-    sources = sorted({u for _, u, v in edges} | {v for _, u, v in edges})
+    cutoff = 1.0 - CYCLE_VIOLATION_TOL
+    violated = {}  # orbit-first source -> did its search find a path?
     found = []
     seen_keys = set()
-    for s in sources:
-        dist, parent = _dijkstra(adj, 2 * s, 2 * s + 1, 2 * n_nodes)
-        if dist is None or dist >= 1.0 - CYCLE_VIOLATION_TOL:
+    for s in mg.sources:
+        if not violated.get(mg.first[s], True):
+            continue
+        dist, parent = _dijkstra(mg.adj, weight, 2 * s, 2 * s + 1, cutoff)
+        if s == mg.first[s]:
+            violated[s] = dist is not None
+        if dist is None:
             continue
         steps = _walk(parent, 2 * s, 2 * s + 1)
         coeffs = {}
         n_cross = 0
-        for k, crossing in steps:
+        for j, crossing in steps:
             sign = 1.0 if crossing else -1.0
             n_cross += int(crossing)
-            for (t, h) in ((0, 1), (1, 0)):
-                var = int(lg.feat_to_var[model.edge_feature(k, t, h)])
+            for var in (mg.var01[j], mg.var10[j]):
                 coeffs[var] = coeffs.get(var, 0.0) + sign
         row = Row.make(coeffs, "<=", n_cross - 1, tag="cycle")
         key = row.canonical_key()
@@ -234,10 +270,18 @@ def separate_cycles(lg, tau, cs):
     return rows
 
 
-def _dijkstra(adj, src, dst, n):
-    dist = np.full(n, np.inf)
+def _dijkstra(adj, weight, src, dst, cutoff):
+    """Shortest ``src``-``dst`` path below ``cutoff`` as ``(length, parent)``.
+
+    ``weight[crossing][edge]`` prices an ``adj`` step.  Labels at or above
+    ``cutoff`` are recorded but never pushed: every label on a path shorter
+    than the cutoff is itself shorter, so the search pops exactly the nodes it
+    would pop without the cutoff, in the same order.  Returns ``(None, None)``
+    when ``dst`` is not reached below the cutoff.
+    """
+    dist = [math.inf] * len(adj)
     dist[src] = 0.0
-    parent = [None] * n
+    parent = [None] * len(adj)
     heap = [(0.0, src)]
     while heap:
         d, u = heapq.heappop(heap)
@@ -245,14 +289,13 @@ def _dijkstra(adj, src, dst, n):
             continue
         if u == dst:
             return d, parent
-        for v, w, k, crossing in adj[u]:
-            nd = d + w
+        for v, j, crossing in adj[u]:
+            nd = d + weight[crossing][j]
             if nd < dist[v] - 1e-15:
                 dist[v] = nd
-                parent[v] = (u, k, crossing)
-                heapq.heappush(heap, (nd, v))
-    if np.isfinite(dist[dst]):
-        return float(dist[dst]), parent
+                parent[v] = (u, j, crossing)
+                if nd < cutoff:
+                    heapq.heappush(heap, (nd, v))
     return None, None
 
 

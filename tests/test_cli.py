@@ -69,7 +69,17 @@ class TestInfer:
                      ("mst", *cc, "--weights", "1,2,3,4,5,6,7,8"),
                      ("mst", *cc, "--weights", "1,2,3,4,5,x"),
                      ("sweep", "--model", "complete_graph", "--n", "3", "--W=-1:1"),
-                     ("sweep", "--model", "complete_graph", "--n", "3", "--W=a:1:1")):
+                     ("sweep", "--model", "complete_graph", "--n", "3", "--W=a:1:1"),
+                     # checked before the (here empty) W range is expanded
+                     ("sweep", "--model", "complete_graph", "--n", "3",
+                      "--W=1:-1:0.5", "--max-iters", "0", "--tol", "-1"),
+                     ("sweep", "--model", "complete_graph", "--n", "0", "--W=2:1:1"),
+                     ("sweep", "--model", "complete_graph", "--n", "3", "--W=2:1:1",
+                      "--tol", "0"),
+                     ("sweep", "--model", "complete_graph", "--n", "3", "--W=1",
+                      "--jobs", "0"),
+                     ("sweep", "--model", "complete_graph", "--n", "3", "--W=1",
+                      "--jobs", "-2")):
             code, _, err = run_cli(capsys, *argv)
             assert code == 2, argv
             assert err.startswith("error: "), argv

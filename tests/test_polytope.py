@@ -2,14 +2,18 @@
 consistency with brute-force symmetrized distributions, and cycle-inequality
 separation checked against exhaustive enumeration."""
 
+import copy
+import heapq
 import itertools
 
 import numpy as np
 import pytest
 
 import liftedtrw as lt
-from liftedtrw.lpsolve import Simplex
-from liftedtrw.polytope import (NotExchangeable, build_outer_system,
+from liftedtrw import polytope
+from liftedtrw.lpsolve import Row, Simplex
+from liftedtrw.polytope import (CUT_BATCH, CYCLE_VIOLATION_TOL,
+                                NotExchangeable, build_outer_system,
                                 detect_exchangeable_clusters,
                                 exchangeable_constraints, lifted_local,
                                 separate_cycles)
@@ -308,6 +312,136 @@ class TestSeparation:
         val2 = Simplex(system.n_vars, system.cs.rows,
                        system.fixed_zero).solve(grad).objective
         assert val2 < val - 1e-6
+
+    @pytest.mark.parametrize("name,n,w,has_cycles", [
+        ("clique_cycle", 3, 2.0, True), ("clique_cycle", 4, 2.0, True),
+        ("complete_graph", 6, -1.0, True), ("friends_smokers", 4, 1.0, False),
+        ("ring_pendant", 5, 3.0, True),
+    ])
+    def test_orbit_skip_matches_all_sources(self, name, n, w, has_cycles):
+        """Searching the other members of a node orbit only when its first
+        source finds a violated cycle returns the rows, in the order, of a
+        search from every source; checked at LP vertices over cut rounds.
+        (The binary edges of friends_smokers, Smokes-Cancer, form no cycle.)"""
+        g = (lt.zoo.ring_pendant_model(scale=w) if name == "ring_pendant"
+             else build(name, n, w))
+        lg = lt.compute_orbits(g)
+        system = build_outer_system(lg, "cycle")
+        disagree = [int(lg.feat_to_var[g.edge_feature(k, t, h)])
+                    for k, _u, _v in _binary_edges(g) for t, h in ((0, 1), (1, 0))]
+        rng = np.random.default_rng(7)
+        n_rows = 0
+        for _trial in range(6):
+            c = rng.normal(size=system.n_vars)
+            c[disagree] += 3.0 * rng.choice([-1.0, 1.0, 1.0], size=len(disagree))
+            for _round in range(4):
+                x = Simplex(system.n_vars, system.cs.rows,
+                            system.fixed_zero).solve(c).x
+                # points between the vertex and the uniform point have cycle
+                # lengths up to 1, near the search's cutoff
+                t = rng.uniform(0.5, 1.0)
+                mid = t * x + (1.0 - t) * system.uniform_point()
+                assert (separate_cycles(lg, mid, copy.deepcopy(system.cs))
+                        == _all_sources_separation(lg, mid, copy.deepcopy(system.cs)))
+                ref_cs = copy.deepcopy(system.cs)
+                expected = _all_sources_separation(lg, x, ref_cs)
+                rows = separate_cycles(lg, x, system.cs)
+                assert rows == expected
+                assert system.cs.rows == ref_cs.rows
+                n_rows += len(rows)
+                if not rows:
+                    break
+        assert (n_rows > 0) == has_cycles
+
+    def test_one_search_per_node_orbit_without_cut(self, monkeypatch):
+        g = build("clique_cycle", 3, 2.0)
+        lg = lt.compute_orbits(g)
+        system = build_outer_system(lg, "cycle")
+        calls = []
+        search = polytope._dijkstra
+
+        def counted(*args):
+            calls.append(args[2])
+            return search(*args)
+
+        monkeypatch.setattr(polytope, "_dijkstra", counted)
+        assert separate_cycles(lg, system.uniform_point(), system.cs) == []
+        assert len(lg.node_orbits) == 3
+        assert sorted(lg.node_orbit_of[s // 2] for s in calls) == [0, 1, 2]
+
+
+def _binary_edges(g):
+    """Edges between binary atom nodes, as (edge id, u, v)."""
+    return [(k, e.u, e.v) for k, e in enumerate(g.edges)
+            if all(g.nodes[i].kind == "atom" and g.nodes[i].n_values == 2
+                   for i in (e.u, e.v))]
+
+
+def _all_sources_separation(lg, tau, cs):
+    """Cycle separation without the orbit skip or the length cutoff.
+
+    Builds the mirror graph afresh and runs Dijkstra from every binary ground
+    node; otherwise gathers, ranks and adds rows like ``separate_cycles``.
+    """
+    g = lg.model
+    edges = _binary_edges(g)
+    adj = [[] for _ in range(2 * len(g.nodes))]
+    for k, u, v in edges:
+        lam = float(tau[lg.feat_to_var[g.edge_feature(k, 0, 1)]]
+                    + tau[lg.feat_to_var[g.edge_feature(k, 1, 0)]])
+        lam = min(max(lam, 0.0), 1.0)
+        for a, b in ((u, v), (v, u)):
+            adj[2 * a].append((2 * b, lam, k, False))
+            adj[2 * a + 1].append((2 * b + 1, lam, k, False))
+            adj[2 * a].append((2 * b + 1, 1.0 - lam, k, True))
+            adj[2 * a + 1].append((2 * b, 1.0 - lam, k, True))
+    found = []
+    seen_keys = set()
+    for s in sorted({u for _, u, _v in edges} | {v for _, _u, v in edges}):
+        src, dst = 2 * s, 2 * s + 1
+        dist = [np.inf] * len(adj)
+        dist[src] = 0.0
+        parent = [None] * len(adj)
+        heap = [(0.0, src)]
+        while heap:
+            d, a = heapq.heappop(heap)
+            if d > dist[a] + 1e-15:
+                continue
+            if a == dst:
+                break
+            for b, wt, k, crossing in adj[a]:
+                if d + wt < dist[b] - 1e-15:
+                    dist[b] = d + wt
+                    parent[b] = (a, k, crossing)
+                    heapq.heappush(heap, (d + wt, b))
+        if dist[dst] >= 1.0 - CYCLE_VIOLATION_TOL:
+            continue
+        coeffs = {}
+        n_cross = 0
+        cur = dst
+        steps = []
+        while cur != src:
+            cur, k, crossing = parent[cur]
+            steps.append((k, crossing))
+        for k, crossing in reversed(steps):
+            n_cross += int(crossing)
+            for t, h in ((0, 1), (1, 0)):
+                var = int(lg.feat_to_var[g.edge_feature(k, t, h)])
+                coeffs[var] = coeffs.get(var, 0.0) + (1.0 if crossing else -1.0)
+        row = Row.make(coeffs, "<=", n_cross - 1, tag="cycle")
+        key = row.canonical_key()
+        if key in seen_keys or row in cs:
+            continue
+        violation = sum(c * tau[j] for j, c in row.coeffs) - row.rhs
+        if violation <= CYCLE_VIOLATION_TOL:
+            continue
+        seen_keys.add(key)
+        found.append((violation, row))
+    found.sort(key=lambda t: -t[0])
+    rows = [row for _violation, row in found[:CUT_BATCH]]
+    for row in rows:
+        cs.add(row)
+    return rows
 
 
 def _exhaustive_worst_violation(g, lg, tau):
