@@ -88,7 +88,7 @@ def _edge_orbit_weights(lg, text):
     return weights
 
 
-def _resolve_rho(lg, g, mode, outer, tol, max_iters):
+def _resolve_rho(lg, mode, outer, tol, max_iters):
     if mode == "uniform":
         return spanning.init_rho_uniform(lg)
     if mode == "optimize":
@@ -113,8 +113,8 @@ def _marginal_columns(lg):
 def _run_one(task):
     """One (W, outer) inference; used directly and by sweep workers."""
     args, w_value, outer = task
-    g, lg = _build(args, w_value)
-    rho = _resolve_rho(lg, g, args.rho, outer, args.tol, args.max_iters)
+    _, lg = _build(args, w_value)
+    rho = _resolve_rho(lg, args.rho, outer, args.tol, args.max_iters)
     t0 = time.perf_counter()
     res = trw.frank_wolfe(lg, outer=outer, rho=rho, tol=args.tol,
                           max_iters=args.max_iters)

@@ -532,15 +532,30 @@ class GroundModelBuilder:
         return i
 
     def add_node_theta(self, i, theta):
-        self.theta_node[i] = self.theta_node[i] + np.asarray(theta, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != self.theta_node[i].shape:
+            raise ModelError(f"node theta has shape {theta.shape}, "
+                             f"expected {self.theta_node[i].shape}")
+        self.theta_node[i] += theta
 
     def add_edge_theta(self, u, v, theta, tag=None, structural_zero=None, provenance=None):
-        """Accumulate a pairwise potential; parallel potentials are summed."""
+        """Accumulate a pairwise potential; parallel potentials are summed.
+
+        ``theta`` and ``structural_zero`` are indexed by the values of ``u``
+        then ``v``, so both must have shape ``(n_values(u), n_values(v))``.
+        """
         theta = np.asarray(theta, dtype=float)
-        key = (min(u, v), max(u, v))
-        if key in self.edge_index:
-            k = self.edge_index[key]
-        else:
+        shape = (self.nodes[u].n_values, self.nodes[v].n_values)
+        for what, arr in (("theta", theta), ("structural zero", structural_zero)):
+            if arr is not None and np.shape(arr) != shape:
+                raise ModelError(f"edge {what} has shape {np.shape(arr)}, expected {shape}")
+        return self._add_edge(u, v, theta, tag, structural_zero, provenance)
+
+    def _add_edge(self, u, v, theta, tag, structural_zero, provenance):
+        """``add_edge_theta`` without conversion or shape checks."""
+        key = (u, v) if u <= v else (v, u)
+        k = self.edge_index.get(key)
+        if k is None:
             k = len(self.edges)
             self.edge_index[key] = k
             self.edges.append(GroundEdge(key[0], key[1], tag))
@@ -549,10 +564,10 @@ class GroundModelBuilder:
             self.theta_edge.append(np.zeros((nu, nv)))
             self.structural_zero.append(None)
             self.edge_provenance.append([])
-        if (u, v) != key:
+        if u > v:
             theta = theta.T
             structural_zero = None if structural_zero is None else structural_zero.T
-        self.theta_edge[k] = self.theta_edge[k] + theta
+        self.theta_edge[k] += theta
         if structural_zero is not None:
             old = self.structural_zero[k]
             self.structural_zero[k] = structural_zero if old is None else (old | structural_zero)
@@ -576,13 +591,31 @@ class GroundModelBuilder:
         )
 
 
-def _groundings(formula, n):
-    """Yield variable bindings satisfying all distinctness guards."""
-    nvars = len(formula.variables)
-    for combo in itertools.product(range(n), repeat=nvars):
-        binding = dict(zip(formula.variables, combo))
-        if all(binding[a] != binding[b] for a, b in (tuple(g) for g in formula.guards)):
-            yield combo, binding
+# Auxiliary node value t disagrees with its bit-th atom's value h; read-only
+# because every auxiliary edge shares them.
+_AUX_ZERO = tuple(((np.arange(8) >> bit) & 1)[:, None] != np.arange(2)[None, :]
+                  for bit in range(3))
+_AUX_THETA = np.zeros((8, 2))
+for _arr in _AUX_ZERO + (_AUX_THETA,):
+    _arr.flags.writeable = False
+
+
+def _pattern_theta(table, pos, w):
+    """Potential of a grounding whose template atom ``i`` is distinct atom ``pos[i]``.
+
+    Returns ``(k, theta)`` with ``k`` distinct atoms: ``theta`` has ``2**k``
+    entries indexed by the distinct atoms' bits, shaped ``(2, 2)`` (first atom
+    first) when ``k == 2``.
+    """
+    k = max(pos) + 1
+    theta = np.zeros(2 ** k)
+    for idx in range(2 ** k):
+        t_idx = sum(((idx >> p) & 1) << i for i, p in enumerate(pos))
+        theta[idx] = w if table[t_idx] else 0.0
+    if k == 2:
+        theta = theta.reshape(2, 2, order="F")
+    theta.flags.writeable = False
+    return k, theta
 
 
 def ground(model, n):
@@ -591,7 +624,11 @@ def ground(model, n):
     Every formula grounding with ``k`` distinct ground atoms becomes a unary
     potential (k=1), a pairwise potential (k=2), or an auxiliary node with
     three hard consistency edges (k=3).  Formulas whose guards admit no
-    binding simply contribute nothing.
+    binding (``x != x`` admits none) simply contribute nothing.
+
+    Groundings are visited in the order of ``itertools.product`` over the
+    formula's variables.  A grounding's potential depends only on which
+    template atoms coincide, so it is built once per coincidence pattern.
     """
     if n < 1:
         raise ModelError(f"domain size must be >= 1, got {n}")
@@ -600,46 +637,47 @@ def ground(model, n):
 
     builder = GroundModelBuilder(range(n))
     for f_idx, formula in enumerate(model.formulas):
-        w = formula.weight.resolve()
-        for combo, binding in _groundings(formula, n):
-            ground_atoms = [
-                (a.pred, tuple(binding[v] for v in a.args)) for a in formula.atoms
-            ]
-            distinct = []
-            pos = []  # template atom index -> distinct index
-            seen = {}
-            for ga in ground_atoms:
-                if ga not in seen:
-                    seen[ga] = len(distinct)
-                    distinct.append(ga)
-                pos.append(seen[ga])
-            k = len(distinct)
+        _ground_formula(builder, f_idx, formula, n)
+    return builder.build()
 
-            # truth table over the distinct ground atoms
-            table = np.zeros(2 ** k)
-            for idx in range(2 ** k):
-                bits = [(idx >> j) & 1 for j in range(k)]
-                t_idx = sum(bits[pos[i]] << i for i in range(len(ground_atoms)))
-                table[idx] = w if formula.table[t_idx] else 0.0
 
-            ids = [builder.add_node("atom", p, args, 2, provenance=(f_idx, combo))
-                   for p, args in distinct]
+def _ground_formula(builder, f_idx, formula, n):
+    w = formula.weight.resolve()
+    var_at = {v: i for i, v in enumerate(formula.variables)}
+    atoms = [(a.pred, tuple(var_at[v] for v in a.args)) for a in formula.atoms]
+    guards = []
+    for g in formula.guards:
+        ids = sorted(var_at[v] for v in g)
+        guards.append((ids[0], ids[-1]))  # one id: the guard is x != x
+    aux_label = f"f{f_idx}"
+    patterns = {}  # tuple(pos) -> (k, theta)
+    theta_node = builder.theta_node
+    add_node = builder.add_node
+    add_edge = builder._add_edge
+
+    for combo in itertools.product(range(n), repeat=len(formula.variables)):
+        for a, b in guards:
+            if combo[a] == combo[b]:
+                break
+        else:
+            seen = {}  # distinct ground atom -> its index, in first-seen order
+            pos = tuple([seen.setdefault((p, tuple([combo[i] for i in idx])), len(seen))
+                         for p, idx in atoms])
+            entry = patterns.get(pos)
+            if entry is None:
+                entry = patterns[pos] = _pattern_theta(formula.table, pos, w)
+            k, theta = entry
+            prov = (f_idx, combo)
+            ids = [add_node("atom", p, args, 2, provenance=prov) for p, args in seen]
             if k == 1:
-                builder.add_node_theta(ids[0], table)
+                theta_node[ids[0]] += theta
             elif k == 2:
-                builder.add_edge_theta(ids[0], ids[1], table.reshape(2, 2, order="F"),
-                                       provenance=(f_idx, combo))
+                add_edge(ids[0], ids[1], theta, None, None, prov)
             elif k == 3:
-                aux = builder.add_node("aux", f"f{f_idx}", combo, 8,
-                                       provenance=(f_idx, combo))
-                builder.add_node_theta(aux, table)
+                aux = add_node("aux", aux_label, combo, 8, provenance=prov)
+                theta_node[aux] += theta
                 builder.aux_atoms[aux] = tuple(ids)
-                vals = np.arange(8)
-                for bit, atom_id in enumerate(ids):
-                    zero = ((vals >> bit) & 1)[:, None] != np.arange(2)[None, :]
-                    builder.add_edge_theta(aux, atom_id, np.zeros((8, 2)),
-                                           structural_zero=zero,
-                                           provenance=(f_idx, combo))
+                for atom_id, zero in zip(ids, _AUX_ZERO):
+                    add_edge(aux, atom_id, _AUX_THETA, None, zero, prov)
             else:  # pragma: no cover - excluded at parse time
                 raise ModelError(f"grounding touches {k} distinct atoms, at most 3 supported")
-    return builder.build()

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lpsolve import Row
+from .symmetry import _UnionFind
 
 CYCLE_VIOLATION_TOL = 1e-6
 CUT_BATCH = 20  # most violated cycle rows returned per separation call
@@ -170,6 +171,11 @@ class _MirrorGraph:
     the binary edges and ``crossing`` says the step switches layers;
     ``var01``/``var10`` are each binary edge's two disagreement variables;
     ``first`` maps every source to the first source of its node orbit.
+
+    ``sources`` is empty when the binary subgraph is a forest.  There every
+    closed walk with an odd number of crossings crosses some edge and also
+    steps along it without crossing, at cost ``lam + (1 - lam) = 1``, so no
+    cycle inequality can be violated.
     """
 
     adj: list
@@ -187,6 +193,7 @@ def _mirror_graph(lg):
     model = lg.model
     adj = [[] for _ in range(2 * len(model.nodes))]
     var01, var10, sources = [], [], set()
+    uf, forest = _UnionFind(len(model.nodes)), True
     for k, e in enumerate(model.edges):
         nu, nv = model.nodes[e.u], model.nodes[e.v]
         if not (nu.kind == nv.kind == "atom" and nu.n_values == nv.n_values == 2):
@@ -195,12 +202,15 @@ def _mirror_graph(lg):
         var01.append(int(lg.feat_to_var[model.edge_feature(k, 0, 1)]))
         var10.append(int(lg.feat_to_var[model.edge_feature(k, 1, 0)]))
         sources.update((e.u, e.v))
+        ru, rv = uf.find(e.u), uf.find(e.v)
+        forest = forest and ru != rv  # an edge inside a component closes a cycle
+        uf.union(ru, rv)
         for a, b in ((e.u, e.v), (e.v, e.u)):
             adj[2 * a].append((2 * b, j, False))
             adj[2 * a + 1].append((2 * b + 1, j, False))
             adj[2 * a].append((2 * b + 1, j, True))
             adj[2 * a + 1].append((2 * b, j, True))
-    sources = sorted(sources)
+    sources = [] if forest else sorted(sources)
     first, orbit_first = {}, {}
     for s in sources:
         first[s] = orbit_first.setdefault(int(lg.node_orbit_of[s]), s)

@@ -23,42 +23,55 @@ class DisconnectedGraph(Exception):
     """The ground graph has no spanning tree."""
 
 
+def _pinned_classes(model, distinguished):
+    """Class id of every ground node, keyed with ``distinguished`` fixed.
+
+    Computed once per constant set and cached on the model.
+    """
+    cache = model.__dict__.setdefault("_pinned_classes", {})
+    if distinguished not in cache:
+        ids = {}
+        cache[distinguished] = [ids.setdefault(node_pattern(model, i, distinguished), len(ids))
+                                for i in range(len(model.nodes))]
+    return cache[distinguished]
+
+
 def _pinned_component_size(model, node_ids, edge_members, u0):
     """Ground size of the component containing ``u0`` in the pinned subgraph.
 
     Nodes are grouped by canonical keys with the constants of ``u0`` excluded
     from renaming (the stabilizer orbits), and the groups are connected by the
-    subgraph's edges; ``u0`` sits in a singleton group.
+    subgraph's edges; ``u0`` sits in a singleton group.  Each distinct pair
+    of groups is joined once.
     """
-    distinguished = frozenset(model.nodes[u0].consts)
-    class_of = {}
-    sizes = []
-    keys = {}
+    class_of = _pinned_classes(model, frozenset(model.nodes[u0].consts))
+    sizes = {}
     for i in node_ids:
-        key = node_pattern(model, i, distinguished)
-        if key not in keys:
-            keys[key] = len(sizes)
-            sizes.append(0)
-        ci = keys[key]
-        class_of[i] = ci
-        sizes[ci] += 1
-    uf = _UnionFind(len(sizes))
-    for u, v in edge_members:
-        uf.union(class_of[u], class_of[v])
+        ci = class_of[i]
+        sizes[ci] = sizes.get(ci, 0) + 1
+    uf = _UnionFind(len(class_of))
+    for cu, cv in {(class_of[u], class_of[v]) for u, v in edge_members}:
+        uf.union(cu, cv)
     root = uf.find(class_of[u0])
-    return sum(sizes[ci] for ci in range(len(sizes)) if uf.find(ci) == root)
+    return sum(size for ci, size in sizes.items() if uf.find(ci) == root)
 
 
 def _ground_components_of(lg, node_orbit_ids, edge_orbit_ids):
-    """Ground component count for a connected set of node orbits."""
-    model = lg.model
-    node_ids = [i for oid in node_orbit_ids for i in lg.node_orbits[oid].members]
-    edge_members = [m for eid in edge_orbit_ids for m in lg.edge_orbits[eid].members]
-    u0 = lg.node_orbits[min(node_orbit_ids)].rep
-    comp = _pinned_component_size(model, node_ids, edge_members, u0)
-    total = len(node_ids)
-    assert total % comp == 0, "component sizes must divide the ground node count"
-    return total // comp
+    """Ground component count for a connected set of node orbits.
+
+    Memoized on ``lg`` by the two orbit sets.
+    """
+    key = (frozenset(node_orbit_ids), frozenset(edge_orbit_ids))
+    memo = lg.__dict__.setdefault("_component_counts", {})
+    if key not in memo:
+        node_ids = [i for oid in key[0] for i in lg.node_orbits[oid].members]
+        edge_members = [m for eid in key[1] for m in lg.edge_orbits[eid].members]
+        u0 = lg.node_orbits[min(key[0])].rep
+        comp = _pinned_component_size(lg.model, node_ids, edge_members, u0)
+        total = len(node_ids)
+        assert total % comp == 0, "component sizes must divide the ground node count"
+        memo[key] = total // comp
+    return memo[key]
 
 
 def count_components(lg, node_orbit_ids=None, edge_orbit_ids=None):

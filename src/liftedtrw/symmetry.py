@@ -28,34 +28,26 @@ class TyingViolation(Exception):
 _THETA_TOL = 1e-9
 
 
-def _relabel(consts, distinguished=frozenset()):
-    mapping = {}
+def _relabel(consts, distinguished, seen):
+    """Constants relabeled by first occurrence, continuing ``seen``.
+
+    ``seen`` maps each constant relabeled earlier to its label and is extended
+    in place; distinguished constants keep their identity.
+    """
     out = []
     for c in consts:
         if c in distinguished:
             out.append(("k", c))
         else:
-            if c not in mapping:
-                mapping[c] = len(mapping)
-            out.append(("v", mapping[c]))
+            out.append(("v", seen.setdefault(c, len(seen))))
     return tuple(out)
-
-
-def _node_desc(node):
-    return (node.kind, node.label, node.tag, node.n_values, node.consts)
 
 
 def _ordered_key(descs, distinguished=frozenset()):
     """Key of descriptors in the given order, constants relabeled jointly."""
-    consts = tuple(c for d in descs for c in d[4])
-    pattern = _relabel(consts, distinguished)
-    shaped = []
-    pos = 0
-    for d in descs:
-        npos = pos + len(d[4])
-        shaped.append((d[0], d[1], d[2] or "", d[3], pattern[pos:npos]))
-        pos = npos
-    return tuple(shaped)
+    seen = {}
+    return tuple((d[0], d[1], d[2] or "", d[3], _relabel(d[4], distinguished, seen))
+                 for d in descs)
 
 
 def canonical_pattern(descs, distinguished=frozenset()):
@@ -73,21 +65,51 @@ def canonical_pattern(descs, distinguished=frozenset()):
     return min(forward, backward), forward == backward
 
 
+def _node_info(node, distinguished):
+    """A node's key entry and the labels of its constants.
+
+    The entry is ``(kind, label, tag, n_values, relabeled consts)``, the one
+    element of the node's key and the first element of the key of any pair
+    the node leads.
+    """
+    seen = {}
+    entry = (node.kind, node.label, node.tag or "", node.n_values,
+             _relabel(node.consts, distinguished, seen))
+    return entry, seen, node.consts
+
+
+def _edge_key(tag, info_u, info_v, distinguished):
+    """``(key, flip, forward)`` of an edge from its endpoints' ``_node_info``.
+
+    Equals ``(tag, canonical_pattern((du, dv)))`` for the endpoint descriptors
+    ``du``, ``dv``; ``forward`` says the key lists ``u`` first.  Only the
+    second endpoint's constants are relabeled again, once per ordering whose
+    first entry can be the minimum.
+    """
+    (eu, su, cu), (ev, sv, cv) = info_u, info_v
+    if eu < ev:
+        return (tag, (eu, ev[:4] + (_relabel(cv, distinguished, dict(su)),))), False, True
+    if ev < eu:
+        return (tag, (ev, eu[:4] + (_relabel(cu, distinguished, dict(sv)),))), False, False
+    fwd = _relabel(cv, distinguished, dict(su))
+    bwd = _relabel(cu, distinguished, dict(sv))
+    if fwd <= bwd:
+        return (tag, (eu, ev[:4] + (fwd,))), fwd == bwd, True
+    return (tag, (ev, eu[:4] + (bwd,))), False, False
+
+
 def node_pattern(model, i, distinguished=frozenset()):
     """Canonical key of a single ground node."""
-    return canonical_pattern((_node_desc(model.nodes[i]),), distinguished)[0]
+    return (_node_info(model.nodes[i], distinguished)[0],)
 
 
 def edge_pattern(model, k, distinguished=frozenset()):
     """Canonical key, flip flag and canonical orientation of a ground edge."""
     e = model.edges[k]
-    du, dv = _node_desc(model.nodes[e.u]), _node_desc(model.nodes[e.v])
-    tag = e.tag or ""
-    fwd = (tag, _ordered_key((du, dv), distinguished))
-    bwd = (tag, _ordered_key((dv, du), distinguished))
-    if fwd <= bwd:
-        return fwd, fwd == bwd, (e.u, e.v)
-    return bwd, False, (e.v, e.u)
+    key, flip, forward = _edge_key(e.tag or "", _node_info(model.nodes[e.u], distinguished),
+                                   _node_info(model.nodes[e.v], distinguished),
+                                   distinguished)
+    return key, flip, ((e.u, e.v) if forward else (e.v, e.u))
 
 
 @dataclass
@@ -194,53 +216,45 @@ class LiftedGraph:
         return f"{nd.label}({args})" if nd.consts else nd.label
 
 
-def _group_nodes(model, distinguished, node_ids):
-    groups = {}
-    for i in node_ids:
-        groups.setdefault(node_pattern(model, i, distinguished), []).append(i)
-    return groups
-
-
-def _group_edges(model, distinguished, edge_ids):
-    groups = {}
-    for k in edge_ids:
-        key, flip, oriented = edge_pattern(model, k, distinguished)
-        groups.setdefault(key, []).append((k, flip, oriented))
-    return groups
-
-
 def compute_orbits(model, distinguished=frozenset()):
     """Build the :class:`LiftedGraph` of a ground model.
 
     ``distinguished`` constants are excluded from renaming, which yields the
     orbit structure under the stabilizer of the nodes mentioning them.
     """
-    node_groups = _group_nodes(model, distinguished, range(len(model.nodes)))
+    info = [_node_info(nd, distinguished) for nd in model.nodes]
+    node_groups = {}
+    for i, (entry, _seen, _consts) in enumerate(info):
+        node_groups.setdefault(entry, []).append(i)
     node_orbits = []
     node_orbit_of = np.zeros(len(model.nodes), dtype=int)
-    for oid, key in enumerate(sorted(node_groups)):
-        members = sorted(node_groups[key])
-        node_orbits.append(NodeOrbit(oid, key, members, model.nodes[members[0]].n_values))
-        for i in members:
-            node_orbit_of[i] = oid
+    for oid, entry in enumerate(sorted(node_groups)):
+        members = node_groups[entry]
+        node_orbits.append(NodeOrbit(oid, (entry,), members, model.nodes[members[0]].n_values))
+        node_orbit_of[members] = oid
 
-    edge_groups = _group_edges(model, distinguished, range(len(model.edges)))
+    edge_groups = {}  # key -> (edge ids, oriented members, flip flags)
+    for k, e in enumerate(model.edges):
+        key, flip, forward = _edge_key(e.tag or "", info[e.u], info[e.v], distinguished)
+        group = edge_groups.get(key)
+        if group is None:
+            group = edge_groups[key] = ([], [], set())
+        group[0].append(k)
+        group[1].append((e.u, e.v) if forward else (e.v, e.u))
+        group[2].add(flip)
     edge_orbits = []
     edge_orbit_of = np.zeros(max(len(model.edges), 1), dtype=int)
     for oid, key in enumerate(sorted(edge_groups)):
-        entries = sorted(edge_groups[key], key=lambda t: t[0])
-        flips = {flip for _, flip, _ in entries}
+        e_ids, members, flips = edge_groups[key]
         if len(flips) != 1:  # pragma: no cover - keys pin the orientation pair
             raise TyingViolation(f"inconsistent flip flags in edge orbit {key}")
-        members = [oriented for _, _, oriented in entries]
         u_orb = node_orbit_of[members[0][0]]
         v_orb = node_orbit_of[members[0][1]]
         flip = flips.pop()
         if flip and u_orb != v_orb:  # pragma: no cover - flip forces one orbit
             raise TyingViolation(f"flip-symmetric edge orbit {key} across two node orbits")
         edge_orbits.append(EdgeOrbit(oid, key, members, int(u_orb), int(v_orb), flip))
-        for k, _, _ in entries:
-            edge_orbit_of[k] = oid
+        edge_orbit_of[e_ids] = oid
 
     return _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of)
 
@@ -270,23 +284,19 @@ def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of):
         n_vars += orb.n_values
 
     edge_var_map = []
+    edge_block = [None] * len(model.edges)  # edge id -> its features' var ids
     for orb in edge_orbits:
-        e_ids = [model.edge_index[(min(u, v), max(u, v))] for u, v in orb.members]
-        oriented_theta = []
-        oriented_zero = []
-        for (u, v), k in zip(orb.members, e_ids):
-            e = model.edges[k]
-            th = model.theta_edge[k]
-            z = model.structural_zero[k]
-            if (u, v) != (e.u, e.v):
-                th = th.T
-                z = None if z is None else z.T
-            oriented_theta.append(th)
-            nu = model.nodes[u].n_values
-            nv = model.nodes[v].n_values
-            oriented_zero.append(np.zeros((nu, nv), dtype=bool) if z is None else z)
-        theta_stack = np.stack(oriented_theta)
-        zero_stack = np.stack(oriented_zero)
+        e_ids = [model.edge_index[(u, v) if u < v else (v, u)] for u, v in orb.members]
+        flipped = [u > v for u, v in orb.members]  # stored as (v, u)
+        theta_stack = np.stack([model.theta_edge[k].T if f else model.theta_edge[k]
+                                for k, f in zip(e_ids, flipped)])
+        stored_zero = [model.structural_zero[k] for k in e_ids]
+        if all(z is None for z in stored_zero):
+            zero_stack = np.zeros(theta_stack.shape, dtype=bool)
+        else:
+            no_zero = np.zeros(theta_stack.shape[1:], dtype=bool)
+            zero_stack = np.stack([no_zero if z is None else (z.T if f else z)
+                                   for z, f in zip(stored_zero, flipped)])
         nu, nv = theta_stack.shape[1:]
 
         vmap = -np.ones((nu, nv), dtype=int)
@@ -315,21 +325,17 @@ def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of):
                 var_mult.append(len(entries))
                 structural_zero_var.append(bool(zeros.all()))
         edge_var_map.append(vmap)
+        blocks = (vmap.ravel(), vmap.T.ravel())
+        for k, f in zip(e_ids, flipped):
+            edge_block[k] = blocks[f]
 
-    # ground feature -> variable map
-    feat_to_var = np.zeros(model.n_features, dtype=int)
-    node_start, edge_start, _ = model.feature_layout()
-    for i, nd in enumerate(model.nodes):
-        oid = node_orbit_of[i]
-        feat_to_var[node_start[i]:node_start[i] + nd.n_values] = (
-            node_var_start[oid] + np.arange(nd.n_values))
-    for orb, vmap in zip(edge_orbits, edge_var_map):
-        for (u, v) in orb.members:
-            k = model.edge_index[(min(u, v), max(u, v))]
-            e = model.edges[k]
-            block = vmap if (u, v) == (e.u, e.v) else vmap.T
-            s = edge_start[k]
-            feat_to_var[s:s + block.size] = block.ravel()
+    # ground feature -> variable map: node features first, then edge features
+    n_values = np.array([nd.n_values for nd in model.nodes], dtype=int)
+    node_start = model.feature_layout()[0]
+    first_var = np.array(node_var_start, dtype=int)[node_orbit_of]
+    node_feats = (np.repeat(first_var - np.array(node_start, dtype=int), n_values)
+                  + np.arange(int(n_values.sum())))
+    feat_to_var = np.concatenate([node_feats] + edge_block)
 
     var_ground_count = np.bincount(feat_to_var, minlength=n_vars)
 

@@ -129,6 +129,47 @@ class TestGround:
         np.testing.assert_allclose(g.theta_edge[0],
                                    [[0.0, 0.5], [0.5, 1.5]], atol=1e-12)
 
+    def test_self_guard_admits_no_binding(self):
+        g = lt.ground(lt.parse_model("1.0 [x != x ^ R(x)]\n0.5 S(y)"), 3)
+        assert [nd.label for nd in g.nodes] == ["S"] * 3
+
+
+class TestBuilder:
+    def test_mis_shaped_thetas_rejected(self):
+        b = lt.GroundModelBuilder(range(2))
+        atom = b.add_node("atom", "V", (0,), 2)
+        other = b.add_node("atom", "V", (1,), 2)
+        aux = b.add_node("aux", "f0", (0, 1), 8)
+        with pytest.raises(ModelError, match="shape"):
+            b.add_node_theta(atom, [0.3])
+        with pytest.raises(ModelError, match="shape"):
+            b.add_node_theta(aux, np.zeros(2))
+        with pytest.raises(ModelError, match="shape"):
+            b.add_edge_theta(atom, other, [1.0, 2.0])
+        with pytest.raises(ModelError, match="shape"):
+            b.add_edge_theta(atom, aux, np.zeros((8, 2)))
+        with pytest.raises(ModelError, match="shape"):
+            b.add_edge_theta(aux, atom, np.zeros((8, 2)),
+                             structural_zero=np.zeros((2, 8), dtype=bool))
+        g = b.build()
+        assert g.edges == [] and all(not th.any() for th in g.theta_node)
+
+    def test_well_shaped_thetas_accumulate(self):
+        b = lt.GroundModelBuilder(range(2))
+        atom = b.add_node("atom", "V", (0,), 2)
+        aux = b.add_node("aux", "f0", (0, 1), 8)
+        theta = np.arange(16.0).reshape(8, 2)
+        zero = theta % 3 == 0
+        b.add_node_theta(atom, [0.25, 0.5])
+        b.add_node_theta(atom, (0.25, 0.5))
+        b.add_edge_theta(aux, atom, theta, structural_zero=zero)
+        b.add_edge_theta(atom, aux, theta.T)
+        g = b.build()
+        np.testing.assert_array_equal(g.theta_node[atom], [0.5, 1.0])
+        assert (g.edges[0].u, g.edges[0].v) == (atom, aux)
+        np.testing.assert_array_equal(g.theta_edge[0], 2 * theta.T)
+        np.testing.assert_array_equal(g.structural_zero[0], zero.T)
+
 
 class TestScoreState:
     def test_complete_graph_all_zeros(self):

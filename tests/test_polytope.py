@@ -3,6 +3,7 @@ consistency with brute-force symmetrized distributions, and cycle-inequality
 separation checked against exhaustive enumeration."""
 
 import copy
+import dataclasses
 import heapq
 import itertools
 
@@ -368,6 +369,40 @@ class TestSeparation:
         assert separate_cycles(lg, system.uniform_point(), system.cs) == []
         assert len(lg.node_orbits) == 3
         assert sorted(lg.node_orbit_of[s // 2] for s in calls) == [0, 1, 2]
+
+    def test_forest_binary_subgraph_runs_no_search(self, monkeypatch):
+        """The binary edges of friends_smokers (Smokes-Cancer) form a matching,
+        a forest, so no search runs; the solve is that of a search from every
+        orbit, which never finds a cut."""
+        g = build("friends_smokers", 6, 1.0)
+        calls = []
+        search = polytope._dijkstra
+
+        def counted(*args):
+            calls.append(args[2])
+            return search(*args)
+
+        monkeypatch.setattr(polytope, "_dijkstra", counted)
+        results = []
+        for restore_sources in (False, True):
+            lg = lt.compute_orbits(g)
+            mg = polytope._mirror_graph(lg)
+            assert mg.sources == [] and mg.first == {}
+            if restore_sources:
+                sources = sorted({i for _k, u, v in _binary_edges(g) for i in (u, v)})
+                first, orbit_first = {}, {}
+                for s in sources:
+                    first[s] = orbit_first.setdefault(int(lg.node_orbit_of[s]), s)
+                lg._mirror = dataclasses.replace(mg, sources=sources, first=first)
+            calls.clear()
+            res = lt.frank_wolfe(lg, outer="cycle", rho=lt.init_rho_uniform(lg),
+                                 tol=1e-5, max_iters=200)
+            results.append((len(calls), res.bound, res.objective, res.gap_trace[-1],
+                            res.iterations, res.lp_pivots, res.n_cuts))
+        (searches, *skipped), (searches_before, *before) = results
+        assert searches == 0 and searches_before == 28
+        assert skipped == before
+        assert skipped[-1] == 0
 
 
 def _binary_edges(g):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import liftedtrw as lt
+from liftedtrw import spanning
 from liftedtrw.spanning import (DisconnectedGraph, count_components,
                                 init_rho_uniform, lifted_kruskal,
                                 lifted_mst_value, optimize_rho,
@@ -221,6 +222,56 @@ class TestInitRhoUniform:
     def test_membership(self, ring_model, ring_lifted):
         rho = init_rho_uniform(ring_lifted)
         assert subtour_violations(ring_model, expand_rho(ring_lifted, rho)) == []
+
+    def test_component_counts_memoized(self, monkeypatch):
+        """One pinned count per distinct (node-orbit, edge-orbit) set, and the
+        same rho as counting every query afresh from per-node keys."""
+        g = build("clique_cycle", 16, 0.5)
+        with monkeypatch.context() as m:
+            m.setattr(spanning, "_ground_components_of", _uncached_components_of)
+            expected = init_rho_uniform(lt.compute_orbits(g))
+
+        queries, pinned = [], []
+        count, size = spanning._ground_components_of, spanning._pinned_component_size
+
+        def counted(lg, node_orbit_ids, edge_orbit_ids):
+            queries.append((frozenset(node_orbit_ids), frozenset(edge_orbit_ids)))
+            return count(lg, node_orbit_ids, edge_orbit_ids)
+
+        def sized(*args):
+            pinned.append(args)
+            return size(*args)
+
+        monkeypatch.setattr(spanning, "_ground_components_of", counted)
+        monkeypatch.setattr(spanning, "_pinned_component_size", sized)
+        rho = init_rho_uniform(lt.compute_orbits(g))
+        assert rho.dtype == expected.dtype and rho.tobytes() == expected.tobytes()
+        assert len(queries) > len(set(queries))
+        assert len(pinned) == len(set(queries)) <= 18
+
+
+def _uncached_components_of(lg, node_orbit_ids, edge_orbit_ids):
+    """Ground component count with a key per node and a union per ground edge."""
+    model = lg.model
+    node_ids = [i for oid in node_orbit_ids for i in lg.node_orbits[oid].members]
+    u0 = lg.node_orbits[min(node_orbit_ids)].rep
+    distinguished = frozenset(model.nodes[u0].consts)
+    keys = {}
+    class_of = {i: keys.setdefault(lt.symmetry.node_pattern(model, i, distinguished), len(keys))
+                for i in node_ids}
+    parent = list(range(len(keys)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for eid in edge_orbit_ids:
+        for u, v in lg.edge_orbits[eid].members:
+            parent[find(class_of[v])] = find(class_of[u])
+    root = find(class_of[u0])
+    comp = sum(1 for i in node_ids if find(class_of[i]) == root)
+    return len(node_ids) // comp
 
 
 class TestOptimizeRho:
