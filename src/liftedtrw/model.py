@@ -521,6 +521,9 @@ class GroundModelBuilder:
         key = (kind, label, tuple(consts))
         if key in self.node_index:
             i = self.node_index[key]
+            nd = self.nodes[i]
+            if nd.n_values != n_values or nd.tag != tag:
+                raise ModelError(f"node {key} exists with {nd.n_values} values, tag {nd.tag!r}")
         else:
             i = len(self.nodes)
             self.node_index[key] = i

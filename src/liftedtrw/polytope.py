@@ -133,8 +133,9 @@ def exchangeable_constraints(lg, node_orbit_id, c_offset):
     """Count-distribution consistency rows for one exchangeable cluster.
 
     Introduces variables ``c_0..c_n`` at ``c_offset`` and links their pairwise
-    expectations to the cluster's edge-orbit variables; also adds the
-    (redundant) row ``sum_k c_k = 1``.
+    expectations to the cluster's edge-orbit variables.  ``sum_k c_k = 1`` is
+    no row: local normalization and these rows imply it, as ``(n-k)(n-k-1) +
+    k(k-1) + 2k(n-k) = n(n-1)``, and the polish needs independent rows.
     """
     eo = _cluster_structure(lg, node_orbit_id)
     n = lg.node_orbits[node_orbit_id].size
@@ -153,8 +154,6 @@ def exchangeable_constraints(lg, node_orbit_id, c_offset):
     r01 = {c_offset + k: k * (n - k) / denom for k in range(1, n)}
     r01[v01] = -1.0
     rows.append(Row.make(r01, "=", 0.0, tag="exchangeable"))
-    rows.append(Row.make({c_offset + k: 1.0 for k in range(n + 1)}, "=", 1.0,
-                         tag="exchangeable"))
     return rows, n
 
 
@@ -333,7 +332,6 @@ class OuterSystem:
 
     lg: object
     outer: str
-    n_tau: int
     n_vars: int
     cs: ConstraintSystem
     fixed_zero: np.ndarray
@@ -431,7 +429,6 @@ def build_outer_system(lg, outer):
     return OuterSystem(
         lg=lg,
         outer=outer,
-        n_tau=lg.n_vars,
         n_vars=n_vars,
         cs=cs,
         fixed_zero=fixed_zero,

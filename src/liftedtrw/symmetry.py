@@ -259,6 +259,23 @@ def compute_orbits(model, distinguished=frozenset()):
     return _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of)
 
 
+def _check_tied(x, what, flip=False):
+    """Raise unless each entry of ``x`` is within ``_THETA_TOL * max(1, max
+    |entry|)`` of its first member; with ``flip`` the members of ``x[h, t]``
+    count as members of ``x[t, h]`` for ``t < h``.  Members lie along the last
+    axis, so the reductions run along contiguous memory."""
+    ref = x[..., :1]
+    scale = _THETA_TOL * np.maximum(1.0, np.abs(x).max(axis=-1))
+    dev = np.abs(x - ref).max(axis=-1)
+    bad = dev > scale
+    if flip:
+        dev = np.maximum(dev, np.abs(x.transpose(1, 0, 2) - ref).max(axis=-1))
+        bad |= np.triu(dev > np.maximum(scale, scale.T))
+    if bad.any():
+        where = tuple(np.argwhere(bad)[0].tolist())
+        raise TyingViolation(f"parameters differ within {what}, value {where}")
+
+
 def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of):
     n_vars = 0
     node_var_start = []
@@ -267,17 +284,12 @@ def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of):
     lifted_theta = []
     structural_zero_var = []
 
-    def check_tied(values, what):
-        arr = np.asarray(values)
-        if arr.size and np.max(np.abs(arr - arr.flat[0])) > _THETA_TOL * max(1.0, np.max(np.abs(arr))):
-            raise TyingViolation(f"parameters differ within {what}")
-
     for orb in node_orbits:
         node_var_start.append(n_vars)
-        thetas = np.stack([model.theta_node[i] for i in orb.members])
+        thetas = np.stack([model.theta_node[i] for i in orb.members], axis=-1)
+        _check_tied(thetas, f"node orbit {orb.key}")
         for t in range(orb.n_values):
-            check_tied(thetas[:, t], f"node orbit {orb.key}, value {t}")
-            lifted_theta.append(float(np.sum(thetas[:, t])))
+            lifted_theta.append(float(np.sum(thetas[t])))
             var_orbit.append(("node", orb.id))
             var_mult.append(1)
             structural_zero_var.append(False)
@@ -289,15 +301,20 @@ def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of):
         e_ids = [model.edge_index[(u, v) if u < v else (v, u)] for u, v in orb.members]
         flipped = [u > v for u, v in orb.members]  # stored as (v, u)
         theta_stack = np.stack([model.theta_edge[k].T if f else model.theta_edge[k]
-                                for k, f in zip(e_ids, flipped)])
+                                for k, f in zip(e_ids, flipped)], axis=-1)
+        nu, nv = theta_stack.shape[:2]
+        _check_tied(theta_stack, f"edge orbit {orb.key}", orb.flip)
+        zero_var = np.zeros((nu, nv), dtype=bool)
         stored_zero = [model.structural_zero[k] for k in e_ids]
-        if all(z is None for z in stored_zero):
-            zero_stack = np.zeros(theta_stack.shape, dtype=bool)
-        else:
-            no_zero = np.zeros(theta_stack.shape[1:], dtype=bool)
-            zero_stack = np.stack([no_zero if z is None else (z.T if f else z)
-                                   for z, f in zip(stored_zero, flipped)])
-        nu, nv = theta_stack.shape[1:]
+        if any(z is not None for z in stored_zero):
+            zero_stack = np.stack([zero_var if z is None else (z.T if f else z)
+                                   for z, f in zip(stored_zero, flipped)], axis=-1)
+            if orb.flip:
+                zero_stack = np.concatenate([zero_stack, zero_stack.transpose(1, 0, 2)],
+                                            axis=-1)
+            zero_var = zero_stack.all(axis=-1)
+            if (zero_stack.any(axis=-1) != zero_var).any():
+                raise TyingViolation(f"structural zeros differ within edge orbit {orb.key}")
 
         vmap = -np.ones((nu, nv), dtype=int)
         for t in range(nu):
@@ -309,21 +326,13 @@ def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of):
                     entries.append((h, t))
                 vid = n_vars
                 n_vars += 1
-                theta_vals = []
-                zero_vals = []
                 for tt, hh in entries:
                     vmap[tt, hh] = vid
-                    check_tied(theta_stack[:, tt, hh], f"edge orbit {orb.key}, value {(tt, hh)}")
-                    theta_vals.append(theta_stack[:, tt, hh])
-                    zero_vals.append(zero_stack[:, tt, hh])
-                check_tied(np.concatenate(theta_vals), f"edge orbit {orb.key}, merged {(t, h)}")
-                zeros = np.concatenate(zero_vals)
-                if zeros.any() != zeros.all():
-                    raise TyingViolation(f"structural zeros differ within edge orbit {orb.key}")
-                lifted_theta.append(float(sum(np.sum(tv) for tv in theta_vals)))
+                lifted_theta.append(float(sum(np.sum(theta_stack[tt, hh])
+                                              for tt, hh in entries)))
                 var_orbit.append(("edge", orb.id))
                 var_mult.append(len(entries))
-                structural_zero_var.append(bool(zeros.all()))
+                structural_zero_var.append(bool(zero_var[t, h]))
         edge_var_map.append(vmap)
         blocks = (vmap.ravel(), vmap.T.ravel())
         for k, f in zip(e_ids, flipped):

@@ -26,7 +26,6 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 LS_TOL = 1e-8            # golden-section bracket width of the line search
 CUT_ROUNDS = 50          # separate-and-resolve rounds per direction LP
-POLISH_EVERY = 25        # iterations between Newton polish attempts
 POLISH_SIZE_CAP = 1500   # largest KKT system the polish may factor
 
 
@@ -58,7 +57,6 @@ class TrwObjective:
     def __init__(self, lg, rho, n_vars=None):
         n_vars = lg.n_vars if n_vars is None else n_vars
         self.lg = lg
-        self.n_tau = lg.n_vars
         self.n_vars = n_vars
         node_coefs, edge_coefs = entropy_coefficients(lg, rho)
         w = np.zeros(n_vars)
@@ -73,9 +71,6 @@ class TrwObjective:
 
     def entropy_bound(self, x):
         return -float(self.w @ _xlogx(np.asarray(x)[:self.n_vars]))
-
-    def linear(self, x):
-        return float(self.theta @ np.asarray(x)[:self.n_vars])
 
     def value(self, x):
         x = np.asarray(x)[:self.n_vars]
@@ -161,8 +156,13 @@ class TrwResult:
     cluster_counts: dict = field(default_factory=dict)
 
 
-def _face_newton(obj, free, active, tau, max_steps):
-    """Newton iteration for the stationary point on one active face."""
+def _face_newton(obj, free, active, tau):
+    """Newton iteration for the stationary point on one active face.
+
+    The KKT matrix has no multiplier regularization, so steps land exactly on
+    the face and the active rows must be independent; its small negative
+    primal diagonal moves coordinates without entropy weight to their bound.
+    """
     nf = free.size
     col_of = {int(j): k for k, j in enumerate(free)}
     m = len(active)
@@ -181,10 +181,9 @@ def _face_newton(obj, free, active, tau, max_steps):
     kkt = np.zeros((nf + m, nf + m))
     kkt[:nf, nf:] = E.T
     kkt[nf:, :nf] = E
-    kkt[nf:, nf:] = 1e-10 * np.eye(m)
     rhs = np.zeros(nf + m)
     diag = np.arange(nf)
-    for _ in range(max_steps):
+    for _ in range(25):
         xs = np.maximum(x, 1e-18)
         grad = obj.theta[free] + obj.w[free] * (1.0 + np.log(xs))
         kkt[diag, diag] = obj.w[free] / xs - 1e-10
@@ -210,8 +209,7 @@ def _face_newton(obj, free, active, tau, max_steps):
     return x
 
 
-def _newton_polish(obj, rows, fixed_zero, tau, active_tol=1e-7, pin_tol=1e-10,
-                   max_steps=25, max_rounds=6):
+def _newton_polish(obj, rows, fixed_zero, tau, active_tol):
     """Refine ``tau`` by Newton steps on its active face.
 
     Runs an active-set loop: solve the equality-constrained stationarity
@@ -221,7 +219,7 @@ def _newton_polish(obj, rows, fixed_zero, tau, active_tol=1e-7, pin_tol=1e-10,
     """
     n = obj.n_vars
     tau = np.asarray(tau, dtype=float)
-    pinned = fixed_zero | ((tau <= pin_tol) & (obj.w == 0.0))
+    pinned = fixed_zero | ((tau <= 1e-10) & (obj.w == 0.0))
     free = np.where(~pinned)[0]
     if free.size == 0:
         return None
@@ -235,8 +233,8 @@ def _newton_polish(obj, rows, fixed_zero, tau, active_tol=1e-7, pin_tol=1e-10,
         else:
             inactive.append(row)
 
-    for _ in range(max_rounds):
-        x = _face_newton(obj, free, active, tau, max_steps)
+    for _ in range(6):
+        x = _face_newton(obj, free, active, tau)
         if x is None:
             return None
         cand = np.zeros(n)
@@ -273,16 +271,30 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
     final gap, a certified upper bound on the constrained supremum even when
     the iteration limit is hit.
 
-    When ``polish`` is on, a Newton refinement of the current iterate on its
-    active face is attempted once the gap is small; the refined point is
-    adopted only when it is feasible and improves the objective, and
-    convergence is still declared through the usual LP gap certificate.
+    When ``polish`` is on, every iteration first tries a Newton refinement of
+    the iterate on its active face, adopted only when it improves the
+    objective and no row, old or newly separated, cuts it off.
+
+    A ``+exch`` polytope with clusters lies inside the same outer's without
+    them, so the smaller of the two certified bounds is returned.
     """
     if rho is None:
         raise ValueError("edge appearance vector rho is required")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     t0 = time.perf_counter()
+    res = _conditional_gradient(lg, outer, rho, tol, max_iters, polish)
+    if res.cluster_counts:
+        loose = _conditional_gradient(lg, outer[:-len("+exch")], rho, tol,
+                                      max_iters, polish)
+        res.bound = min(res.bound, loose.bound)
+        res.lp_pivots += loose.lp_pivots
+    res.millis = (time.perf_counter() - t0) * 1000.0
+    return res
+
+
+def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
+    """One conditional-gradient solve over ``outer``; see ``frank_wolfe``."""
     if lg.n_vars == 0:
         return TrwResult(0.0, 0.0, np.zeros(0), [], [], 0, True, {}, outer,
                          np.asarray(rho, dtype=float))
@@ -292,21 +304,24 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
     simplex = Simplex(system.n_vars, system.cs.rows, system.fixed_zero)
     tau = system.uniform_point()
 
-    gap_trace = []
-    obj_trace = []
-    basis = None
-    if system.start_basis is not None:
-        basis = LpBasis(tuple(system.start_basis))
+    gap_trace, obj_trace = [], []
+    basis = None if system.start_basis is None else LpBasis(tuple(system.start_basis))
     pivots = 0
     converged = False
     F = obj.value(tau)
     gap = math.inf
     it = 0
     clean_vertices = set()
-    last_polish = -(10 ** 9)
     n_built = len(system.cs.rows)
     kkt_dim = system.n_vars - int(system.fixed_zero.sum()) + n_built
     may_polish = polish and kkt_dim <= POLISH_SIZE_CAP
+
+    def add_cuts(x):
+        """Separate cycle rows at ``x`` into the LP; report whether any were new."""
+        new_rows = separate_cycles(lg, x, system.cs) if system.use_cycles else []
+        if new_rows:
+            simplex.add_rows(new_rows)
+        return bool(new_rows)
 
     def direction(gvec, warm):
         """Solve the direction LP, running cut separation at its vertex."""
@@ -319,38 +334,32 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
                 key = s.round(9).tobytes()
                 if key in clean_vertices:
                     break
-                new_rows = separate_cycles(lg, s, system.cs)
-                if not new_rows:
+                if not add_cuts(s):
                     clean_vertices.add(key)
                     break
-                simplex.add_rows(new_rows)
                 res = simplex.solve(gvec)
                 pivots += res.iterations
                 s = res.x
         return res.basis, s
 
     def attempt_polish(g_scale):
-        """Try the face refinement; adopt and report whether tau improved."""
+        """Adopt the best improving face refinement that no cycle row cuts."""
         nonlocal tau, F
         tols = sorted({max(1e-7, min(t, 0.2)) for t in
                        (0.5 * g_scale, 0.05 * g_scale, 1e-3, 1e-7)})
-        best_cand, best_f = None, F
-        for act_tol in tols:
-            cand = _newton_polish(obj, system.cs.rows, system.fixed_zero,
-                                  tau, active_tol=act_tol)
-            if cand is not None:
-                f_cand = obj.value(cand)
-                if f_cand > best_f:
-                    best_cand, best_f = cand, f_cand
-        if best_cand is not None:
-            tau, F = best_cand, best_f
-            return True
-        return False
+        for _ in range(CUT_ROUNDS):
+            cands = (_newton_polish(obj, system.cs.rows, system.fixed_zero, tau, t)
+                     for t in tols)
+            best = max((c for c in cands if c is not None), key=obj.value, default=None)
+            if best is None or obj.value(best) <= F:
+                return
+            if not add_cuts(best):
+                tau, F = best, obj.value(best)
+                return
 
     while it < max_iters:
         it += 1
-        if may_polish and (it == 1 or it - last_polish >= POLISH_EVERY):
-            last_polish = it
+        if may_polish:
             attempt_polish(gap if math.isfinite(gap) else 1.0)
 
         gvec = obj.grad(tau)
@@ -359,51 +368,31 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
         gap_trace.append(gap)
         obj_trace.append(F)
         if gap <= tol:
-            if system.use_cycles:
-                new_rows = separate_cycles(lg, tau, system.cs)
-                if new_rows:
-                    simplex.add_rows(new_rows)
-                    last_polish = it - POLISH_EVERY
-                    continue
-            # squeeze the certificate before declaring convergence: keep
-            # refining while the face Newton still strictly improves
-            if may_polish and gap > 1e-9:
-                last_polish = it
-                if attempt_polish(max(gap, 1e-7)):
-                    continue
+            if add_cuts(tau):
+                continue
             converged = True
             break
 
         delta = s - tau
-        hi = 1.0 - 1e-9 if (s[:system.n_tau] <= LOG_CLAMP).any() else 1.0
-        # entropic coordinates may shrink at most 100x per step: landing hard
-        # on the boundary makes the curvature explode and stalls the search
-        guard = (obj.w != 0.0) & (delta < 0.0) & (tau > 1e-6)
-        if guard.any():
-            hi = min(hi, float(np.min(0.99 * tau[guard] / -delta[guard])))
-        lam, flam = golden_section(obj.line_function(tau, delta), 0.0, hi, LS_TOL)
+        lam, flam = golden_section(obj.line_function(tau, delta), tol=LS_TOL)
         if flam > F:
             tau = tau + lam * delta
             F = flam
 
-    bound = F + max(gap, 0.0)
-    marginals = lg.node_marginals(tau)
     clusters = {cl.node_orbit: tau[cl.c_offset:cl.c_offset + cl.size + 1].copy()
                 for cl in system.clusters}
     return TrwResult(
-        bound=float(bound),
+        bound=float(F + max(gap, 0.0)),
         objective=float(F),
         tau=tau,
         gap_trace=gap_trace,
         objective_trace=obj_trace,
         iterations=it,
         converged=converged,
-        node_marginals=marginals,
+        node_marginals=lg.node_marginals(tau),
         outer=outer,
         rho=np.asarray(rho, dtype=float),
-        millis=(time.perf_counter() - t0) * 1000.0,
         lp_pivots=pivots,
         n_cuts=len(system.cs.rows) - n_built,
         cluster_counts=clusters,
     )
-

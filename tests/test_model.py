@@ -171,6 +171,21 @@ class TestBuilder:
         np.testing.assert_array_equal(g.structural_zero[0], zero.T)
 
 
+    def test_readding_a_node_must_match(self):
+        b = lt.GroundModelBuilder(range(2))
+        node = b.add_node("atom", "V", (0,), 2, provenance="f0")
+        assert b.add_node("atom", "V", (0,), 2, provenance="f1") == node
+        with pytest.raises(ModelError, match="values"):
+            b.add_node("atom", "V", (0,), 8, tag="x")
+        with pytest.raises(ModelError, match="tag"):
+            b.add_node("atom", "V", (0,), 2, tag="x")
+        with pytest.raises(ModelError, match="values"):
+            b.add_node("atom", "V", (0,), 8)
+        g = b.build()
+        assert len(g.nodes) == 1 and (g.nodes[0].n_values, g.nodes[0].tag) == (2, None)
+        assert g.node_provenance[0] == ["f0", "f1"]
+
+
 class TestScoreState:
     def test_complete_graph_all_zeros(self):
         g = build("complete_graph", 3, -1.0)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import liftedtrw as lt
-from liftedtrw import polytope
+from liftedtrw import polytope, trw
 from liftedtrw.lpsolve import Row, Simplex
 from liftedtrw.polytope import (CUT_BATCH, CYCLE_VIOLATION_TOL,
                                 NotExchangeable, build_outer_system,
@@ -155,6 +155,23 @@ class TestExchangeable:
             for row in rows:
                 val = sum(cc * x[j] for j, cc in row.coeffs)
                 assert abs(val - row.rhs) < 1e-12
+
+    @pytest.mark.parametrize("name, n", [("complete_graph", 4), ("clique_cycle", 3),
+                                         ("clique_cycle", 5)])
+    def test_rows_independent_and_imply_count_normalization(self, name, n):
+        """The Newton polish needs independent equality rows; sum_k c_k = 1 is
+        implied by them, so it must not be a row of its own."""
+        system = build_outer_system(lt.compute_orbits(build(name, n, 1.0)), "local+exch")
+        assert system.clusters and all(row.rel == "=" for row in system.cs.rows)
+        E = np.zeros((len(system.cs.rows), system.n_vars))
+        for i, row in enumerate(system.cs.rows):
+            for j, c in row.coeffs:
+                E[i, j] = c
+        assert np.linalg.matrix_rank(E) == len(E)
+        for cl in system.clusters:
+            ones = np.zeros((1, system.n_vars))
+            ones[0, cl.c_offset:cl.c_offset + cl.size + 1] = 1.0
+            assert np.linalg.matrix_rank(np.vstack([E, ones])) == len(E)
 
     def test_not_exchangeable_raises(self, ring_model, ring_lifted):
         for orb in ring_lifted.node_orbits:
@@ -373,16 +390,25 @@ class TestSeparation:
     def test_forest_binary_subgraph_runs_no_search(self, monkeypatch):
         """The binary edges of friends_smokers (Smokes-Cancer) form a matching,
         a forest, so no search runs; the solve is that of a search from every
-        orbit, which never finds a cut."""
+        orbit, which never finds a cut.  With the sources restored, each
+        separation call searches from the first source of each source orbit
+        and from no other member."""
         g = build("friends_smokers", 6, 1.0)
         calls = []
+        separations = []
         search = polytope._dijkstra
+        separate = trw.separate_cycles
 
         def counted(*args):
             calls.append(args[2])
             return search(*args)
 
+        def counted_separate(*args):
+            separations.append(args[1])
+            return separate(*args)
+
         monkeypatch.setattr(polytope, "_dijkstra", counted)
+        monkeypatch.setattr(trw, "separate_cycles", counted_separate)
         results = []
         for restore_sources in (False, True):
             lg = lt.compute_orbits(g)
@@ -395,12 +421,17 @@ class TestSeparation:
                     first[s] = orbit_first.setdefault(int(lg.node_orbit_of[s]), s)
                 lg._mirror = dataclasses.replace(mg, sources=sources, first=first)
             calls.clear()
+            separations.clear()
             res = lt.frank_wolfe(lg, outer="cycle", rho=lt.init_rho_uniform(lg),
                                  tol=1e-5, max_iters=200)
-            results.append((len(calls), res.bound, res.objective, res.gap_trace[-1],
-                            res.iterations, res.lp_pivots, res.n_cuts))
+            results.append((len(calls), len(separations), res.bound, res.objective,
+                            res.gap_trace[-1], res.iterations, res.lp_pivots,
+                            res.n_cuts))
         (searches, *skipped), (searches_before, *before) = results
-        assert searches == 0 and searches_before == 28
+        n_separations = before[0]
+        assert len(orbit_first) == 2 and n_separations > 0
+        assert searches == 0 and searches_before == len(orbit_first) * n_separations
+        assert sorted(calls) == sorted([2 * s for s in orbit_first.values()] * n_separations)
         assert skipped == before
         assert skipped[-1] == 0
 

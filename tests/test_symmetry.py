@@ -110,7 +110,41 @@ class TestComputeOrbits:
         n1 = b.add_node("atom", "V", (1,), 2)
         b.add_node_theta(n0, [0.0, 1.0])
         b.add_node_theta(n1, [0.0, 2.0])  # breaks the tie within the orbit
-        with pytest.raises(lt.TyingViolation):
+        with pytest.raises(lt.TyingViolation, match=r"node orbit .*value \(1,\)"):
+            lt.compute_orbits(b.build())
+
+        def pairs(thetas, zeros=(None, None)):
+            """A(i)-B(i) for i = 0, 1: one edge orbit without flip symmetry."""
+            b = lt.GroundModelBuilder(range(2))
+            for i, (theta, zero) in enumerate(zip(thetas, zeros)):
+                b.add_edge_theta(b.add_node("atom", "A", (i,), 2),
+                                 b.add_node("atom", "B", (i,), 2), theta,
+                                 structural_zero=zero)
+            return b.build()
+
+        tied = [[0.5, -1.0], [2.0, 3.0]]
+        lg = lt.compute_orbits(pairs([tied, tied]))
+        assert len(lg.edge_orbits) == 1 and not lg.edge_orbits[0].flip
+        # the tolerance scales with the entry: 1e-9 * 3 at (1, 1)
+        lt.compute_orbits(pairs([tied, [[0.5, -1.0], [2.0, 3.0 + 2e-9]]]))
+        off = [[0.5, -1.0], [2.0, 3.0 + 1e-8]]  # one entry of one member
+        with pytest.raises(lt.TyingViolation, match=r"value \(1, 1\)"):
+            lt.compute_orbits(pairs([tied, off]))
+        zero = np.array([[False, True], [False, False]])
+        with pytest.raises(lt.TyingViolation, match="structural zeros"):
+            lt.compute_orbits(pairs([tied, tied], [zero, None]))
+
+        # one edge V(0)-V(1): a flip orbit of one member, so every entry is
+        # tied and only the merged off-diagonal pair can disagree
+        b = lt.GroundModelBuilder(range(2))
+        u, v = (b.add_node("atom", "V", (i,), 2) for i in range(2))
+        b.add_edge_theta(u, v, [[0.0, 1.0], [2.0, 0.0]])
+        with pytest.raises(lt.TyingViolation, match=r"value \(0, 1\)"):
+            lt.compute_orbits(b.build())
+        b = lt.GroundModelBuilder(range(2))
+        u, v = (b.add_node("atom", "V", (i,), 2) for i in range(2))
+        b.add_edge_theta(u, v, [[0.0, 1.0], [1.0, 0.0]], structural_zero=zero)
+        with pytest.raises(lt.TyingViolation, match="structural zeros"):
             lt.compute_orbits(b.build())
 
     def test_expand_project_roundtrip(self):

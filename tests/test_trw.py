@@ -1,11 +1,12 @@
 """Objective, gradient, line search, and conditional-gradient tests."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liftedtrw as lt
-from liftedtrw.polytope import build_outer_system
+from liftedtrw.polytope import build_outer_system, separate_cycles
 from liftedtrw.trw import (TrwObjective, entropy_coefficients, frank_wolfe,
                            golden_section, gradient, lifted_entropy_bound,
                            lifted_linear_term)
@@ -256,6 +257,45 @@ class TestFrankWolfe:
             assert bounds["local"] >= bounds["local+exch"] - 1e-7
             assert bounds["local+exch"] >= bounds["cycle+exch"] - 1e-7
             assert bounds["local"] >= bounds["cycle"] - 1e-7
+
+    def test_cycle_bound_at_a_cycle_feasible_point(self):
+        """The polish must not adopt a point that a cycle row cuts off: the
+        local optimum violates three cycle rows here."""
+        for w in (1.5, 2.0):
+            g = build("clique_cycle", 3, w)
+            lg = lt.compute_orbits(g)
+            rho = lt.init_rho_uniform(lg)
+            local = frank_wolfe(lg, outer="local", rho=rho, tol=1e-6, max_iters=20000)
+            cycle = frank_wolfe(lg, outer="cycle", rho=rho, tol=1e-6, max_iters=20000)
+            fresh = build_outer_system(lg, "cycle")
+            assert separate_cycles(lg, cycle.tau, fresh.cs) == [], w
+            assert cycle.converged and cycle.bound < local.bound - 1.0, w
+
+    @pytest.mark.parametrize("name, n, w, below", [
+        ("friends_smokers", 10, 1.0, 133.1),
+        ("complete_graph", 150, -1.0, -74.3),
+    ])
+    def test_local_certifies_within_budget(self, name, n, w, below):
+        """Optima near the boundary, where the conditional-gradient gap alone
+        stalls at the iteration limit, are certified by the face polish."""
+        lg = lt.compute_orbits(build(name, n, w))
+        res = frank_wolfe(lg, outer="local", rho=lt.init_rho_uniform(lg),
+                          tol=1e-5, max_iters=200)
+        assert res.converged and res.bound < below
+
+    def test_zero_entropy_weights_reach_their_bound(self, ring_model):
+        """A tree-polytope point with rho 0 on two ground edges leaves 18 of
+        the 80 ground variables without entropy weight; the polish still has
+        to move them onto their bounds and certify."""
+        rng = np.random.default_rng(7)
+        for _ in range(12):
+            rho_g = lt.random_tree_point(ring_model, rng)
+        assert int((rho_g == 0.0).sum()) == 2
+        obj = TrwObjective(lt.trivial_lifting(ring_model), rho_g)
+        assert (obj.n_vars, int((obj.w == 0.0).sum())) == (80, 18)
+        res = lt.ground_trw(ring_model, rho_g, outer="local", tol=1e-6,
+                            max_iters=100)
+        assert res.converged
 
     def test_symmetrization_never_hurts(self, ring_model, ring_lifted):
         """Orbit-averaging any tree-polytope point cannot worsen the bound."""
