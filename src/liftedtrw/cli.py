@@ -113,19 +113,21 @@ def _marginal_columns(lg):
 def _run_one(task):
     """One (W, outer) inference; used directly and by sweep workers."""
     args, w_value, outer = task
+    t0 = time.perf_counter()
     _, lg = _build(args, w_value)
     rho = _resolve_rho(lg, args.rho, outer, args.tol, args.max_iters)
-    t0 = time.perf_counter()
+    t1 = time.perf_counter()
     res = trw.frank_wolfe(lg, outer=outer, rho=rho, tol=args.tol,
                           max_iters=args.max_iters)
-    millis = (time.perf_counter() - t0) * 1000.0
+    millis = (time.perf_counter() - t1) * 1000.0
     marg = {name: res.node_marginals[oid][1]
             for oid, name in _marginal_columns(lg)}
     gap = res.gap_trace[-1] if res.gap_trace else 0.0
     return {
         "W": w_value, "outer": outer, "n": args.n, "bound": res.bound,
         "gap": gap, "iters": res.iterations, "millis": millis,
-        "converged": res.converged, "marginals": marg,
+        "setup_millis": (t1 - t0) * 1000.0, "termination": res.termination,
+        "marginals": marg,
     }
 
 
@@ -154,8 +156,8 @@ def cmd_infer(args):
     print(f"model={args.model} n={args.n} W={w_value} outer={args.outer}")
     print(f"bound      {row['bound']:.10g}")
     print(f"final gap  {row['gap']:.3g}")
-    print(f"iterations {row['iters']}"
-          + ("" if row["converged"] else " (max iterations reached)"))
+    print(f"iterations {row['iters']} (termination: {row['termination']})")
+    print(f"setup time {row['setup_millis']:.1f} ms")
     print(f"wall time  {row['millis']:.1f} ms")
     for name, val in row["marginals"].items():
         print(f"{name:24s} {val:.6f}")

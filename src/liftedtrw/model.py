@@ -22,10 +22,11 @@ of square brackets may enclose the whole formula body.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -410,6 +411,8 @@ class PairwiseGroundModel:
     """Binary-or-auxiliary pairwise MRF in the overcomplete parametrization.
 
     Immutable after construction (arrays are not written to); safe to share.
+    ``_provenance`` holds the lists behind :attr:`node_provenance` and
+    :attr:`edge_provenance`, or a function that builds them on first access.
     """
 
     constants: tuple[int, ...]
@@ -418,11 +421,25 @@ class PairwiseGroundModel:
     theta_node: list[np.ndarray]
     theta_edge: list[np.ndarray]
     structural_zero: list[np.ndarray | None]
-    node_provenance: list[list[tuple[int, tuple[int, ...]]]]
-    edge_provenance: list[list[tuple[int, tuple[int, ...]]]]
+    _provenance: tuple | Callable = field(repr=False)
     aux_atoms: dict[int, tuple[int, int, int]] = field(default_factory=dict)
     node_index: dict = field(default_factory=dict)
     edge_index: dict = field(default_factory=dict)
+
+    @property
+    def node_provenance(self):
+        """Per node, the ``(formula index, binding)`` of each grounding that added it."""
+        return self._provenance_lists()[0]
+
+    @property
+    def edge_provenance(self):
+        """Per edge, the ``(formula index, binding)`` of each potential added to it."""
+        return self._provenance_lists()[1]
+
+    def _provenance_lists(self):
+        if callable(self._provenance):
+            self._provenance = self._provenance()
+        return self._provenance
 
     # -- overcomplete feature layout -------------------------------------
     def feature_layout(self):
@@ -552,10 +569,6 @@ class GroundModelBuilder:
         for what, arr in (("theta", theta), ("structural zero", structural_zero)):
             if arr is not None and np.shape(arr) != shape:
                 raise ModelError(f"edge {what} has shape {np.shape(arr)}, expected {shape}")
-        return self._add_edge(u, v, theta, tag, structural_zero, provenance)
-
-    def _add_edge(self, u, v, theta, tag, structural_zero, provenance):
-        """``add_edge_theta`` without conversion or shape checks."""
         key = (u, v) if u <= v else (v, u)
         k = self.edge_index.get(key)
         if k is None:
@@ -586,21 +599,23 @@ class GroundModelBuilder:
             theta_node=self.theta_node,
             theta_edge=self.theta_edge,
             structural_zero=self.structural_zero,
-            node_provenance=self.node_provenance,
-            edge_provenance=self.edge_provenance,
+            _provenance=(self.node_provenance, self.edge_provenance),
             aux_atoms=self.aux_atoms,
             node_index=self.node_index,
             edge_index=self.edge_index,
         )
 
 
-# Auxiliary node value t disagrees with its bit-th atom's value h; read-only
-# because every auxiliary edge shares them.
-_AUX_ZERO = tuple(((np.arange(8) >> bit) & 1)[:, None] != np.arange(2)[None, :]
+# Entry [t, h] is set where auxiliary value h disagrees with value t of its
+# bit-th atom: an auxiliary edge is stored atom first, since an auxiliary
+# node is always added after its atoms.  Read-only because every auxiliary
+# edge shares them.
+_AUX_ZERO = tuple(np.arange(2)[:, None] != ((np.arange(8) >> bit) & 1)[None, :]
                   for bit in range(3))
-_AUX_THETA = np.zeros((8, 2))
-for _arr in _AUX_ZERO + (_AUX_THETA,):
+for _arr in _AUX_ZERO:
     _arr.flags.writeable = False
+
+_NO_INTS = np.zeros(0, dtype=np.int64)
 
 
 def _pattern_theta(table, pos, w):
@@ -621,6 +636,188 @@ def _pattern_theta(table, pos, w):
     return k, theta
 
 
+def _first_seen(codes):
+    """Number ``codes`` in order of first appearance.
+
+    Returns ``(ids, first)``: the number of every code, and the position of
+    each number's first appearance.  A stable argsort groups equal codes with
+    their earliest position first.
+    """
+    order = np.argsort(codes, kind="stable")
+    ranked = codes[order]
+    new = np.ones(ranked.size, dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    first = order[new]  # one per distinct code, in code order
+    by_position = np.argsort(first, kind="stable")
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[by_position] = np.arange(first.size)
+    ids = np.empty(codes.size, dtype=np.int64)
+    ids[order] = rank[np.cumsum(new) - 1]
+    return ids, first[by_position]
+
+
+def _zeroed_blocks(is_aux, shape, aux_shape):
+    """Zeroed storage for one array per id, shaped ``aux_shape`` where
+    ``is_aux`` and ``shape`` elsewhere: two blocks, and each id's row in its block.
+    """
+    slot = np.where(is_aux, np.cumsum(is_aux), np.cumsum(~is_aux)) - 1
+    n_aux = int(is_aux.sum())
+    return (np.zeros((is_aux.size - n_aux,) + shape), np.zeros((n_aux,) + aux_shape), slot)
+
+
+def _row_views(is_aux, slot, plain, aux):
+    """Each id's row of the blocks of :func:`_zeroed_blocks`, in id order."""
+    rows = (list(plain), list(aux))
+    return [rows[a][s] for a, s in zip(is_aux.tolist(), slot.tolist())]
+
+
+def _add_rows(block, rows, values):
+    """``block[r] += v`` for each row ``r`` and value ``v``, in order."""
+    if len(rows):
+        width = block[0].size
+        np.add.at(block.reshape(-1), rows[:, None] * width + np.arange(width),
+                  values.reshape(len(rows), width))
+
+
+@dataclass
+class _Bindings:
+    """The bindings of one formula that its guards admit.
+
+    ``combos`` holds each binding's constants, in ``itertools.product`` order.
+    ``k`` counts its distinct ground atoms and ``pattern`` codes which
+    template atoms coincide as ``sum(pos[i] * 3**i)``, where ``pos[i]`` is
+    the distinct-atom index of template atom ``i``; ``tables[k][pattern]``
+    is the binding's potential.
+    """
+
+    f_idx: int
+    combos: np.ndarray
+    k: np.ndarray
+    pattern: np.ndarray
+    tables: dict
+
+    def values(self, k):
+        """The bindings with ``k`` distinct atoms, and their potentials."""
+        sel = self.k == k
+        if k not in self.tables:
+            return sel, np.zeros((0, 2, 2) if k == 2 else (0, 2 ** k))
+        return sel, self.tables[k][self.pattern[sel]]
+
+    def node_counts(self):
+        """Nodes each binding adds: its distinct atoms, and an auxiliary one if k == 3."""
+        return self.k + (self.k == 3)
+
+    def edge_counts(self):
+        """Edges each binding adds: one if k == 2, three auxiliary ones if k == 3."""
+        return (self.k == 2) + 3 * (self.k == 3)
+
+
+def _bind_formula(f_idx, formula, n, offsets, aux_base):
+    """The bindings of ``formula`` and their node events, in order.
+
+    A ground atom is coded as its predicate's offset plus its arguments in
+    base ``n``, and a binding's auxiliary node as ``aux_base`` plus the
+    binding's index; a binding's events are its distinct atoms in template
+    order, then its auxiliary node.
+    """
+    var_at = {v: i for i, v in enumerate(formula.variables)}
+    n_vars = len(formula.variables)
+    index = np.arange(n ** n_vars)
+    combos = np.stack([index // n ** (n_vars - 1 - j) % n for j in range(n_vars)], axis=1)
+    keep = np.ones(index.size, dtype=bool)
+    for g in formula.guards:
+        ids = sorted(var_at[v] for v in g)  # one id: the guard is x != x
+        keep &= combos[:, ids[0]] != combos[:, ids[-1]]
+    combos = combos[keep]
+    atoms = np.stack([
+        offsets[a.pred] + sum(combos[:, var_at[v]] * n ** (len(a.args) - 1 - i)
+                              for i, v in enumerate(a.args))
+        for a in formula.atoms], axis=1)
+
+    n_atoms = atoms.shape[1]
+    new = np.ones(atoms.shape, dtype=bool)  # first template atom of its ground atom
+    pos = np.zeros(atoms.shape, dtype=np.int64)
+    k = np.ones(len(atoms), dtype=np.int64)
+    for i in range(1, n_atoms):
+        pos[:, i] = k
+        for j in range(i):
+            same = atoms[:, i] == atoms[:, j]
+            new[:, i] &= ~same
+            pos[same, i] = pos[same, j]
+        k += new[:, i]
+    pattern = sum(pos[:, i] * 3 ** i for i in range(n_atoms))
+    w = formula.weight.resolve()
+    tables = {}
+    for code in np.flatnonzero(np.bincount(pattern)).tolist():
+        pos_i = tuple(code // 3 ** i % 3 for i in range(n_atoms))
+        kk, theta = _pattern_theta(formula.table, pos_i, w)
+        tables.setdefault(kk, np.zeros((3 ** n_atoms,) + theta.shape))[code] = theta
+
+    aux = (aux_base + np.arange(len(atoms)))[:, None]
+    mask = np.concatenate([new, (k == 3)[:, None]], axis=1)
+    return (_Bindings(f_idx, combos, k, pattern, tables),
+            np.concatenate([atoms, aux], axis=1)[mask])
+
+
+def _provenance(forms, node_of, edge_of):
+    """The provenance lists of a grounding, from the ids of its node and edge events."""
+    prov = [(fb.f_idx, tuple(c)) for fb in forms for c in fb.combos.tolist()]
+    binding = np.arange(len(prov))
+    out = []
+    for ids, counts in ((node_of, [fb.node_counts() for fb in forms]),
+                        (edge_of, [fb.edge_counts() for fb in forms])):
+        lists = [[] for _ in range(int(ids.max()) + 1 if ids.size else 0)]
+        event_binding = np.repeat(binding, np.concatenate(counts + [_NO_INTS]))
+        for i, b in zip(ids.tolist(), event_binding.tolist()):
+            lists[i].append(prov[b])
+        out.append(lists)
+    return tuple(out)
+
+
+def _add_groundings(forms, node_of, node_slot, atom_theta, aux_theta):
+    """Add the node potentials of every binding; list its edges and auxiliary nodes.
+
+    Returns ``(edge_u, edge_v, edge_bit, flips, aux_of)``.  The edge events
+    (lower node id, higher one, and for an auxiliary edge the bit of its
+    atom, else -1) run in the order the bindings add them.  ``flips[f]``
+    marks the pairwise bindings of formula ``f`` whose first distinct atom
+    has the higher node id; ``aux_of[f]`` holds the auxiliary node and
+    the three atom nodes of its bindings with k == 3.
+    """
+    padded = np.concatenate([node_of, np.zeros(3, dtype=np.int64)])
+    start = 0
+    edge_u, edge_v, edge_bit, flips, aux_of = [_NO_INTS], [_NO_INTS], [_NO_INTS], [], []
+    for fb in forms:
+        counts = fb.node_counts()
+        first_event = start + np.cumsum(counts) - counts
+        start += int(counts.sum())
+        a0, a1, a2, a3 = (padded[first_event + d] for d in range(4))
+        sel, vals = fb.values(1)
+        _add_rows(atom_theta, node_slot[a0[sel]], vals)
+        sel, vals = fb.values(3)
+        _add_rows(aux_theta, node_slot[a3[sel]], vals)
+        aux_of.append((a3[sel], a0[sel], a1[sel], a2[sel]))
+        pair, triple = fb.k == 2, fb.k == 3
+        flips.append(a0[pair] > a1[pair])
+        valid = np.stack([pair | triple, triple, triple], axis=1)
+        edge_u.append(np.stack([np.where(pair, np.minimum(a0, a1), a0), a1, a2], axis=1)[valid])
+        edge_v.append(np.stack([np.where(pair, np.maximum(a0, a1), a3), a3, a3], axis=1)[valid])
+        bit = np.tile(np.arange(3), (len(pair), 1))
+        bit[pair, 0] = -1
+        edge_bit.append(bit[valid])
+    return (*(np.concatenate(x) for x in (edge_u, edge_v, edge_bit)), flips, aux_of)
+
+
+def _add_pair_potentials(forms, flips, rows, pair_theta):
+    """Add the potential of every pairwise binding to its edge's row, in order."""
+    start = 0
+    for fb, flip in zip(forms, flips):
+        _, vals = fb.values(2)
+        _add_rows(pair_theta, rows[start:start + len(vals)],
+                  np.where(flip[:, None, None], vals.transpose(0, 2, 1), vals))
+        start += len(vals)
+
+
 def ground(model, n):
     """Ground ``model`` over constants ``0..n-1``.
 
@@ -629,58 +826,73 @@ def ground(model, n):
     three hard consistency edges (k=3).  Formulas whose guards admit no
     binding (``x != x`` admits none) simply contribute nothing.
 
-    Groundings are visited in the order of ``itertools.product`` over the
-    formula's variables.  A grounding's potential depends only on which
-    template atoms coincide, so it is built once per coincidence pattern.
+    Each formula is grounded by array operations over all its bindings,
+    taken in the order of ``itertools.product`` over its variables.  A
+    grounding adds its distinct atoms in template order, then its auxiliary
+    node, then its edges; node and edge ids count first additions across
+    the formulas in order, and parallel potentials are summed in the order
+    they are added, as a loop over the groundings would.  A grounding's
+    potential depends only on which template atoms coincide, so it is built
+    once per coincidence pattern.  Provenance is built on first access.
     """
     if n < 1:
         raise ModelError(f"domain size must be >= 1, got {n}")
     if model.has_symbolic_weight:
         raise ModelError("symbolic weight W is unbound; call bind_weight first")
 
-    builder = GroundModelBuilder(range(n))
+    offsets = {}
+    n_atom_codes = 0
+    for pred, arity in model.predicates:
+        offsets[pred] = n_atom_codes
+        n_atom_codes += n ** arity
+    forms, node_events = [], [_NO_INTS]
+    n_bindings = 0
     for f_idx, formula in enumerate(model.formulas):
-        _ground_formula(builder, f_idx, formula, n)
-    return builder.build()
+        fb, events = _bind_formula(f_idx, formula, n, offsets, n_atom_codes + n_bindings)
+        forms.append(fb)
+        node_events.append(events)
+        n_bindings += len(fb.k)
+    node_events = np.concatenate(node_events)
+    node_of, first = _first_seen(node_events)
+    node_codes = node_events[first]
+    del node_events
+    is_aux = node_codes >= n_atom_codes
+    atom_theta, aux_theta, node_slot = _zeroed_blocks(is_aux, (2,), (8,))
+    edge_u, edge_v, edge_bit, flips, aux_of = _add_groundings(
+        forms, node_of, node_slot, atom_theta, aux_theta)
 
+    edge_of, first = _first_seen(edge_u * len(node_codes) + edge_v)
+    edge_u, edge_v, bits = edge_u[first].tolist(), edge_v[first].tolist(), edge_bit[first]
+    pair_theta, aux_edge_theta, edge_slot = _zeroed_blocks(bits >= 0, (2, 2), (2, 8))
+    _add_pair_potentials(forms, flips, edge_slot[edge_of[edge_bit < 0]], pair_theta)
+    del edge_bit, flips  # the event arrays go before the per-element objects come
+    edges = [GroundEdge(u, v) for u, v in zip(edge_u, edge_v)]
 
-def _ground_formula(builder, f_idx, formula, n):
-    w = formula.weight.resolve()
-    var_at = {v: i for i, v in enumerate(formula.variables)}
-    atoms = [(a.pred, tuple(var_at[v] for v in a.args)) for a in formula.atoms]
-    guards = []
-    for g in formula.guards:
-        ids = sorted(var_at[v] for v in g)
-        guards.append((ids[0], ids[-1]))  # one id: the guard is x != x
-    aux_label = f"f{f_idx}"
-    patterns = {}  # tuple(pos) -> (k, theta)
-    theta_node = builder.theta_node
-    add_node = builder.add_node
-    add_edge = builder._add_edge
+    nodes = [None] * len(node_codes)
+    atom_ids = np.flatnonzero(~is_aux)
+    starts = np.array([offsets[p] for p, _ in model.predicates], dtype=np.int64)
+    pred_of = (node_codes[atom_ids, None] >= starts).sum(axis=1) - 1
+    for i, p, r in zip(atom_ids.tolist(), pred_of.tolist(),
+                       (node_codes[atom_ids] - starts[pred_of]).tolist()):
+        name, arity = model.predicates[p]
+        nodes[i] = GroundNode("atom", name, (r,) if arity == 1 else divmod(r, n), 2)
+    aux_atoms = {}
+    for fb, (aux_ids, *atom_cols) in zip(forms, aux_of):
+        label = f"f{fb.f_idx}"
+        aux_ids = aux_ids.tolist()
+        for i, combo in zip(aux_ids, fb.combos[fb.k == 3].tolist()):
+            nodes[i] = GroundNode("aux", label, tuple(combo), 8)
+        aux_atoms.update(zip(aux_ids, zip(*(c.tolist() for c in atom_cols))))
 
-    for combo in itertools.product(range(n), repeat=len(formula.variables)):
-        for a, b in guards:
-            if combo[a] == combo[b]:
-                break
-        else:
-            seen = {}  # distinct ground atom -> its index, in first-seen order
-            pos = tuple([seen.setdefault((p, tuple([combo[i] for i in idx])), len(seen))
-                         for p, idx in atoms])
-            entry = patterns.get(pos)
-            if entry is None:
-                entry = patterns[pos] = _pattern_theta(formula.table, pos, w)
-            k, theta = entry
-            prov = (f_idx, combo)
-            ids = [add_node("atom", p, args, 2, provenance=prov) for p, args in seen]
-            if k == 1:
-                theta_node[ids[0]] += theta
-            elif k == 2:
-                add_edge(ids[0], ids[1], theta, None, None, prov)
-            elif k == 3:
-                aux = add_node("aux", aux_label, combo, 8, provenance=prov)
-                theta_node[aux] += theta
-                builder.aux_atoms[aux] = tuple(ids)
-                for atom_id, zero in zip(ids, _AUX_ZERO):
-                    add_edge(aux, atom_id, _AUX_THETA, None, zero, prov)
-            else:  # pragma: no cover - excluded at parse time
-                raise ModelError(f"grounding touches {k} distinct atoms, at most 3 supported")
+    return PairwiseGroundModel(
+        constants=tuple(range(n)),
+        nodes=nodes,
+        edges=edges,
+        theta_node=_row_views(is_aux, node_slot, atom_theta, aux_theta),
+        theta_edge=_row_views(bits >= 0, edge_slot, pair_theta, aux_edge_theta),
+        structural_zero=[None if b < 0 else _AUX_ZERO[b] for b in bits.tolist()],
+        _provenance=partial(_provenance, forms, node_of, edge_of),
+        aux_atoms=aux_atoms,
+        node_index={(nd.kind, nd.label, nd.consts): i for i, nd in enumerate(nodes)},
+        edge_index={(e.u, e.v): k for k, e in enumerate(edges)},
+    )

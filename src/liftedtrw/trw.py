@@ -140,13 +140,20 @@ def golden_section(f, lo=0.0, hi=1.0, tol=1e-8):
 
 @dataclass
 class TrwResult:
+    """A solve's certified bound and how it ended.
+
+    ``termination`` is ``"gap"`` when the gap reached the tolerance,
+    ``"stalled"`` when the last iteration moved ``tau`` neither by the polish
+    nor by the line search, and ``"iteration_limit"`` otherwise.
+    """
+
     bound: float
     objective: float
     tau: np.ndarray
     gap_trace: list[float]
     objective_trace: list[float]
     iterations: int
-    converged: bool
+    termination: str
     node_marginals: dict
     outer: str
     rho: np.ndarray
@@ -154,6 +161,11 @@ class TrwResult:
     lp_pivots: int = 0
     n_cuts: int = 0
     cluster_counts: dict = field(default_factory=dict)
+
+    @property
+    def converged(self):
+        """Whether the gap reached the tolerance."""
+        return self.termination == "gap"
 
 
 def _face_newton(obj, free, active, tau):
@@ -296,7 +308,7 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
 def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
     """One conditional-gradient solve over ``outer``; see ``frank_wolfe``."""
     if lg.n_vars == 0:
-        return TrwResult(0.0, 0.0, np.zeros(0), [], [], 0, True, {}, outer,
+        return TrwResult(0.0, 0.0, np.zeros(0), [], [], 0, "gap", {}, outer,
                          np.asarray(rho, dtype=float))
 
     system = build_outer_system(lg, outer)
@@ -307,7 +319,7 @@ def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
     gap_trace, obj_trace = [], []
     basis = None if system.start_basis is None else LpBasis(tuple(system.start_basis))
     pivots = 0
-    converged = False
+    converged = moved = False
     F = obj.value(tau)
     gap = math.inf
     it = 0
@@ -343,7 +355,8 @@ def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
         return res.basis, s
 
     def attempt_polish(g_scale):
-        """Adopt the best improving face refinement that no cycle row cuts."""
+        """Adopt the best improving face refinement that no cycle row cuts;
+        report whether one was adopted."""
         nonlocal tau, F
         tols = sorted({max(1e-7, min(t, 0.2)) for t in
                        (0.5 * g_scale, 0.05 * g_scale, 1e-3, 1e-7)})
@@ -352,15 +365,15 @@ def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
                      for t in tols)
             best = max((c for c in cands if c is not None), key=obj.value, default=None)
             if best is None or obj.value(best) <= F:
-                return
+                return False
             if not add_cuts(best):
                 tau, F = best, obj.value(best)
-                return
+                return True
+        return False
 
     while it < max_iters:
         it += 1
-        if may_polish:
-            attempt_polish(gap if math.isfinite(gap) else 1.0)
+        moved = may_polish and attempt_polish(gap if math.isfinite(gap) else 1.0)
 
         gvec = obj.grad(tau)
         basis, s = direction(gvec, basis)
@@ -378,6 +391,7 @@ def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
         if flam > F:
             tau = tau + lam * delta
             F = flam
+            moved = True
 
     clusters = {cl.node_orbit: tau[cl.c_offset:cl.c_offset + cl.size + 1].copy()
                 for cl in system.clusters}
@@ -388,7 +402,7 @@ def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
         gap_trace=gap_trace,
         objective_trace=obj_trace,
         iterations=it,
-        converged=converged,
+        termination="gap" if converged else "iteration_limit" if moved else "stalled",
         node_marginals=lg.node_marginals(tau),
         outer=outer,
         rho=np.asarray(rho, dtype=float),

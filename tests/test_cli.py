@@ -41,6 +41,16 @@ class TestInfer:
         marg = float(re.search(r"V\(x0\)\s+([0-9.]+)", out).group(1))
         assert abs(marg - 1 / (1 + math.exp(-0.8))) < 1e-5
 
+    def test_reports_termination_and_setup_time(self, capsys):
+        argv = ("infer", "--model", "complete_graph", "--n", "6", "--W", "-1",
+                "--outer", "local+exch")
+        for extra, termination in ((("--max-iters", "1"), "iteration_limit"), ((), "gap")):
+            code, out, _ = run_cli(capsys, *argv, *extra)
+            assert code == 0
+            assert re.search(rf"^iterations \d+ \(termination: {termination}\)$", out, re.M)
+            assert float(re.search(r"^setup time ([0-9.]+) ms$", out, re.M).group(1)) > 0
+            assert re.search(r"^wall time  [0-9.]+ ms$", out, re.M)
+
     def test_missing_file_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys, "infer", "--model", "/no/such/file.mln", "--n", "3")

@@ -23,15 +23,25 @@ from conftest import build
 # with R(y,z), then with R(x,y))
 COINCIDING_TEXTS = ["1.0 R(x,y) ^ R(y,x)", "0.5 S(x) ^ F(x,y) -> S(y)",
                     "1.2 R(x,y) ^ !R(y,z) -> R(x,z)"]
+# corners of grounding by arrays: auxiliary nodes over four constants, an
+# atom repeating an argument (x=y leaves one atom), a second formula whose
+# first new nodes come after edges exist, and an edge and a node whose sums
+# depend on the order of their terms ((1 + 1e16) - 1e16 is 0, while
+# (-1e16 + 1e16) + 1 is 1)
+CORNER_TEXTS = ["0.3 R(x,y) ^ S(y,z) ^ T(z,w)", "0.2 R(x,x) v R(x,y)",
+                "0.5 A(x)\n0.7 [x != y ^ (B(x) <-> A(y))]",
+                "1 A(x) ^ B(x)\n1e16 A(x) ^ B(x)\n-1e16 A(x) ^ B(x)\n"
+                "1 A(x)\n1e16 A(x)\n-1e16 A(x)"]
 
 
 def _models():
     for name in ("complete_graph", "friends_smokers", "clique_cycle"):
         for n in (1, 2, 3, 6):
             yield f"{name}-{n}", lt.parse_model(lt.zoo.model_text(name)).bind_weight(-0.7), n
-    for i, text in enumerate(COINCIDING_TEXTS):
-        for n in (1, 2, 3, 6):
-            yield f"text{i}-{n}", lt.parse_model(text), n
+    for prefix, texts in (("text", COINCIDING_TEXTS), ("corner", CORNER_TEXTS)):
+        for i, text in enumerate(texts):
+            for n in (1, 2, 3, 6):
+                yield f"{prefix}{i}-{n}", lt.parse_model(text), n
 
 
 MODELS = list(_models())
@@ -287,7 +297,8 @@ class TestOrbitEquivalence:
 
 
 def test_setup_matches_on_a_larger_domain():
-    g = build("friends_smokers", 12, 0.4)
-    _assert_same_ground(g, _ground_per_grounding(
-        lt.parse_model(lt.zoo.model_text("friends_smokers")).bind_weight(0.4), 12))
-    _assert_lifted_matches_references(lt.compute_orbits(g), frozenset())
+    for name, n in (("friends_smokers", 12), ("complete_graph", 40)):
+        g = build(name, n, 0.4)
+        _assert_same_ground(g, _ground_per_grounding(
+            lt.parse_model(lt.zoo.model_text(name)).bind_weight(0.4), n))
+        _assert_lifted_matches_references(lt.compute_orbits(g), frozenset())

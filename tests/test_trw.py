@@ -283,6 +283,22 @@ class TestFrankWolfe:
                           tol=1e-5, max_iters=200)
         assert res.converged and res.bound < below
 
+    @pytest.mark.parametrize("name, n, w, polish, termination", [
+        ("complete_graph", 12, -1.0, True, "gap"),
+        # every line search accepted, gap 0.709 at the limit
+        ("friends_smokers", 10, 1.0, False, "iteration_limit"),
+        # 2 of 200 line searches accepted, gap 0.298 at the limit
+        ("complete_graph", 150, -1.0, False, "stalled"),
+    ])
+    def test_termination_reasons(self, name, n, w, polish, termination):
+        lg = lt.compute_orbits(build(name, n, w))
+        res = frank_wolfe(lg, outer="local", rho=lt.init_rho_uniform(lg),
+                          tol=1e-5, max_iters=200, polish=polish)
+        assert res.termination == termination
+        assert res.converged == (termination == "gap")
+        if not res.converged:
+            assert res.iterations == 200 and res.gap_trace[-1] > 0.2
+
     def test_zero_entropy_weights_reach_their_bound(self, ring_model):
         """A tree-polytope point with rho 0 on two ground edges leaves 18 of
         the 80 ground variables without entropy weight; the polish still has
