@@ -180,6 +180,8 @@ def _parse_range(spec):
     lo, hi, step = values
     if step <= 0:
         raise ModelError("W range step must be positive")
+    if lo > hi:
+        raise ModelError(f"W range is empty: lo {lo:g} > hi {hi:g}")
     count = int(round((hi - lo) / step))
     return [lo + i * step for i in range(count + 1) if lo + i * step <= hi + 1e-12]
 

@@ -11,6 +11,17 @@ the artificial of row ``i`` is ``n + 2*i + 1``.  Artificials can remain basic
 at level zero when a row is redundant; they are never allowed to enter.  Only
 the structural block of the constraint matrix is materialized; slack and
 artificial columns are unit vectors handled implicitly.
+
+The explicit basis inverse is updated in place at each pivot.  On matrices
+of 64 rows or more the rank-1 update touches only the columns where the
+leaving row of the inverse is nonzero, when those are fewer than a quarter
+(a few percent of them on ground local LPs); every other column would only
+have zero subtracted, so the result is the same as the full update's.  The
+inverse is computed afresh only when it has drifted: every
+``REFACTOR_EVERY`` updates, and when a solve reaches optimality with an
+updated inverse, the residual ``max |B (B^-1 b) - b|`` is measured without
+forming ``B``, and one above ``DRIFT_TOL`` triggers a factorization (at
+optimality followed by another round of pricing).
 """
 
 from __future__ import annotations
@@ -22,7 +33,8 @@ import numpy as np
 PIVOT_TOL = 1e-9
 OPT_TOL = 1e-9
 FEAS_TOL = 1e-7
-REFACTOR_EVERY = 50
+REFACTOR_EVERY = 50     # updates between drift checks
+DRIFT_TOL = 1e-9        # largest residual max|B (B^-1 b) - b| kept
 
 
 class InfeasibleError(Exception):
@@ -68,9 +80,10 @@ class SolveResult:
 class Simplex:
     """Revised simplex over a fixed constraint set; objectives may vary.
 
-    Keeps the basis factorization alive between solves so that re-solving
+    Keeps the basis inverse alive between solves so that re-solving
     after an objective change (the common case in conditional gradient loops)
-    costs only a few pivots.
+    costs only a few pivots.  ``refactorizations`` counts the inverses
+    computed from scratch.
     """
 
     def __init__(self, n_vars, rows, fixed_zero=None):
@@ -82,16 +95,10 @@ class Simplex:
         self._basis = None
         self._binv = None
         self._updates = 0
+        self.refactorizations = 0
 
-    # -- column encoding helpers -------------------------------------------
-    def _is_slack(self, j):
-        return j >= self.n and (j - self.n) % 2 == 0
-
-    def _is_art(self, j):
-        return j >= self.n and (j - self.n) % 2 == 1
-
-    def _row_of(self, j):
-        return (j - self.n) // 2
+    def _is_art(self, codes):
+        return self._art_code[codes]
 
     def _build(self):
         n = self.n
@@ -111,33 +118,42 @@ class Simplex:
         self.b = b
         self.slack_sign = slack_sign
         self.block_struct = self.fixed_zero.copy()
-        self._outer_buf = np.empty((m, m)) if m else np.empty((0, 0))
+        # per column code: the nonzero of a slack or artificial unit column,
+        # and whether the code is an artificial
+        self._unit_coef = np.zeros(n + 2 * m)
+        self._unit_coef[n::2] = slack_sign
+        self._unit_coef[n + 1::2] = 1.0
+        self._art_code = np.zeros(n + 2 * m, dtype=bool)
+        self._art_code[n + 1::2] = True
 
     def add_rows(self, rows):
-        basis = self._basis
+        first = self.m
         self.rows.extend(rows)
         self._build()
-        if basis is not None:
-            extra = []
-            for i in range(self.m - len(rows), self.m):
-                row = self.rows[i]
-                enc = self.n + 2 * i if row.rel == "<=" and row.rhs >= 0 else self.n + 2 * i + 1
-                extra.append(enc)
-            self._basis = list(basis) + extra
+        if self._basis is not None:
+            self._basis = np.concatenate([self._basis, self._initial_basis(first)])
         self._binv = None
 
     def _column(self, j):
         if j < self.n:
             return self.A[:, j]
         col = np.zeros(self.m)
-        i = self._row_of(j)
-        col[i] = self.slack_sign[i] if self._is_slack(j) else 1.0
+        col[(j - self.n) // 2] = self._unit_coef[j]
         return col
+
+    def _unit_columns(self, basis):
+        """Positions of the slack and artificial codes in ``basis``, their
+        rows and their nonzero coefficients."""
+        k = (basis >= self.n).nonzero()[0]
+        codes = basis[k]
+        return k, (codes - self.n) // 2, self._unit_coef[codes]
 
     def _basis_matrix(self, basis):
         B = np.zeros((self.m, self.m))
-        for k, j in enumerate(basis):
-            B[:, k] = self._column(j)
+        struct = basis < self.n
+        B[:, struct] = self.A[:, basis[struct]]
+        k, i, coef = self._unit_columns(basis)
+        B[i, k] = coef
         return B
 
     def _factorize(self, basis):
@@ -146,25 +162,64 @@ class Simplex:
         except np.linalg.LinAlgError:
             return None
         self._updates = 0
+        self.refactorizations += 1
         return binv
 
-    def _initial_basis(self):
-        basis = []
-        for i, row in enumerate(self.rows):
-            if row.rel == "<=" and row.rhs >= 0:
-                basis.append(self.n + 2 * i)
-            else:
-                basis.append(self.n + 2 * i + 1)
-        return basis
+    def _drift(self, basis, binv):
+        """``max |B (B^-1 b) - b|`` for the inverse ``binv`` of ``basis``."""
+        xb = binv @ self.b
+        struct = basis < self.n
+        x = np.zeros(self.n)
+        x[basis[struct]] = xb[struct]
+        resid = self.A @ x - self.b
+        k, i, coef = self._unit_columns(basis)
+        np.add.at(resid, i, coef * xb[k])
+        return float(np.abs(resid).max(initial=0.0))
+
+    def _initial_basis(self, first=0):
+        """Start codes of rows ``first`` onward: the slack where it is
+        nonnegative at ``x = 0``, the artificial otherwise."""
+        return self.n + 2 * np.arange(first, self.m) + (self.slack_sign[first:] <= 0)
 
     def _objvec(self, basis, c_struct, phase):
-        cb = np.zeros(len(basis))
-        for k, j in enumerate(basis):
-            if j < self.n:
-                cb[k] = c_struct[j] if phase == 2 else 0.0
-            elif self._is_art(j) and phase == 1:
-                cb[k] = -1.0
+        cb = np.zeros(basis.size)
+        if phase == 2:
+            struct = basis < self.n
+            cb[struct] = c_struct[basis[struct]]
+        else:
+            cb[self._is_art(basis)] = -1.0
         return cb
+
+    def _pivot(self, binv, r, d):
+        """Update ``binv`` in place for the column ``d = B^-1 a_q`` entering
+        at basis position ``r``.
+
+        Only the columns where row ``r`` of ``binv`` is nonzero change; the
+        others would have zero subtracted.  Gathering and scattering a column
+        costs several times updating it in place, and below about 64 rows the
+        call overhead dominates, so the update is restricted to those columns
+        only when they are fewer than a quarter of a larger matrix.  Both
+        forms compute the same products (those of ``np.outer``).
+        """
+        piv = d[r]
+        binv_r = binv[r].copy()
+        nz = binv_r.nonzero()[0]
+        if self.m >= 64 and 4 * nz.size < self.m:
+            binv[:, nz] -= (d / piv)[:, None] * binv_r[nz]
+        else:
+            binv -= (d / piv)[:, None] * binv_r
+        binv[r] = binv_r / piv
+        self._updates += 1
+
+    def _refactor_due(self, basis, binv, optimal):
+        """Whether ``binv`` has drifted from the inverse of ``basis``.
+
+        Measured every ``REFACTOR_EVERY`` updates and at optimality, never
+        right after a factorization.
+        """
+        if self._updates == 0 or (not optimal and self._updates % REFACTOR_EVERY):
+            return False
+        return self._drift(basis, binv) > DRIFT_TOL
 
     def _iterate(self, c_struct, basis, binv, phase):
         m = self.m
@@ -190,7 +245,7 @@ class Simplex:
                     best_q = int(cand[0])
                     best_rc = rc[best_q]
             else:
-                q = int(np.argmax(rc))
+                q = int(rc.argmax())
                 if rc[q] > best_rc:
                     best_q, best_rc = q, rc[q]
             # slack columns: reduced cost is -y_i * sign_i
@@ -204,26 +259,31 @@ class Simplex:
                         if best_q < 0 or enc < best_q or best_q >= self.n:
                             best_q, best_rc = enc, rs[good[0]]
                 else:
-                    k = int(np.argmax(rs))
+                    k = int(rs.argmax())
                     if rs[k] > best_rc:
                         best_q = self.n + 2 * int(has_slack[k])
                         best_rc = rs[k]
             if best_q < 0:
-                break
+                nb = self._factorize(basis) if self._refactor_due(basis, binv, True) else None
+                if nb is None:
+                    break
+                binv, xb = nb, nb @ self.b
+                xb[np.abs(xb) < 1e-12] = 0.0
+                continue
             q = best_q
-            d = binv @ self._column(q) if q >= self.n else binv @ self.A[:, q]
+            d = binv @ self._column(q)
             pos = d > PIVOT_TOL
             if not pos.any():
                 raise UnboundedError("LP is unbounded (internal error)")
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = np.where(pos, np.maximum(xb, 0.0) / np.where(pos, d, 1.0), np.inf)
             rmin = ratios.min()
-            ties = np.nonzero(ratios <= rmin + 1e-12)[0]
-            art_ties = [r for r in ties if self._is_art(basis[r])]
-            if art_ties:
-                r = min(art_ties, key=lambda i: basis[i])
-            else:
-                r = min(ties, key=lambda i: basis[i])
+            # ties: artificials leave first, then the smallest code
+            ties = (ratios <= rmin + 1e-12).nonzero()[0]
+            art = self._is_art(basis[ties])
+            if art.any():
+                ties = ties[art]
+            r = int(ties[basis[ties].argmin()])
             if rmin < 1e-12:
                 degenerate_count += 1
                 if degenerate_count > bland_threshold:
@@ -231,54 +291,38 @@ class Simplex:
             else:
                 degenerate_count = 0
             basis[r] = q
-            cb[r] = cs[q] if q < self.n else (-1.0 if phase == 1 and self._is_art(q) else 0.0)
-            piv = d[r]
-            binv_r = binv[r].copy()
-            np.outer(d / piv, binv_r, out=self._outer_buf)
-            binv -= self._outer_buf
-            binv[r] = binv_r / piv
-            step = xb[r] / piv
+            cb[r] = cs[q] if q < self.n else 0.0
+            self._pivot(binv, r, d)
+            step = xb[r] / d[r]
             xb -= step * d
             xb[r] = step
-            self._updates += 1
-            if self._updates >= REFACTOR_EVERY:
+            if self._refactor_due(basis, binv, False):
                 nb = self._factorize(basis)
                 if nb is not None:
-                    binv = nb
-                    xb = binv @ self.b
+                    binv, xb = nb, nb @ self.b
             xb[np.abs(xb) < 1e-12] = 0.0
         return basis, binv, xb, iters
 
-    def _phase1(self, basis):
+    def _phase1(self):
+        basis = self._initial_basis()
         binv = self._factorize(basis)
-        if binv is None:
-            basis = self._initial_basis()
-            binv = self._factorize(basis)
         basis, binv, xb, it1 = self._iterate(np.zeros(self.n), basis, binv, phase=1)
-        infeas = float(sum(v for j, v in zip(basis, xb) if self._is_art(j)))
+        infeas = float(xb[self._is_art(basis)].sum())
         if infeas > 1e-7:
             raise InfeasibleError(f"phase 1 residual {infeas:.3e}")
         # pivot remaining artificials out where the row is not redundant
-        for r in range(self.m):
-            if not self._is_art(basis[r]):
-                continue
+        for r in self._is_art(basis).nonzero()[0]:
             row_vals = binv[r] @ self.A
             row_vals[self.block_struct] = 0.0
-            cand = np.nonzero(np.abs(row_vals) > 1e-7)[0]
-            q = int(cand[0]) if cand.size else -1
-            if q < 0:
-                for i in np.nonzero(self.slack_sign)[0]:
-                    if abs(binv[r, i] * self.slack_sign[i]) > 1e-7:
-                        q = self.n + 2 * int(i)
-                        break
+            cand = (np.abs(row_vals) > 1e-7).nonzero()[0]
+            if cand.size:
+                q = int(cand[0])
+            else:
+                cand = (np.abs(binv[r] * self.slack_sign) > 1e-7).nonzero()[0]
+                q = self.n + 2 * int(cand[0]) if cand.size else -1
             if q >= 0:
-                d = binv @ self._column(q) if q >= self.n else binv @ self.A[:, q]
-                piv = d[r]
                 basis[r] = q
-                binv_r = binv[r].copy()
-                binv -= np.outer(d, binv_r) / piv
-                binv[r] = binv_r / piv
-                self._updates += 1
+                self._pivot(binv, r, binv @ self._column(q))
         return basis, binv, it1
 
     def solve(self, objective, warm=None):
@@ -294,15 +338,14 @@ class Simplex:
             if binv is None:
                 return False
             xb = binv @ self.b
-            return xb.min() >= -FEAS_TOL and not any(
-                self._is_art(j) and v > FEAS_TOL for j, v in zip(cand, xb))
+            return xb.min() >= -FEAS_TOL and not (self._is_art(cand) & (xb > FEAS_TOL)).any()
 
         basis = None
         binv = None
         if warm is not None and len(warm.cols) == self.m:
-            cand = list(warm.cols)
-            if all(j < self.n + 2 * self.m for j in cand):
-                if cand == self._basis and self._binv is not None:
+            cand = np.array(warm.cols, dtype=np.int64)
+            if (cand < self.n + 2 * self.m).all():
+                if self._binv is not None and np.array_equal(cand, self._basis):
                     binv = self._binv
                 else:
                     binv = self._factorize(cand)
@@ -311,30 +354,27 @@ class Simplex:
                 else:
                     binv = None
         if basis is None and self._basis is not None and len(self._basis) == self.m:
-            cand = list(self._basis)
+            cand = self._basis.copy()
             binv = self._binv if self._binv is not None else self._factorize(cand)
             if usable(cand, binv):
                 basis = cand
             else:
                 binv = None
         if basis is None:
-            basis = self._initial_basis()
-            basis, binv, it1 = self._phase1(basis)
+            basis, binv, it1 = self._phase1()
             iters += it1
 
         basis, binv, xb, it2 = self._iterate(c_struct, basis, binv, phase=2)
         iters += it2
 
         x = np.zeros(self.n)
-        for j, v in zip(basis, xb):
-            if j < self.n:
-                x[j] = max(v, 0.0)
-        self._basis = list(basis)
+        struct = basis < self.n
+        x[basis[struct]] = np.maximum(xb[struct], 0.0)
+        self._basis = basis
         self._binv = binv
         return SolveResult(
             x=x,
             objective=float(c_struct @ x),
-            basis=Basis(tuple(basis)),
+            basis=Basis(tuple(basis.tolist())),
             iterations=iters,
         )
-

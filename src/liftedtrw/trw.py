@@ -138,6 +138,13 @@ def golden_section(f, lo=0.0, hi=1.0, tol=1e-8):
     return best
 
 
+def _new_stats():
+    """Zeroed per-phase timings (seconds) and counters of a solve."""
+    return {"lp_s": 0.0, "separate_s": 0.0, "line_search_s": 0.0, "polish_s": 0.0,
+            "lp_solves": 0, "lp_refactorizations": 0, "polish_tries": 0,
+            "polish_adopted": 0}
+
+
 @dataclass
 class TrwResult:
     """A solve's certified bound and how it ended.
@@ -145,6 +152,11 @@ class TrwResult:
     ``termination`` is ``"gap"`` when the gap reached the tolerance,
     ``"stalled"`` when the last iteration moved ``tau`` neither by the polish
     nor by the line search, and ``"iteration_limit"`` otherwise.
+
+    ``stats`` holds the time spent in direction LPs and row additions
+    (``lp_s``), cycle separation (``separate_s``), line searches
+    (``line_search_s``) and polish candidates (``polish_s``), and counts LP
+    solves, basis refactorizations, polish attempts and adopted polishes.
     """
 
     bound: float
@@ -161,6 +173,7 @@ class TrwResult:
     lp_pivots: int = 0
     n_cuts: int = 0
     cluster_counts: dict = field(default_factory=dict)
+    stats: dict = field(default_factory=_new_stats)
 
     @property
     def converged(self):
@@ -301,6 +314,8 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
                                       max_iters, polish)
         res.bound = min(res.bound, loose.bound)
         res.lp_pivots += loose.lp_pivots
+        for key, value in loose.stats.items():
+            res.stats[key] += value
     res.millis = (time.perf_counter() - t0) * 1000.0
     return res
 
@@ -327,19 +342,33 @@ def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
     n_built = len(system.cs.rows)
     kkt_dim = system.n_vars - int(system.fixed_zero.sum()) + n_built
     may_polish = polish and kkt_dim <= POLISH_SIZE_CAP
+    stats = _new_stats()
+    clock = time.perf_counter
 
     def add_cuts(x):
         """Separate cycle rows at ``x`` into the LP; report whether any were new."""
+        t = clock()
         new_rows = separate_cycles(lg, x, system.cs) if system.use_cycles else []
+        stats["separate_s"] += clock() - t
         if new_rows:
+            t = clock()
             simplex.add_rows(new_rows)
+            stats["lp_s"] += clock() - t
         return bool(new_rows)
+
+    def solve_lp(gvec, warm=None):
+        """One LP solve, counted and timed."""
+        nonlocal pivots
+        t = clock()
+        res = simplex.solve(gvec, warm=warm)
+        stats["lp_s"] += clock() - t
+        stats["lp_solves"] += 1
+        pivots += res.iterations
+        return res
 
     def direction(gvec, warm):
         """Solve the direction LP, running cut separation at its vertex."""
-        nonlocal pivots
-        res = simplex.solve(gvec, warm=warm)
-        pivots += res.iterations
+        res = solve_lp(gvec, warm)
         s = res.x
         if system.use_cycles:
             for _ in range(CUT_ROUNDS):
@@ -349,8 +378,7 @@ def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
                 if not add_cuts(s):
                     clean_vertices.add(key)
                     break
-                res = simplex.solve(gvec)
-                pivots += res.iterations
+                res = solve_lp(gvec)
                 s = res.x
         return res.basis, s
 
@@ -358,16 +386,20 @@ def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
         """Adopt the best improving face refinement that no cycle row cuts;
         report whether one was adopted."""
         nonlocal tau, F
+        stats["polish_tries"] += 1
         tols = sorted({max(1e-7, min(t, 0.2)) for t in
                        (0.5 * g_scale, 0.05 * g_scale, 1e-3, 1e-7)})
         for _ in range(CUT_ROUNDS):
+            t0 = clock()
             cands = (_newton_polish(obj, system.cs.rows, system.fixed_zero, tau, t)
                      for t in tols)
             best = max((c for c in cands if c is not None), key=obj.value, default=None)
+            stats["polish_s"] += clock() - t0
             if best is None or obj.value(best) <= F:
                 return False
             if not add_cuts(best):
                 tau, F = best, obj.value(best)
+                stats["polish_adopted"] += 1
                 return True
         return False
 
@@ -387,12 +419,15 @@ def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
             break
 
         delta = s - tau
+        t = clock()
         lam, flam = golden_section(obj.line_function(tau, delta), tol=LS_TOL)
+        stats["line_search_s"] += clock() - t
         if flam > F:
             tau = tau + lam * delta
             F = flam
             moved = True
 
+    stats["lp_refactorizations"] = simplex.refactorizations
     clusters = {cl.node_orbit: tau[cl.c_offset:cl.c_offset + cl.size + 1].copy()
                 for cl in system.clusters}
     return TrwResult(
@@ -409,4 +444,5 @@ def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
         lp_pivots=pivots,
         n_cuts=len(system.cs.rows) - n_built,
         cluster_counts=clusters,
+        stats=stats,
     )

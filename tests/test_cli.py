@@ -142,15 +142,16 @@ class TestSweep:
             assert bound_of[(w, "local+exch")] >= bound_of[(w, "cycle+exch")] - 1e-7
             assert bound_of[(w, "local")] >= bound_of[(w, "cycle")] - 1e-7
 
-    def test_empty_range_header_only(self, capsys, tmp_path):
+    @pytest.mark.parametrize("spec", ["2:1:1", "1:-1:0.5"])
+    def test_reversed_range_rejected(self, capsys, tmp_path, spec):
         out_csv = tmp_path / "empty.csv"
-        code, _, _ = run_cli(
+        code, out, err = run_cli(
             capsys, "sweep", "--model", "complete_graph", "--n", "3",
-            "--W=2:1:1", "--outer", "local", "--out", str(out_csv))
-        assert code == 0
-        lines = out_csv.read_text().strip().splitlines()
-        assert lines[0] == "schema=1"
-        assert len(lines) == 2  # schema + header
+            f"--W={spec}", "--outer", "local", "--out", str(out_csv))
+        assert code == 2
+        assert "W range is empty" in err
+        assert out == ""
+        assert not out_csv.exists()
 
     def test_clique_cycle_bounds_dominate_brute_force(self, capsys, tmp_path):
         out_csv = tmp_path / "cc.csv"

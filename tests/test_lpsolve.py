@@ -5,9 +5,10 @@ import pytest
 from scipy.optimize import linprog
 
 import liftedtrw as lt
-from liftedtrw.lpsolve import Basis, InfeasibleError, Row, Simplex
+from liftedtrw import trw
+from liftedtrw.lpsolve import REFACTOR_EVERY, Basis, InfeasibleError, Row, Simplex
 
-from conftest import build
+from conftest import build, expand_rho
 
 
 def scipy_reference(n, rows, c):
@@ -156,3 +157,91 @@ class TestInvariants:
         res = simplex.solve(lg.lifted_theta, warm=Basis(tuple(system.start_basis)))
         ref = scipy_reference(system.n_vars, system.cs.rows, lg.lifted_theta)
         assert abs(res.objective - ref) < 1e-8
+
+
+class DenseReference(Simplex):
+    """The dense rank-1 update of the whole inverse and an unconditional
+    refactorization every ``REFACTOR_EVERY`` updates: the sparse update and
+    the drift-checked refactorization must reproduce it bit for bit."""
+
+    def _pivot(self, binv, r, d):
+        piv = d[r]
+        binv_r = binv[r].copy()
+        binv -= np.outer(d / piv, binv_r)
+        binv[r] = binv_r / piv
+        self._updates += 1
+
+    def _refactor_due(self, basis, binv, optimal):
+        return not optimal and self._updates >= REFACTOR_EVERY
+
+
+def assert_same_solve(a, b):
+    assert a.x.tobytes() == b.x.tobytes()
+    assert a.basis == b.basis
+    assert a.iterations == b.iterations
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_lps(self, seed):
+        n, rows, c = random_local_lp(seed)
+        assert_same_solve(Simplex(n, rows).solve(c), DenseReference(n, rows).solve(c))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_warm_start_sequences(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n, rows, c = random_local_lp(seed)
+        fast, ref = Simplex(n, rows), DenseReference(n, rows)
+        basis = None
+        for _ in range(20):
+            c2 = c + 0.1 * rng.normal(size=n)
+            a = fast.solve(c2, warm=basis)
+            assert_same_solve(a, ref.solve(c2, warm=basis))
+            basis = a.basis
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_after_add_rows(self, seed):
+        n, rows, c = random_local_lp(seed)
+        fast, ref = Simplex(n, rows), DenseReference(n, rows)
+        res = fast.solve(c)
+        assert_same_solve(res, ref.solve(c))
+        top = int(np.argmax(res.x))
+        cut = Row.make({top: 1.0}, "<=", 0.5 * res.x[top])
+        fast.add_rows([cut])
+        ref.add_rows([cut])
+        assert_same_solve(fast.solve(c), ref.solve(c))
+
+    def test_ground_trw(self, monkeypatch):
+        g = build("complete_graph", 12, -1.0)
+        lg = lt.compute_orbits(g)
+        rho_g = expand_rho(lg, lt.init_rho_uniform(lg))
+        settings = dict(outer="local", tol=1e-4, max_iters=15, polish=False)
+        res = lt.ground_trw(g, rho_g, **settings)
+        monkeypatch.setattr(trw, "Simplex", DenseReference)
+        ref = lt.ground_trw(g, rho_g, **settings)
+        assert np.float64(res.bound).tobytes() == np.float64(ref.bound).tobytes()
+        assert res.lp_pivots == ref.lp_pivots
+        # the reference did refactorize on its cadence; the drift checks did not
+        assert res.stats["lp_refactorizations"] < ref.stats["lp_refactorizations"]
+
+
+class TestDrift:
+    def test_clean_inverse_kept(self):
+        n, rows, c = random_local_lp(3)
+        simplex = Simplex(n, rows)
+        first = simplex.solve(c)
+        count = simplex.refactorizations
+        simplex.solve(c, warm=first.basis)
+        simplex.solve(-c, warm=first.basis)
+        assert simplex.refactorizations == count
+
+    def test_drifted_inverse_refactorized_at_optimality(self):
+        n, rows, c = random_local_lp(3)
+        simplex = Simplex(n, rows)
+        first = simplex.solve(c)
+        count = simplex.refactorizations
+        simplex._binv[0, 0] += 1e-6   # b[0] = 1, so B (B^-1 b) moves off b
+        res = simplex.solve(c, warm=first.basis)
+        assert simplex.refactorizations == count + 1
+        cold = Simplex(n, rows).solve(c)
+        assert res.x.tobytes() == cold.x.tobytes()

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import liftedtrw as lt
 from liftedtrw.polytope import build_outer_system, separate_cycles
-from liftedtrw.trw import (TrwObjective, entropy_coefficients, frank_wolfe,
-                           golden_section, gradient, lifted_entropy_bound,
-                           lifted_linear_term)
+from liftedtrw.trw import (TrwObjective, _conditional_gradient, entropy_coefficients,
+                           frank_wolfe, golden_section, gradient,
+                           lifted_entropy_bound, lifted_linear_term)
 
 from conftest import build, expand_rho, ground_entropy_bound
 
@@ -298,6 +298,27 @@ class TestFrankWolfe:
         assert res.converged == (termination == "gap")
         if not res.converged:
             assert res.iterations == 200 and res.gap_trace[-1] > 0.2
+
+    def test_stats_keys_and_types(self):
+        """``stats`` holds float timings and int counters; a ``+exch`` solve
+        adds the counts of its looser solve."""
+        lg = lt.compute_orbits(build("clique_cycle", 4, 0.5))
+        rho = lt.init_rho_uniform(lg)
+        res = frank_wolfe(lg, outer="cycle+exch", rho=rho, tol=1e-5, max_iters=200)
+        timings = {"lp_s", "separate_s", "line_search_s", "polish_s"}
+        counters = {"lp_solves", "lp_refactorizations", "polish_tries",
+                    "polish_adopted"}
+        assert set(res.stats) == timings | counters
+        assert all(type(res.stats[k]) is float and res.stats[k] >= 0.0 for k in timings)
+        assert all(type(res.stats[k]) is int for k in counters)
+        assert res.cluster_counts
+        parts = [_conditional_gradient(lg, outer, rho, 1e-5, 200, True)
+                 for outer in ("cycle+exch", "cycle")]
+        for k in counters:
+            assert res.stats[k] == sum(p.stats[k] for p in parts), k
+        assert res.stats["lp_solves"] >= res.iterations
+        assert 0 < res.stats["polish_adopted"] <= res.stats["polish_tries"]
+        assert res.stats["lp_refactorizations"] >= 1
 
     def test_zero_entropy_weights_reach_their_bound(self, ring_model):
         """A tree-polytope point with rho 0 on two ground edges leaves 18 of
