@@ -14,14 +14,15 @@ artificial columns are unit vectors handled implicitly.
 
 The explicit basis inverse is updated in place at each pivot.  On matrices
 of 64 rows or more the rank-1 update touches only the columns where the
-leaving row of the inverse is nonzero, when those are fewer than a quarter
-(a few percent of them on ground local LPs); every other column would only
-have zero subtracted, so the result is the same as the full update's.  The
-inverse is computed afresh only when it has drifted: every
-``REFACTOR_EVERY`` updates, and when a solve reaches optimality with an
-updated inverse, the residual ``max |B (B^-1 b) - b|`` is measured without
-forming ``B``, and one above ``DRIFT_TOL`` triggers a factorization (at
-optimality followed by another round of pricing).
+leaving row of the inverse is nonzero (a few percent of them on ground local
+LPs); every other column would only have zero subtracted, so the result is
+the same as the full update's.  The inverse is computed afresh only when it
+has drifted: every ``REFACTOR_EVERY`` updates, and when a solve reaches
+optimality with an updated inverse, the residual ``max |B (B^-1 v) - v|``
+with ``v = b + 1`` is measured without forming ``B``, and one above
+``DRIFT_TOL`` triggers a factorization (at optimality followed by another
+round of pricing).  ``v`` is nonzero in every row, so an error in any column
+of the inverse shows in the residual; most rows of a local LP have ``b = 0``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ PIVOT_TOL = 1e-9
 OPT_TOL = 1e-9
 FEAS_TOL = 1e-7
 REFACTOR_EVERY = 50     # updates between drift checks
-DRIFT_TOL = 1e-9        # largest residual max|B (B^-1 b) - b| kept
+DRIFT_TOL = 1e-9        # largest residual max|B (B^-1 v) - v| kept
 
 
 class InfeasibleError(Exception):
@@ -97,9 +98,6 @@ class Simplex:
         self._updates = 0
         self.refactorizations = 0
 
-    def _is_art(self, codes):
-        return self._art_code[codes]
-
     def _build(self):
         n = self.n
         m = len(self.rows)
@@ -144,7 +142,7 @@ class Simplex:
     def _unit_columns(self, basis):
         """Positions of the slack and artificial codes in ``basis``, their
         rows and their nonzero coefficients."""
-        k = (basis >= self.n).nonzero()[0]
+        k = np.flatnonzero(basis >= self.n)
         codes = basis[k]
         return k, (codes - self.n) // 2, self._unit_coef[codes]
 
@@ -166,14 +164,17 @@ class Simplex:
         return binv
 
     def _drift(self, basis, binv):
-        """``max |B (B^-1 b) - b|`` for the inverse ``binv`` of ``basis``."""
-        xb = binv @ self.b
+        """``max |B (B^-1 v) - v|`` with ``v = b + 1`` for the inverse
+        ``binv`` of ``basis``.  Rows are signed so that ``b >= 0``; hence
+        ``v`` is nonzero in every row and every column of ``binv`` enters."""
+        v = self.b + 1.0
+        xv = binv @ v
         struct = basis < self.n
         x = np.zeros(self.n)
-        x[basis[struct]] = xb[struct]
-        resid = self.A @ x - self.b
+        x[basis[struct]] = xv[struct]
+        resid = self.A @ x - v
         k, i, coef = self._unit_columns(basis)
-        np.add.at(resid, i, coef * xb[k])
+        np.add.at(resid, i, coef * xv[k])
         return float(np.abs(resid).max(initial=0.0))
 
     def _initial_basis(self, first=0):
@@ -187,7 +188,7 @@ class Simplex:
             struct = basis < self.n
             cb[struct] = c_struct[basis[struct]]
         else:
-            cb[self._is_art(basis)] = -1.0
+            cb[self._art_code[basis]] = -1.0
         return cb
 
     def _pivot(self, binv, r, d):
@@ -195,16 +196,16 @@ class Simplex:
         at basis position ``r``.
 
         Only the columns where row ``r`` of ``binv`` is nonzero change; the
-        others would have zero subtracted.  Gathering and scattering a column
-        costs several times updating it in place, and below about 64 rows the
-        call overhead dominates, so the update is restricted to those columns
-        only when they are fewer than a quarter of a larger matrix.  Both
-        forms compute the same products (those of ``np.outer``).
+        others would have zero subtracted.  On small matrices gathering and
+        scattering those columns costs more than the whole update (the
+        crossover lies between 64 and 128 rows for leaving rows 1% to 12%
+        nonzero), so matrices under 64 rows are updated whole.  Both forms
+        compute the same products (those of ``np.outer``).
         """
         piv = d[r]
         binv_r = binv[r].copy()
-        nz = binv_r.nonzero()[0]
-        if self.m >= 64 and 4 * nz.size < self.m:
+        if self.m >= 64:
+            nz = np.flatnonzero(binv_r)
             binv[:, nz] -= (d / piv)[:, None] * binv_r[nz]
         else:
             binv -= (d / piv)[:, None] * binv_r
@@ -232,6 +233,9 @@ class Simplex:
         cb = self._objvec(basis, c_struct, phase)
         has_slack = self.slack_sign.nonzero()[0]
         cs = c_struct if phase == 2 else np.zeros(self.n)
+        # the pivot loop calls array methods, not np.argmax and np.nonzero,
+        # whose wrappers cost about 1 us a call: 8% of the LP time on LPs of
+        # a few dozen rows
         while True:
             iters += 1
             y = cb @ binv
@@ -280,7 +284,7 @@ class Simplex:
             rmin = ratios.min()
             # ties: artificials leave first, then the smallest code
             ties = (ratios <= rmin + 1e-12).nonzero()[0]
-            art = self._is_art(basis[ties])
+            art = self._art_code[basis[ties]]
             if art.any():
                 ties = ties[art]
             r = int(ties[basis[ties].argmin()])
@@ -307,18 +311,18 @@ class Simplex:
         basis = self._initial_basis()
         binv = self._factorize(basis)
         basis, binv, xb, it1 = self._iterate(np.zeros(self.n), basis, binv, phase=1)
-        infeas = float(xb[self._is_art(basis)].sum())
+        infeas = float(xb[self._art_code[basis]].sum())
         if infeas > 1e-7:
             raise InfeasibleError(f"phase 1 residual {infeas:.3e}")
         # pivot remaining artificials out where the row is not redundant
-        for r in self._is_art(basis).nonzero()[0]:
+        for r in np.flatnonzero(self._art_code[basis]):
             row_vals = binv[r] @ self.A
             row_vals[self.block_struct] = 0.0
-            cand = (np.abs(row_vals) > 1e-7).nonzero()[0]
+            cand = np.nonzero(np.abs(row_vals) > 1e-7)[0]
             if cand.size:
                 q = int(cand[0])
             else:
-                cand = (np.abs(binv[r] * self.slack_sign) > 1e-7).nonzero()[0]
+                cand = np.flatnonzero(np.abs(binv[r] * self.slack_sign) > 1e-7)
                 q = self.n + 2 * int(cand[0]) if cand.size else -1
             if q >= 0:
                 basis[r] = q
@@ -338,7 +342,7 @@ class Simplex:
             if binv is None:
                 return False
             xb = binv @ self.b
-            return xb.min() >= -FEAS_TOL and not (self._is_art(cand) & (xb > FEAS_TOL)).any()
+            return xb.min() >= -FEAS_TOL and not (self._art_code[cand] & (xb > FEAS_TOL)).any()
 
         basis = None
         binv = None

@@ -159,6 +159,15 @@ class TestInvariants:
         assert abs(res.objective - ref) < 1e-8
 
 
+def ground_local_lp():
+    """The ground local LP of ``complete_graph`` n=12 (210 rows, most with
+    right-hand side 0), its objective and its crash basis."""
+    from liftedtrw.symmetry import trivial_lifting
+    lg0 = trivial_lifting(build("complete_graph", 12, -1.0))
+    system = lt.build_outer_system(lg0, "local")
+    return system, lg0.lifted_theta, Basis(tuple(system.start_basis))
+
+
 class DenseReference(Simplex):
     """The dense rank-1 update of the whole inverse and an unconditional
     refactorization every ``REFACTOR_EVERY`` updates: the sparse update and
@@ -211,6 +220,55 @@ class TestDenseReference:
         ref.add_rows([cut])
         assert_same_solve(fast.solve(c), ref.solve(c))
 
+    def test_ground_warm_start_sequence(self):
+        system, c, basis = ground_local_lp()
+        assert len(system.cs.rows) >= 64   # the nonzero-column update
+        rng = np.random.default_rng(7)
+        fast, ref = (cls(system.n_vars, system.cs.rows, system.fixed_zero)
+                     for cls in (Simplex, DenseReference))
+        updates = 0
+        for _ in range(12):
+            c2 = c + 0.5 * rng.normal(size=c.size)
+            a = fast.solve(c2, warm=basis)
+            assert_same_solve(a, ref.solve(c2, warm=basis))
+            updates += a.iterations
+            basis = a.basis
+        assert updates > REFACTOR_EVERY
+
+    def test_ground_after_add_rows(self):
+        system, c, basis = ground_local_lp()
+        fast, ref = (cls(system.n_vars, system.cs.rows, system.fixed_zero)
+                     for cls in (Simplex, DenseReference))
+        res = fast.solve(c, warm=basis)
+        assert_same_solve(res, ref.solve(c, warm=basis))
+        top = np.argsort(-res.x)[:3]
+        cuts = [Row.make({int(j): 1.0}, "<=", 0.5 * res.x[j]) for j in top]
+        fast.add_rows(cuts)
+        ref.add_rows(cuts)
+        c2 = c + 0.1
+        assert_same_solve(fast.solve(c2, warm=res.basis), ref.solve(c2, warm=res.basis))
+
+    def test_ground_inverse_bytes(self):
+        """Each update of the inverse equals the dense update byte for byte,
+        over a cold solve and a warm-started sequence."""
+        class Checked(Simplex):
+            def _pivot(self, binv, r, d):
+                dense, updates = binv.copy(), self._updates
+                DenseReference._pivot(self, dense, r, d)
+                self._updates = updates
+                super()._pivot(binv, r, d)
+                assert binv.tobytes() == dense.tobytes()
+                self.checked += 1
+
+        system, c, _ = ground_local_lp()
+        simplex = Checked(system.n_vars, system.cs.rows, system.fixed_zero)
+        simplex.checked = 0
+        rng = np.random.default_rng(8)
+        basis = None
+        for _ in range(6):
+            basis = simplex.solve(c + 0.5 * rng.normal(size=c.size), warm=basis).basis
+        assert simplex.m >= 64 and simplex.checked > REFACTOR_EVERY
+
     def test_ground_trw(self, monkeypatch):
         g = build("complete_graph", 12, -1.0)
         lg = lt.compute_orbits(g)
@@ -244,4 +302,19 @@ class TestDrift:
         res = simplex.solve(c, warm=first.basis)
         assert simplex.refactorizations == count + 1
         cold = Simplex(n, rows).solve(c)
+        assert res.x.tobytes() == cold.x.tobytes()
+
+    def test_drift_in_zero_rhs_column_refactorized(self):
+        """An error in a column of the inverse whose right-hand side is 0
+        does not move ``B^-1 b``; the drift check must still see it."""
+        system, c, basis = ground_local_lp()
+        simplex = Simplex(system.n_vars, system.cs.rows, system.fixed_zero)
+        first = simplex.solve(c, warm=basis)
+        j = int(np.flatnonzero(simplex.b == 0.0)[0])
+        i = int(np.argmax(np.abs(simplex._binv[:, j])))
+        count = simplex.refactorizations
+        simplex._binv[i, j] += 1e-6
+        res = simplex.solve(c, warm=first.basis)
+        assert simplex.refactorizations == count + 1
+        cold = Simplex(system.n_vars, system.cs.rows, system.fixed_zero).solve(c, warm=basis)
         assert res.x.tobytes() == cold.x.tobytes()
