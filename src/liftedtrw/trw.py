@@ -27,6 +27,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 LS_TOL = 1e-8            # golden-section bracket width of the line search
 CUT_ROUNDS = 50          # separate-and-resolve rounds per direction LP
 POLISH_SIZE_CAP = 1500   # largest KKT system the polish may factor
+EQ_TOL = 1e-7            # largest equality-row residual a certified tau may have
 
 
 def entropy_coefficients(lg, rho):
@@ -141,8 +142,8 @@ def golden_section(f, lo=0.0, hi=1.0, tol=1e-8):
 def _new_stats():
     """Zeroed per-phase timings (seconds) and counters of a solve."""
     return {"lp_s": 0.0, "separate_s": 0.0, "line_search_s": 0.0, "polish_s": 0.0,
-            "lp_solves": 0, "lp_refactorizations": 0, "polish_tries": 0,
-            "polish_adopted": 0}
+            "eq_residual": 0.0, "lp_solves": 0, "lp_refactorizations": 0,
+            "polish_tries": 0, "polish_adopted": 0}
 
 
 @dataclass
@@ -157,6 +158,9 @@ class TrwResult:
     (``lp_s``), cycle separation (``separate_s``), line searches
     (``line_search_s``) and polish candidates (``polish_s``), and counts LP
     solves, basis refactorizations, polish attempts and adopted polishes.
+    ``eq_residual`` is the largest equality-row residual ``|A tau - b|`` of
+    the returned ``tau``; a ``"gap"`` termination above ``EQ_TOL`` raises,
+    since the bound's concavity argument needs ``tau`` on those rows.
     """
 
     bound: float
@@ -181,27 +185,15 @@ class TrwResult:
         return self.termination == "gap"
 
 
-def _face_newton(obj, free, active, tau):
-    """Newton iteration for the stationary point on one active face.
+def _face_newton(obj, free, E, b_e, tau):
+    """Newton iteration for the stationary point on the face ``E x = b_e``.
 
     The KKT matrix has no multiplier regularization, so steps land exactly on
     the face and the active rows must be independent; its small negative
     primal diagonal moves coordinates without entropy weight to their bound.
     """
     nf = free.size
-    col_of = {int(j): k for k, j in enumerate(free)}
-    m = len(active)
-    E = np.zeros((m, nf))
-    b_e = np.zeros(m)
-    for i, row in enumerate(active):
-        b_e[i] = row.rhs
-        for j, c in row.coeffs:
-            k = col_of.get(int(j))
-            if k is not None:
-                E[i, k] += c
-            else:
-                b_e[i] -= c * tau[j]
-
+    m = E.shape[0]
     x = np.maximum(tau[free], 1e-12)
     kkt = np.zeros((nf + m, nf + m))
     kkt[:nf, nf:] = E.T
@@ -234,13 +226,18 @@ def _face_newton(obj, free, active, tau):
     return x
 
 
-def _newton_polish(obj, rows, fixed_zero, tau, active_tol):
+def _newton_polish(obj, lp, fixed_zero, tau, active_tol):
     """Refine ``tau`` by Newton steps on its active face.
 
     Runs an active-set loop: solve the equality-constrained stationarity
     system on the current face, then add any inequality rows the candidate
     violates and retry.  Returns a feasible candidate or None; the caller
     must still gate on objective improvement and re-certify the LP gap.
+
+    The rows are those of the direction LP ``lp``: its equality rows have
+    ``slack_sign == 0``, and an inequality's violation is
+    ``slack_sign * (A x - b)``, since the simplex negates rows of negative
+    right-hand side.
     """
     n = obj.n_vars
     tau = np.asarray(tau, dtype=float)
@@ -249,39 +246,28 @@ def _newton_polish(obj, rows, fixed_zero, tau, active_tol):
     if free.size == 0:
         return None
 
-    active = []
-    inactive = []
-    for row in rows:
-        val = sum(c * tau[j] for j, c in row.coeffs)
-        if row.rel == "=" or val >= row.rhs - active_tol:
-            active.append(row)
-        else:
-            inactive.append(row)
-
+    A, b, sign = lp.A, lp.b, lp.slack_sign
+    is_active = (sign == 0.0) | (sign * (A @ tau - b) >= -active_tol)
+    active = np.flatnonzero(is_active)
+    inactive = np.flatnonzero(~is_active)
     for _ in range(6):
-        x = _face_newton(obj, free, active, tau)
+        # np.ix_ blocks are row-major; a column-major block (A[active][:, free])
+        # sums E @ x in another order, which changes the last bits
+        b_e = b[active] - A[np.ix_(active, pinned)] @ tau[pinned]
+        x = _face_newton(obj, free, A[np.ix_(active, free)], b_e, tau)
         if x is None:
             return None
         cand = np.zeros(n)
         cand[free] = np.maximum(x, 0.0)
-        violated = []
-        still = []
-        for row in inactive:
-            val = sum(c * cand[j] for j, c in row.coeffs)
-            if val > row.rhs + 1e-9:
-                violated.append(row)
-            else:
-                still.append(row)
-        if not violated:
-            for row in active:
-                val = sum(c * cand[j] for j, c in row.coeffs)
-                if row.rel == "=" and abs(val - row.rhs) > 1e-8:
-                    return None
-                if row.rel == "<=" and val > row.rhs + 1e-8:
-                    return None
+        violated = sign[inactive] * (A[inactive] @ cand - b[inactive]) > 1e-9
+        if not violated.any():
+            resid = A[active] @ cand - b[active]
+            s = sign[active]
+            if (np.where(s == 0.0, np.abs(resid), s * resid) > 1e-8).any():
+                return None
             return cand
-        active = active + violated
-        inactive = still
+        active = np.concatenate([active, inactive[violated]])
+        inactive = inactive[~violated]
     return None
 
 
@@ -315,7 +301,8 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
         res.bound = min(res.bound, loose.bound)
         res.lp_pivots += loose.lp_pivots
         for key, value in loose.stats.items():
-            res.stats[key] += value
+            if key != "eq_residual":  # that of the returned tau
+                res.stats[key] += value
     res.millis = (time.perf_counter() - t0) * 1000.0
     return res
 
@@ -391,7 +378,7 @@ def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
                        (0.5 * g_scale, 0.05 * g_scale, 1e-3, 1e-7)})
         for _ in range(CUT_ROUNDS):
             t0 = clock()
-            cands = (_newton_polish(obj, system.cs.rows, system.fixed_zero, tau, t)
+            cands = (_newton_polish(obj, simplex, system.fixed_zero, tau, t)
                      for t in tols)
             best = max((c for c in cands if c is not None), key=obj.value, default=None)
             stats["polish_s"] += clock() - t0
@@ -428,6 +415,11 @@ def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
             moved = True
 
     stats["lp_refactorizations"] = simplex.refactorizations
+    eq = simplex.slack_sign == 0.0
+    stats["eq_residual"] = float(np.abs(simplex.A[eq] @ tau - simplex.b[eq]).max(initial=0.0))
+    if converged and stats["eq_residual"] > EQ_TOL:
+        raise RuntimeError(f"gap termination off the equality rows: residual "
+                           f"{stats['eq_residual']:.3e} > {EQ_TOL}")
     clusters = {cl.node_orbit: tau[cl.c_offset:cl.c_offset + cl.size + 1].copy()
                 for cl in system.clusters}
     return TrwResult(

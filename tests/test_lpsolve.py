@@ -1,5 +1,7 @@
 """LP solver tests against scipy.optimize.linprog and structural invariants."""
 
+import time
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -79,6 +81,17 @@ class TestSolve:
         rows = [Row.make({0: 1.0}, "=", 1.0), Row.make({0: 1.0}, "=", 2.0)]
         with pytest.raises(InfeasibleError):
             Simplex(1, rows).solve(np.array([1.0]))
+
+    def test_pricing_rounds_are_bounded(self, monkeypatch):
+        """With an inverse that pivots leave stale, pricing picks the same
+        columns forever; the solve raises after 50 (m + n) rounds."""
+        n, rows, c = random_local_lp(5)
+        monkeypatch.setattr(Simplex, "_pivot", lambda self, binv, r, d: None)
+        simplex = Simplex(n, rows)
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match=f"made {50 * (simplex.m + n)} pricing rounds"):
+            simplex.solve(c)
+        assert time.perf_counter() - t0 < 5.0
 
     def test_fixed_zero_variables_stay_zero(self):
         rows = [Row.make({0: 1.0, 1: 1.0}, "<=", 1.0)]

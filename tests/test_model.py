@@ -171,6 +171,15 @@ class TestBuilder:
         np.testing.assert_array_equal(g.structural_zero[0], zero.T)
 
 
+    def test_self_loop_rejected(self):
+        """No edge joins a node to itself (as in ``ground``); cluster
+        detection counts an orbit's edges as its member pairs."""
+        b = lt.GroundModelBuilder(range(2))
+        atom = b.add_node("atom", "V", (0,), 2)
+        with pytest.raises(ModelError, match="itself"):
+            b.add_edge_theta(atom, atom, np.zeros((2, 2)))
+        assert b.build().edges == []
+
     def test_readding_a_node_must_match(self):
         b = lt.GroundModelBuilder(range(2))
         node = b.add_node("atom", "V", (0,), 2, provenance="f0")

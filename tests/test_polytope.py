@@ -211,6 +211,62 @@ class TestClusterDetection:
         assert detect_exchangeable_clusters(lg) == []
 
 
+def pair_scan_clusters(lg):
+    """Clusters by definition: a unary binary-atom node orbit of two or more
+    members, every member pair joined by a ground edge, and all those edges
+    in one flip-symmetric edge orbit of n(n-1)/2 edges."""
+    model = lg.model
+    out = []
+    for orb in lg.node_orbits:
+        nd = model.nodes[orb.rep]
+        if nd.kind != "atom" or nd.n_values != 2 or len(nd.consts) != 1 or orb.size < 2:
+            continue
+        edges = [model.edge_index.get((a, b))
+                 for a, b in itertools.combinations(sorted(orb.members), 2)]
+        if None in edges:
+            continue
+        eo_ids = {int(lg.edge_orbit_of[k]) for k in edges}
+        if len(eo_ids) != 1:
+            continue
+        eo = lg.edge_orbits[eo_ids.pop()]
+        if eo.flip and eo.size == len(edges):
+            out.append(polytope.Cluster(orb.id, eo.id, orb.size))
+    return out
+
+
+class TestClusterReference:
+    @pytest.mark.parametrize("name", ["complete_graph", "friends_smokers", "clique_cycle"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_bundled_models_match_pair_scan(self, name, n):
+        lg = lt.compute_orbits(build(name, n, 0.5))
+        pairs = [(e.u, e.v) for e in lg.model.edges]
+        assert all(u != v for u, v in pairs) and len(set(pairs)) == len(pairs)
+        clusters = detect_exchangeable_clusters(lg)
+        assert clusters == pair_scan_clusters(lg)
+        assert bool(clusters) == (name != "friends_smokers" and n > 1)
+        clustered = {cl.node_orbit for cl in clusters}
+        for orb in lg.node_orbits:
+            if orb.id not in clustered:
+                with pytest.raises(NotExchangeable):
+                    exchangeable_constraints(lg, orb.id, lg.n_vars)
+
+    def test_ring_pendant_matches_pair_scan(self, ring_lifted):
+        """The core orbit has two flip-symmetric internal edge orbits, ring
+        and chord, of 5 edges each; neither covers its 10 pairs."""
+        core = [eo for eo in ring_lifted.edge_orbits if eo.u_orbit == eo.v_orbit]
+        assert [(eo.flip, eo.size) for eo in core] == [(True, 5), (True, 5)]
+        assert detect_exchangeable_clusters(ring_lifted) == pair_scan_clusters(ring_lifted) == []
+
+    def test_orbit_without_flip_is_no_cluster(self):
+        """An internal edge orbit covering every pair but not flip-symmetric
+        (built by hand: grounding makes every such orbit flip-symmetric)."""
+        lg = lt.compute_orbits(build("complete_graph", 6, 0.5))
+        assert len(detect_exchangeable_clusters(lg)) == 1
+        unflipped = copy.copy(lg)
+        unflipped.edge_orbits = [dataclasses.replace(eo, flip=False) for eo in lg.edge_orbits]
+        assert detect_exchangeable_clusters(unflipped) == pair_scan_clusters(unflipped) == []
+
+
 class TestSoundness:
     @pytest.mark.parametrize("name,n,w", [
         ("complete_graph", 4, -1.0), ("clique_cycle", 3, 2.0),

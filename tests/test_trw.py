@@ -1,11 +1,15 @@
 """Objective, gradient, line search, and conditional-gradient tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liftedtrw as lt
+from liftedtrw import trw
+from liftedtrw.lpsolve import Row, Simplex
 from liftedtrw.polytope import build_outer_system, separate_cycles
 from liftedtrw.trw import (TrwObjective, _conditional_gradient, entropy_coefficients,
                            frank_wolfe, golden_section, gradient,
@@ -172,7 +176,6 @@ class TestGoldenSection:
         obj = TrwObjective(lg, rho, system.n_vars)
         tau = system.uniform_point()
         grad = obj.grad(tau)
-        from liftedtrw.lpsolve import Simplex
         s = Simplex(system.n_vars, system.cs.rows, system.fixed_zero).solve(grad).x
         phi = obj.line_function(tau, s - tau)
         lam, _ = golden_section(phi, 0.0, 1.0 - 1e-9, 1e-8)
@@ -300,22 +303,32 @@ class TestFrankWolfe:
             assert res.iterations == 200 and res.gap_trace[-1] > 0.2
 
     def test_stats_keys_and_types(self):
-        """``stats`` holds float timings and int counters; a ``+exch`` solve
-        adds the counts of its looser solve."""
+        """``stats`` holds float timings, the equality residual and int
+        counters; a ``+exch`` solve adds the timings and counts of its looser
+        solve and keeps the residual of the ``tau`` it returns."""
         lg = lt.compute_orbits(build("clique_cycle", 4, 0.5))
         rho = lt.init_rho_uniform(lg)
         res = frank_wolfe(lg, outer="cycle+exch", rho=rho, tol=1e-5, max_iters=200)
         timings = {"lp_s", "separate_s", "line_search_s", "polish_s"}
         counters = {"lp_solves", "lp_refactorizations", "polish_tries",
                     "polish_adopted"}
-        assert set(res.stats) == timings | counters
+        assert set(res.stats) == timings | counters | {"eq_residual"}
         assert all(type(res.stats[k]) is float and res.stats[k] >= 0.0 for k in timings)
         assert all(type(res.stats[k]) is int for k in counters)
+        assert type(res.stats["eq_residual"]) is float
+        assert 0.0 <= res.stats["eq_residual"] <= trw.EQ_TOL
         assert res.cluster_counts
         parts = [_conditional_gradient(lg, outer, rho, 1e-5, 200, True)
                  for outer in ("cycle+exch", "cycle")]
         for k in counters:
             assert res.stats[k] == sum(p.stats[k] for p in parts), k
+        assert res.stats["eq_residual"] == parts[0].stats["eq_residual"]
+        assert res.tau.tobytes() == parts[0].tau.tobytes()
+        eq_rows = [row for row in build_outer_system(lg, "cycle+exch").cs.rows
+                   if row.rel == "="]
+        walked = max(abs(sum(c * res.tau[j] for j, c in row.coeffs) - row.rhs)
+                     for row in eq_rows)
+        assert res.stats["eq_residual"] == pytest.approx(walked, abs=1e-15)
         assert res.stats["lp_solves"] >= res.iterations
         assert 0 < res.stats["polish_adopted"] <= res.stats["polish_tries"]
         assert res.stats["lp_refactorizations"] >= 1
@@ -360,3 +373,237 @@ class TestFrankWolfe:
         assert res.converged
         ref = frank_wolfe(lg, outer="local", rho=rho, tol=1e-6, max_iters=3000)
         assert abs(res.bound - ref.bound) < 2e-4
+
+
+# ---------------------------------------------------------------------------
+# The polish against a row-walking reference
+# ---------------------------------------------------------------------------
+
+def reference_face_newton(obj, free, active, tau):
+    """The face Newton iteration with the face built by walking ``Row.coeffs``."""
+    nf = free.size
+    col_of = {int(j): k for k, j in enumerate(free)}
+    m = len(active)
+    E = np.zeros((m, nf))
+    b_e = np.zeros(m)
+    for i, row in enumerate(active):
+        b_e[i] = row.rhs
+        for j, c in row.coeffs:
+            k = col_of.get(int(j))
+            if k is not None:
+                E[i, k] += c
+            else:
+                b_e[i] -= c * tau[j]
+
+    x = np.maximum(tau[free], 1e-12)
+    kkt = np.zeros((nf + m, nf + m))
+    kkt[:nf, nf:] = E.T
+    kkt[nf:, :nf] = E
+    rhs = np.zeros(nf + m)
+    diag = np.arange(nf)
+    for _ in range(25):
+        xs = np.maximum(x, 1e-18)
+        grad = obj.theta[free] + obj.w[free] * (1.0 + np.log(xs))
+        kkt[diag, diag] = obj.w[free] / xs - 1e-10
+        rhs[:nf] = -grad
+        rhs[nf:] = b_e - E @ x
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        dx = sol[:nf]
+        if not np.isfinite(dx).all():
+            return None
+        neg = dx < 0
+        lam = 1.0
+        if neg.any():
+            ratio = x[neg] / -dx[neg]
+            lam = min(1.0, 0.9995 * float(ratio.min()))
+        if lam <= 0:
+            break
+        x = x + lam * dx
+        if float(np.abs(dx).max()) * lam <= 1e-13 * (1.0 + float(np.abs(x).max())):
+            break
+    return x
+
+
+def reference_newton_polish(obj, rows, fixed_zero, tau, active_tol):
+    """The active-set polish with every row value summed over ``Row.coeffs``."""
+    n = obj.n_vars
+    tau = np.asarray(tau, dtype=float)
+    pinned = fixed_zero | ((tau <= 1e-10) & (obj.w == 0.0))
+    free = np.where(~pinned)[0]
+    if free.size == 0:
+        return None
+
+    active = []
+    inactive = []
+    for row in rows:
+        val = sum(c * tau[j] for j, c in row.coeffs)
+        if row.rel == "=" or val >= row.rhs - active_tol:
+            active.append(row)
+        else:
+            inactive.append(row)
+
+    for _ in range(6):
+        x = reference_face_newton(obj, free, active, tau)
+        if x is None:
+            return None
+        cand = np.zeros(n)
+        cand[free] = np.maximum(x, 0.0)
+        violated = []
+        still = []
+        for row in inactive:
+            val = sum(c * cand[j] for j, c in row.coeffs)
+            if val > row.rhs + 1e-9:
+                violated.append(row)
+            else:
+                still.append(row)
+        if not violated:
+            for row in active:
+                val = sum(c * cand[j] for j, c in row.coeffs)
+                if row.rel == "=" and abs(val - row.rhs) > 1e-8:
+                    return None
+                if row.rel == "<=" and val > row.rhs + 1e-8:
+                    return None
+            return cand
+        active = active + violated
+        inactive = still
+    return None
+
+
+def _candidate_bytes(cand):
+    return None if cand is None else cand.tobytes()
+
+
+class TestNewtonPolish:
+    ACTIVE_TOLS = (1e-7, 1e-3, 0.05, 0.2)
+
+    @staticmethod
+    def _iterates(monkeypatch, lg, outer):
+        """``(objective, rows, fixed_zero, tau)`` at the iterates of a
+        polishing and a non-polishing solve, with the LP's rows, cuts
+        included, at that iterate."""
+        points = {}
+        lps = []
+        polish = trw._newton_polish
+        line_function = TrwObjective.line_function
+
+        class Recorded(Simplex):
+            def __init__(self, *args):
+                super().__init__(*args)
+                lps.append(self)
+
+        def record(obj, lp, tau):
+            points.setdefault((tau.tobytes(), lp.m),
+                              (obj, list(lp.rows), lp.fixed_zero, tau.copy()))
+
+        def polish_recorded(obj, lp, fixed_zero, tau, active_tol):
+            record(obj, lp, tau)
+            return polish(obj, lp, fixed_zero, tau, active_tol)
+
+        def line_recorded(obj, x, delta):
+            record(obj, lps[-1], x)
+            return line_function(obj, x, delta)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(trw, "Simplex", Recorded)
+            mp.setattr(trw, "_newton_polish", polish_recorded)
+            mp.setattr(TrwObjective, "line_function", line_recorded)
+            rho = lt.init_rho_uniform(lg)
+            for polish_on in (True, False):
+                frank_wolfe(lg, outer=outer, rho=rho, tol=1e-6, max_iters=30,
+                            polish=polish_on)
+        return list(points.values())
+
+    @pytest.mark.parametrize("outer", ["local", "cycle", "local+exch", "cycle+exch"])
+    @pytest.mark.parametrize("name, n, w", [
+        ("complete_graph", 4, -1.0), ("friends_smokers", 3, 1.0),
+        ("clique_cycle", 3, 2.0), ("ring_pendant", 5, 3.0),
+    ])
+    def test_matches_row_walk_at_iterates(self, monkeypatch, name, n, w, outer):
+        """At Frank-Wolfe iterates, with the cycle rows found so far, the
+        polish read from the LP's matrix returns the bytes (or None) of the
+        polish that walks the rows."""
+        g = (lt.zoo.ring_pendant_model(scale=w) if name == "ring_pendant"
+             else build(name, n, w))
+        lg = lt.compute_orbits(g)
+        points = self._iterates(monkeypatch, lg, outer)
+        found = []
+        for obj, rows, fixed_zero, tau in points:
+            lp = Simplex(obj.n_vars, rows, fixed_zero)
+            for t in self.ACTIVE_TOLS:
+                got = _candidate_bytes(trw._newton_polish(obj, lp, fixed_zero, tau, t))
+                want = _candidate_bytes(reference_newton_polish(obj, rows, fixed_zero,
+                                                                tau, t))
+                assert got == want, t
+                found.append(got is not None)
+        assert any(found)
+        row_counts = {len(rows) for _obj, rows, _fz, _tau in points}
+        if outer.startswith("cycle") and name in ("clique_cycle", "ring_pendant"):
+            assert len(row_counts) > 1   # iterates before and after cuts
+
+    @pytest.mark.parametrize("theta, start, expected", [
+        # the entropy maximum (1/3 each) violates x0 >= 0.5: the row is added
+        ((0.0, 0.0, 0.0), (0.6, 0.2, 0.2), (0.5, 0.25, 0.25)),
+        ((0.0, 0.0, 0.0), (0.9, 0.05, 0.05), (0.5, 0.25, 0.25)),
+        # the maximum has x0 = e^2 / (e^2 + 2) > 0.5: the row stays inactive
+        ((2.0, 0.0, 0.0), (0.6, 0.2, 0.2), None),
+    ])
+    def test_negative_rhs_row(self, theta, start, expected):
+        """``-x0 <= -0.5``, which the simplex stores negated with
+        ``slack_sign`` -1, is held as ``x0 >= 0.5``, never reversed, both in
+        the active set and in the violation test."""
+        rows = [Row.make({0: 1.0, 1: 1.0, 2: 1.0}, "=", 1.0),
+                Row.make({0: -1.0}, "<=", -0.5)]
+        lp = Simplex(3, rows)
+        assert lp.slack_sign.tolist() == [0.0, -1.0]
+        assert lp.A[1].tolist() == [1.0, 0.0, 0.0] and lp.b[1] == 0.5
+        obj = SimpleNamespace(n_vars=3, theta=np.array(theta), w=-np.ones(3))
+        tau = np.array(start)
+        fixed_zero = np.zeros(3, dtype=bool)
+        if expected is None:
+            e2 = np.exp(2.0)
+            expected = (e2 / (e2 + 2.0), 1.0 / (e2 + 2.0), 1.0 / (e2 + 2.0))
+        np.testing.assert_allclose(trw._newton_polish(obj, lp, fixed_zero, tau, 1e-3),
+                                   expected, atol=1e-12)
+        for t in self.ACTIVE_TOLS:
+            assert (_candidate_bytes(trw._newton_polish(obj, lp, fixed_zero, tau, t))
+                    == _candidate_bytes(reference_newton_polish(obj, rows, fixed_zero,
+                                                                tau, t))), t
+
+    @pytest.mark.parametrize("start, kept", [((0.6, 0.2), True), ((0.45, 0.2), False)])
+    def test_negative_rhs_row_left_off_its_face(self, start, kept):
+        """With ``theta_1 = -1e6`` every Newton step is cut short at
+        ``x_1 >= 0``, so the active row ``-x0 <= -0.5`` is left as ``x0``
+        started: kept when that satisfies ``x0 >= 0.5``, refused otherwise."""
+        lp = Simplex(2, [Row.make({0: -1.0}, "<=", -0.5)])
+        obj = SimpleNamespace(n_vars=2, theta=np.array([0.0, -1e6]), w=-np.ones(2))
+        fixed_zero = np.zeros(2, dtype=bool)
+        tau = np.array(start)
+        cand = trw._newton_polish(obj, lp, fixed_zero, tau, 0.2)
+        assert (cand is not None) == kept
+        if kept:
+            assert abs(cand[0] - start[0]) < 1e-5
+        assert (_candidate_bytes(cand) == _candidate_bytes(
+            reference_newton_polish(obj, lp.rows, fixed_zero, tau, 0.2)))
+
+    def test_gap_termination_off_the_equality_rows_raises(self, monkeypatch):
+        """A polish that lands 1e-6 off a normalization row, uphill, is
+        adopted and certified by the gap; the residual check refuses it."""
+        lg = lt.compute_orbits(build("complete_graph", 4, -1.0))
+        rho = lt.init_rho_uniform(lg)
+        clean = frank_wolfe(lg, outer="local", rho=rho, tol=1e-5, max_iters=200)
+        assert clean.converged and clean.stats["eq_residual"] <= 1e-12
+        polish = trw._newton_polish
+
+        def off_face(obj, lp, fixed_zero, tau, active_tol):
+            cand = polish(obj, lp, fixed_zero, tau, active_tol)
+            if cand is not None:
+                cand = cand.copy()
+                cand[0] += 1e-6 * np.sign(obj.grad(cand)[0])
+            return cand
+
+        monkeypatch.setattr(trw, "_newton_polish", off_face)
+        with pytest.raises(RuntimeError, match="off the equality rows"):
+            frank_wolfe(lg, outer="local", rho=rho, tol=1e-5, max_iters=200)
