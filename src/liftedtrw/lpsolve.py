@@ -55,10 +55,13 @@ class Row:
 
     @staticmethod
     def make(coeffs, rel, rhs, tag=""):
-        items = tuple(sorted((int(j), float(c)) for j, c in
-                             (coeffs.items() if isinstance(coeffs, dict) else coeffs)
-                             if c != 0.0))
-        return Row(items, rel, float(rhs), tag)
+        """A row from ``{column: coefficient}`` or ``(column, coefficient)``
+        pairs; pairs of one column are summed and zero sums dropped."""
+        summed = {}
+        for j, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
+            summed[int(j)] = summed.get(int(j), 0.0) + float(c)
+        return Row(tuple(sorted((j, c) for j, c in summed.items() if c != 0.0)),
+                   rel, float(rhs), tag)
 
     def canonical_key(self, ndigits=12):
         return (tuple((j, round(c, ndigits)) for j, c in self.coeffs),

@@ -26,7 +26,7 @@ import math
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -399,32 +399,32 @@ class GroundNode:
         return f"{self.label}({args})" if self.consts else self.label
 
 
-@dataclass(frozen=True)
-class GroundEdge:
-    u: int
-    v: int
-    tag: str | None = None
-
-
 @dataclass
 class PairwiseGroundModel:
     """Binary-or-auxiliary pairwise MRF in the overcomplete parametrization.
 
     Immutable after construction (arrays are not written to); safe to share.
-    ``_provenance`` holds the lists behind :attr:`node_provenance` and
-    :attr:`edge_provenance`, or a function that builds them on first access.
+    ``edges`` is an ``(E, 2)`` int64 array of endpoint pairs, lower node id
+    first, with each edge's tag in ``edge_tags``.  ``_provenance`` holds the
+    lists behind :attr:`node_provenance` and :attr:`edge_provenance`, or a
+    function that builds them on first access.
     """
 
     constants: tuple[int, ...]
     nodes: list[GroundNode]
-    edges: list[GroundEdge]
+    edges: np.ndarray
+    edge_tags: tuple[str | None, ...]
     theta_node: list[np.ndarray]
     theta_edge: list[np.ndarray]
     structural_zero: list[np.ndarray | None]
     _provenance: tuple | Callable = field(repr=False)
     aux_atoms: dict[int, tuple[int, int, int]] = field(default_factory=dict)
     node_index: dict = field(default_factory=dict)
-    edge_index: dict = field(default_factory=dict)
+
+    @cached_property
+    def edge_index(self):
+        """Edge id of each endpoint pair, lower node id first; built on first use."""
+        return {(u, v): k for k, (u, v) in enumerate(self.edges.tolist())}
 
     @property
     def node_provenance(self):
@@ -445,16 +445,11 @@ class PairwiseGroundModel:
     def feature_layout(self):
         """Offsets of per-node and per-edge feature blocks (cached)."""
         if not hasattr(self, "_feat"):
-            node_start = []
-            off = 0
-            for nd in self.nodes:
-                node_start.append(off)
-                off += nd.n_values
-            edge_start = []
-            for e in self.edges:
-                edge_start.append(off)
-                off += self.nodes[e.u].n_values * self.nodes[e.v].n_values
-            self._feat = (node_start, edge_start, off)
+            n_values = np.array([nd.n_values for nd in self.nodes], dtype=np.int64)
+            sizes = np.concatenate([n_values, n_values[self.edges].prod(axis=1)])
+            start = (np.cumsum(sizes) - sizes).tolist()
+            n = len(self.nodes)
+            self._feat = (start[:n], start[n:], int(sizes.sum()))
         return self._feat
 
     @property
@@ -465,8 +460,7 @@ class PairwiseGroundModel:
         return self.feature_layout()[0][i] + t
 
     def edge_feature(self, k, t, h):
-        e = self.edges[k]
-        nv = self.nodes[e.v].n_values
+        nv = self.nodes[self.edges[k, 1]].n_values
         return self.feature_layout()[1][k] + t * nv + h
 
     def theta_vector(self):
@@ -490,8 +484,8 @@ class PairwiseGroundModel:
         total = 0.0
         for i, t in enumerate(x):
             total += self.theta_node[i][t]
-        for k, e in enumerate(self.edges):
-            t, h = x[e.u], x[e.v]
+        for k, (u, v) in enumerate(self.edges.tolist()):
+            t, h = x[u], x[v]
             mask = self.structural_zero[k]
             if mask is not None and mask[t, h]:
                 return NEG_INF
@@ -525,7 +519,8 @@ class GroundModelBuilder:
         self.constants = tuple(constants)
         self.nodes = []
         self.node_index = {}
-        self.edges = []
+        self.edges = []  # endpoint pairs, lower node id first
+        self.edge_tags = []
         self.edge_index = {}
         self.theta_node = []
         self.theta_edge = []
@@ -563,7 +558,8 @@ class GroundModelBuilder:
 
         ``theta`` and ``structural_zero`` are indexed by the values of ``u``
         then ``v``, so both must have shape ``(n_values(u), n_values(v))``.
-        An edge from a node to itself is refused, as ``ground`` makes none.
+        An edge from a node to itself is refused, as ``ground`` makes none,
+        and so is re-adding an edge with another ``tag``.
         """
         if u == v:
             raise ModelError(f"edge ({u}, {v}) joins a node to itself")
@@ -577,12 +573,15 @@ class GroundModelBuilder:
         if k is None:
             k = len(self.edges)
             self.edge_index[key] = k
-            self.edges.append(GroundEdge(key[0], key[1], tag))
+            self.edges.append(key)
+            self.edge_tags.append(tag)
             nu = self.nodes[key[0]].n_values
             nv = self.nodes[key[1]].n_values
             self.theta_edge.append(np.zeros((nu, nv)))
             self.structural_zero.append(None)
             self.edge_provenance.append([])
+        elif self.edge_tags[k] != tag:
+            raise ModelError(f"edge {key} exists with tag {self.edge_tags[k]!r}")
         if u > v:
             theta = theta.T
             structural_zero = None if structural_zero is None else structural_zero.T
@@ -598,14 +597,14 @@ class GroundModelBuilder:
         return PairwiseGroundModel(
             constants=self.constants,
             nodes=self.nodes,
-            edges=self.edges,
+            edges=np.array(self.edges, dtype=np.int64).reshape(-1, 2),
+            edge_tags=tuple(self.edge_tags),
             theta_node=self.theta_node,
             theta_edge=self.theta_edge,
             structural_zero=self.structural_zero,
             _provenance=(self.node_provenance, self.edge_provenance),
             aux_atoms=self.aux_atoms,
             node_index=self.node_index,
-            edge_index=self.edge_index,
         )
 
 
@@ -865,11 +864,10 @@ def ground(model, n):
         forms, node_of, node_slot, atom_theta, aux_theta)
 
     edge_of, first = _first_seen(edge_u * len(node_codes) + edge_v)
-    edge_u, edge_v, bits = edge_u[first].tolist(), edge_v[first].tolist(), edge_bit[first]
+    edges, bits = np.stack([edge_u[first], edge_v[first]], axis=1), edge_bit[first]
     pair_theta, aux_edge_theta, edge_slot = _zeroed_blocks(bits >= 0, (2, 2), (2, 8))
     _add_pair_potentials(forms, flips, edge_slot[edge_of[edge_bit < 0]], pair_theta)
-    del edge_bit, flips  # the event arrays go before the per-element objects come
-    edges = [GroundEdge(u, v) for u, v in zip(edge_u, edge_v)]
+    del edge_u, edge_v, edge_bit, flips  # the event arrays go before the node objects come
 
     nodes = [None] * len(node_codes)
     atom_ids = np.flatnonzero(~is_aux)
@@ -891,11 +889,11 @@ def ground(model, n):
         constants=tuple(range(n)),
         nodes=nodes,
         edges=edges,
+        edge_tags=(None,) * len(edges),
         theta_node=_row_views(is_aux, node_slot, atom_theta, aux_theta),
         theta_edge=_row_views(bits >= 0, edge_slot, pair_theta, aux_edge_theta),
         structural_zero=[None if b < 0 else _AUX_ZERO[b] for b in bits.tolist()],
         _provenance=partial(_provenance, forms, node_of, edge_of),
         aux_atoms=aux_atoms,
         node_index={(nd.kind, nd.label, nd.consts): i for i, nd in enumerate(nodes)},
-        edge_index={(e.u, e.v): k for k, e in enumerate(edges)},
     )

@@ -49,8 +49,8 @@ def _scores(g, values):
     score = np.zeros(values[0].shape[0] if len(values) else 0)
     for i, th in enumerate(g.theta_node):
         score = score + th[values[i]]
-    for k, e in enumerate(g.edges):
-        score = score + g.theta_edge[k][values[e.u], values[e.v]]
+    for k, (u, v) in enumerate(g.edges.tolist()):
+        score = score + g.theta_edge[k][values[u], values[v]]
     return score
 
 
@@ -83,19 +83,17 @@ def brute_force(g, lg=None, max_states=1 << 24):
     log_z = best + math.log(total)
 
     node_marg = [np.zeros(nd.n_values) for nd in g.nodes]
-    edge_mom = [np.zeros((g.nodes[e.u].n_values, g.nodes[e.v].n_values))
-                for e in g.edges]
+    edges = g.edges.tolist()
+    edge_mom = [np.zeros((g.nodes[u].n_values, g.nodes[v].n_values)) for u, v in edges]
     for lo in range(0, n_states, CHUNK):
         states = np.arange(lo, min(lo + CHUNK, n_states))
         values = _state_values(g, states)
         p = np.exp(_scores(g, values) - log_z)
         for i, nd in enumerate(g.nodes):
             node_marg[i] += np.bincount(values[i], weights=p, minlength=nd.n_values)
-        for k, e in enumerate(g.edges):
-            nv = g.nodes[e.v].n_values
-            flat = values[e.u] * nv + values[e.v]
-            edge_mom[k] += np.bincount(flat, weights=p,
-                                       minlength=g.nodes[e.u].n_values * nv
+        for k, (u, v) in enumerate(edges):
+            flat = values[u] * g.nodes[v].n_values + values[v]
+            edge_mom[k] += np.bincount(flat, weights=p, minlength=edge_mom[k].size
                                        ).reshape(edge_mom[k].shape)
 
     mu = np.zeros(g.n_features)
@@ -161,12 +159,13 @@ def ground_kruskal(g, weights_per_edge):
             x = parent[x]
         return x
 
-    order = sorted(range(len(g.edges)), key=lambda k: (-weights[k], k))
+    edges = g.edges.tolist()
+    order = sorted(range(len(edges)), key=lambda k: (-weights[k], k))
     chosen = []
     total = 0.0
     for k in order:
-        e = g.edges[k]
-        ru, rv = find(e.u), find(e.v)
+        u, v = edges[k]
+        ru, rv = find(u), find(v)
         if ru != rv:
             parent[rv] = ru
             chosen.append(k)

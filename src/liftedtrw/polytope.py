@@ -191,18 +191,18 @@ def _mirror_graph(lg):
     adj = [[] for _ in range(2 * len(model.nodes))]
     var01, var10, sources = [], [], set()
     uf, forest = _UnionFind(len(model.nodes)), True
-    for k, e in enumerate(model.edges):
-        nu, nv = model.nodes[e.u], model.nodes[e.v]
+    for k, (u, v) in enumerate(model.edges.tolist()):
+        nu, nv = model.nodes[u], model.nodes[v]
         if not (nu.kind == nv.kind == "atom" and nu.n_values == nv.n_values == 2):
             continue
         j = len(var01)
         var01.append(int(lg.feat_to_var[model.edge_feature(k, 0, 1)]))
         var10.append(int(lg.feat_to_var[model.edge_feature(k, 1, 0)]))
-        sources.update((e.u, e.v))
-        ru, rv = uf.find(e.u), uf.find(e.v)
+        sources.update((u, v))
+        ru, rv = uf.find(u), uf.find(v)
         forest = forest and ru != rv  # an edge inside a component closes a cycle
         uf.union(ru, rv)
-        for a, b in ((e.u, e.v), (e.v, e.u)):
+        for a, b in ((u, v), (v, u)):
             adj[2 * a].append((2 * b, j, False))
             adj[2 * a + 1].append((2 * b + 1, j, False))
             adj[2 * a].append((2 * b + 1, j, True))
@@ -356,10 +356,8 @@ class OuterSystem:
             if not zeros:
                 continue
             u0, v0 = eo.rep
-            k = lg.model.edge_index[(min(u0, v0), max(u0, v0))]
-            e = lg.model.edges[k]
-            mask = lg.model.structural_zero[k]
-            th = mask if (u0, v0) == (e.u, e.v) else mask.T
+            mask = lg.model.structural_zero[int(np.argmax(lg.edge_orbit_of == eo.id))]
+            th = mask if u0 < v0 else mask.T  # edges are stored lower node first
             allowed = (~th)
             nu, nv = th.shape
             # uniform over the larger endpoint's values, consistent pairs only

@@ -105,11 +105,11 @@ def node_pattern(model, i, distinguished=frozenset()):
 
 def edge_pattern(model, k, distinguished=frozenset()):
     """Canonical key, flip flag and canonical orientation of a ground edge."""
-    e = model.edges[k]
-    key, flip, forward = _edge_key(e.tag or "", _node_info(model.nodes[e.u], distinguished),
-                                   _node_info(model.nodes[e.v], distinguished),
-                                   distinguished)
-    return key, flip, ((e.u, e.v) if forward else (e.v, e.u))
+    u, v = model.edges[k].tolist()
+    key, flip, forward = _edge_key(model.edge_tags[k] or "",
+                                   _node_info(model.nodes[u], distinguished),
+                                   _node_info(model.nodes[v], distinguished), distinguished)
+    return key, flip, ((u, v) if forward else (v, u))
 
 
 @dataclass
@@ -234,13 +234,14 @@ def compute_orbits(model, distinguished=frozenset()):
         node_orbit_of[members] = oid
 
     edge_groups = {}  # key -> (edge ids, oriented members, flip flags)
-    for k, e in enumerate(model.edges):
-        key, flip, forward = _edge_key(e.tag or "", info[e.u], info[e.v], distinguished)
+    # endpoint columns as int lists: no per-edge list for the garbage collector
+    for k, (u, v, tag) in enumerate(zip(*model.edges.T.tolist(), model.edge_tags)):
+        key, flip, forward = _edge_key(tag or "", info[u], info[v], distinguished)
         group = edge_groups.get(key)
         if group is None:
             group = edge_groups[key] = ([], [], set())
         group[0].append(k)
-        group[1].append((e.u, e.v) if forward else (e.v, e.u))
+        group[1].append((u, v) if forward else (v, u))
         group[2].add(flip)
     edge_orbits = []
     edge_orbit_of = np.zeros(max(len(model.edges), 1), dtype=int)
@@ -297,8 +298,10 @@ def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of):
 
     edge_var_map = []
     edge_block = [None] * len(model.edges)  # edge id -> its features' var ids
+    # orbits list their members in edge-id order, as a stable argsort does
+    by_orbit = iter(np.argsort(edge_orbit_of[:len(model.edges)], kind="stable").tolist())
     for orb in edge_orbits:
-        e_ids = [model.edge_index[(u, v) if u < v else (v, u)] for u, v in orb.members]
+        e_ids = list(itertools.islice(by_orbit, orb.size))
         flipped = [u > v for u, v in orb.members]  # stored as (v, u)
         theta_stack = np.stack([model.theta_edge[k].T if f else model.theta_edge[k]
                                 for k, f in zip(e_ids, flipped)], axis=-1)
@@ -384,8 +387,8 @@ def trivial_lifting(model):
     node_orbits = [NodeOrbit(i, ("ground-node", i), [i], nd.n_values)
                    for i, nd in enumerate(model.nodes)]
     node_orbit_of = np.arange(len(model.nodes))
-    edge_orbits = [EdgeOrbit(k, ("ground-edge", k), [(e.u, e.v)], e.u, e.v, False)
-                   for k, e in enumerate(model.edges)]
+    edge_orbits = [EdgeOrbit(k, ("ground-edge", k), [(u, v)], u, v, False)
+                   for k, (u, v) in enumerate(model.edges.tolist())]
     edge_orbit_of = np.arange(max(len(model.edges), 1))
     return _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of)
 
@@ -452,19 +455,18 @@ def _renaming_node_map(model, perm):
         if not np.allclose(model.theta_node[i], model.theta_node[j], atol=_THETA_TOL):
             return None
         mapping[i] = j
-    for k, e in enumerate(model.edges):
-        a, b = mapping[e.u], mapping[e.v]
+    for k, (u, v) in enumerate(model.edges.tolist()):
+        a, b = mapping[u], mapping[v]
         k2 = model.edge_index.get((min(a, b), max(a, b)))
         if k2 is None:
             return None
-        e2 = model.edges[k2]
-        if e2.tag != e.tag:
+        if model.edge_tags[k2] != model.edge_tags[k]:
             return None
         th = model.theta_edge[k]
         th2 = model.theta_edge[k2]
         z = model.structural_zero[k]
         z2 = model.structural_zero[k2]
-        if (a, b) != (e2.u, e2.v):
+        if a > b:  # edge k2 is stored as (b, a)
             th2 = th2.T
             z2 = None if z2 is None else z2.T
         if not np.allclose(th, th2, atol=_THETA_TOL):
@@ -502,16 +504,15 @@ def verify_orbits(lg, model):
             nv = model.nodes[i].n_values
             for t in range(nv):
                 feats_uf.union(node_start[i] + t, node_start[int(j)] + t)
-        for k, e in enumerate(model.edges):
-            a, b = mapping[e.u], mapping[e.v]
+        for k, (u, v) in enumerate(model.edges.tolist()):
+            a, b = mapping[u], mapping[v]
             k2 = model.edge_index[(min(a, b), max(a, b))]
             edges_uf.union(k, k2)
-            e2 = model.edges[k2]
-            nu = model.nodes[e.u].n_values
-            nv = model.nodes[e.v].n_values
+            nu = model.nodes[u].n_values
+            nv = model.nodes[v].n_values
             for t in range(nu):
                 for h in range(nv):
-                    if (a, b) == (e2.u, e2.v):
+                    if a < b:  # edge k2 is stored as (a, b)
                         f2 = model.edge_feature(k2, t, h)
                     else:
                         f2 = model.edge_feature(k2, h, t)
@@ -524,7 +525,7 @@ def verify_orbits(lg, model):
     key_edges = sorted(
         tuple(sorted(model.edge_index[(min(u, v), max(u, v))] for u, v in o.members))
         for o in lg.edge_orbits)
-    enum_edges = edges_uf.partition() if model.edges else []
+    enum_edges = edges_uf.partition() if len(model.edges) else []
     if key_edges != enum_edges:
         mismatches.append("edge orbits differ from enumerated partition")
     key_feats = {}

@@ -143,7 +143,8 @@ def _new_stats():
     """Zeroed per-phase timings (seconds) and counters of a solve."""
     return {"lp_s": 0.0, "separate_s": 0.0, "line_search_s": 0.0, "polish_s": 0.0,
             "eq_residual": 0.0, "lp_solves": 0, "lp_refactorizations": 0,
-            "polish_tries": 0, "polish_adopted": 0}
+            "polish_tries": 0, "polish_adopted": 0,
+            "loose_iterations": 0, "loose_termination": ""}
 
 
 @dataclass
@@ -158,6 +159,9 @@ class TrwResult:
     (``lp_s``), cycle separation (``separate_s``), line searches
     (``line_search_s``) and polish candidates (``polish_s``), and counts LP
     solves, basis refactorizations, polish attempts and adopted polishes.
+    A ``+exch`` solve with clusters adds the timings and counts of its looser
+    solve, whose iterations and termination are ``loose_iterations`` and
+    ``loose_termination`` (``0`` and ``""`` when no looser solve ran).
     ``eq_residual`` is the largest equality-row residual ``|A tau - b|`` of
     the returned ``tau``; a ``"gap"`` termination above ``EQ_TOL`` raises,
     since the bound's concavity argument needs ``tau`` on those rows.
@@ -301,8 +305,12 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
         res.bound = min(res.bound, loose.bound)
         res.lp_pivots += loose.lp_pivots
         for key, value in loose.stats.items():
-            if key != "eq_residual":  # that of the returned tau
+            # the residual is that of the returned tau; the looser solve's
+            # iterations and termination are kept apart, not summed
+            if key not in ("eq_residual", "loose_iterations", "loose_termination"):
                 res.stats[key] += value
+        res.stats["loose_iterations"] = loose.iterations
+        res.stats["loose_termination"] = loose.termination
     res.millis = (time.perf_counter() - t0) * 1000.0
     return res
 

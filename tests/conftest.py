@@ -81,15 +81,15 @@ def ground_local_feasible(g, mu, tol=1e-7):
         total = sum(mu[g.node_feature(i, t)] for t in range(nd.n_values))
         if abs(total - 1.0) > tol:
             return False
-    for k, e in enumerate(g.edges):
-        nu, nv = g.nodes[e.u].n_values, g.nodes[e.v].n_values
+    for k, (u, v) in enumerate(g.edges.tolist()):
+        nu, nv = g.nodes[u].n_values, g.nodes[v].n_values
         for t in range(nu):
             lhs = sum(mu[g.edge_feature(k, t, h)] for h in range(nv))
-            if abs(lhs - mu[g.node_feature(e.u, t)]) > tol:
+            if abs(lhs - mu[g.node_feature(u, t)]) > tol:
                 return False
         for h in range(nv):
             lhs = sum(mu[g.edge_feature(k, t, h)] for t in range(nu))
-            if abs(lhs - mu[g.node_feature(e.v, h)]) > tol:
+            if abs(lhs - mu[g.node_feature(v, h)]) > tol:
                 return False
     return True
 
@@ -105,14 +105,14 @@ def ground_entropy_bound(g, mu, rho_ground):
 
     total = 0.0
     rho_at = np.zeros(len(g.nodes))
-    for k, e in enumerate(g.edges):
-        rho_at[e.u] += rho_ground[k]
-        rho_at[e.v] += rho_ground[k]
+    for k, (u, v) in enumerate(g.edges.tolist()):
+        rho_at[u] += rho_ground[k]
+        rho_at[v] += rho_ground[k]
     for i, nd in enumerate(g.nodes):
         h = ent([mu[g.node_feature(i, t)] for t in range(nd.n_values)])
         total -= (1.0 - rho_at[i]) * h
-    for k, e in enumerate(g.edges):
-        nu, nv = g.nodes[e.u].n_values, g.nodes[e.v].n_values
+    for k, (u, v) in enumerate(g.edges.tolist()):
+        nu, nv = g.nodes[u].n_values, g.nodes[v].n_values
         h = ent([mu[g.edge_feature(k, t, hh)] for t in range(nu) for hh in range(nv)])
         total -= rho_ground[k] * h
     return total
@@ -134,8 +134,8 @@ def symmetrized_random_moments(g, lg, seed):
             state[aux] = g.consistent_aux_value(aux, state)
         for i in range(len(g.nodes)):
             mu[g.node_feature(i, state[i])] += p[idx]
-        for k, e in enumerate(g.edges):
-            mu[g.edge_feature(k, state[e.u], state[e.v])] += p[idx]
+        for k, (u, v) in enumerate(g.edges.tolist()):
+            mu[g.edge_feature(k, state[u], state[v])] += p[idx]
     # orbit-averaging is exactly the symmetrization of the distribution
     return lg.project(mu)
 
@@ -150,8 +150,8 @@ def subtour_violations(g, rho_ground, tol=1e-7):
     for size in range(2, n + 1):
         for subset in itertools.combinations(range(n), size):
             inside = set(subset)
-            acc = sum(r for k, r in enumerate(rho_ground)
-                      if g.edges[k].u in inside and g.edges[k].v in inside)
+            acc = sum(r for (u, v), r in zip(g.edges.tolist(), rho_ground)
+                      if u in inside and v in inside)
             if acc > size - 1 + tol:
                 bad.append((subset, acc))
     return bad
@@ -168,8 +168,8 @@ def ground_components(g, edge_ids):
         return x
 
     for k in edge_ids:
-        e = g.edges[k]
-        ra, rb = find(e.u), find(e.v)
+        u, v = g.edges[k]
+        ra, rb = find(u), find(v)
         if ra != rb:
             parent[rb] = ra
     return len({find(i) for i in range(len(g.nodes))})

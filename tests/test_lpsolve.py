@@ -55,6 +55,12 @@ class TestSolve:
         assert abs(res.objective - 1.0) < 1e-12
         assert abs(res.x[0] - 1.0) < 1e-12
 
+    def test_duplicate_columns_are_summed(self):
+        row = Row.make([(0, 1.0), (0, 1.0), (1, 2.0), (1, -2.0)], "<=", 1.0)
+        assert row.coeffs == ((0, 2.0),)
+        res = Simplex(1, [row]).solve(np.array([1.0]))
+        assert res.x[0] == pytest.approx(0.5, abs=1e-12)
+
     @pytest.mark.parametrize("seed", range(12))
     def test_random_lps_match_scipy(self, seed):
         n, rows, c = random_local_lp(seed)

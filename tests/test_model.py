@@ -112,7 +112,7 @@ class TestGround:
         assert len(aux) == 2
         assert all(nd.n_values == 8 for nd in aux)
         for aux_id in g.aux_atoms:
-            incident = [e for e in g.edges if aux_id in (e.u, e.v)]
+            incident = [e for e in g.edges.tolist() if aux_id in e]
             assert len(incident) == 3
 
     def test_symbolic_weight_must_be_bound(self):
@@ -152,7 +152,7 @@ class TestBuilder:
             b.add_edge_theta(aux, atom, np.zeros((8, 2)),
                              structural_zero=np.zeros((2, 8), dtype=bool))
         g = b.build()
-        assert g.edges == [] and all(not th.any() for th in g.theta_node)
+        assert g.edges.shape == (0, 2) and all(not th.any() for th in g.theta_node)
 
     def test_well_shaped_thetas_accumulate(self):
         b = lt.GroundModelBuilder(range(2))
@@ -166,7 +166,7 @@ class TestBuilder:
         b.add_edge_theta(atom, aux, theta.T)
         g = b.build()
         np.testing.assert_array_equal(g.theta_node[atom], [0.5, 1.0])
-        assert (g.edges[0].u, g.edges[0].v) == (atom, aux)
+        assert g.edges[0].tolist() == [atom, aux]
         np.testing.assert_array_equal(g.theta_edge[0], 2 * theta.T)
         np.testing.assert_array_equal(g.structural_zero[0], zero.T)
 
@@ -178,7 +178,7 @@ class TestBuilder:
         atom = b.add_node("atom", "V", (0,), 2)
         with pytest.raises(ModelError, match="itself"):
             b.add_edge_theta(atom, atom, np.zeros((2, 2)))
-        assert b.build().edges == []
+        assert b.build().edges.shape == (0, 2)
 
     def test_readding_a_node_must_match(self):
         b = lt.GroundModelBuilder(range(2))
@@ -193,6 +193,53 @@ class TestBuilder:
         g = b.build()
         assert len(g.nodes) == 1 and (g.nodes[0].n_values, g.nodes[0].tag) == (2, None)
         assert g.node_provenance[0] == ["f0", "f1"]
+
+    def test_readding_an_edge_must_match(self):
+        b = lt.GroundModelBuilder(range(2))
+        u, v = (b.add_node("atom", "V", (i,), 2) for i in range(2))
+        b.add_edge_theta(u, v, np.ones((2, 2)), tag="ring")
+        with pytest.raises(ModelError, match="tag"):
+            b.add_edge_theta(u, v, np.ones((2, 2)), tag="chord")
+        with pytest.raises(ModelError, match="tag"):
+            b.add_edge_theta(v, u, np.ones((2, 2)))
+        b.add_edge_theta(v, u, np.ones((2, 2)), tag="ring")
+        g = b.build()
+        assert g.edges.tolist() == [[u, v]] and g.edge_tags == ("ring",)
+        np.testing.assert_array_equal(g.theta_edge[0], np.full((2, 2), 2.0))
+
+
+class TestEdgeTable:
+    """Edges are one ``(E, 2)`` endpoint array, lower node id first, with
+    their tags in a parallel tuple; the pair dict is built only on demand."""
+
+    @staticmethod
+    def _assert_edge_table(g):
+        n_edges = len(g.theta_edge)
+        assert g.edges.dtype == np.int64 and g.edges.shape == (n_edges, 2)
+        assert (g.edges[:, 0] < g.edges[:, 1]).all()
+        assert len(g.edge_tags) == n_edges
+
+    @pytest.mark.parametrize("name", ["complete_graph", "friends_smokers", "clique_cycle"])
+    def test_ground_returns_an_endpoint_array(self, name):
+        g = build(name, 3, 0.5)
+        self._assert_edge_table(g)
+        assert len(g.edges) > 0 and set(g.edge_tags) == {None}
+
+    def test_build_returns_an_endpoint_array(self, ring_model):
+        self._assert_edge_table(ring_model)
+        assert len(ring_model.edges) == 15
+        assert sorted(set(ring_model.edge_tags)) == ["chord", "ring", "stem"]
+
+    @pytest.mark.parametrize("name", ["friends_smokers", "clique_cycle"])
+    def test_no_stage_builds_the_pair_dict(self, name):
+        """Set-up and solves at every outer read the endpoint array only."""
+        g = build(name, 3, 0.5)
+        lg = lt.compute_orbits(g)
+        rho = lt.init_rho_uniform(lg)
+        for outer in lt.OUTER_CHOICES:
+            lt.frank_wolfe(lg, outer=outer, rho=rho, tol=1e-4, max_iters=20)
+        assert "edge_index" not in g.__dict__
+        assert g.edge_index[tuple(g.edges[-1].tolist())] == len(g.edges) - 1
 
 
 class TestScoreState:

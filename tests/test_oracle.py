@@ -55,9 +55,9 @@ class TestBruteForce:
                                       tuple(perm[c] for c in nd.consts),
                                       nd.n_values, nd.tag)
                 b.add_node_theta(remap[i], base.theta_node[i])
-            for k, e in enumerate(base.edges):
-                b.add_edge_theta(remap[e.u], remap[e.v], base.theta_edge[k],
-                                 tag=e.tag)
+            for k, (u, v) in enumerate(base.edges.tolist()):
+                b.add_edge_theta(remap[u], remap[v], base.theta_edge[k],
+                                 tag=base.edge_tags[k])
             return b.build()
 
         ref = brute_force(ring_with_perm(list(range(5)))).log_z
@@ -187,8 +187,8 @@ class TestGroundKruskal:
 
                 comps = 5
                 for k in subset:
-                    e = g.edges[k]
-                    ra, rb = find(e.u), find(e.v)
+                    u, v = g.edges[k]
+                    ra, rb = find(u), find(v)
                     if ra != rb:
                         parent[rb] = ra
                         comps -= 1

@@ -239,7 +239,7 @@ class TestClusterReference:
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     def test_bundled_models_match_pair_scan(self, name, n):
         lg = lt.compute_orbits(build(name, n, 0.5))
-        pairs = [(e.u, e.v) for e in lg.model.edges]
+        pairs = [(u, v) for u, v in lg.model.edges.tolist()]
         assert all(u != v for u, v in pairs) and len(set(pairs)) == len(pairs)
         clusters = detect_exchangeable_clusters(lg)
         assert clusters == pair_scan_clusters(lg)
@@ -335,8 +335,8 @@ class TestNesting:
                     mu = np.zeros(g.n_features)
                     for i, t in enumerate(state):
                         mu[g.node_feature(i, t)] = 1.0
-                    for k, e in enumerate(g.edges):
-                        mu[g.edge_feature(k, state[e.u], state[e.v])] = 1.0
+                    for k, (u, v) in enumerate(g.edges.tolist()):
+                        mu[g.edge_feature(k, state[u], state[v])] = 1.0
                     best = max(best, float(c @ lg.project(mu)))
                 assert lp_val >= best - 1e-8
                 assert lp_val <= best + 1e-7
@@ -494,9 +494,9 @@ class TestSeparation:
 
 def _binary_edges(g):
     """Edges between binary atom nodes, as (edge id, u, v)."""
-    return [(k, e.u, e.v) for k, e in enumerate(g.edges)
+    return [(k, u, v) for k, (u, v) in enumerate(g.edges.tolist())
             if all(g.nodes[i].kind == "atom" and g.nodes[i].n_values == 2
-                   for i in (e.u, e.v))]
+                   for i in (u, v))]
 
 
 def _all_sources_separation(lg, tau, cs):
@@ -569,9 +569,9 @@ def _all_sources_separation(lg, tau, cs):
 def _exhaustive_worst_violation(g, lg, tau):
     """Max cycle-inequality violation over all simple cycles and odd subsets."""
     adj = {}
-    for k, e in enumerate(g.edges):
-        adj.setdefault(e.u, []).append((e.v, k))
-        adj.setdefault(e.v, []).append((e.u, k))
+    for k, (u, v) in enumerate(g.edges.tolist()):
+        adj.setdefault(u, []).append((v, k))
+        adj.setdefault(v, []).append((u, k))
     lam = {}
     for k in range(len(g.edges)):
         lam[k] = (tau[lg.feat_to_var[g.edge_feature(k, 0, 1)]]

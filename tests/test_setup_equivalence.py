@@ -98,7 +98,8 @@ def _assert_same_array(a, b):
 def _assert_same_ground(g, ref):
     assert g.constants == ref.constants
     assert g.nodes == ref.nodes
-    assert g.edges == ref.edges
+    assert np.array_equal(g.edges, ref.edges) and g.edges.dtype == ref.edges.dtype
+    assert g.edge_tags == ref.edge_tags
     for field in ("theta_node", "theta_edge", "structural_zero"):
         assert len(getattr(g, field)) == len(getattr(ref, field))
         for a, b in zip(getattr(g, field), getattr(ref, field)):
@@ -146,11 +147,11 @@ def _keyed_orbits(model, distinguished):
     for i, nd in enumerate(model.nodes):
         node_groups.setdefault(_ordered_key((_desc(nd),), distinguished), []).append(i)
     edge_groups = {}
-    for k, e in enumerate(model.edges):
-        du, dv = _desc(model.nodes[e.u]), _desc(model.nodes[e.v])
-        fwd = (e.tag or "", _ordered_key((du, dv), distinguished))
-        bwd = (e.tag or "", _ordered_key((dv, du), distinguished))
-        key, flip, oriented = (fwd, fwd == bwd, (e.u, e.v)) if fwd <= bwd else (bwd, False, (e.v, e.u))
+    for k, ((u, v), tag) in enumerate(zip(model.edges.tolist(), model.edge_tags)):
+        du, dv = _desc(model.nodes[u]), _desc(model.nodes[v])
+        fwd = (tag or "", _ordered_key((du, dv), distinguished))
+        bwd = (tag or "", _ordered_key((dv, du), distinguished))
+        key, flip, oriented = (fwd, fwd == bwd, (u, v)) if fwd <= bwd else (bwd, False, (v, u))
         edge_groups.setdefault(key, []).append((k, flip, oriented))
     nodes = [(key, sorted(node_groups[key])) for key in sorted(node_groups)]
     edges = [(key, [m for _k, _f, m in sorted(edge_groups[key])],
@@ -178,7 +179,7 @@ def _member_loop_arrays(lg):
         for u, v in orb.members:
             k = model.edge_index[(min(u, v), max(u, v))]
             th, z = model.theta_edge[k], model.structural_zero[k]
-            if (u, v) != (model.edges[k].u, model.edges[k].v):
+            if (u, v) != tuple(model.edges[k].tolist()):
                 th, z = th.T, (None if z is None else z.T)
             thetas.append(th)
             zeros.append(np.zeros(th.shape, dtype=bool) if z is None else z)
@@ -207,7 +208,7 @@ def _member_loop_arrays(lg):
     for orb, vmap in zip(lg.edge_orbits, edge_var_map):
         for u, v in orb.members:
             k = model.edge_index[(min(u, v), max(u, v))]
-            block = vmap if (u, v) == (model.edges[k].u, model.edges[k].v) else vmap.T
+            block = vmap if (u, v) == tuple(model.edges[k].tolist()) else vmap.T
             feat_to_var[edge_start[k]:edge_start[k] + block.size] = block.ravel()
     return dict(
         node_var_start=node_var_start, edge_var_map=edge_var_map, n_vars=n_vars,
@@ -289,7 +290,7 @@ class TestOrbitEquivalence:
         b.add_edge_theta(first, atoms[0], theta, structural_zero=zero)  # stored (aux, atom)
         b.add_edge_theta(atoms[2], last, theta.T, structural_zero=zero.T)  # stored (atom, aux)
         g = b.build()
-        assert [(e.u, e.v) for e in g.edges] == [(first, atoms[0]), (atoms[2], last)]
+        assert g.edges.tolist() == [[first, atoms[0]], [atoms[2], last]]
         lg = lt.compute_orbits(g)
         assert len(lg.edge_orbits) == 1 and lg.edge_orbits[0].size == 2
         _assert_lifted_matches_references(lg, frozenset())

@@ -69,8 +69,8 @@ class TestCountComponents:
                     return x
 
                 for k in ground_ids:
-                    e = ring_model.edges[k]
-                    ra, rb = find(e.u), find(e.v)
+                    u, v = ring_model.edges[k]
+                    ra, rb = find(u), find(v)
                     if ra != rb:
                         parent[rb] = ra
                 expected = len({find(i) for i in nodes})
@@ -187,8 +187,8 @@ class TestLiftedKruskal:
                     return x
 
                 for k in ground_ids:
-                    e = ring_model.edges[k]
-                    ra, rb = find(e.u), find(e.v)
+                    u, v = ring_model.edges[k]
+                    ra, rb = find(u), find(v)
                     if ra != rb:
                         parent[rb] = ra
                 expected = len({find(i) for i in nodes})

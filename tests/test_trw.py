@@ -42,8 +42,8 @@ def interior_point(lg, seed):
             state[aux] = g.consistent_aux_value(aux, state)
         for i in range(len(g.nodes)):
             mu[g.node_feature(i, state[i])] += p[idx]
-        for k, e in enumerate(g.edges):
-            mu[g.edge_feature(k, state[e.u], state[e.v])] += p[idx]
+        for k, (u, v) in enumerate(g.edges.tolist()):
+            mu[g.edge_feature(k, state[u], state[v])] += p[idx]
     return lg.project(mu)
 
 
@@ -305,14 +305,17 @@ class TestFrankWolfe:
     def test_stats_keys_and_types(self):
         """``stats`` holds float timings, the equality residual and int
         counters; a ``+exch`` solve adds the timings and counts of its looser
-        solve and keeps the residual of the ``tau`` it returns."""
+        solve, keeps the residual of the ``tau`` it returns, and reports the
+        looser solve's iterations and termination, which a solve without
+        clusters leaves at ``0`` and ``""``."""
         lg = lt.compute_orbits(build("clique_cycle", 4, 0.5))
         rho = lt.init_rho_uniform(lg)
         res = frank_wolfe(lg, outer="cycle+exch", rho=rho, tol=1e-5, max_iters=200)
         timings = {"lp_s", "separate_s", "line_search_s", "polish_s"}
         counters = {"lp_solves", "lp_refactorizations", "polish_tries",
                     "polish_adopted"}
-        assert set(res.stats) == timings | counters | {"eq_residual"}
+        assert set(res.stats) == timings | counters | {"eq_residual", "loose_iterations",
+                                                       "loose_termination"}
         assert all(type(res.stats[k]) is float and res.stats[k] >= 0.0 for k in timings)
         assert all(type(res.stats[k]) is int for k in counters)
         assert type(res.stats["eq_residual"]) is float
@@ -323,6 +326,16 @@ class TestFrankWolfe:
         for k in counters:
             assert res.stats[k] == sum(p.stats[k] for p in parts), k
         assert res.stats["eq_residual"] == parts[0].stats["eq_residual"]
+        assert (res.stats["loose_iterations"], res.stats["loose_termination"]) == (
+            parts[1].iterations, parts[1].termination)
+        assert type(res.stats["loose_iterations"]) is int and res.stats["loose_iterations"] > 0
+        assert all((p.stats["loose_iterations"], p.stats["loose_termination"]) == (0, "")
+                   for p in parts)
+        lg_fs = lt.compute_orbits(build("friends_smokers", 3, 0.5))
+        plain = frank_wolfe(lg_fs, outer="local+exch", rho=lt.init_rho_uniform(lg_fs),
+                            tol=1e-5, max_iters=200)
+        assert not plain.cluster_counts
+        assert (plain.stats["loose_iterations"], plain.stats["loose_termination"]) == (0, "")
         assert res.tau.tobytes() == parts[0].tau.tobytes()
         eq_rows = [row for row in build_outer_system(lg, "cycle+exch").cs.rows
                    if row.rel == "="]
