@@ -111,7 +111,7 @@ class Simplex:
         for i, row in enumerate(self.rows):
             sign = -1.0 if row.rhs < 0 else 1.0
             for j, c in row.coeffs:
-                A[i, j] = sign * c
+                A[i, j] += sign * c
             b[i] = sign * row.rhs
             if row.rel == "<=":
                 slack_sign[i] = sign

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .symmetry import _UnionFind, node_pattern
+from .symmetry import _fixed_ranks, _lex_codes, _node_table, _UnionFind
 from .trw import frank_wolfe
 
 BOUND_TOL = 1e-12  # slack of optimize_rho's "bound did not increase" test
@@ -23,36 +23,57 @@ class DisconnectedGraph(Exception):
     """The ground graph has no spanning tree."""
 
 
-def _pinned_classes(model, distinguished):
-    """Class id of every ground node, keyed with ``distinguished`` fixed.
+def _pinned_tables(lg, distinguished):
+    """Pinned node classes of ``lg`` and the orbit tables over them.
 
-    Computed once per constant set and cached on the model.
+    A node's class is its orbit in ``lg`` together with the positions of the
+    ``distinguished`` constants among its constants, which is its key with
+    those constants also fixed.  Returns the class count, the class of every
+    ground node, per node orbit its ``(class, node count)`` pairs and per
+    edge orbit its distinct ``(class_u, class_v)`` pairs.  Built once per
+    constant set and cached on ``lg``.
     """
-    cache = model.__dict__.setdefault("_pinned_classes", {})
+    cache = lg.__dict__.setdefault("_pinned_tables", {})
     if distinguished not in cache:
-        ids = {}
-        cache[distinguished] = [ids.setdefault(node_pattern(model, i, distinguished), len(ids))
-                                for i in range(len(model.nodes))]
+        model = lg.model
+        _, consts, valid = _node_table(model)
+        fixed = _fixed_ranks(consts, valid, distinguished)
+        _, first, class_of, counts = np.unique(_lex_codes([lg.node_orbit_of, *fixed.T]),
+                                               return_index=True, return_inverse=True,
+                                               return_counts=True)
+        node_table = [[] for _ in lg.node_orbits]
+        for ci, (oid, count) in enumerate(zip(lg.node_orbit_of[first].tolist(),
+                                              counts.tolist())):
+            node_table[oid].append((ci, count))
+        orbit_of = lg.edge_orbit_of[:len(model.edges)]
+        ends = class_of[model.edges]
+        _, first = np.unique(_lex_codes([orbit_of, *ends.T]), return_index=True)
+        edge_table = [[] for _ in lg.edge_orbits]
+        for eid, cu, cv in zip(orbit_of[first].tolist(), *ends[first].T.tolist()):
+            edge_table[eid].append((cu, cv))
+        cache[distinguished] = (len(counts), class_of, node_table, edge_table)
     return cache[distinguished]
 
 
-def _pinned_component_size(model, node_ids, edge_members, u0):
+def _pinned_component_size(lg, node_orbit_ids, edge_orbit_ids, u0):
     """Ground size of the component containing ``u0`` in the pinned subgraph.
 
-    Nodes are grouped by canonical keys with the constants of ``u0`` excluded
-    from renaming (the stabilizer orbits), and the groups are connected by the
-    subgraph's edges; ``u0`` sits in a singleton group.  Each distinct pair
-    of groups is joined once.
+    Nodes are grouped by canonical keys with the constants of ``u0`` also
+    excluded from renaming (the stabilizer orbits), and the groups are
+    connected by the subgraph's edges; ``u0`` sits in a singleton group.
+    Each distinct pair of groups in an edge orbit is joined once.
     """
-    class_of = _pinned_classes(model, frozenset(model.nodes[u0].consts))
+    n_classes, class_of, node_table, edge_table = _pinned_tables(
+        lg, frozenset(lg.model.nodes[u0].consts))
     sizes = {}
-    for i in node_ids:
-        ci = class_of[i]
-        sizes[ci] = sizes.get(ci, 0) + 1
-    uf = _UnionFind(len(class_of))
-    for cu, cv in {(class_of[u], class_of[v]) for u, v in edge_members}:
-        uf.union(cu, cv)
-    root = uf.find(class_of[u0])
+    for oid in node_orbit_ids:
+        for ci, count in node_table[oid]:
+            sizes[ci] = sizes.get(ci, 0) + count
+    uf = _UnionFind(n_classes)
+    for eid in edge_orbit_ids:
+        for cu, cv in edge_table[eid]:
+            uf.union(cu, cv)
+    root = uf.find(int(class_of[u0]))
     return sum(size for ci, size in sizes.items() if uf.find(ci) == root)
 
 
@@ -64,11 +85,9 @@ def _ground_components_of(lg, node_orbit_ids, edge_orbit_ids):
     key = (frozenset(node_orbit_ids), frozenset(edge_orbit_ids))
     memo = lg.__dict__.setdefault("_component_counts", {})
     if key not in memo:
-        node_ids = [i for oid in key[0] for i in lg.node_orbits[oid].members]
-        edge_members = [m for eid in key[1] for m in lg.edge_orbits[eid].members]
         u0 = lg.node_orbits[min(key[0])].rep
-        comp = _pinned_component_size(lg.model, node_ids, edge_members, u0)
-        total = len(node_ids)
+        comp = _pinned_component_size(lg, key[0], key[1], u0)
+        total = sum(lg.node_orbits[oid].size for oid in key[0])
         assert total % comp == 0, "component sizes must divide the ground node count"
         memo[key] = total // comp
     return memo[key]

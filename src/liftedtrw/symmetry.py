@@ -9,12 +9,17 @@ give the true orbit partition; hand-built models can carry extra ``tag``
 colors on nodes and edges to express their symmetry, and
 :func:`verify_orbits` checks the key partition against explicit enumeration of
 all structure-preserving renamings.
+
+:func:`compute_orbits` groups elements by int codes of their keys, computed
+with array operations over all nodes and edges at once; the tuple keys are
+built for one representative per orbit.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter, is_not
 
 import numpy as np
 
@@ -216,48 +221,153 @@ class LiftedGraph:
         return f"{nd.label}({args})" if nd.consts else nd.label
 
 
+def _ranks(items, key):
+    """Rank of ``key(item)`` among the distinct keys, per item, in key order."""
+    distinct = set(items)
+    rank = {k: r for r, k in enumerate(sorted({key(x) for x in distinct}))}
+    of = {x: rank[key(x)] for x in distinct}
+    return np.fromiter(map(of.__getitem__, items), dtype=np.int64, count=len(items))
+
+
+def _lex_codes(columns):
+    """One int64 code per row of the equal-length int ``columns``.
+
+    Codes follow the lexicographic order of the rows: equal rows share a
+    code and a smaller row has a smaller one.  Each column is shifted to
+    start at 0 and appended as a mixed-radix digit; before a digit would take
+    the codes to 2**63 or beyond, they are re-ranked to ``0..G-1``.
+    """
+    digits = np.array(columns, dtype=np.int64)
+    if not digits.shape[1]:
+        return np.zeros(0, dtype=np.int64)
+    low = digits.min(axis=1)
+    radices = (digits.max(axis=1) - low + 1).tolist()
+    digits -= low[:, None]
+    code = digits[0]
+    bound = radices[0]  # every code lies in 0..bound-1
+    for digit, radix in zip(digits[1:], radices[1:]):
+        if bound * radix > 2 ** 63:
+            uniq, code = np.unique(code, return_inverse=True)
+            bound = len(uniq)
+        code = code * radix + digit
+        bound *= radix
+    return code
+
+
+def _node_table(model):
+    """Per-node arrays behind the keys, cached on the model.
+
+    ``desc`` ranks each node's ``(kind, label, tag or "", n_values)``;
+    ``consts`` holds its constants in a padded ``(N, W)`` matrix, whose
+    ``valid`` mask marks the first ``len(consts)`` entries of each row.
+    """
+    table = model.__dict__.get("_node_table")
+    if table is None:
+        nodes = model.nodes
+        desc = _ranks(list(map(attrgetter("kind", "label", "tag", "n_values"), nodes)),
+                      key=lambda d: (d[0], d[1], d[2] or "", d[3]))
+        consts = list(map(attrgetter("consts"), nodes))
+        lengths = np.fromiter(map(len, consts), dtype=np.int64, count=len(nodes))
+        valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
+        matrix = np.zeros(valid.shape, dtype=np.int64)
+        matrix[valid] = np.fromiter(itertools.chain.from_iterable(consts), dtype=np.int64,
+                                    count=int(lengths.sum()))
+        table = model.__dict__["_node_table"] = (desc, matrix, valid)
+    return table
+
+
+def _fixed_ranks(consts, valid, distinguished):
+    """Rank of each distinguished constant among ``distinguished``; -1 elsewhere."""
+    fixed = np.full(consts.shape, -1, dtype=np.int64)
+    if distinguished:
+        order = np.array(sorted(distinguished), dtype=np.int64)
+        pos = np.minimum(np.searchsorted(order, consts), len(order) - 1)
+        hit = valid & (order[pos] == consts)
+        fixed[hit] = pos[hit]
+    return fixed
+
+
+def _relabel_codes(consts, valid, distinguished):
+    """``_relabel`` of each row of ``consts`` as order-preserving ints.
+
+    A distinguished constant, ``("k", c)``, becomes its rank among
+    ``distinguished``; any other, ``("v", label)``, becomes
+    ``len(distinguished) + label`` with labels given by first occurrence
+    along the row; padding becomes -1, so a row sorts before its extensions
+    as a shorter tuple does.
+    """
+    codes = _fixed_ranks(consts, valid, distinguished)
+    free = valid & (codes < 0)
+    n_seen = np.zeros(len(consts), dtype=np.int64)
+    for j in range(consts.shape[1]):
+        label = n_seen + len(distinguished)
+        new = free[:, j].copy()
+        for k in range(j):
+            same = new & free[:, k] & (consts[:, k] == consts[:, j])
+            label[same] = codes[same, k]
+            new &= ~same
+        codes[free[:, j], j] = label[free[:, j]]
+        n_seen += new
+    return codes
+
+
 def compute_orbits(model, distinguished=frozenset()):
     """Build the :class:`LiftedGraph` of a ground model.
 
     ``distinguished`` constants are excluded from renaming, which yields the
     orbit structure under the stabilizer of the nodes mentioning them.
+
+    Keys are compared as int rows: a node's row is its ranked description
+    followed by its relabeled constants, and each orientation of an edge
+    gives the row ``(tag, class of the first node, description of the
+    second, the second's constants relabeled after the first's)``.  An edge
+    takes its smaller row, and is flip-symmetric when both are equal.  The
+    tuple key of each orbit is computed from its representative only.
     """
-    info = [_node_info(nd, distinguished) for nd in model.nodes]
-    node_groups = {}
-    for i, (entry, _seen, _consts) in enumerate(info):
-        node_groups.setdefault(entry, []).append(i)
+    desc, consts, valid = _node_table(model)
+    node_codes = _relabel_codes(consts, valid, distinguished)
+    node_orbit_of = np.unique(_lex_codes([desc, *node_codes.T]), return_inverse=True)[1]
+    node_order = np.argsort(node_orbit_of, kind="stable").tolist()
     node_orbits = []
-    node_orbit_of = np.zeros(len(model.nodes), dtype=int)
-    for oid, entry in enumerate(sorted(node_groups)):
-        members = node_groups[entry]
-        node_orbits.append(NodeOrbit(oid, (entry,), members, model.nodes[members[0]].n_values))
-        node_orbit_of[members] = oid
+    end = 0
+    for oid, size in enumerate(np.bincount(node_orbit_of).tolist()):
+        members = node_order[end:end + size]
+        end += size
+        node_orbits.append(NodeOrbit(oid, node_pattern(model, members[0], distinguished),
+                                     members, model.nodes[members[0]].n_values))
 
-    edge_groups = {}  # key -> (edge ids, oriented members, flip flags)
-    # endpoint columns as int lists: no per-edge list for the garbage collector
-    for k, (u, v, tag) in enumerate(zip(*model.edges.T.tolist(), model.edge_tags)):
-        key, flip, forward = _edge_key(tag or "", info[u], info[v], distinguished)
-        group = edge_groups.get(key)
-        if group is None:
-            group = edge_groups[key] = ([], [], set())
-        group[0].append(k)
-        group[1].append((u, v) if forward else (v, u))
-        group[2].add(flip)
+    n_edges = len(model.edges)
+    rows = np.concatenate([model.edges, model.edges[:, ::-1]])  # both orientations
+    shape = (len(rows), 2 * consts.shape[1])
+    joint = _relabel_codes(consts[rows].reshape(shape), valid[rows].reshape(shape),
+                           distinguished)
+    tag = _ranks(model.edge_tags, key=lambda t: t or "")
+    codes = _lex_codes([np.tile(tag, 2), node_orbit_of[rows[:, 0]], desc[rows[:, 1]],
+                        *joint[:, consts.shape[1]:].T])
+    fwd, bwd = codes[:n_edges], codes[n_edges:]
+    backward = bwd < fwd
+    flip = fwd == bwd
+    _, reps, orbit_of = np.unique(np.minimum(fwd, bwd), return_index=True, return_inverse=True)
+    if (flip != flip[reps][orbit_of]).any():  # pragma: no cover - keys pin the orientation pair
+        raise TyingViolation("inconsistent flip flags in an edge orbit")
+    edge_orbit_of = np.zeros(max(n_edges, 1), dtype=int)
+    edge_orbit_of[:n_edges] = orbit_of
+    lead = np.where(backward, model.edges[:, 1], model.edges[:, 0])
+    other = np.where(backward, model.edges[:, 0], model.edges[:, 1])
+    order = np.argsort(orbit_of, kind="stable")
+    oriented = list(zip(lead[order].tolist(), other[order].tolist()))
     edge_orbits = []
-    edge_orbit_of = np.zeros(max(len(model.edges), 1), dtype=int)
-    for oid, key in enumerate(sorted(edge_groups)):
-        e_ids, members, flips = edge_groups[key]
-        if len(flips) != 1:  # pragma: no cover - keys pin the orientation pair
-            raise TyingViolation(f"inconsistent flip flags in edge orbit {key}")
-        u_orb = node_orbit_of[members[0][0]]
-        v_orb = node_orbit_of[members[0][1]]
-        flip = flips.pop()
-        if flip and u_orb != v_orb:  # pragma: no cover - flip forces one orbit
+    end = 0
+    for oid, (k, size) in enumerate(zip(reps.tolist(), np.bincount(orbit_of).tolist())):
+        members = oriented[end:end + size]
+        end += size
+        u_orb, v_orb = (int(node_orbit_of[i]) for i in members[0])
+        key = edge_pattern(model, k, distinguished)[0]
+        if flip[k] and u_orb != v_orb:  # pragma: no cover - flip forces one orbit
             raise TyingViolation(f"flip-symmetric edge orbit {key} across two node orbits")
-        edge_orbits.append(EdgeOrbit(oid, key, members, int(u_orb), int(v_orb), flip))
-        edge_orbit_of[e_ids] = oid
+        edge_orbits.append(EdgeOrbit(oid, key, members, u_orb, v_orb, bool(flip[k])))
 
-    return _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of)
+    return _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of, backward)
 
 
 def _check_tied(x, what, flip=False):
@@ -277,7 +387,28 @@ def _check_tied(x, what, flip=False):
         raise TyingViolation(f"parameters differ within {what}, value {where}")
 
 
-def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of):
+def _oriented_stack(blocks, flips, shape, dtype):
+    """Member blocks stacked along a last axis in the orbit's orientation.
+
+    ``blocks`` are in their stored orientation; those of members with
+    ``flips`` set go in transposed, all by one fancy-index assignment.
+    """
+    if any(flips):
+        turned = np.flatnonzero(flips)
+        kept = np.flatnonzero(np.logical_not(flips))
+        out = np.empty((len(blocks),) + shape, dtype=dtype)
+        out[turned] = np.array([blocks[i] for i in turned.tolist()],
+                               dtype=dtype).transpose(0, 2, 1)
+        if kept.size:
+            out[kept] = np.array([blocks[i] for i in kept.tolist()], dtype=dtype)
+    else:
+        out = np.array(blocks, dtype=dtype)
+    return np.ascontiguousarray(out.transpose(1, 2, 0))
+
+
+def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of, backward):
+    """The lifted arrays of the given orbits; ``backward`` flags the edges
+    whose orbit lists them as ``(v, u)`` of their stored ``(u, v)``."""
     n_vars = 0
     node_var_start = []
     var_orbit = []
@@ -287,31 +418,39 @@ def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of):
 
     for orb in node_orbits:
         node_var_start.append(n_vars)
-        thetas = np.stack([model.theta_node[i] for i in orb.members], axis=-1)
+        thetas = np.ascontiguousarray(np.array([model.theta_node[i] for i in orb.members]).T)
         _check_tied(thetas, f"node orbit {orb.key}")
-        for t in range(orb.n_values):
-            lifted_theta.append(float(np.sum(thetas[t])))
+        for total in thetas.sum(axis=-1).tolist():
+            lifted_theta.append(total)
             var_orbit.append(("node", orb.id))
             var_mult.append(1)
             structural_zero_var.append(False)
         n_vars += orb.n_values
 
     edge_var_map = []
-    edge_block = [None] * len(model.edges)  # edge id -> its features' var ids
+    var_blocks = []  # per orbit: var ids of a forward, then a backward member's features
+    n_edges = len(model.edges)
     # orbits list their members in edge-id order, as a stable argsort does
-    by_orbit = iter(np.argsort(edge_orbit_of[:len(model.edges)], kind="stable").tolist())
+    by_orbit = np.argsort(edge_orbit_of[:n_edges], kind="stable")
+    member_ids = by_orbit.tolist()
+    member_flips = backward[by_orbit].tolist()
+    member_zeroed = np.fromiter(map(is_not, model.structural_zero, itertools.repeat(None)),
+                                dtype=bool, count=n_edges)[by_orbit].tolist()
+    end = 0
     for orb in edge_orbits:
-        e_ids = list(itertools.islice(by_orbit, orb.size))
-        flipped = [u > v for u, v in orb.members]  # stored as (v, u)
-        theta_stack = np.stack([model.theta_edge[k].T if f else model.theta_edge[k]
-                                for k, f in zip(e_ids, flipped)], axis=-1)
-        nu, nv = theta_stack.shape[:2]
+        members = slice(end, end + orb.size)
+        end += orb.size
+        ids, flips = member_ids[members], member_flips[members]
+        nu, nv = (model.nodes[i].n_values for i in orb.members[0])
+        theta_stack = _oriented_stack([model.theta_edge[k] for k in ids], flips, (nu, nv), float)
         _check_tied(theta_stack, f"edge orbit {orb.key}", orb.flip)
+        theta_sum = theta_stack.sum(axis=-1)
         zero_var = np.zeros((nu, nv), dtype=bool)
-        stored_zero = [model.structural_zero[k] for k in e_ids]
-        if any(z is not None for z in stored_zero):
-            zero_stack = np.stack([zero_var if z is None else (z.T if f else z)
-                                   for z, f in zip(stored_zero, flipped)], axis=-1)
+        if any(member_zeroed[members]):
+            blank = (zero_var, zero_var.T)
+            zero_stack = _oriented_stack([blank[f] if model.structural_zero[k] is None
+                                          else model.structural_zero[k]
+                                          for k, f in zip(ids, flips)], flips, (nu, nv), bool)
             if orb.flip:
                 zero_stack = np.concatenate([zero_stack, zero_stack.transpose(1, 0, 2)],
                                             axis=-1)
@@ -331,23 +470,27 @@ def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of):
                 n_vars += 1
                 for tt, hh in entries:
                     vmap[tt, hh] = vid
-                lifted_theta.append(float(sum(np.sum(theta_stack[tt, hh])
-                                              for tt, hh in entries)))
+                lifted_theta.append(float(sum(theta_sum[tt, hh] for tt, hh in entries)))
                 var_orbit.append(("edge", orb.id))
                 var_mult.append(len(entries))
                 structural_zero_var.append(bool(zero_var[t, h]))
         edge_var_map.append(vmap)
-        blocks = (vmap.ravel(), vmap.T.ravel())
-        for k, f in zip(e_ids, flipped):
-            edge_block[k] = blocks[f]
+        var_blocks += [vmap.ravel(), vmap.T.ravel()]
 
-    # ground feature -> variable map: node features first, then edge features
+    # ground feature -> variable map: node features first, then edge features,
+    # each edge's copied from its orbit's block for its orientation
     n_values = np.array([nd.n_values for nd in model.nodes], dtype=int)
-    node_start = model.feature_layout()[0]
+    node_start, edge_start, n_features = model.feature_layout()
     first_var = np.array(node_var_start, dtype=int)[node_orbit_of]
-    node_feats = (np.repeat(first_var - np.array(node_start, dtype=int), n_values)
-                  + np.arange(int(n_values.sum())))
-    feat_to_var = np.concatenate([node_feats] + edge_block)
+    n_node_feats = int(n_values.sum())
+    feat_to_var = np.empty(n_features, dtype=int)
+    feat_to_var[:n_node_feats] = (np.repeat(first_var - np.array(node_start, dtype=int), n_values)
+                                  + np.arange(n_node_feats))
+    block_size = np.array([b.size for b in var_blocks], dtype=int)
+    block = 2 * edge_orbit_of[:n_edges] + backward
+    start = (np.cumsum(block_size) - block_size)[block] - np.array(edge_start, dtype=int)
+    feat_to_var[n_node_feats:] = np.concatenate([np.zeros(0, dtype=int)] + var_blocks)[
+        np.repeat(start, block_size[block]) + np.arange(n_node_feats, n_features)]
 
     var_ground_count = np.bincount(feat_to_var, minlength=n_vars)
 
@@ -390,10 +533,11 @@ def trivial_lifting(model):
     edge_orbits = [EdgeOrbit(k, ("ground-edge", k), [(u, v)], u, v, False)
                    for k, (u, v) in enumerate(model.edges.tolist())]
     edge_orbit_of = np.arange(max(len(model.edges), 1))
-    return _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of)
+    return _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of,
+                     np.zeros(len(model.edges), dtype=bool))
 
 
-def fix_node(lg, model, u):
+def fix_node(model, u):
     """Orbits under the stabilizer of node ``u``.
 
     Computed by excluding the constants mentioned by ``u`` from renaming;

@@ -48,8 +48,20 @@ class TestInfer:
             code, out, _ = run_cli(capsys, *argv, *extra)
             assert code == 0
             assert re.search(rf"^iterations \d+ \(termination: {termination}\)$", out, re.M)
-            assert float(re.search(r"^setup time ([0-9.]+) ms$", out, re.M).group(1)) > 0
+            assert float(re.search(r"^setup time ([0-9.]+) ms \(", out, re.M).group(1)) > 0
             assert re.search(r"^wall time  [0-9.]+ ms$", out, re.M)
+
+    @pytest.mark.parametrize("model,n", [("complete_graph", "6"), ("ring_pendant", "5")])
+    def test_setup_time_splits_into_stages(self, capsys, model, n):
+        """The set-up line names parse, ground, orbits and rho; each printed
+        to 0.1 ms, they sum to the printed total within that rounding."""
+        code, out, _ = run_cli(capsys, "infer", "--model", model, "--n", n, "--W", "-1")
+        assert code == 0
+        m = re.search(r"^setup time ([0-9.]+) ms \(parse ([0-9.]+), ground ([0-9.]+), "
+                      r"orbits ([0-9.]+), rho ([0-9.]+)\)$", out, re.M)
+        assert m
+        total, *stages = (float(v) for v in m.groups())
+        assert abs(sum(stages) - total) <= 5 * 0.05 + 1e-9
 
     def test_missing_file_exits_2(self, capsys):
         code, out, err = run_cli(

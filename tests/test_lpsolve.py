@@ -61,6 +61,12 @@ class TestSolve:
         res = Simplex(1, [row]).solve(np.array([1.0]))
         assert res.x[0] == pytest.approx(0.5, abs=1e-12)
 
+    def test_direct_row_with_repeated_column_is_summed(self):
+        """A Row built without Row.make may list a column twice; the
+        constraint matrix sums the coefficients (2 x0 <= 1)."""
+        res = Simplex(1, [Row(((0, 1.0), (0, 1.0)), "<=", 1.0)]).solve([1.0])
+        assert res.x[0] == pytest.approx(0.5, abs=1e-12)
+
     @pytest.mark.parametrize("seed", range(12))
     def test_random_lps_match_scipy(self, seed):
         n, rows, c = random_local_lp(seed)

@@ -1,8 +1,8 @@
 """Grounding and orbit computation against their per-element reference forms.
 
 ``ground`` builds one potential per atom-coincidence pattern, and
-``compute_orbits`` keys every node once and every edge by a pair-specialised
-relabeling.  The helpers below are the per-grounding loop and the joint
+``compute_orbits`` keys nodes and edges by integer codes computed over whole
+arrays.  The helpers below are the per-grounding loop and the joint
 ``_ordered_key`` keying they replaced, plus the per-member loops that filled
 the lifted arrays; every field must come out identical.
 """
@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import liftedtrw as lt
-from liftedtrw.symmetry import fix_node, trivial_lifting
+from liftedtrw import symmetry
+from liftedtrw.symmetry import _lex_codes, fix_node, trivial_lifting
 
 from conftest import build
 
@@ -269,13 +270,13 @@ class TestOrbitEquivalence:
         _assert_lifted_matches_references(lt.compute_orbits(g), frozenset())
         if g.nodes:
             u = len(g.nodes) - 1
-            _assert_lifted_matches_references(fix_node(None, g, u),
+            _assert_lifted_matches_references(fix_node(g, u),
                                               frozenset(g.nodes[u].consts))
         _assert_lifted_matches_references(trivial_lifting(g), None)
 
     def test_hand_built_tags(self, ring_model):
         _assert_lifted_matches_references(lt.compute_orbits(ring_model), frozenset())
-        _assert_lifted_matches_references(fix_node(None, ring_model, 0),
+        _assert_lifted_matches_references(fix_node(ring_model, 0),
                                           frozenset(ring_model.nodes[0].consts))
 
     def test_mixed_stored_orientations(self):
@@ -303,3 +304,92 @@ def test_setup_matches_on_a_larger_domain():
         _assert_same_ground(g, _ground_per_grounding(
             lt.parse_model(lt.zoo.model_text(name)).bind_weight(0.4), n))
         _assert_lifted_matches_references(lt.compute_orbits(g), frozenset())
+
+
+def _hand_built(constants, nodes, edges):
+    """Zero-potential model: ``nodes`` as ``(label, consts, n_values, tag)``,
+    ``edges`` as ``(i, j, tag)`` over positions in ``nodes``."""
+    b = lt.GroundModelBuilder(constants)
+    ids = [b.add_node("atom", label, consts, nv, tag=tag) for label, consts, nv, tag in nodes]
+    for i, j, tag in edges:
+        b.add_edge_theta(ids[i], ids[j], np.zeros((nodes[i][2], nodes[j][2])), tag=tag)
+    return b.build()
+
+
+# one label "R" with zero to three constants: rows padded to three columns
+# must sort a node before its extensions, R(1) before R(1,2)
+PADDING_NODES = [("R", (1, 2), 2, None), ("R", (), 2, None), ("R", (2,), 2, None),
+                 ("R", (1, 1), 2, None), ("R", (2, 1), 2, None), ("R", (1,), 2, None),
+                 ("R", (3, 1, 2), 2, None), ("R", (0,), 2, None), ("R", (1, 3), 2, None)]
+PADDING_EDGES = [(i, j, None) for i, j in itertools.combinations(range(9), 2)
+                 if (i + j) % 3]
+# constants 2..20 out of order, nodes of two sizes and two value counts, and
+# edges stored both ways round between them
+SPARSE_CONSTS = (10, 4, 7, 20, 2)
+SPARSE_NODES = ([("P", (c,), 2, None) for c in SPARSE_CONSTS]
+                + [("F", pair, 3, None) for pair in ((10, 4), (4, 10), (7, 20), (20, 2),
+                                                     (2, 2), (4, 4))]
+                + [("Q", (10, 7, 10), 2, None), ("Q", (20, 4, 2), 2, None)])
+SPARSE_EDGES = ([(SPARSE_CONSTS.index(c), 5 + f, None)
+                 for f, (a, b) in enumerate(((10, 4), (4, 10), (7, 20), (20, 2), (2, 2), (4, 4)))
+                 for c in {a, b}]
+                + [(11, 0, None), (11, 2, None), (12, 3, None), (12, 1, None), (12, 8, None),
+                   (5, 6, None), (0, 1, None), (3, 4, None)])
+# node and edge tags None and "" key alike, and apart from "t"
+TAG_NODES = [("V", (0,), 2, None), ("V", (1,), 2, ""), ("V", (2,), 2, None),
+             ("W", (0,), 2, "t"), ("W", (1,), 2, None)]
+TAG_EDGES = [(0, 1, None), (1, 2, ""), (0, 2, None), (0, 3, "t"), (1, 3, ""),
+             (2, 4, "t"), (4, 3, None)]
+
+
+class TestArrayKeying:
+    @pytest.mark.parametrize("constants,nodes,edges,pinned", [
+        ((0, 1, 2, 3), PADDING_NODES, PADDING_EDGES,
+         [frozenset(), frozenset({1}), frozenset({3, 1})]),
+        (SPARSE_CONSTS, SPARSE_NODES, SPARSE_EDGES,
+         [frozenset(), frozenset({4, 20}), frozenset({2, 10}), frozenset({7, 99})]),
+        ((0, 1, 2), TAG_NODES, TAG_EDGES, [frozenset(), frozenset({1})]),
+    ], ids=["padding", "sparse", "tags"])
+    def test_hand_built_keys_match_per_member_forms(self, constants, nodes, edges, pinned):
+        g = _hand_built(constants, nodes, edges)
+        for distinguished in pinned:
+            _assert_lifted_matches_references(lt.compute_orbits(g, distinguished),
+                                              distinguished)
+        for u in range(len(g.nodes)):
+            _assert_lifted_matches_references(fix_node(g, u), frozenset(g.nodes[u].consts))
+
+    def test_none_and_empty_tags_share_orbits(self):
+        lg = lt.compute_orbits(_hand_built((0, 1, 2), TAG_NODES, TAG_EDGES))
+        assert lg.node_orbit_of[0] == lg.node_orbit_of[1] == lg.node_orbit_of[2]
+        assert len({lg.edge_orbit_of[k] for k in range(3)}) == 1
+
+    def test_lex_codes_past_int64(self):
+        """Five columns whose radices multiply past 2**63: the codes still
+        order the rows as tuples do."""
+        rng = np.random.default_rng(4)
+        pool = np.stack([rng.integers(-2 ** 14, 2 ** 14, size=40) for _ in range(5)])
+        pool[:, 1] = pool[:, 0]  # repeated rows in the pool ...
+        pool[2, 1] = pool[2, 0] + 1  # ... and rows that differ only in one column
+        cols = list(pool[:, rng.integers(0, 40, size=300)])
+        radices = [int(c.max()) - int(c.min()) + 1 for c in cols]
+        assert np.prod(radices, dtype=object) > 2 ** 63
+        rows = list(zip(*(c.tolist() for c in cols)))
+        rank = {r: i for i, r in enumerate(sorted(set(rows)))}
+        codes = _lex_codes(cols)
+        assert codes.dtype == np.int64
+        assert np.unique(codes, return_inverse=True)[1].tolist() == [rank[r] for r in rows]
+
+    def test_edge_key_runs_once_per_edge_orbit(self, monkeypatch):
+        calls = []
+        edge_key = symmetry._edge_key
+
+        def counted(*args):
+            calls.append(args)
+            return edge_key(*args)
+
+        monkeypatch.setattr(symmetry, "_edge_key", counted)
+        for name, n in (("complete_graph", 12), ("clique_cycle", 6), ("friends_smokers", 6)):
+            g = build(name, n, 0.3)
+            calls.clear()
+            lg = lt.compute_orbits(g)
+            assert len(calls) <= len(lg.edge_orbits) < len(g.edges)

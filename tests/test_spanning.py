@@ -249,6 +249,18 @@ class TestInitRhoUniform:
         assert len(queries) > len(set(queries))
         assert len(pinned) == len(set(queries)) <= 18
 
+    @pytest.mark.parametrize("name", ["complete_graph", "clique_cycle", "friends_smokers"])
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_rho_bytes_match_uncached_counts(self, monkeypatch, name, n):
+        """The pinned class and pair tables give the rho bytes of counting
+        every query afresh from per-node keys and per-edge unions."""
+        g = build(name, n, 0.5)
+        with monkeypatch.context() as m:
+            m.setattr(spanning, "_ground_components_of", _uncached_components_of)
+            expected = init_rho_uniform(lt.compute_orbits(g))
+        rho = init_rho_uniform(lt.compute_orbits(g))
+        assert rho.dtype == expected.dtype and rho.tobytes() == expected.tobytes()
+
 
 def _uncached_components_of(lg, node_orbit_ids, edge_orbit_ids):
     """Ground component count with a key per node and a union per ground edge."""

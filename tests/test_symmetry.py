@@ -167,8 +167,7 @@ class TestComputeOrbits:
 class TestFixNode:
     def test_complete_graph_fix(self):
         g = build("complete_graph", 4, -1.0)
-        lg = lt.compute_orbits(g)
-        fixed = lt.fix_node(lg, g, 0)
+        fixed = lt.fix_node(g, 0)
         assert sorted(o.size for o in fixed.node_orbits) == [1, 3]
         assert sorted(o.size for o in fixed.edge_orbits) == [3, 3]
         singleton = [o for o in fixed.node_orbits if o.size == 1][0]
@@ -176,8 +175,7 @@ class TestFixNode:
 
     def test_single_node_unchanged(self):
         g = lt.ground(lt.parse_model("W V(x)").bind_weight(1.0), 1)
-        lg = lt.compute_orbits(g)
-        fixed = lt.fix_node(lg, g, 0)
+        fixed = lt.fix_node(g, 0)
         assert len(fixed.node_orbits) == 1
 
     def test_ring_fix_splits_core_orbit(self, ring_model):
@@ -187,9 +185,8 @@ class TestFixNode:
         classes need not equal the exact stabilizer orbits, but they must
         never split one: every class is a union of stabilizer orbits.
         """
-        lg = lt.compute_orbits(ring_model)
         u = ring_model.node_index[("atom", "B", (0,))]
-        fixed = lt.fix_node(lg, ring_model, u)
+        fixed = lt.fix_node(ring_model, u)
         singleton = [o for o in fixed.node_orbits if o.members == [u]]
         assert len(singleton) == 1
         core_sizes = sorted(o.size for o in fixed.node_orbits
@@ -215,9 +212,8 @@ class TestFixNode:
 
     def test_generated_model_fix_matches_stabilizer(self):
         g = build("friends_smokers", 3, -0.5)
-        lg = lt.compute_orbits(g)
         u = g.node_index[("atom", "Smokes", (0,))]
-        fixed = lt.fix_node(lg, g, u)
+        fixed = lt.fix_node(g, u)
         from liftedtrw.symmetry import _renaming_node_map, _UnionFind
         uf = _UnionFind(len(g.nodes))
         for perm in itertools.permutations(range(3)):
