@@ -36,6 +36,7 @@ OPT_TOL = 1e-9
 FEAS_TOL = 1e-7
 REFACTOR_EVERY = 50     # updates between drift checks
 DRIFT_TOL = 1e-9        # largest residual max|B (B^-1 v) - v| kept
+KEY_DIGITS = 12         # decimals of a row's coefficients in its canonical key
 
 
 class InfeasibleError(Exception):
@@ -63,9 +64,9 @@ class Row:
         return Row(tuple(sorted((j, c) for j, c in summed.items() if c != 0.0)),
                    rel, float(rhs), tag)
 
-    def canonical_key(self, ndigits=12):
-        return (tuple((j, round(c, ndigits)) for j, c in self.coeffs),
-                self.rel, round(self.rhs, ndigits))
+    def canonical_key(self):
+        return (tuple((j, round(c, KEY_DIGITS)) for j, c in self.coeffs),
+                self.rel, round(self.rhs, KEY_DIGITS))
 
 
 @dataclass(frozen=True)

@@ -419,7 +419,11 @@ class PairwiseGroundModel:
     structural_zero: list[np.ndarray | None]
     _provenance: tuple | Callable = field(repr=False)
     aux_atoms: dict[int, tuple[int, int, int]] = field(default_factory=dict)
-    node_index: dict = field(default_factory=dict)
+
+    @cached_property
+    def node_index(self):
+        """Node id of each ``(kind, label, consts)``; built on first use."""
+        return {(nd.kind, nd.label, nd.consts): i for i, nd in enumerate(self.nodes)}
 
     @cached_property
     def edge_index(self):
@@ -604,7 +608,6 @@ class GroundModelBuilder:
             structural_zero=self.structural_zero,
             _provenance=(self.node_provenance, self.edge_provenance),
             aux_atoms=self.aux_atoms,
-            node_index=self.node_index,
         )
 
 
@@ -895,5 +898,4 @@ def ground(model, n):
         structural_zero=[None if b < 0 else _AUX_ZERO[b] for b in bits.tolist()],
         _provenance=partial(_provenance, forms, node_of, edge_of),
         aux_atoms=aux_atoms,
-        node_index={(nd.kind, nd.label, nd.consts): i for i, nd in enumerate(nodes)},
     )

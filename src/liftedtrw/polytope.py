@@ -344,27 +344,12 @@ class OuterSystem:
         for orb in lg.node_orbits:
             s = lg.node_var_start[orb.id]
             x[s:s + orb.n_values] = 1.0 / orb.n_values
-        for eo in lg.edge_orbits:
-            u0, v0 = eo.rep
-            size = lg.model.nodes[u0].n_values * lg.model.nodes[v0].n_values
-            for var, _count in lg.edge_orbit_vars(eo.id):
-                x[var] = 1.0 / size
-        # hard consistency edges: mass uniform over the allowed diagonal
-        for eo in lg.edge_orbits:
-            vars_counts = lg.edge_orbit_vars(eo.id)
-            zeros = [v for v, _ in vars_counts if lg.structural_zero_var[v]]
-            if not zeros:
-                continue
-            u0, v0 = eo.rep
-            mask = lg.model.structural_zero[int(np.argmax(lg.edge_orbit_of == eo.id))]
-            th = mask if u0 < v0 else mask.T  # edges are stored lower node first
-            allowed = (~th)
-            nu, nv = th.shape
-            # uniform over the larger endpoint's values, consistent pairs only
-            for t in range(nu):
-                for h in range(nv):
-                    var = lg.edge_var(eo.id, t, h)
-                    x[var] = (1.0 / max(nu, nv)) if allowed[t, h] else 0.0
+        for vmap in lg.edge_var_map:
+            zero = lg.structural_zero_var[vmap]
+            if zero.any():  # hard consistency: uniform over the larger endpoint's values
+                x[vmap] = np.where(zero, 0.0, 1.0 / max(vmap.shape))
+            else:
+                x[vmap] = 1.0 / vmap.size
         for cl in self.clusters:
             n = cl.size
             ks = np.arange(n + 1)

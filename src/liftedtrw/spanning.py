@@ -3,9 +3,10 @@
 Kruskal's algorithm is simulated at the orbit level: edge orbits are scanned
 in decreasing weight order and the number of tree edges contributed by each
 orbit is the change in ground node count minus the change in ground component
-count.  Ground components are counted without touching the ground union-find:
-within a connected sub-lifted-graph all ground components are isomorphic, so
-one component's size is read off the orbit structure after pinning a single
+count, which :func:`count_components` gives for the orbits scanned so far.
+Ground components are counted without touching the ground union-find: within
+a connected sub-lifted-graph all ground components are isomorphic, so one
+component's size is read off the orbit structure after pinning a single
 representative node, and the count is total nodes over component size.
 """
 
@@ -16,7 +17,9 @@ import numpy as np
 from .symmetry import _fixed_ranks, _lex_codes, _node_table, _UnionFind
 from .trw import frank_wolfe
 
-BOUND_TOL = 1e-12  # slack of optimize_rho's "bound did not increase" test
+BOUND_TOL = 1e-12        # slack of optimize_rho's "bound did not increase" test
+UNIFORM_TOL = 1e-8       # duality gap at which init_rho_uniform stops
+UNIFORM_MAX_ITERS = 500  # conditional-gradient steps of init_rho_uniform
 
 
 class DisconnectedGraph(Exception):
@@ -104,28 +107,25 @@ def count_components(lg, node_orbit_ids=None, edge_orbit_ids=None):
     """
     if node_orbit_ids is None:
         node_orbit_ids = [o.id for o in lg.node_orbits]
-    node_set = set(node_orbit_ids)
     if edge_orbit_ids is None:
         edge_orbit_ids = [e.id for e in lg.edge_orbits]
-    edge_ids = [eid for eid in edge_orbit_ids
-                if lg.edge_orbits[eid].u_orbit in node_set
-                and lg.edge_orbits[eid].v_orbit in node_set]
-
-    uf = _UnionFind(len(lg.node_orbits))
-    for eid in edge_ids:
+    # components merged smaller into larger: root -> node orbits, edge orbits
+    root_of = {oid: oid for oid in node_orbit_ids}
+    comps = {oid: ([oid], []) for oid in root_of}
+    for eid in edge_orbit_ids:
         eo = lg.edge_orbits[eid]
-        uf.union(eo.u_orbit, eo.v_orbit)
-    comps = {}
-    for oid in node_set:
-        comps.setdefault(uf.find(oid), []).append(oid)
-    edge_of_comp = {}
-    for eid in edge_ids:
-        edge_of_comp.setdefault(uf.find(lg.edge_orbits[eid].u_orbit), []).append(eid)
-
-    total = 0
-    for root, orbits in comps.items():
-        total += _ground_components_of(lg, orbits, edge_of_comp.get(root, []))
-    return total
+        ru, rv = root_of.get(eo.u_orbit), root_of.get(eo.v_orbit)
+        if ru is None or rv is None:
+            continue
+        if ru != rv:
+            if len(comps[ru][0]) < len(comps[rv][0]):
+                ru, rv = rv, ru
+            nodes, edges = comps.pop(rv)
+            root_of.update(dict.fromkeys(nodes, ru))
+            comps[ru][0].extend(nodes)
+            comps[ru][1].extend(edges)
+        comps[ru][1].append(eid)
+    return sum(_ground_components_of(lg, nodes, edges) for nodes, edges in comps.values())
 
 
 def lifted_kruskal(lg, weights):
@@ -145,43 +145,19 @@ def lifted_kruskal(lg, weights):
         raise DisconnectedGraph("graph has nodes but no edges")
 
     order = sorted(range(len(lg.edge_orbits)), key=lambda e: (-weights[e], e))
-    uf = _UnionFind(len(lg.node_orbits))
-    comp_nodes = {}   # root -> set of node orbit ids
-    comp_edges = {}   # root -> list of edge orbit ids
-    ground_comps = {}  # root -> ground component count
-    added = set()
+    nodes, edges = set(), []
     num_gv = 0
     num_gc = 0
-
     for eid in order:
         eo = lg.edge_orbits[eid]
-        nb = {eo.u_orbit, eo.v_orbit}
-        old_roots = {uf.find(o) for o in nb if o in added}
-        gc_old = sum(ground_comps[r] for r in old_roots)
-        new_orbits = [o for o in nb if o not in added]
+        new_orbits = {eo.u_orbit, eo.v_orbit} - nodes
         delta_v = sum(lg.node_orbits[o].size for o in new_orbits)
         num_gv += delta_v
-
-        nodes = set(new_orbits)
-        edges = [eid]
-        for r in old_roots:
-            nodes |= comp_nodes.pop(r)
-            edges += comp_edges.pop(r)
-            ground_comps.pop(r)
-        added.update(new_orbits)
-        it = iter(nb)
-        first = next(it)
-        root = uf.find(first)
-        for o in it:
-            root = uf.union(root, uf.find(o))
-        comp_nodes[root] = nodes
-        comp_edges[root] = edges
-
-        gc_h = _ground_components_of(lg, nodes, edges)
-        ground_comps[root] = gc_h
-        delta_c = gc_h - gc_old
-        num_gc += delta_c
-        rho[eid] = (delta_v - delta_c) / eo.size
+        nodes |= new_orbits
+        edges.append(eid)
+        n_comps = count_components(lg, nodes, edges)
+        rho[eid] = (delta_v - (n_comps - num_gc)) / eo.size
+        num_gc = n_comps
         if num_gv == total_gv and num_gc == 1:
             break
 
@@ -204,7 +180,7 @@ def tree_edge_total(lg, rho):
     return float(np.sum(sizes * np.asarray(rho)))
 
 
-def init_rho_uniform(lg, tol=1e-8, max_iters=500):
+def init_rho_uniform(lg):
     """Most-uniform point of the symmetrized spanning tree polytope.
 
     Minimizes ``sum_e |e| (rho_e - (|V|-1)/|E|)^2`` by conditional gradient;
@@ -221,11 +197,11 @@ def init_rho_uniform(lg, tol=1e-8, max_iters=500):
     sizes = np.array([eo.size for eo in lg.edge_orbits], dtype=float)
 
     rho = lifted_kruskal(lg, np.ones(len(lg.edge_orbits)))
-    for _ in range(max_iters):
+    for _ in range(UNIFORM_MAX_ITERS):
         w = -2.0 * (rho - target)
         d = lifted_kruskal(lg, w)
         gap = float(np.sum(sizes * 2.0 * (rho - target) * (rho - d)))
-        if gap <= tol:
+        if gap <= UNIFORM_TOL:
             break
         diff = d - rho
         denom = float(np.sum(sizes * diff * diff))

@@ -33,26 +33,19 @@ class TyingViolation(Exception):
 _THETA_TOL = 1e-9
 
 
-def _relabel(consts, distinguished, seen):
-    """Constants relabeled by first occurrence, continuing ``seen``.
-
-    ``seen`` maps each constant relabeled earlier to its label and is extended
-    in place; distinguished constants keep their identity.
-    """
-    out = []
-    for c in consts:
-        if c in distinguished:
-            out.append(("k", c))
-        else:
-            out.append(("v", seen.setdefault(c, len(seen))))
-    return tuple(out)
-
-
 def _ordered_key(descs, distinguished=frozenset()):
-    """Key of descriptors in the given order, constants relabeled jointly."""
+    """Key of descriptors in the given order, constants relabeled jointly.
+
+    A constant becomes ``("v", label)`` with labels given by first occurrence
+    across all the descriptors; a distinguished one stays ``("k", c)``.
+    """
     seen = {}
-    return tuple((d[0], d[1], d[2] or "", d[3], _relabel(d[4], distinguished, seen))
-                 for d in descs)
+    key = []
+    for kind, label, tag, n_values, consts in descs:
+        key.append((kind, label, tag or "", n_values,
+                    tuple([("k", c) if c in distinguished else ("v", seen.setdefault(c, len(seen)))
+                           for c in consts])))
+    return tuple(key)
 
 
 def canonical_pattern(descs, distinguished=frozenset()):
@@ -70,51 +63,28 @@ def canonical_pattern(descs, distinguished=frozenset()):
     return min(forward, backward), forward == backward
 
 
-def _node_info(node, distinguished):
-    """A node's key entry and the labels of its constants.
-
-    The entry is ``(kind, label, tag, n_values, relabeled consts)``, the one
-    element of the node's key and the first element of the key of any pair
-    the node leads.
-    """
-    seen = {}
-    entry = (node.kind, node.label, node.tag or "", node.n_values,
-             _relabel(node.consts, distinguished, seen))
-    return entry, seen, node.consts
-
-
-def _edge_key(tag, info_u, info_v, distinguished):
-    """``(key, flip, forward)`` of an edge from its endpoints' ``_node_info``.
-
-    Equals ``(tag, canonical_pattern((du, dv)))`` for the endpoint descriptors
-    ``du``, ``dv``; ``forward`` says the key lists ``u`` first.  Only the
-    second endpoint's constants are relabeled again, once per ordering whose
-    first entry can be the minimum.
-    """
-    (eu, su, cu), (ev, sv, cv) = info_u, info_v
-    if eu < ev:
-        return (tag, (eu, ev[:4] + (_relabel(cv, distinguished, dict(su)),))), False, True
-    if ev < eu:
-        return (tag, (ev, eu[:4] + (_relabel(cu, distinguished, dict(sv)),))), False, False
-    fwd = _relabel(cv, distinguished, dict(su))
-    bwd = _relabel(cu, distinguished, dict(sv))
-    if fwd <= bwd:
-        return (tag, (eu, ev[:4] + (fwd,))), fwd == bwd, True
-    return (tag, (ev, eu[:4] + (bwd,))), False, False
+_descriptor = attrgetter("kind", "label", "tag", "n_values", "consts")
 
 
 def node_pattern(model, i, distinguished=frozenset()):
     """Canonical key of a single ground node."""
-    return (_node_info(model.nodes[i], distinguished)[0],)
+    return canonical_pattern((_descriptor(model.nodes[i]),), distinguished)[0]
 
 
 def edge_pattern(model, k, distinguished=frozenset()):
-    """Canonical key, flip flag and canonical orientation of a ground edge."""
+    """Canonical key, flip flag and canonical orientation of a ground edge.
+
+    The key is ``(tag, canonical_pattern((du, dv)))`` for the endpoint
+    descriptors; the orientation lists first the endpoint the key lists first.
+    """
     u, v = model.edges[k].tolist()
-    key, flip, forward = _edge_key(model.edge_tags[k] or "",
-                                   _node_info(model.nodes[u], distinguished),
-                                   _node_info(model.nodes[v], distinguished), distinguished)
-    return key, flip, ((u, v) if forward else (v, u))
+    du, dv = _descriptor(model.nodes[u]), _descriptor(model.nodes[v])
+    forward = _ordered_key((du, dv), distinguished)
+    backward = _ordered_key((dv, du), distinguished)
+    tag = model.edge_tags[k] or ""
+    if forward <= backward:
+        return (tag, forward), forward == backward, (u, v)
+    return (tag, backward), False, (v, u)
 
 
 @dataclass
@@ -288,7 +258,7 @@ def _fixed_ranks(consts, valid, distinguished):
 
 
 def _relabel_codes(consts, valid, distinguished):
-    """``_relabel`` of each row of ``consts`` as order-preserving ints.
+    """``_ordered_key``'s relabeling of each row of ``consts`` as sortable ints.
 
     A distinguished constant, ``("k", c)``, becomes its rank among
     ``distinguished``; any other, ``("v", label)``, becomes

@@ -239,7 +239,10 @@ class TestEdgeTable:
         for outer in lt.OUTER_CHOICES:
             lt.frank_wolfe(lg, outer=outer, rho=rho, tol=1e-4, max_iters=20)
         assert "edge_index" not in g.__dict__
+        assert "node_index" not in g.__dict__
         assert g.edge_index[tuple(g.edges[-1].tolist())] == len(g.edges) - 1
+        nd = g.nodes[-1]
+        assert g.node_index[(nd.kind, nd.label, nd.consts)] == len(g.nodes) - 1
 
 
 class TestScoreState:

@@ -141,6 +141,17 @@ def _desc(node):
     return (node.kind, node.label, node.tag, node.n_values, node.consts)
 
 
+def _keyed_edge(model, k, distinguished):
+    """``(key, flip, oriented pair)`` of edge ``k`` from both ``_ordered_key``
+    orderings of its endpoints."""
+    u, v = model.edges[k].tolist()
+    tag = model.edge_tags[k] or ""
+    du, dv = _desc(model.nodes[u]), _desc(model.nodes[v])
+    fwd = (tag, _ordered_key((du, dv), distinguished))
+    bwd = (tag, _ordered_key((dv, du), distinguished))
+    return (fwd, fwd == bwd, (u, v)) if fwd <= bwd else (bwd, False, (v, u))
+
+
 def _keyed_orbits(model, distinguished):
     """Node orbits ``(key, members)`` and edge orbits ``(key, members, flips)``,
     keying every node and both orderings of every edge with ``_ordered_key``."""
@@ -148,11 +159,8 @@ def _keyed_orbits(model, distinguished):
     for i, nd in enumerate(model.nodes):
         node_groups.setdefault(_ordered_key((_desc(nd),), distinguished), []).append(i)
     edge_groups = {}
-    for k, ((u, v), tag) in enumerate(zip(model.edges.tolist(), model.edge_tags)):
-        du, dv = _desc(model.nodes[u]), _desc(model.nodes[v])
-        fwd = (tag or "", _ordered_key((du, dv), distinguished))
-        bwd = (tag or "", _ordered_key((dv, du), distinguished))
-        key, flip, oriented = (fwd, fwd == bwd, (u, v)) if fwd <= bwd else (bwd, False, (v, u))
+    for k in range(len(model.edges)):
+        key, flip, oriented = _keyed_edge(model, k, distinguished)
         edge_groups.setdefault(key, []).append((k, flip, oriented))
     nodes = [(key, sorted(node_groups[key])) for key in sorted(node_groups)]
     edges = [(key, [m for _k, _f, m in sorted(edge_groups[key])],
@@ -379,15 +387,28 @@ class TestArrayKeying:
         assert codes.dtype == np.int64
         assert np.unique(codes, return_inverse=True)[1].tolist() == [rank[r] for r in rows]
 
-    def test_edge_key_runs_once_per_edge_orbit(self, monkeypatch):
+    @pytest.mark.parametrize("make", [
+        lambda: lt.zoo.build_hand_built("ring_pendant"), lambda: build("complete_graph", 4, 0.3),
+        lambda: build("clique_cycle", 3, 0.3), lambda: build("friends_smokers", 3, 0.3)],
+        ids=["ring_pendant", "complete_graph-4", "clique_cycle-3", "friends_smokers-3"])
+    def test_edge_pattern_matches_both_orderings(self, make):
+        """Key, flip flag and orientation of every edge, with no constant
+        and with node 0's constants distinguished."""
+        g = make()
+        for distinguished in (frozenset(), frozenset(g.nodes[0].consts)):
+            for k in range(len(g.edges)):
+                assert symmetry.edge_pattern(g, k, distinguished) == _keyed_edge(
+                    g, k, distinguished)
+
+    def test_edge_pattern_runs_once_per_edge_orbit(self, monkeypatch):
         calls = []
-        edge_key = symmetry._edge_key
+        edge_pattern = symmetry.edge_pattern
 
         def counted(*args):
             calls.append(args)
-            return edge_key(*args)
+            return edge_pattern(*args)
 
-        monkeypatch.setattr(symmetry, "_edge_key", counted)
+        monkeypatch.setattr(symmetry, "edge_pattern", counted)
         for name, n in (("complete_graph", 12), ("clique_cycle", 6), ("friends_smokers", 6)):
             g = build(name, n, 0.3)
             calls.clear()
