@@ -136,6 +136,7 @@ def _run_one(task):
         "gap": gap, "iters": res.iterations, "millis": millis,
         "setup_millis": {k: v * 1000.0 for k, v in stages.items()},
         "termination": res.termination,
+        "stats": res.stats,
         "marginals": marg,
     }
 
@@ -170,6 +171,10 @@ def cmd_infer(args):
     print(f"setup time {sum(stages.values()):.1f} ms ("
           + ", ".join(f"{k} {v:.1f}" for k, v in stages.items()) + ")")
     print(f"wall time  {row['millis']:.1f} ms")
+    st = row["stats"]
+    print(f"solve phases lp {st['lp_s'] * 1e3:.1f}, separation {st['separate_s'] * 1e3:.1f}, "
+          f"line search {st['line_search_s'] * 1e3:.1f}, polish {st['polish_s'] * 1e3:.1f} ms "
+          f"({st['polish_faces']} face solves, {st['polish_face_failures']} failed)")
     for name, val in row["marginals"].items():
         print(f"{name:24s} {val:.6f}")
     if args.out:

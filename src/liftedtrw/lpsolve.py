@@ -93,33 +93,43 @@ class Simplex:
 
     def __init__(self, n_vars, rows, fixed_zero=None):
         self.n = n_vars
-        self.rows = list(rows)
+        self.rows = []
         self.fixed_zero = (np.zeros(n_vars, dtype=bool)
                            if fixed_zero is None else np.asarray(fixed_zero, dtype=bool))
-        self._build()
+        self.block_struct = self.fixed_zero.copy()
+        self.m = 0
+        self.A = np.zeros((0, n_vars), order="F")
+        self.b = np.zeros(0)
+        self.slack_sign = np.zeros(0)
+        self._build(list(rows))
         self._basis = None
         self._binv = None
         self._updates = 0
         self.refactorizations = 0
 
-    def _build(self):
-        n = self.n
-        m = len(self.rows)
+    def _build(self, rows):
+        """Append ``rows`` to the matrix; a row of negative right-hand side
+        is stored negated.  Rows already held are copied, not walked."""
+        n, first = self.n, self.m
+        m = first + len(rows)
+        self.rows.extend(rows)
         self.m = m
-        A = np.zeros((m, n))
+        A = np.zeros((m, n), order="F")
+        A[:first] = self.A
         b = np.zeros(m)
+        b[:first] = self.b
         slack_sign = np.zeros(m)
-        for i, row in enumerate(self.rows):
+        slack_sign[:first] = self.slack_sign
+        for i, row in enumerate(rows, first):
             sign = -1.0 if row.rhs < 0 else 1.0
             for j, c in row.coeffs:
                 A[i, j] += sign * c
             b[i] = sign * row.rhs
             if row.rel == "<=":
                 slack_sign[i] = sign
-        self.A = np.asfortranarray(A)
+        self.A = A
         self.b = b
         self.slack_sign = slack_sign
-        self.block_struct = self.fixed_zero.copy()
         # per column code: the nonzero of a slack or artificial unit column,
         # and whether the code is an artificial
         self._unit_coef = np.zeros(n + 2 * m)
@@ -130,8 +140,7 @@ class Simplex:
 
     def add_rows(self, rows):
         first = self.m
-        self.rows.extend(rows)
-        self._build()
+        self._build(list(rows))
         if self._basis is not None:
             self._basis = np.concatenate([self._basis, self._initial_basis(first)])
         self._binv = None

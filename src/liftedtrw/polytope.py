@@ -354,15 +354,8 @@ class OuterSystem:
             n = cl.size
             ks = np.arange(n + 1)
             x[cl.c_offset:cl.c_offset + n + 1] = (
-                np.array([_comb(n, k) for k in ks]) / 2.0 ** n)
+                np.array([math.comb(n, k) for k in ks]) / 2.0 ** n)
         return x
-
-
-def _comb(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
 
 
 def crash_basis(lg, cs):
@@ -392,10 +385,17 @@ def crash_basis(lg, cs):
 
 
 def build_outer_system(lg, outer):
-    """Assemble the constraint system for one of the four outer bounds."""
+    """Assemble the constraint system for one of the four outer bounds.
+
+    The local rows are built on first use and cached on ``lg``; each system
+    gets its own copy of them, so rows added to one never reach another.
+    """
     if outer not in OUTER_CHOICES:
         raise ValueError(f"outer must be one of {OUTER_CHOICES}, got {outer!r}")
-    cs = lifted_local(lg)
+    local = getattr(lg, "_local", None)
+    if local is None:
+        local = lg._local = lifted_local(lg)
+    cs = ConstraintSystem(list(local.rows), set(local._keys))
     n_vars = lg.n_vars
     clusters = []
     if outer.endswith("+exch"):

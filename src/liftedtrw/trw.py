@@ -143,7 +143,8 @@ def _new_stats():
     """Zeroed per-phase timings (seconds) and counters of a solve."""
     return {"lp_s": 0.0, "separate_s": 0.0, "line_search_s": 0.0, "polish_s": 0.0,
             "eq_residual": 0.0, "lp_solves": 0, "lp_refactorizations": 0,
-            "polish_tries": 0, "polish_adopted": 0,
+            "polish_tries": 0, "polish_adopted": 0, "polish_faces": 0,
+            "polish_face_failures": 0,
             "loose_iterations": 0, "loose_termination": ""}
 
 
@@ -159,6 +160,10 @@ class TrwResult:
     (``lp_s``), cycle separation (``separate_s``), line searches
     (``line_search_s``) and polish candidates (``polish_s``), and counts LP
     solves, basis refactorizations, polish attempts and adopted polishes.
+    A polish attempt solves each distinct face once, whatever the number of
+    active-set tolerances and cut rounds that reach it: ``polish_faces``
+    counts the face solves run and ``polish_face_failures`` those that gave
+    no point (a singular KKT matrix or a non-finite step).
     A ``+exch`` solve with clusters adds the timings and counts of its looser
     solve, whose iterations and termination are ``loose_iterations`` and
     ``loose_termination`` (``0`` and ``""`` when no looser solve ran).
@@ -187,6 +192,9 @@ class TrwResult:
     def converged(self):
         """Whether the gap reached the tolerance."""
         return self.termination == "gap"
+
+
+_UNSOLVED = object()  # a face not yet solved, unlike a failed solve (None)
 
 
 def _face_newton(obj, free, E, b_e, tau):
@@ -230,7 +238,15 @@ def _face_newton(obj, free, E, b_e, tau):
     return x
 
 
-def _newton_polish(obj, lp, fixed_zero, tau, active_tol):
+def _row_excess(lp, tau):
+    """How far ``tau`` is past the bound of each row of ``lp`` (at most 0
+    when feasible), ``inf`` on equality rows; a row is active within
+    ``active_tol`` when its excess is at least ``-active_tol``."""
+    sign = lp.slack_sign
+    return np.where(sign == 0.0, np.inf, sign * (lp.A @ tau - lp.b))
+
+
+def _newton_polish(obj, lp, fixed_zero, tau, active_tol, faces=None):
     """Refine ``tau`` by Newton steps on its active face.
 
     Runs an active-set loop: solve the equality-constrained stationarity
@@ -242,6 +258,11 @@ def _newton_polish(obj, lp, fixed_zero, tau, active_tol):
     ``slack_sign == 0``, and an inequality's violation is
     ``slack_sign * (A x - b)``, since the simplex negates rows of negative
     right-hand side.
+
+    ``faces`` maps the ordered active row indices to the face solve there
+    (None when it failed).  At one ``tau`` the indices fix the face system
+    bit for bit, row order included, and rows are only ever appended to
+    ``lp``, so one dict may serve every tolerance and cut round at ``tau``.
     """
     n = obj.n_vars
     tau = np.asarray(tau, dtype=float)
@@ -250,15 +271,19 @@ def _newton_polish(obj, lp, fixed_zero, tau, active_tol):
     if free.size == 0:
         return None
 
+    faces = {} if faces is None else faces
     A, b, sign = lp.A, lp.b, lp.slack_sign
-    is_active = (sign == 0.0) | (sign * (A @ tau - b) >= -active_tol)
+    is_active = _row_excess(lp, tau) >= -active_tol
     active = np.flatnonzero(is_active)
     inactive = np.flatnonzero(~is_active)
     for _ in range(6):
-        # np.ix_ blocks are row-major; a column-major block (A[active][:, free])
-        # sums E @ x in another order, which changes the last bits
-        b_e = b[active] - A[np.ix_(active, pinned)] @ tau[pinned]
-        x = _face_newton(obj, free, A[np.ix_(active, free)], b_e, tau)
+        key = active.tobytes()
+        x = faces.get(key, _UNSOLVED)
+        if x is _UNSOLVED:
+            # np.ix_ blocks are row-major; a column-major block (A[active][:, free])
+            # sums E @ x in another order, which changes the last bits
+            b_e = b[active] - A[np.ix_(active, pinned)] @ tau[pinned]
+            x = faces[key] = _face_newton(obj, free, A[np.ix_(active, free)], b_e, tau)
         if x is None:
             return None
         cand = np.zeros(n)
@@ -379,24 +404,35 @@ def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
 
     def attempt_polish(g_scale):
         """Adopt the best improving face refinement that no cycle row cuts;
-        report whether one was adopted."""
+        report whether one was adopted.  Tolerances that give the same
+        starting active set run the active-set loop once, and every face is
+        solved once per attempt."""
         nonlocal tau, F
         stats["polish_tries"] += 1
         tols = sorted({max(1e-7, min(t, 0.2)) for t in
                        (0.5 * g_scale, 0.05 * g_scale, 1e-3, 1e-7)})
+        faces = {}
+        adopted = False
         for _ in range(CUT_ROUNDS):
             t0 = clock()
-            cands = (_newton_polish(obj, simplex, system.fixed_zero, tau, t)
-                     for t in tols)
+            excess = _row_excess(simplex, tau)
+            starts = {}
+            for t in tols:
+                starts.setdefault((excess >= -t).tobytes(), t)
+            cands = (_newton_polish(obj, simplex, system.fixed_zero, tau, t, faces)
+                     for t in starts.values())
             best = max((c for c in cands if c is not None), key=obj.value, default=None)
             stats["polish_s"] += clock() - t0
             if best is None or obj.value(best) <= F:
-                return False
+                break
             if not add_cuts(best):
                 tau, F = best, obj.value(best)
                 stats["polish_adopted"] += 1
-                return True
-        return False
+                adopted = True
+                break
+        stats["polish_faces"] += len(faces)
+        stats["polish_face_failures"] += sum(x is None for x in faces.values())
+        return adopted
 
     while it < max_iters:
         it += 1

@@ -139,6 +139,28 @@ class TestWarmStart:
             cold = Simplex(n, rows, None).solve(c2)
             assert abs(warm.objective - cold.objective) < 1e-8
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_add_rows_matrix_matches_fresh_build(self, seed):
+        """Row batches appended one by one, negative right-hand sides and
+        equality rows included, leave the bytes of a build from all rows."""
+        n, rows, _c = random_local_lp(seed)
+        rng = np.random.default_rng(200 + seed)
+        extra = [Row.make({int(j): float(rng.normal()) for j in rng.choice(n, 2, replace=False)},
+                          rel, float(rhs))
+                 for rel, rhs in (("<=", -0.3), ("<=", 0.7), ("=", 0.0), ("=", -0.2))]
+        lp = Simplex(n, rows[:1], np.arange(n) == 0)
+        for batch in (rows[1:], extra[:1], extra[1:], []):
+            lp.add_rows(batch)
+        fresh = Simplex(n, rows + extra, np.arange(n) == 0)
+        assert lp.m == fresh.m == len(rows) + len(extra)
+        assert lp.rows == fresh.rows
+        for name in ("A", "b", "slack_sign", "_unit_coef", "_art_code", "block_struct"):
+            got, want = getattr(lp, name), getattr(fresh, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes()), name
+        assert lp.A.flags.f_contiguous and fresh.A.flags.f_contiguous
+        assert (lp.slack_sign < 0).any() and (lp.slack_sign == 0).sum() >= 3
+
     def test_warm_with_stale_basis_falls_back(self):
         n, rows, c = random_local_lp(7)
         simplex = Simplex(n, rows, None)

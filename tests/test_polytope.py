@@ -35,6 +35,28 @@ def lifted_feasible(cs, x, tol=1e-7):
 
 
 class TestLiftedLocal:
+    def test_local_rows_built_once_and_copied(self, monkeypatch):
+        """The outer systems of one lifted graph share the local rows, built
+        once; a row added to one system reaches no other, later ones
+        included."""
+        lg = lt.compute_orbits(build("clique_cycle", 3, 2.0))
+        want = lifted_local(lg).rows
+        built = []
+
+        def counted(g):
+            built.append(g)
+            return lifted_local(g)
+
+        monkeypatch.setattr(polytope, "lifted_local", counted)
+        systems = [build_outer_system(lg, outer) for outer in lt.OUTER_CHOICES]
+        assert built == [lg]
+        assert all(system.cs.rows[:len(want)] == want for system in systems)
+        cut = Row.make({0: 1.0, 1: 1.0}, "<=", 0.5, tag="cycle")
+        systems[1].cs.add(cut)
+        later = build_outer_system(lg, "cycle")
+        assert built == [lg] and later.cs.rows == want
+        assert all(cut not in system.cs for system in systems[:1] + systems[2:] + [later])
+
     def test_ring_stem_rows_present(self, ring_model, ring_lifted):
         """Both marginalization identities of the stem orbit must appear."""
         lg = ring_lifted

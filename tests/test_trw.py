@@ -313,7 +313,7 @@ class TestFrankWolfe:
         res = frank_wolfe(lg, outer="cycle+exch", rho=rho, tol=1e-5, max_iters=200)
         timings = {"lp_s", "separate_s", "line_search_s", "polish_s"}
         counters = {"lp_solves", "lp_refactorizations", "polish_tries",
-                    "polish_adopted"}
+                    "polish_adopted", "polish_faces", "polish_face_failures"}
         assert set(res.stats) == timings | counters | {"eq_residual", "loose_iterations",
                                                        "loose_termination"}
         assert all(type(res.stats[k]) is float and res.stats[k] >= 0.0 for k in timings)
@@ -511,9 +511,9 @@ class TestNewtonPolish:
             points.setdefault((tau.tobytes(), lp.m),
                               (obj, list(lp.rows), lp.fixed_zero, tau.copy()))
 
-        def polish_recorded(obj, lp, fixed_zero, tau, active_tol):
+        def polish_recorded(obj, lp, fixed_zero, tau, active_tol, faces=None):
             record(obj, lp, tau)
-            return polish(obj, lp, fixed_zero, tau, active_tol)
+            return polish(obj, lp, fixed_zero, tau, active_tol, faces)
 
         def line_recorded(obj, x, delta):
             record(obj, lps[-1], x)
@@ -545,11 +545,14 @@ class TestNewtonPolish:
         found = []
         for obj, rows, fixed_zero, tau in points:
             lp = Simplex(obj.n_vars, rows, fixed_zero)
+            faces = {}   # shared by every tolerance at this iterate
             for t in self.ACTIVE_TOLS:
                 got = _candidate_bytes(trw._newton_polish(obj, lp, fixed_zero, tau, t))
                 want = _candidate_bytes(reference_newton_polish(obj, rows, fixed_zero,
                                                                 tau, t))
                 assert got == want, t
+                assert _candidate_bytes(trw._newton_polish(obj, lp, fixed_zero, tau, t,
+                                                           faces)) == want, t
                 found.append(got is not None)
         assert any(found)
         row_counts = {len(rows) for _obj, rows, _fz, _tau in points}
@@ -610,8 +613,8 @@ class TestNewtonPolish:
         assert clean.converged and clean.stats["eq_residual"] <= 1e-12
         polish = trw._newton_polish
 
-        def off_face(obj, lp, fixed_zero, tau, active_tol):
-            cand = polish(obj, lp, fixed_zero, tau, active_tol)
+        def off_face(obj, lp, fixed_zero, tau, active_tol, faces=None):
+            cand = polish(obj, lp, fixed_zero, tau, active_tol, faces)
             if cand is not None:
                 cand = cand.copy()
                 cand[0] += 1e-6 * np.sign(obj.grad(cand)[0])
@@ -620,3 +623,85 @@ class TestNewtonPolish:
         monkeypatch.setattr(trw, "_newton_polish", off_face)
         with pytest.raises(RuntimeError, match="off the equality rows"):
             frank_wolfe(lg, outer="local", rho=rho, tol=1e-5, max_iters=200)
+
+
+# ---------------------------------------------------------------------------
+# One face solve per active set per polish attempt
+# ---------------------------------------------------------------------------
+
+class _NoMemo(dict):
+    """A face dict that keeps nothing, so every face is solved afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _solve_bytes(res):
+    return (np.float64(res.bound).tobytes(), np.float64(res.objective).tobytes(),
+            res.tau.tobytes(), np.array(res.gap_trace).tobytes(), res.iterations,
+            res.lp_pivots, res.n_cuts, res.termination)
+
+
+class TestFaceMemo:
+    @staticmethod
+    def _lifted(name, n, w):
+        g = (lt.zoo.ring_pendant_model(scale=w) if name == "ring_pendant"
+             else build(name, n, w))
+        return lt.compute_orbits(g)
+
+    @pytest.mark.parametrize("outer", ["local", "cycle", "local+exch", "cycle+exch"])
+    @pytest.mark.parametrize("name, n, w", [
+        ("complete_graph", 4, -1.0), ("friends_smokers", 3, 1.0),
+        ("clique_cycle", 3, 2.0), ("ring_pendant", 5, 3.0),
+    ])
+    def test_no_face_solved_twice_per_attempt(self, monkeypatch, name, n, w, outer):
+        """Within one polish attempt, over all its tolerances and cut rounds,
+        no two face solves get byte-equal inputs; the counters count the
+        solves run and the failed ones."""
+        lg = self._lifted(name, n, w)
+        polish, face_newton = trw._newton_polish, trw._face_newton
+        attempts = []   # (face dict, inputs of each face solve) per attempt
+        failed = []
+
+        def polish_traced(obj, lp, fixed_zero, tau, active_tol, faces=None):
+            if not attempts or attempts[-1][0] is not faces:
+                attempts.append((faces, []))
+            return polish(obj, lp, fixed_zero, tau, active_tol, faces)
+
+        def face_traced(obj, free, E, b_e, tau):
+            attempts[-1][1].append((free.tobytes(), E.shape, E.tobytes(),
+                                    b_e.tobytes(), tau.tobytes()))
+            x = face_newton(obj, free, E, b_e, tau)
+            failed.append(x is None)
+            return x
+
+        monkeypatch.setattr(trw, "_newton_polish", polish_traced)
+        monkeypatch.setattr(trw, "_face_newton", face_traced)
+        res = frank_wolfe(lg, outer=outer, rho=lt.init_rho_uniform(lg), tol=1e-6,
+                          max_iters=30)
+        assert attempts and len(attempts) == res.stats["polish_tries"]
+        for _faces, inputs in attempts:
+            assert len(set(inputs)) == len(inputs)
+        assert res.stats["polish_faces"] == len(failed) > 0
+        assert res.stats["polish_face_failures"] == sum(failed)
+
+    @pytest.mark.parametrize("outer", ["local", "cycle", "local+exch", "cycle+exch"])
+    @pytest.mark.parametrize("name, n, w", [
+        ("complete_graph", 4, -1.0), ("friends_smokers", 3, 1.0),
+        ("clique_cycle", 3, 2.0), ("ring_pendant", 5, 3.0),
+    ])
+    def test_defeated_memo_gives_same_bytes(self, monkeypatch, name, n, w, outer):
+        """Solving every face afresh, as without the memo, returns the bytes
+        of the memoized solve."""
+        lg = self._lifted(name, n, w)
+        rho = lt.init_rho_uniform(lg)
+        shared = frank_wolfe(lg, outer=outer, rho=rho, tol=1e-6, max_iters=30)
+        polish = trw._newton_polish
+
+        def unshared(obj, lp, fixed_zero, tau, active_tol, faces=None):
+            return polish(obj, lp, fixed_zero, tau, active_tol, _NoMemo())
+
+        monkeypatch.setattr(trw, "_newton_polish", unshared)
+        alone = frank_wolfe(lg, outer=outer, rho=rho, tol=1e-6, max_iters=30)
+        assert _solve_bytes(alone) == _solve_bytes(shared)
+        assert alone.stats["polish_faces"] == 0 < shared.stats["polish_faces"]
