@@ -13,7 +13,7 @@ from .symmetry import (LiftedGraph, TyingViolation, canonical_pattern,
 from .polytope import (ConstraintSystem, NotExchangeable, build_outer_system,
                        detect_exchangeable_clusters, exchangeable_constraints,
                        lifted_local, separate_cycles, OUTER_CHOICES)
-from .lpsolve import Basis, InfeasibleError, Row, Simplex, UnboundedError
+from .lpsolve import InfeasibleError, Row, Simplex, UnboundedError
 from .trw import (TrwResult, entropy_coefficients, frank_wolfe, golden_section,
                   gradient, lifted_entropy_bound, lifted_linear_term)
 from .spanning import (DisconnectedGraph, count_components, init_rho_uniform,
@@ -34,7 +34,7 @@ __all__ = [
     "ConstraintSystem", "NotExchangeable", "build_outer_system",
     "detect_exchangeable_clusters", "exchangeable_constraints", "lifted_local",
     "separate_cycles", "OUTER_CHOICES",
-    "Basis", "InfeasibleError", "Row", "Simplex", "UnboundedError",
+    "InfeasibleError", "Row", "Simplex", "UnboundedError",
     "TrwResult", "entropy_coefficients", "frank_wolfe", "golden_section",
     "gradient", "lifted_entropy_bound", "lifted_linear_term",
     "DisconnectedGraph", "count_components", "init_rho_uniform",

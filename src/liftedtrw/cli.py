@@ -32,6 +32,7 @@ import numpy as np
 from . import spanning, trw, zoo
 from .model import ModelError, ground, parse_model
 from .polytope import OUTER_CHOICES
+from .spanning import DisconnectedGraph
 from .symmetry import compute_orbits
 
 CSV_SCHEMA = "schema=1"
@@ -323,7 +324,7 @@ def main(argv=None):
     try:
         _check_args(args)
         return args.func(args)
-    except (ModelError, FileNotFoundError) as exc:
+    except (ModelError, FileNotFoundError, DisconnectedGraph) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,12 +5,14 @@ constraint with relation ``=`` or ``<=``.  All problems produced by this
 package have a bounded feasible region (variables live in [0, 1] implicitly),
 so unboundedness is treated as an internal error.
 
-Column encoding used in :class:`Basis` (stable across row additions):
-structural variable ``j`` is ``j``; the slack of row ``i`` is ``n + 2*i``;
-the artificial of row ``i`` is ``n + 2*i + 1``.  Artificials can remain basic
-at level zero when a row is redundant; they are never allowed to enter.  Only
-the structural block of the constraint matrix is materialized; slack and
-artificial columns are unit vectors handled implicitly.
+The simplex keeps its basis between solves and warm-starts each solve from
+it; a crash basis may be given once, at construction.  Column codes of a
+basis (stable across row additions): structural variable ``j`` is ``j``; the
+slack of row ``i`` is ``n + 2*i``; the artificial of row ``i`` is
+``n + 2*i + 1``.  Artificials can remain basic at level zero when a row is
+redundant; they are never allowed to enter.  Only the structural block of the
+constraint matrix is materialized; slack and artificial columns are unit
+vectors handled implicitly.
 
 The explicit basis inverse is updated in place at each pivot.  On matrices
 of 64 rows or more the rank-1 update touches only the columns where the
@@ -69,40 +71,42 @@ class Row:
                 self.rel, round(self.rhs, KEY_DIGITS))
 
 
-@dataclass(frozen=True)
-class Basis:
-    cols: tuple[int, ...]
-
-
 @dataclass
 class SolveResult:
     x: np.ndarray
     objective: float
-    basis: Basis
     iterations: int = 0
 
 
 class Simplex:
     """Revised simplex over a fixed constraint set; objectives may vary.
 
-    Keeps the basis inverse alive between solves so that re-solving
+    Keeps the basis and its inverse alive between solves so that re-solving
     after an objective change (the common case in conditional gradient loops)
-    costs only a few pivots.  ``refactorizations`` counts the inverses
-    computed from scratch.
+    costs only a few pivots.  ``basis`` is an optional crash basis, one
+    column code per row, for the first solve; ``add_rows`` extends a held
+    basis with the new rows' start codes.  Columns marked in ``fixed_zero``
+    never enter.  ``refactorizations`` counts the inverses computed from
+    scratch.
     """
 
-    def __init__(self, n_vars, rows, fixed_zero=None):
+    def __init__(self, n_vars, rows, fixed_zero=None, basis=None):
         self.n = n_vars
         self.rows = []
         self.fixed_zero = (np.zeros(n_vars, dtype=bool)
                            if fixed_zero is None else np.asarray(fixed_zero, dtype=bool))
-        self.block_struct = self.fixed_zero.copy()
         self.m = 0
         self.A = np.zeros((0, n_vars), order="F")
         self.b = np.zeros(0)
         self.slack_sign = np.zeros(0)
         self._build(list(rows))
-        self._basis = None
+        if basis is not None:
+            basis = np.array(basis, dtype=np.int64)
+            if basis.shape != (self.m,):
+                raise ValueError(f"basis has {basis.size} codes for {self.m} rows")
+            if ((basis < 0) | (basis >= n_vars + 2 * self.m)).any():
+                raise ValueError(f"basis codes must lie in [0, {n_vars + 2 * self.m})")
+        self._basis = basis
         self._binv = None
         self._updates = 0
         self.refactorizations = 0
@@ -259,7 +263,7 @@ class Simplex:
                                    f"without reaching optimality (m={m}, n={self.n})")
             y = cb @ binv
             rc = cs - y @ self.A
-            rc[self.block_struct] = -np.inf
+            rc[self.fixed_zero] = -np.inf
             best_q = -1
             best_rc = OPT_TOL
             if bland:
@@ -336,7 +340,7 @@ class Simplex:
         # pivot remaining artificials out where the row is not redundant
         for r in np.flatnonzero(self._art_code[basis]):
             row_vals = binv[r] @ self.A
-            row_vals[self.block_struct] = 0.0
+            row_vals[self.fixed_zero] = 0.0
             cand = np.nonzero(np.abs(row_vals) > 1e-7)[0]
             if cand.size:
                 q = int(cand[0])
@@ -348,44 +352,25 @@ class Simplex:
                 self._pivot(binv, r, binv @ self._column(q))
         return basis, binv, it1
 
-    def solve(self, objective, warm=None):
+    def solve(self, objective):
         """Maximize ``objective`` over the constraint set.
 
-        ``warm`` is a :class:`Basis` (or None).  Falls back to a cold start
-        when the warm basis is singular or primal infeasible.
+        Starts from the held basis (the last solve's, else the crash basis);
+        falls back to phase 1 when there is none or it is singular or primal
+        infeasible.
         """
         c_struct = np.asarray(objective, dtype=float)
         iters = 0
-
-        def usable(cand, binv):
-            if binv is None:
-                return False
-            xb = binv @ self.b
-            return xb.min() >= -FEAS_TOL and not (self._art_code[cand] & (xb > FEAS_TOL)).any()
-
         basis = None
-        binv = None
-        if warm is not None and len(warm.cols) == self.m:
-            cand = np.array(warm.cols, dtype=np.int64)
-            if (cand < self.n + 2 * self.m).all():
-                if self._binv is not None and np.array_equal(cand, self._basis):
-                    binv = self._binv
-                else:
-                    binv = self._factorize(cand)
-                if usable(cand, binv):
-                    basis = cand
-                else:
-                    binv = None
-        if basis is None and self._basis is not None and len(self._basis) == self.m:
+        if self._basis is not None:
             cand = self._basis.copy()
             binv = self._binv if self._binv is not None else self._factorize(cand)
-            if usable(cand, binv):
-                basis = cand
-            else:
-                binv = None
+            if binv is not None:
+                xb = binv @ self.b
+                if xb.min() >= -FEAS_TOL and not (self._art_code[cand] & (xb > FEAS_TOL)).any():
+                    basis = cand
         if basis is None:
-            basis, binv, it1 = self._phase1()
-            iters += it1
+            basis, binv, iters = self._phase1()
 
         basis, binv, xb, it2 = self._iterate(c_struct, basis, binv, phase=2)
         iters += it2
@@ -395,9 +380,4 @@ class Simplex:
         x[basis[struct]] = np.maximum(xb[struct], 0.0)
         self._basis = basis
         self._binv = binv
-        return SolveResult(
-            x=x,
-            objective=float(c_struct @ x),
-            basis=Basis(tuple(basis.tolist())),
-            iterations=iters,
-        )
+        return SolveResult(x=x, objective=float(c_struct @ x), iterations=iters)

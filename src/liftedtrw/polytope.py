@@ -351,10 +351,10 @@ class OuterSystem:
             else:
                 x[vmap] = 1.0 / vmap.size
         for cl in self.clusters:
+            # an int / int quotient is correctly rounded and never overflows
             n = cl.size
-            ks = np.arange(n + 1)
-            x[cl.c_offset:cl.c_offset + n + 1] = (
-                np.array([math.comb(n, k) for k in ks]) / 2.0 ** n)
+            x[cl.c_offset:cl.c_offset + n + 1] = [math.comb(n, k) / (1 << n)
+                                                  for k in range(n + 1)]
         return x
 
 
@@ -363,9 +363,11 @@ def crash_basis(lg, cs):
 
     Encodes the vertex of the all-zeros assignment: per node orbit the
     value-0 variable, per edge orbit the first row and first column of the
-    value grid.  Only valid before cuts or cluster rows are added and when no
-    structural zeros are present (auxiliary-node systems fall back to the
-    usual phase-1 start).
+    value grid.  The simplex takes it at construction and extends it with
+    the start codes of rows added later, so it also serves a system that
+    gains cuts before its first solve.  None when ``cs`` holds more than the
+    local rows or a structural zero is present (auxiliary-node systems start
+    from phase 1).
     """
     if lg.structural_zero_var.any():
         return None

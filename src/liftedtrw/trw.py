@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lpsolve import Basis as LpBasis
 from .lpsolve import Simplex
 from .polytope import build_outer_system, separate_cycles
 
@@ -246,7 +245,7 @@ def _row_excess(lp, tau):
     return np.where(sign == 0.0, np.inf, sign * (lp.A @ tau - lp.b))
 
 
-def _newton_polish(obj, lp, fixed_zero, tau, active_tol, faces=None):
+def _newton_polish(obj, lp, tau, active_tol, faces=None):
     """Refine ``tau`` by Newton steps on its active face.
 
     Runs an active-set loop: solve the equality-constrained stationarity
@@ -257,7 +256,8 @@ def _newton_polish(obj, lp, fixed_zero, tau, active_tol, faces=None):
     The rows are those of the direction LP ``lp``: its equality rows have
     ``slack_sign == 0``, and an inequality's violation is
     ``slack_sign * (A x - b)``, since the simplex negates rows of negative
-    right-hand side.
+    right-hand side.  Columns the LP pins to zero (``lp.fixed_zero``) stay
+    at zero.
 
     ``faces`` maps the ordered active row indices to the face solve there
     (None when it failed).  At one ``tau`` the indices fix the face system
@@ -266,7 +266,7 @@ def _newton_polish(obj, lp, fixed_zero, tau, active_tol, faces=None):
     """
     n = obj.n_vars
     tau = np.asarray(tau, dtype=float)
-    pinned = fixed_zero | ((tau <= 1e-10) & (obj.w == 0.0))
+    pinned = lp.fixed_zero | ((tau <= 1e-10) & (obj.w == 0.0))
     free = np.where(~pinned)[0]
     if free.size == 0:
         return None
@@ -317,9 +317,22 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
 
     A ``+exch`` polytope with clusters lies inside the same outer's without
     them, so the smaller of the two certified bounds is returned.
+
+    ``rho`` holds one edge appearance probability per edge orbit.  The bound
+    is an upper bound on log Z for a ``rho`` in the spanning-tree polytope;
+    a ``rho`` of the wrong length or with an entry outside [0, 1] (which no
+    such point has) raises ``ValueError``.
     """
     if rho is None:
         raise ValueError("edge appearance vector rho is required")
+    rho = np.asarray(rho, dtype=float)
+    if rho.shape != (len(lg.edge_orbits),):
+        raise ValueError(f"rho has shape {rho.shape}, need one entry per edge orbit "
+                         f"({len(lg.edge_orbits)})")
+    if not np.isfinite(rho).all():
+        raise ValueError("rho has a non-finite entry")
+    if ((rho < 0.0) | (rho > 1.0)).any():
+        raise ValueError("rho has an entry outside [0, 1]")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     t0 = time.perf_counter()
@@ -348,11 +361,10 @@ def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
 
     system = build_outer_system(lg, outer)
     obj = TrwObjective(lg, rho, system.n_vars)
-    simplex = Simplex(system.n_vars, system.cs.rows, system.fixed_zero)
+    simplex = Simplex(system.n_vars, system.cs.rows, system.fixed_zero, system.start_basis)
     tau = system.uniform_point()
 
     gap_trace, obj_trace = [], []
-    basis = None if system.start_basis is None else LpBasis(tuple(system.start_basis))
     pivots = 0
     converged = moved = False
     F = obj.value(tau)
@@ -376,20 +388,19 @@ def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
             stats["lp_s"] += clock() - t
         return bool(new_rows)
 
-    def solve_lp(gvec, warm=None):
-        """One LP solve, counted and timed."""
+    def solve_lp(gvec):
+        """One LP solve from the simplex's held basis, counted and timed."""
         nonlocal pivots
         t = clock()
-        res = simplex.solve(gvec, warm=warm)
+        res = simplex.solve(gvec)
         stats["lp_s"] += clock() - t
         stats["lp_solves"] += 1
         pivots += res.iterations
         return res
 
-    def direction(gvec, warm):
+    def direction(gvec):
         """Solve the direction LP, running cut separation at its vertex."""
-        res = solve_lp(gvec, warm)
-        s = res.x
+        s = solve_lp(gvec).x
         if system.use_cycles:
             for _ in range(CUT_ROUNDS):
                 key = s.round(9).tobytes()
@@ -398,9 +409,8 @@ def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
                 if not add_cuts(s):
                     clean_vertices.add(key)
                     break
-                res = solve_lp(gvec)
-                s = res.x
-        return res.basis, s
+                s = solve_lp(gvec).x
+        return s
 
     def attempt_polish(g_scale):
         """Adopt the best improving face refinement that no cycle row cuts;
@@ -419,7 +429,7 @@ def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
             starts = {}
             for t in tols:
                 starts.setdefault((excess >= -t).tobytes(), t)
-            cands = (_newton_polish(obj, simplex, system.fixed_zero, tau, t, faces)
+            cands = (_newton_polish(obj, simplex, tau, t, faces)
                      for t in starts.values())
             best = max((c for c in cands if c is not None), key=obj.value, default=None)
             stats["polish_s"] += clock() - t0
@@ -439,7 +449,7 @@ def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
         moved = may_polish and attempt_polish(gap if math.isfinite(gap) else 1.0)
 
         gvec = obj.grad(tau)
-        basis, s = direction(gvec, basis)
+        s = direction(gvec)
         gap = float(gvec @ (s - tau))
         gap_trace.append(gap)
         obj_trace.append(F)

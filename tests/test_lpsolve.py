@@ -8,7 +8,7 @@ from scipy.optimize import linprog
 
 import liftedtrw as lt
 from liftedtrw import trw
-from liftedtrw.lpsolve import REFACTOR_EVERY, Basis, InfeasibleError, Row, Simplex
+from liftedtrw.lpsolve import REFACTOR_EVERY, InfeasibleError, Row, Simplex
 
 from conftest import build, expand_rho
 
@@ -131,11 +131,9 @@ class TestWarmStart:
         rng = np.random.default_rng(100 + seed)
         n, rows, c = random_local_lp(seed)
         simplex = Simplex(n, rows, None)
-        basis = None
         for _ in range(20):
             c2 = c + 0.1 * rng.normal(size=n)
-            warm = simplex.solve(c2, warm=basis)
-            basis = warm.basis
+            warm = simplex.solve(c2)
             cold = Simplex(n, rows, None).solve(c2)
             assert abs(warm.objective - cold.objective) < 1e-8
 
@@ -154,7 +152,7 @@ class TestWarmStart:
         fresh = Simplex(n, rows + extra, np.arange(n) == 0)
         assert lp.m == fresh.m == len(rows) + len(extra)
         assert lp.rows == fresh.rows
-        for name in ("A", "b", "slack_sign", "_unit_coef", "_art_code", "block_struct"):
+        for name in ("A", "b", "slack_sign", "_unit_coef", "_art_code", "fixed_zero"):
             got, want = getattr(lp, name), getattr(fresh, name)
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
                                                              want.tobytes()), name
@@ -163,11 +161,44 @@ class TestWarmStart:
 
     def test_warm_with_stale_basis_falls_back(self):
         n, rows, c = random_local_lp(7)
-        simplex = Simplex(n, rows, None)
-        bogus = Basis(tuple(range(len(rows))))
-        res = simplex.solve(np.asarray(c), warm=bogus)
+        bogus = tuple(range(len(rows)))
+        simplex = Simplex(n, rows, None, bogus)
+        res = simplex.solve(np.asarray(c))
         ref = scipy_reference(n, rows, c)
         assert abs(res.objective - ref) < 1e-8
+
+    def test_constructor_basis_survives_add_rows(self, monkeypatch):
+        """Rows added before the first solve extend the crash basis with
+        their slacks: the solve starts from it without phase 1 and returns
+        the bytes of a fresh simplex of all rows given the extended basis."""
+        system, c, crash = ground_local_lp()
+        n = system.n_vars
+        lp = Simplex(n, system.cs.rows, system.fixed_zero, crash)
+        cuts = [Row.make({j: 1.0, j + 1: 1.0}, "<=", 1.5) for j in range(0, 9, 3)]
+        lp.add_rows(cuts)
+        extended = np.concatenate([crash, n + 2 * np.arange(len(crash), lp.m)])
+        assert lp._basis.tobytes() == extended.tobytes()
+        fresh = Simplex(n, system.cs.rows + cuts, system.fixed_zero, extended)
+
+        def no_phase1(self):
+            raise AssertionError("phase 1 ran")
+
+        monkeypatch.setattr(Simplex, "_phase1", no_phase1)
+        a, b = lp.solve(c), fresh.solve(c)
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.iterations == b.iterations
+        assert abs(a.objective - scipy_reference(n, system.cs.rows + cuts, c)) < 1e-8
+
+    @pytest.mark.parametrize("codes", [
+        lambda n, m: range(m - 1),              # one code short
+        lambda n, m: range(m + 1),              # one code too many
+        lambda n, m: [n + 2 * m] + list(range(m - 1)),   # past the last artificial
+        lambda n, m: [-1] + list(range(m - 1)),
+    ])
+    def test_malformed_basis_raises(self, codes):
+        n, rows, _c = random_local_lp(7)
+        with pytest.raises(ValueError, match="basis"):
+            Simplex(n, rows, None, list(codes(n, len(rows))))
 
 
 class TestInvariants:
@@ -190,18 +221,21 @@ class TestInvariants:
 
     def test_deterministic(self):
         n, rows, c = random_local_lp(11)
-        a = Simplex(n, rows).solve(c)
-        b = Simplex(n, rows).solve(c)
+        lp_a = Simplex(n, rows)
+        a = lp_a.solve(c)
+        lp_b = Simplex(n, rows)
+        b = lp_b.solve(c)
         np.testing.assert_array_equal(a.x, b.x)
-        assert a.basis == b.basis
+        assert lp_a._basis.tobytes() == lp_b._basis.tobytes()
 
     def test_crash_basis_accepted_on_local_system(self):
         g = build("complete_graph", 6, -1.0)
         lg = lt.compute_orbits(g)
         system = lt.build_outer_system(lg, "local")
         assert system.start_basis is not None
-        simplex = Simplex(system.n_vars, system.cs.rows, system.fixed_zero)
-        res = simplex.solve(lg.lifted_theta, warm=Basis(tuple(system.start_basis)))
+        simplex = Simplex(system.n_vars, system.cs.rows, system.fixed_zero,
+                          system.start_basis)
+        res = simplex.solve(lg.lifted_theta)
         ref = scipy_reference(system.n_vars, system.cs.rows, lg.lifted_theta)
         assert abs(res.objective - ref) < 1e-8
 
@@ -212,7 +246,7 @@ def ground_local_lp():
     from liftedtrw.symmetry import trivial_lifting
     lg0 = trivial_lifting(build("complete_graph", 12, -1.0))
     system = lt.build_outer_system(lg0, "local")
-    return system, lg0.lifted_theta, Basis(tuple(system.start_basis))
+    return system, lg0.lifted_theta, np.array(system.start_basis)
 
 
 class DenseReference(Simplex):
@@ -231,69 +265,63 @@ class DenseReference(Simplex):
         return not optimal and self._updates >= REFACTOR_EVERY
 
 
-def assert_same_solve(a, b):
+def assert_same_solve(fast, ref, c):
+    """Solve ``c`` on both simplexes; the results and the bases they hold
+    must be equal byte for byte.  Returns the first result."""
+    a, b = fast.solve(c), ref.solve(c)
     assert a.x.tobytes() == b.x.tobytes()
-    assert a.basis == b.basis
+    assert fast._basis.tobytes() == ref._basis.tobytes()
     assert a.iterations == b.iterations
+    return a
 
 
 class TestDenseReference:
     @pytest.mark.parametrize("seed", range(12))
     def test_random_lps(self, seed):
         n, rows, c = random_local_lp(seed)
-        assert_same_solve(Simplex(n, rows).solve(c), DenseReference(n, rows).solve(c))
+        assert_same_solve(Simplex(n, rows), DenseReference(n, rows), c)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_warm_start_sequences(self, seed):
         rng = np.random.default_rng(100 + seed)
         n, rows, c = random_local_lp(seed)
         fast, ref = Simplex(n, rows), DenseReference(n, rows)
-        basis = None
         for _ in range(20):
-            c2 = c + 0.1 * rng.normal(size=n)
-            a = fast.solve(c2, warm=basis)
-            assert_same_solve(a, ref.solve(c2, warm=basis))
-            basis = a.basis
+            assert_same_solve(fast, ref, c + 0.1 * rng.normal(size=n))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_after_add_rows(self, seed):
         n, rows, c = random_local_lp(seed)
         fast, ref = Simplex(n, rows), DenseReference(n, rows)
-        res = fast.solve(c)
-        assert_same_solve(res, ref.solve(c))
+        res = assert_same_solve(fast, ref, c)
         top = int(np.argmax(res.x))
         cut = Row.make({top: 1.0}, "<=", 0.5 * res.x[top])
         fast.add_rows([cut])
         ref.add_rows([cut])
-        assert_same_solve(fast.solve(c), ref.solve(c))
+        assert_same_solve(fast, ref, c)
 
     def test_ground_warm_start_sequence(self):
         system, c, basis = ground_local_lp()
         assert len(system.cs.rows) >= 64   # the nonzero-column update
         rng = np.random.default_rng(7)
-        fast, ref = (cls(system.n_vars, system.cs.rows, system.fixed_zero)
+        fast, ref = (cls(system.n_vars, system.cs.rows, system.fixed_zero, basis)
                      for cls in (Simplex, DenseReference))
         updates = 0
         for _ in range(12):
-            c2 = c + 0.5 * rng.normal(size=c.size)
-            a = fast.solve(c2, warm=basis)
-            assert_same_solve(a, ref.solve(c2, warm=basis))
+            a = assert_same_solve(fast, ref, c + 0.5 * rng.normal(size=c.size))
             updates += a.iterations
-            basis = a.basis
         assert updates > REFACTOR_EVERY
 
     def test_ground_after_add_rows(self):
         system, c, basis = ground_local_lp()
-        fast, ref = (cls(system.n_vars, system.cs.rows, system.fixed_zero)
+        fast, ref = (cls(system.n_vars, system.cs.rows, system.fixed_zero, basis)
                      for cls in (Simplex, DenseReference))
-        res = fast.solve(c, warm=basis)
-        assert_same_solve(res, ref.solve(c, warm=basis))
+        res = assert_same_solve(fast, ref, c)
         top = np.argsort(-res.x)[:3]
         cuts = [Row.make({int(j): 1.0}, "<=", 0.5 * res.x[j]) for j in top]
         fast.add_rows(cuts)
         ref.add_rows(cuts)
-        c2 = c + 0.1
-        assert_same_solve(fast.solve(c2, warm=res.basis), ref.solve(c2, warm=res.basis))
+        assert_same_solve(fast, ref, c + 0.1)
 
     def test_ground_inverse_bytes(self):
         """Each update of the inverse equals the dense update byte for byte,
@@ -311,9 +339,8 @@ class TestDenseReference:
         simplex = Checked(system.n_vars, system.cs.rows, system.fixed_zero)
         simplex.checked = 0
         rng = np.random.default_rng(8)
-        basis = None
         for _ in range(6):
-            basis = simplex.solve(c + 0.5 * rng.normal(size=c.size), warm=basis).basis
+            simplex.solve(c + 0.5 * rng.normal(size=c.size))
         assert simplex.m >= 64 and simplex.checked > REFACTOR_EVERY
 
     def test_ground_trw(self, monkeypatch):
@@ -334,19 +361,19 @@ class TestDrift:
     def test_clean_inverse_kept(self):
         n, rows, c = random_local_lp(3)
         simplex = Simplex(n, rows)
-        first = simplex.solve(c)
+        simplex.solve(c)
         count = simplex.refactorizations
-        simplex.solve(c, warm=first.basis)
-        simplex.solve(-c, warm=first.basis)
+        simplex.solve(c)
+        simplex.solve(-c)
         assert simplex.refactorizations == count
 
     def test_drifted_inverse_refactorized_at_optimality(self):
         n, rows, c = random_local_lp(3)
         simplex = Simplex(n, rows)
-        first = simplex.solve(c)
+        simplex.solve(c)
         count = simplex.refactorizations
         simplex._binv[0, 0] += 1e-6   # b[0] = 1, so B (B^-1 b) moves off b
-        res = simplex.solve(c, warm=first.basis)
+        res = simplex.solve(c)
         assert simplex.refactorizations == count + 1
         cold = Simplex(n, rows).solve(c)
         assert res.x.tobytes() == cold.x.tobytes()
@@ -355,13 +382,13 @@ class TestDrift:
         """An error in a column of the inverse whose right-hand side is 0
         does not move ``B^-1 b``; the drift check must still see it."""
         system, c, basis = ground_local_lp()
-        simplex = Simplex(system.n_vars, system.cs.rows, system.fixed_zero)
-        first = simplex.solve(c, warm=basis)
+        simplex = Simplex(system.n_vars, system.cs.rows, system.fixed_zero, basis)
+        simplex.solve(c)
         j = int(np.flatnonzero(simplex.b == 0.0)[0])
         i = int(np.argmax(np.abs(simplex._binv[:, j])))
         count = simplex.refactorizations
         simplex._binv[i, j] += 1e-6
-        res = simplex.solve(c, warm=first.basis)
+        res = simplex.solve(c)
         assert simplex.refactorizations == count + 1
-        cold = Simplex(system.n_vars, system.cs.rows, system.fixed_zero).solve(c, warm=basis)
+        cold = Simplex(system.n_vars, system.cs.rows, system.fixed_zero, basis).solve(c)
         assert res.x.tobytes() == cold.x.tobytes()

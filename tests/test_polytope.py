@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import heapq
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -194,6 +195,23 @@ class TestExchangeable:
             ones = np.zeros((1, system.n_vars))
             ones[0, cl.c_offset:cl.c_offset + cl.size + 1] = 1.0
             assert np.linalg.matrix_rank(np.vstack([E, ones])) == len(E)
+
+    def test_uniform_count_block(self):
+        """The count block of the uniform point is binomial(size, 1/2): finite
+        and summing to 1 for a 1100-node cluster, where ``2.0 ** size``
+        overflows, and equal to that expression's bytes up to 200 nodes."""
+        system = build_outer_system(lt.compute_orbits(build("complete_graph", 4, 0.0)),
+                                    "local+exch")
+        for size in (*range(1, 201), 1100):
+            cl = dataclasses.replace(system.clusters[0], size=size)
+            c = dataclasses.replace(system, n_vars=cl.c_offset + size + 1,
+                                    clusters=[cl]).uniform_point()[cl.c_offset:]
+            assert c.size == size + 1 and np.isfinite(c).all(), size
+            assert abs(c.sum() - 1.0) < 1e-12, size
+            if size <= 200:
+                # past 62 nodes the counts are Python ints in an object array
+                old = np.array([math.comb(size, k) for k in range(size + 1)]) / 2.0 ** size
+                assert c.tobytes() == old.astype(float).tobytes(), size
 
     def test_not_exchangeable_raises(self, ring_model, ring_lifted):
         for orb in ring_lifted.node_orbits:

@@ -204,6 +204,26 @@ class TestFrankWolfe:
             assert res.iterations <= 2
             assert abs(res.bound - np.log1p(np.exp(w))) < 1e-6
 
+    @pytest.mark.parametrize("bad, match", [
+        ("extra", "one entry per edge orbit"),
+        ("short", "one entry per edge orbit"),
+        (np.nan, "non-finite"),
+        (np.inf, "non-finite"),
+        (-1.0, r"outside \[0, 1\]"),
+        (1.5, r"outside \[0, 1\]"),
+    ])
+    def test_malformed_rho_raises(self, bad, match):
+        """Only a ``rho`` in the spanning-tree polytope certifies a bound:
+        ``rho = [-1]`` on complete_graph n=6 W=-1 gave 0.0924, below log Z
+        0.2008.  A wrong length, a non-finite entry and an entry outside
+        [0, 1] raise."""
+        lg = lt.compute_orbits(build("complete_graph", 6, -1.0))
+        rho = lt.init_rho_uniform(lg)
+        assert rho.size == 1
+        rho = {"extra": np.append(rho, 0.5), "short": rho[:0]}.get(bad, np.array([bad]))
+        with pytest.raises(ValueError, match=match):
+            frank_wolfe(lg, outer="local", rho=rho, tol=1e-6)
+
     def test_upper_bound_on_complete_graph_grid(self):
         for w in np.linspace(-2, 2, 5):
             g = build("complete_graph", 10, float(w))
@@ -511,9 +531,9 @@ class TestNewtonPolish:
             points.setdefault((tau.tobytes(), lp.m),
                               (obj, list(lp.rows), lp.fixed_zero, tau.copy()))
 
-        def polish_recorded(obj, lp, fixed_zero, tau, active_tol, faces=None):
+        def polish_recorded(obj, lp, tau, active_tol, faces=None):
             record(obj, lp, tau)
-            return polish(obj, lp, fixed_zero, tau, active_tol, faces)
+            return polish(obj, lp, tau, active_tol, faces)
 
         def line_recorded(obj, x, delta):
             record(obj, lps[-1], x)
@@ -547,11 +567,11 @@ class TestNewtonPolish:
             lp = Simplex(obj.n_vars, rows, fixed_zero)
             faces = {}   # shared by every tolerance at this iterate
             for t in self.ACTIVE_TOLS:
-                got = _candidate_bytes(trw._newton_polish(obj, lp, fixed_zero, tau, t))
+                got = _candidate_bytes(trw._newton_polish(obj, lp, tau, t))
                 want = _candidate_bytes(reference_newton_polish(obj, rows, fixed_zero,
                                                                 tau, t))
                 assert got == want, t
-                assert _candidate_bytes(trw._newton_polish(obj, lp, fixed_zero, tau, t,
+                assert _candidate_bytes(trw._newton_polish(obj, lp, tau, t,
                                                            faces)) == want, t
                 found.append(got is not None)
         assert any(found)
@@ -581,10 +601,10 @@ class TestNewtonPolish:
         if expected is None:
             e2 = np.exp(2.0)
             expected = (e2 / (e2 + 2.0), 1.0 / (e2 + 2.0), 1.0 / (e2 + 2.0))
-        np.testing.assert_allclose(trw._newton_polish(obj, lp, fixed_zero, tau, 1e-3),
+        np.testing.assert_allclose(trw._newton_polish(obj, lp, tau, 1e-3),
                                    expected, atol=1e-12)
         for t in self.ACTIVE_TOLS:
-            assert (_candidate_bytes(trw._newton_polish(obj, lp, fixed_zero, tau, t))
+            assert (_candidate_bytes(trw._newton_polish(obj, lp, tau, t))
                     == _candidate_bytes(reference_newton_polish(obj, rows, fixed_zero,
                                                                 tau, t))), t
 
@@ -597,7 +617,7 @@ class TestNewtonPolish:
         obj = SimpleNamespace(n_vars=2, theta=np.array([0.0, -1e6]), w=-np.ones(2))
         fixed_zero = np.zeros(2, dtype=bool)
         tau = np.array(start)
-        cand = trw._newton_polish(obj, lp, fixed_zero, tau, 0.2)
+        cand = trw._newton_polish(obj, lp, tau, 0.2)
         assert (cand is not None) == kept
         if kept:
             assert abs(cand[0] - start[0]) < 1e-5
@@ -613,8 +633,8 @@ class TestNewtonPolish:
         assert clean.converged and clean.stats["eq_residual"] <= 1e-12
         polish = trw._newton_polish
 
-        def off_face(obj, lp, fixed_zero, tau, active_tol, faces=None):
-            cand = polish(obj, lp, fixed_zero, tau, active_tol, faces)
+        def off_face(obj, lp, tau, active_tol, faces=None):
+            cand = polish(obj, lp, tau, active_tol, faces)
             if cand is not None:
                 cand = cand.copy()
                 cand[0] += 1e-6 * np.sign(obj.grad(cand)[0])
@@ -663,10 +683,10 @@ class TestFaceMemo:
         attempts = []   # (face dict, inputs of each face solve) per attempt
         failed = []
 
-        def polish_traced(obj, lp, fixed_zero, tau, active_tol, faces=None):
+        def polish_traced(obj, lp, tau, active_tol, faces=None):
             if not attempts or attempts[-1][0] is not faces:
                 attempts.append((faces, []))
-            return polish(obj, lp, fixed_zero, tau, active_tol, faces)
+            return polish(obj, lp, tau, active_tol, faces)
 
         def face_traced(obj, free, E, b_e, tau):
             attempts[-1][1].append((free.tobytes(), E.shape, E.tobytes(),
@@ -698,8 +718,8 @@ class TestFaceMemo:
         shared = frank_wolfe(lg, outer=outer, rho=rho, tol=1e-6, max_iters=30)
         polish = trw._newton_polish
 
-        def unshared(obj, lp, fixed_zero, tau, active_tol, faces=None):
-            return polish(obj, lp, fixed_zero, tau, active_tol, _NoMemo())
+        def unshared(obj, lp, tau, active_tol, faces=None):
+            return polish(obj, lp, tau, active_tol, _NoMemo())
 
         monkeypatch.setattr(trw, "_newton_polish", unshared)
         alone = frank_wolfe(lg, outer=outer, rho=rho, tol=1e-6, max_iters=30)
