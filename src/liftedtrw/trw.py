@@ -356,8 +356,7 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
 def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
     """One conditional-gradient solve over ``outer``; see ``frank_wolfe``."""
     if lg.n_vars == 0:
-        return TrwResult(0.0, 0.0, np.zeros(0), [], [], 0, "gap", {}, outer,
-                         np.asarray(rho, dtype=float))
+        return TrwResult(0.0, 0.0, np.zeros(0), [], [], 0, "gap", {}, outer, rho)
 
     system = build_outer_system(lg, outer)
     obj = TrwObjective(lg, rho, system.n_vars)

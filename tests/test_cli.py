@@ -98,21 +98,6 @@ class TestInfer:
         code, _, _ = run_cli(capsys, "infer", "--model", "complete_graph",
                              "--n", "0", "--W", "1")
         assert code == 2
-
-    @pytest.mark.parametrize("text, match", [
-        ("1.0 P(x) ^ Q(x)\n", "3 ground components remain"),
-        ("0.5 V(x)\n", "graph has nodes but no edges"),
-    ])
-    @pytest.mark.parametrize("command", ["infer", "mst"])
-    def test_disconnected_graph_exits_2(self, capsys, tmp_path, text, match, command):
-        """A ground graph without a spanning tree is reported as an error,
-        not a traceback."""
-        model = tmp_path / "split.mln"
-        model.write_text(text)
-        code, out, err = run_cli(capsys, command, "--model", str(model), "--n", "3")
-        assert code == 2
-        assert err.startswith("error: ") and match in err
-        assert "Traceback" not in out + err
         code, _, _ = run_cli(capsys, "infer", "--model", "complete_graph",
                              "--n", "3", "--W", "1", "--tol", "-1")
         assert code == 2
@@ -144,6 +129,21 @@ class TestInfer:
         for max_iters in (0, -1):
             with pytest.raises(ValueError, match="max_iters"):
                 lt.frank_wolfe(lg, rho=lt.init_rho_uniform(lg), max_iters=max_iters)
+
+    @pytest.mark.parametrize("text, match", [
+        ("1.0 P(x) ^ Q(x)\n", "3 ground components remain"),
+        ("0.5 V(x)\n", "graph has nodes but no edges"),
+    ])
+    @pytest.mark.parametrize("command", ["infer", "mst"])
+    def test_disconnected_graph_exits_2(self, capsys, tmp_path, text, match, command):
+        """A ground graph without a spanning tree is reported as an error,
+        not a traceback."""
+        model = tmp_path / "split.mln"
+        model.write_text(text)
+        code, out, err = run_cli(capsys, command, "--model", str(model), "--n", "3")
+        assert code == 2
+        assert err.startswith("error: ") and match in err
+        assert "Traceback" not in out + err
 
     def test_optimized_rho_does_not_worsen_bound(self, capsys, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
