@@ -6,7 +6,7 @@ Subcommands::
     liftedtrw sweep    --model M --n N --W lo:hi:step [--outer O1,O2|all] ...
     liftedtrw orbits   --model M --n N [--W w]
     liftedtrw mst      --model M --n N [--W w] [--weights w1,w2,...]
-    liftedtrw validate [--n N]
+    liftedtrw validate
 
 ``--model`` accepts a file path or a bundled model name
 (complete_graph, friends_smokers, clique_cycle).  ``--rho`` is ``uniform``
@@ -97,16 +97,16 @@ def _edge_orbit_weights(lg, text):
 
 
 def _resolve_rho(lg, mode, outer, tol, max_iters):
+    """The rho of ``mode``, with the solve at it when finding it took one."""
     if mode == "uniform":
-        return spanning.init_rho_uniform(lg)
+        return spanning.init_rho_uniform(lg), None
     if mode == "optimize":
         rho0 = spanning.init_rho_uniform(lg)
-        rho, _ = spanning.optimize_rho(lg, outer, rho0, outer_iters=8,
-                                       tol=tol, max_iters=max_iters)
-        return rho
+        return spanning.optimize_rho(lg, outer, rho0, outer_iters=8,
+                                     tol=tol, max_iters=max_iters)
     if mode.startswith("kruskal:"):
         return spanning.lifted_kruskal(
-            lg, _edge_orbit_weights(lg, mode.split(":", 1)[1]))
+            lg, _edge_orbit_weights(lg, mode.split(":", 1)[1])), None
     raise ModelError(f"unknown rho mode {mode!r}")
 
 
@@ -123,18 +123,17 @@ def _run_one(task):
     args, w_value, outer = task
     _, lg, stages = _build(args, w_value)
     t0 = time.perf_counter()
-    rho = _resolve_rho(lg, args.rho, outer, args.tol, args.max_iters)
-    t1 = time.perf_counter()
-    stages["rho"] = t1 - t0
-    res = trw.frank_wolfe(lg, outer=outer, rho=rho, tol=args.tol,
-                          max_iters=args.max_iters)
-    millis = (time.perf_counter() - t1) * 1000.0
+    rho, res = _resolve_rho(lg, args.rho, outer, args.tol, args.max_iters)
+    stages["rho"] = time.perf_counter() - t0
+    if res is None:
+        res = trw.frank_wolfe(lg, outer=outer, rho=rho, tol=args.tol,
+                              max_iters=args.max_iters)
     marg = {name: res.node_marginals[oid][1]
             for oid, name in _marginal_columns(lg)}
     gap = res.gap_trace[-1] if res.gap_trace else 0.0
     return {
         "W": w_value, "outer": outer, "n": args.n, "bound": res.bound,
-        "gap": gap, "iters": res.iterations, "millis": millis,
+        "gap": gap, "iters": res.iterations, "millis": res.millis,
         "setup_millis": {k: v * 1000.0 for k, v in stages.items()},
         "termination": res.termination,
         "stats": res.stats,

@@ -166,20 +166,19 @@ class _MirrorGraph:
     Ground node ``a`` has copies ``2a`` (layer 0) and ``2a + 1`` (layer 1).
     ``adj`` lists ``(node, edge, crossing)`` per copy, where ``edge`` indexes
     the binary edges and ``crossing`` says the step switches layers;
-    ``var01``/``var10`` are each binary edge's two disagreement variables;
-    ``first`` maps every source to the first source of its node orbit.
+    ``var01``/``var10`` are each binary edge's two disagreement variables.
 
-    ``sources`` is empty when the binary subgraph is a forest.  There every
-    closed walk with an odd number of crossings crosses some edge and also
-    steps along it without crossing, at cost ``lam + (1 - lam) = 1``, so no
-    cycle inequality can be violated.
+    ``sources`` holds one ground node per node orbit that touches a binary
+    edge, the orbit's lowest id, in ascending order.  It is empty when the
+    binary subgraph is a forest.  There every closed walk with an odd number
+    of crossings crosses some edge and also steps along it without crossing,
+    at cost ``lam + (1 - lam) = 1``, so no cycle inequality can be violated.
     """
 
     adj: list
     var01: np.ndarray
     var10: np.ndarray
     sources: list
-    first: dict
 
 
 def _mirror_graph(lg):
@@ -207,12 +206,12 @@ def _mirror_graph(lg):
             adj[2 * a + 1].append((2 * b + 1, j, False))
             adj[2 * a].append((2 * b + 1, j, True))
             adj[2 * a + 1].append((2 * b, j, True))
-    sources = [] if forest else sorted(sources)
-    first, orbit_first = {}, {}
-    for s in sources:
-        first[s] = orbit_first.setdefault(int(lg.node_orbit_of[s]), s)
+    orbit_source = {}
+    for s in sorted(sources):
+        orbit_source.setdefault(int(lg.node_orbit_of[s]), s)
+    sources = [] if forest else sorted(orbit_source.values())
     lg._mirror = _MirrorGraph(adj, np.array(var01, dtype=int),
-                              np.array(var10, dtype=int), sources, first)
+                              np.array(var10, dtype=int), sources)
     return lg._mirror
 
 
@@ -227,11 +226,14 @@ def separate_cycles(lg, tau, cs):
     ``CUT_BATCH`` most violated new rows are added to ``cs`` and returned,
     the most violated first.
 
-    Since ``tau`` is constant on orbits, an automorphism maps the shortest
-    paths from one member of a node orbit onto paths of the same length from
-    any other member.  So the search runs from the first source of each node
-    orbit, and from the orbit's other members only when that search finds a
-    violated cycle; the rows are those of a search from every source.
+    Since ``tau`` is constant on orbits, an automorphism maps a violated
+    cycle through any member of a node orbit onto one of the same length
+    through the orbit's source, and a row's projection onto orbit variables
+    is invariant under it.  So one search per node orbit suffices: at a
+    ``tau`` that satisfies the rows of ``cs``, a call returns rows exactly
+    when a search from every ground node would, so a call without rows
+    certifies the same relaxation.  The rows themselves may differ where the
+    other members' searches would break ties along other shortest paths.
     """
     mg = _mirror_graph(lg)
     if not mg.sources:
@@ -241,15 +243,10 @@ def separate_cycles(lg, tau, cs):
     weight = (lam.tolist(), (1.0 - lam).tolist())
 
     cutoff = 1.0 - CYCLE_VIOLATION_TOL
-    violated = {}  # orbit-first source -> did its search find a path?
     found = []
     seen_keys = set()
     for s in mg.sources:
-        if not violated.get(mg.first[s], True):
-            continue
         dist, parent = _dijkstra(mg.adj, weight, 2 * s, 2 * s + 1, cutoff)
-        if s == mg.first[s]:
-            violated[s] = dist is not None
         if dist is None:
             continue
         steps = _walk(parent, 2 * s, 2 * s + 1)

@@ -234,26 +234,33 @@ def orbit_entropies(lg, tau):
     return node_h, edge_h
 
 
-def optimize_rho(lg, outer, rho0, outer_iters=10, **fw_kwargs):
+def optimize_rho(lg, outer, rho0, outer_iters=10, tol=1e-4, **fw_kwargs):
     """Improve the edge appearances by conditional gradient on the bound.
 
     Each outer step solves the inner problem, weighs edge orbits by their
     mutual information, moves toward the resulting spanning-tree point with a
     diminishing step, and keeps only steps that do not increase the bound.
+    The bound is convex in rho with gradient ``-|e| I_e``, so it stops when
+    the spanning-tree point's gain ``sum_e |e| I_e (d_e - rho_e)``, which
+    bounds any further decrease, is at most the solves' ``tol``.  Returns
+    ``rho`` and the solve at it.
     """
     rho = np.asarray(rho0, dtype=float)
-    res = frank_wolfe(lg, outer=outer, rho=rho, **fw_kwargs)
+    sizes = np.array([eo.size for eo in lg.edge_orbits], dtype=float)
+    res = frank_wolfe(lg, outer=outer, rho=rho, tol=tol, **fw_kwargs)
     for k in range(outer_iters):
         node_h, edge_h = orbit_entropies(lg, res.tau)
         mi = np.zeros(len(lg.edge_orbits))
         for eo in lg.edge_orbits:
             mi[eo.id] = node_h[eo.u_orbit] + node_h[eo.v_orbit] - edge_h[eo.id]
         direction = lifted_kruskal(lg, mi)
+        if float(sizes @ (mi * (direction - rho))) <= tol:
+            break
         step = 2.0 / (k + 2.0)
         accepted = False
         while step > 1e-4:
             cand = np.clip(rho + step * (direction - rho), 0.0, 1.0)
-            cand_res = frank_wolfe(lg, outer=outer, rho=cand, **fw_kwargs)
+            cand_res = frank_wolfe(lg, outer=outer, rho=cand, tol=tol, **fw_kwargs)
             if cand_res.bound <= res.bound + BOUND_TOL:
                 rho, res = cand, cand_res
                 accepted = True

@@ -162,7 +162,8 @@ class TrwResult:
     A polish attempt solves each distinct face once, whatever the number of
     active-set tolerances and cut rounds that reach it: ``polish_faces``
     counts the face solves run and ``polish_face_failures`` those that gave
-    no point (a singular KKT matrix or a non-finite step).
+    no point (a non-finite Newton step); a singular KKT matrix, from
+    dependent active rows, is solved by least squares and is no failure.
     A ``+exch`` solve with clusters adds the timings and counts of its looser
     solve, whose iterations and termination are ``loose_iterations`` and
     ``loose_termination`` (``0`` and ``""`` when no looser solve ran).
@@ -200,8 +201,10 @@ def _face_newton(obj, free, E, b_e, tau):
     """Newton iteration for the stationary point on the face ``E x = b_e``.
 
     The KKT matrix has no multiplier regularization, so steps land exactly on
-    the face and the active rows must be independent; its small negative
-    primal diagonal moves coordinates without entropy weight to their bound.
+    the face; its small negative primal diagonal moves coordinates without
+    entropy weight to their bound.  Dependent active rows make it singular,
+    and then the step is a least-squares solution, which lands on the face
+    when the rows are consistent.
     """
     nf = free.size
     m = E.shape[0]
@@ -220,7 +223,7 @@ def _face_newton(obj, free, E, b_e, tau):
         try:
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
-            return None
+            sol = np.linalg.lstsq(kkt, rhs)[0]
         dx = sol[:nf]
         if not np.isfinite(dx).all():
             return None

@@ -157,6 +157,25 @@ class TestInfer:
 
         assert bound_of(out_b) <= bound_of(out_a) + 1e-7
 
+    def test_optimized_rho_is_solved_once(self, capsys, monkeypatch):
+        """``--rho optimize`` reports the solve that ``optimize_rho`` ends
+        on instead of solving its rho again; on complete_graph, whose
+        spanning-tree polytope is one point, that is the only solve."""
+        solves = []
+        solve = lt.trw.frank_wolfe
+
+        def counted(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(lt.trw, "frank_wolfe", counted)
+        monkeypatch.setattr(lt.spanning, "frank_wolfe", counted)
+        code, out, _ = run_cli(capsys, "infer", "--model", "complete_graph",
+                               "--n", "10", "--W", "-1", "--rho", "optimize")
+        assert code == 0 and len(solves) == 1
+        assert float(re.search(r"bound\s+(\S+)", out).group(1)) == float(
+            f"{solves[0].bound:.10g}")
+
     def test_kruskal_rho_mode(self, capsys):
         code, out, _ = run_cli(capsys, "infer", "--model", "complete_graph",
                                "--n", "4", "--W", "-1", "--rho", "kruskal:1")

@@ -433,10 +433,12 @@ class TestSeparation:
         ("ring_pendant", 5, 3.0, True),
     ])
     def test_orbit_skip_matches_all_sources(self, name, n, w, has_cycles):
-        """Searching the other members of a node orbit only when its first
-        source finds a violated cycle returns the rows, in the order, of a
-        search from every source; checked at LP vertices over cut rounds.
-        (The binary edges of friends_smokers, Smokes-Cancer, form no cycle.)"""
+        """One search per node orbit finds rows exactly when a search from
+        every ground node does; its rows are violated, and are rows of that
+        search whenever that search returns fewer than ``CUT_BATCH``.  Checked
+        at LP vertices over cut rounds and at points between them and the
+        uniform point.  (The binary edges of friends_smokers, Smokes-Cancer,
+        form no cycle.)"""
         g = (lt.zoo.ring_pendant_model(scale=w) if name == "ring_pendant"
              else build(name, n, w))
         lg = lt.compute_orbits(g)
@@ -455,13 +457,17 @@ class TestSeparation:
                 # lengths up to 1, near the search's cutoff
                 t = rng.uniform(0.5, 1.0)
                 mid = t * x + (1.0 - t) * system.uniform_point()
-                assert (separate_cycles(lg, mid, copy.deepcopy(system.cs))
-                        == _all_sources_separation(lg, mid, copy.deepcopy(system.cs)))
-                ref_cs = copy.deepcopy(system.cs)
-                expected = _all_sources_separation(lg, x, ref_cs)
-                rows = separate_cycles(lg, x, system.cs)
-                assert rows == expected
-                assert system.cs.rows == ref_cs.rows
+                for point, cs in ((mid, copy.deepcopy(system.cs)), (x, system.cs)):
+                    expected = _all_sources_separation(lg, point, copy.deepcopy(cs))
+                    n_before = len(cs.rows)
+                    rows = separate_cycles(lg, point, cs)
+                    assert bool(rows) == bool(expected)
+                    assert cs.rows[n_before:] == rows
+                    for row in rows:
+                        violation = sum(cf * point[j] for j, cf in row.coeffs) - row.rhs
+                        assert violation > CYCLE_VIOLATION_TOL
+                    if len(expected) < CUT_BATCH:
+                        assert all(row in expected for row in rows)
                 n_rows += len(rows)
                 if not rows:
                     break
@@ -483,12 +489,32 @@ class TestSeparation:
         assert len(lg.node_orbits) == 3
         assert sorted(lg.node_orbit_of[s // 2] for s in calls) == [0, 1, 2]
 
+    def test_one_search_per_node_orbit_with_cuts(self, monkeypatch):
+        """A call at a point with violated cycles searches once per node
+        orbit too, from the orbit's lowest ground node."""
+        g = build("clique_cycle", 4, 2.0)
+        lg = lt.compute_orbits(g)
+        system = build_outer_system(lg, "local")
+        x = Simplex(system.n_vars, system.cs.rows,
+                    system.fixed_zero).solve(lg.lifted_theta).x
+        calls = []
+        search = polytope._dijkstra
+        lowest = _lowest_binary_node_per_orbit(lg)
+
+        def counted(*args):
+            calls.append(args[2] // 2)
+            return search(*args)
+
+        monkeypatch.setattr(polytope, "_dijkstra", counted)
+        assert separate_cycles(lg, x, system.cs)
+        assert len({i for _k, u, v in _binary_edges(g) for i in (u, v)}) > len(lowest)
+        assert calls == sorted(lowest.values())
+
     def test_forest_binary_subgraph_runs_no_search(self, monkeypatch):
         """The binary edges of friends_smokers (Smokes-Cancer) form a matching,
         a forest, so no search runs; the solve is that of a search from every
         orbit, which never finds a cut.  With the sources restored, each
-        separation call searches from the first source of each source orbit
-        and from no other member."""
+        separation call searches once from each source orbit's lowest node."""
         g = build("friends_smokers", 6, 1.0)
         calls = []
         separations = []
@@ -509,13 +535,10 @@ class TestSeparation:
         for restore_sources in (False, True):
             lg = lt.compute_orbits(g)
             mg = polytope._mirror_graph(lg)
-            assert mg.sources == [] and mg.first == {}
+            assert mg.sources == []
             if restore_sources:
-                sources = sorted({i for _k, u, v in _binary_edges(g) for i in (u, v)})
-                first, orbit_first = {}, {}
-                for s in sources:
-                    first[s] = orbit_first.setdefault(int(lg.node_orbit_of[s]), s)
-                lg._mirror = dataclasses.replace(mg, sources=sources, first=first)
+                lowest = _lowest_binary_node_per_orbit(lg)
+                lg._mirror = dataclasses.replace(mg, sources=sorted(lowest.values()))
             calls.clear()
             separations.clear()
             res = lt.frank_wolfe(lg, outer="cycle", rho=lt.init_rho_uniform(lg),
@@ -525,9 +548,9 @@ class TestSeparation:
                             res.n_cuts))
         (searches, *skipped), (searches_before, *before) = results
         n_separations = before[0]
-        assert len(orbit_first) == 2 and n_separations > 0
-        assert searches == 0 and searches_before == len(orbit_first) * n_separations
-        assert sorted(calls) == sorted([2 * s for s in orbit_first.values()] * n_separations)
+        assert len(lowest) == 2 and n_separations > 0
+        assert searches == 0 and searches_before == len(lowest) * n_separations
+        assert sorted(calls) == sorted([2 * s for s in lowest.values()] * n_separations)
         assert skipped == before
         assert skipped[-1] == 0
 
@@ -539,8 +562,16 @@ def _binary_edges(g):
                    for i in (u, v))]
 
 
+def _lowest_binary_node_per_orbit(lg):
+    """Node orbit -> its lowest ground node on a binary edge."""
+    lowest = {}
+    for s in sorted({i for _k, u, v in _binary_edges(lg.model) for i in (u, v)}):
+        lowest.setdefault(int(lg.node_orbit_of[s]), s)
+    return lowest
+
+
 def _all_sources_separation(lg, tau, cs):
-    """Cycle separation without the orbit skip or the length cutoff.
+    """Cycle separation from every binary ground node, without the cutoff.
 
     Builds the mirror graph afresh and runs Dijkstra from every binary ground
     node; otherwise gathers, ranks and adds rows like ``separate_cycles``.

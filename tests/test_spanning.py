@@ -323,3 +323,21 @@ class TestOptimizeRho:
         rho, _ = optimize_rho(lg, "local", rho0, outer_iters=3,
                               tol=1e-6, max_iters=2000)
         assert abs(rho[0] - 4 / 10) < 1e-9
+
+    def test_one_point_polytope_solves_once(self, monkeypatch):
+        """complete_graph has one edge orbit, so its spanning-tree polytope is
+        the point rho0: the Kruskal direction gains nothing and the first
+        solve is returned."""
+        lg = lt.compute_orbits(build("complete_graph", 6, -1.0))
+        rho0 = init_rho_uniform(lg)
+        solves = []
+        solve = spanning.frank_wolfe
+
+        def counted(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(spanning, "frank_wolfe", counted)
+        rho, res = optimize_rho(lg, "local", rho0, outer_iters=5, max_iters=2000)
+        assert len(solves) == 1 and res is solves[0]
+        np.testing.assert_array_equal(rho, rho0)

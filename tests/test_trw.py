@@ -306,6 +306,17 @@ class TestFrankWolfe:
                           tol=1e-5, max_iters=200)
         assert res.converged and res.bound < below
 
+    def test_dependent_active_rows_certify(self):
+        """At this non-uniform rho the polish faces have dependent active cycle
+        rows (singular KKT matrices); their least-squares steps still certify,
+        where plain conditional gradient ends at the limit with gap 1e-2."""
+        lg = lt.compute_orbits(build("clique_cycle", 6, 1.0))
+        rho = (0.5 * lt.init_rho_uniform(lg)
+               + 0.5 * lt.lifted_kruskal(lg, np.ones(len(lg.edge_orbits))))
+        res = frank_wolfe(lg, outer="cycle", rho=rho, tol=1e-5, max_iters=200)
+        assert res.termination == "gap"
+        assert res.stats["polish_face_failures"] == 0
+
     @pytest.mark.parametrize("name, n, w, polish, termination", [
         ("complete_graph", 12, -1.0, True, "gap"),
         # every line search accepted, gap 0.709 at the limit
@@ -443,7 +454,7 @@ def reference_face_newton(obj, free, active, tau):
         try:
             sol = np.linalg.solve(kkt, rhs)
         except np.linalg.LinAlgError:
-            return None
+            sol = np.linalg.lstsq(kkt, rhs)[0]
         dx = sol[:nf]
         if not np.isfinite(dx).all():
             return None
