@@ -112,8 +112,9 @@ def _resolve_rho(lg, mode, outer, tol, max_iters):
 
 def _marginal_columns(lg):
     cols = []
+    is_atom = lg.model.node_table.is_kind("atom")
     for orb in lg.node_orbits:
-        if lg.model.nodes[orb.rep].kind == "atom":
+        if is_atom[orb.rep]:
             cols.append((orb.id, f"marginal:{lg.orbit_name(orb.id)}"))
     return cols
 

@@ -1,375 +1,24 @@
-"""Templated model language, grounding, and the pairwise overcomplete factor graph.
+"""Grounding, and the pairwise overcomplete factor graph it produces.
 
-A model file declares predicates of arity 1 or 2 and a list of weighted
-boolean formulas over atoms with logical variables.  Grounding a model for a
-domain of ``n`` constants produces a :class:`PairwiseGroundModel`: a binary
-pairwise Markov random field in the overcomplete parametrization, where a
-formula grounding touching three distinct atoms is converted exactly into an
-auxiliary node of domain size 8 tied to its atoms by hard consistency edges.
-
-Grammar (UTF-8, line oriented)::
-
-    // comment
-    predicate Name/arity          # optional; inferred from use when absent
-    <weight> <formula>
-
-``weight`` is a decimal literal or ``W`` (optionally signed), bound later via
-:meth:`TemplatedModel.bind_weight`.  Formulas use ``^`` (and), ``v`` (or),
-``!`` (not), ``->``, ``<->``, parentheses, atoms ``Name(x,y)`` and distinctness
-guards ``x != y``.  Guards must appear as top-level conjuncts; an optional pair
-of square brackets may enclose the whole formula body.
+Grounding a templated model (see :mod:`liftedtrw.language`, whose parser
+this module re-exports) for a domain of ``n`` constants produces a
+:class:`PairwiseGroundModel`: a binary pairwise Markov random field in the
+overcomplete parametrization, where a formula grounding touching three
+distinct atoms is converted exactly into an auxiliary node of domain size 8
+tied to its atoms by hard consistency edges.
 """
 
 from __future__ import annotations
 
-import math
-import re
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
 
+from .language import ModelError, TemplatedModel, parse_model  # noqa: F401 - re-exported
+
 NEG_INF = float("-inf")
-
-
-class ModelError(Exception):
-    """Raised on malformed model text or impossible grounding requests."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
-@dataclass(frozen=True)
-class Weight:
-    """A formula weight: a numeric literal or a multiple of the symbol W."""
-
-    coeff: float
-    symbolic: bool = False
-
-    def resolve(self, w_value=None):
-        if not self.symbolic:
-            return self.coeff
-        if w_value is None:
-            raise ModelError("model uses the symbolic weight W but no value was bound")
-        return self.coeff * w_value
-
-
-@dataclass(frozen=True)
-class AtomTemplate:
-    pred: str
-    args: tuple[str, ...]
-
-    def __str__(self):
-        return f"{self.pred}({','.join(self.args)})"
-
-
-@dataclass(frozen=True)
-class Formula:
-    """One weighted formula, normalized to a canonical atom order.
-
-    ``table[idx]`` is the truth value of the formula under the atom assignment
-    with bit ``i`` of ``idx`` giving the value of ``atoms[i]``.
-    """
-
-    weight: Weight
-    atoms: tuple[AtomTemplate, ...]
-    guards: frozenset[frozenset[str]]
-    table: tuple[bool, ...]
-    variables: tuple[str, ...]
-    line: int = 0
-
-
-@dataclass(frozen=True)
-class TemplatedModel:
-    predicates: tuple[tuple[str, int], ...]
-    formulas: tuple[Formula, ...]
-
-    def bind_weight(self, w_value):
-        """Return a copy with every symbolic weight resolved to a number."""
-        bound = tuple(
-            Formula(Weight(f.weight.resolve(w_value)), f.atoms, f.guards, f.table,
-                    f.variables, f.line)
-            for f in self.formulas
-        )
-        return TemplatedModel(self.predicates, bound)
-
-    @property
-    def has_symbolic_weight(self):
-        return any(f.weight.symbolic for f in self.formulas)
-
-
-# ---------------------------------------------------------------------------
-# Parsing
-# ---------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<lpar>\()|(?P<rpar>\))|(?P<iff><->)|(?P<imp>->)|(?P<ne>!=)"
-    r"|(?P<not>!)|(?P<and>\^)|(?P<comma>,)|(?P<name>[A-Za-z_][A-Za-z0-9_]*))"
-)
-
-_PRED_DECL_RE = re.compile(r"^predicate\s+([A-Za-z_][A-Za-z0-9_]*)\s*/\s*(\d+)\s*$")
-_WEIGHT_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[+-]?W)\s+(.*)$")
-
-
-def _tokenize(text, line):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
-            raise ModelError(f"unexpected character {text[pos:].strip()[0]!r}", line)
-        pos = m.end()
-        kind = m.lastgroup
-        val = m.group(kind)
-        tokens.append((kind, val))
-    return tokens
-
-
-class _FormulaParser:
-    """Recursive descent over tokens.  Precedence: ! > ^ > v > -> > <->."""
-
-    def __init__(self, tokens, line):
-        self.tokens = tokens
-        self.line = line
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self, kind=None):
-        tok = self.peek()
-        if tok[0] is None:
-            raise ModelError("unexpected end of formula", self.line)
-        if kind is not None and tok[0] != kind:
-            raise ModelError(f"expected {kind}, found {tok[1]!r}", self.line)
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        expr = self.parse_iff()
-        if self.peek()[0] is not None:
-            raise ModelError(f"trailing tokens near {self.peek()[1]!r}", self.line)
-        return expr
-
-    def parse_iff(self):
-        left = self.parse_imp()
-        while self.peek()[0] == "iff":
-            self.take()
-            right = self.parse_imp()
-            left = ("iff", left, right)
-        return left
-
-    def parse_imp(self):
-        left = self.parse_or()
-        if self.peek()[0] == "imp":
-            self.take()
-            right = self.parse_imp()  # right associative
-            return ("imp", left, right)
-        return left
-
-    def parse_or(self):
-        left = self.parse_and()
-        while self.peek() == ("name", "v"):
-            self.take()
-            right = self.parse_and()
-            left = ("or", left, right)
-        return left
-
-    def parse_and(self):
-        left = self.parse_not()
-        while self.peek()[0] == "and":
-            self.take()
-            right = self.parse_not()
-            left = ("and", left, right)
-        return left
-
-    def parse_not(self):
-        if self.peek()[0] == "not":
-            self.take()
-            return ("not", self.parse_not())
-        return self.parse_primary()
-
-    def parse_primary(self):
-        kind, val = self.peek()
-        if kind == "lpar":
-            self.take()
-            expr = self.parse_iff()
-            self.take("rpar")
-            return expr
-        if kind != "name":
-            raise ModelError(f"expected atom or variable, found {val!r}", self.line)
-        self.take()
-        nxt = self.peek()
-        if nxt[0] == "lpar":  # atom
-            self.take()
-            args = [self.take("name")[1]]
-            while self.peek()[0] == "comma":
-                self.take()
-                args.append(self.take("name")[1])
-            self.take("rpar")
-            return ("atom", val, tuple(args))
-        if nxt[0] == "ne":  # distinctness guard: var != var
-            self.take()
-            other = self.take("name")[1]
-            return ("ne", val, other)
-        raise ModelError(f"bare identifier {val!r} (expected atom or guard)", self.line)
-
-
-def _split_guards(expr, line):
-    """Split top-level conjuncts into guard pairs and the residual formula."""
-    conjuncts = []
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if e[0] == "and":
-            stack.append(e[1])
-            stack.append(e[2])
-        else:
-            conjuncts.append(e)
-    guards = []
-    rest = []
-    for c in conjuncts:
-        if c[0] == "ne":
-            guards.append(frozenset((c[1], c[2])))
-        else:
-            _check_no_guard(c, line)
-            rest.append(c)
-    if not rest:
-        raise ModelError("formula reduces to guards only (no atoms)", line)
-    body = rest[0]
-    for c in rest[1:]:
-        body = ("and", body, c)
-    return frozenset(guards), body
-
-
-def _check_no_guard(expr, line):
-    if expr[0] == "ne":
-        raise ModelError("distinctness guards must be top-level conjuncts", line)
-    if expr[0] == "atom":
-        return
-    for sub in expr[1:]:
-        if isinstance(sub, tuple):
-            _check_no_guard(sub, line)
-
-
-def _collect_atoms(expr, out):
-    if expr[0] == "atom":
-        out.append(AtomTemplate(expr[1], expr[2]))
-        return
-    for sub in expr[1:]:
-        if isinstance(sub, tuple):
-            _collect_atoms(sub, out)
-
-
-def _eval_expr(expr, assignment):
-    op = expr[0]
-    if op == "atom":
-        return assignment[AtomTemplate(expr[1], expr[2])]
-    if op == "not":
-        return not _eval_expr(expr[1], assignment)
-    if op == "and":
-        return _eval_expr(expr[1], assignment) and _eval_expr(expr[2], assignment)
-    if op == "or":
-        return _eval_expr(expr[1], assignment) or _eval_expr(expr[2], assignment)
-    if op == "imp":
-        return (not _eval_expr(expr[1], assignment)) or _eval_expr(expr[2], assignment)
-    if op == "iff":
-        return _eval_expr(expr[1], assignment) == _eval_expr(expr[2], assignment)
-    raise AssertionError(op)
-
-
-def _parse_weight(token, line):
-    if token.endswith("W"):
-        sign = -1.0 if token.startswith("-") else 1.0
-        return Weight(sign, symbolic=True)
-    value = float(token)
-    if not math.isfinite(value):
-        raise ModelError("weights must be finite (hard constraints unsupported)", line)
-    return Weight(value)
-
-
-def parse_model(text):
-    """Parse model text into a :class:`TemplatedModel`.
-
-    Predicates may be declared with ``predicate Name/arity`` lines; when at
-    least one declaration is present every atom must use a declared predicate.
-    Without declarations, predicates are inferred from first use and checked
-    for consistent arity.
-    """
-    declared = {}
-    inferred = {}
-    strict = False
-    formulas = []
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//", 1)[0].strip()
-        if not line:
-            continue
-        decl = _PRED_DECL_RE.match(line)
-        if decl:
-            name, arity = decl.group(1), int(decl.group(2))
-            if arity not in (1, 2):
-                raise ModelError(f"predicate {name} has arity {arity}, only 1 or 2 supported", lineno)
-            if name in declared and declared[name] != arity:
-                raise ModelError(f"predicate {name} redeclared with different arity", lineno)
-            declared[name] = arity
-            strict = True
-            continue
-        m = _WEIGHT_RE.match(line)
-        if m is None:
-            raise ModelError("expected 'predicate Name/arity' or '<weight> <formula>'", lineno)
-        weight = _parse_weight(m.group(1), lineno)
-        body_text = m.group(2).strip()
-        if body_text.startswith("[") and body_text.endswith("]"):
-            body_text = body_text[1:-1]
-        expr = _FormulaParser(_tokenize(body_text, lineno), lineno).parse()
-        guards, body = _split_guards(expr, lineno)
-
-        raw_atoms = []
-        _collect_atoms(body, raw_atoms)
-        atoms = tuple(sorted(set(raw_atoms), key=lambda a: (a.pred, a.args)))
-        if len(atoms) > 3:
-            raise ModelError(f"formula has {len(atoms)} distinct atoms, at most 3 supported", lineno)
-
-        for atom in atoms:
-            if strict:
-                if atom.pred not in declared:
-                    raise ModelError(f"undeclared predicate {atom.pred}", lineno)
-                if declared[atom.pred] != len(atom.args):
-                    raise ModelError(
-                        f"predicate {atom.pred} used with arity {len(atom.args)}, "
-                        f"declared {declared[atom.pred]}", lineno)
-            else:
-                if len(atom.args) not in (1, 2):
-                    raise ModelError(f"predicate {atom.pred} has arity {len(atom.args)}, "
-                                     "only 1 or 2 supported", lineno)
-                if inferred.setdefault(atom.pred, len(atom.args)) != len(atom.args):
-                    raise ModelError(f"predicate {atom.pred} used with inconsistent arity", lineno)
-
-        variables = []
-        for atom in atoms:
-            for v in atom.args:
-                if v not in variables:
-                    variables.append(v)
-        for g in guards:
-            for v in g:
-                if v not in variables:
-                    raise ModelError(f"guard variable {v} appears in no atom", lineno)
-
-        table = []
-        for idx in range(2 ** len(atoms)):
-            assignment = {atoms[i]: bool((idx >> i) & 1) for i in range(len(atoms))}
-            table.append(_eval_expr(body, assignment))
-        formulas.append(Formula(weight, atoms, guards, tuple(table), tuple(variables), lineno))
-
-    preds = declared if strict else inferred
-    return TemplatedModel(tuple(sorted(preds.items())), tuple(formulas))
 
 
 # ---------------------------------------------------------------------------
@@ -399,26 +48,189 @@ class GroundNode:
         return f"{self.label}({args})" if self.consts else self.label
 
 
+def _read_only(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
+class BlockRows(Sequence):
+    """One array per id, held as rows of a few blocks, one block per shape.
+
+    Id ``i`` is row ``slot[i]`` of ``blocks[block[i]]``; indexing returns
+    that row, a read-only view.
+    """
+
+    __slots__ = ("blocks", "block", "slot")
+
+    def __init__(self, blocks, block, slot):
+        _read_only(*blocks, block, slot)
+        self.blocks, self.block, self.slot = tuple(blocks), block, slot
+
+    @classmethod
+    def stacked(cls, arrays):
+        """Copies of ``arrays`` stacked by shape, in order of first appearance."""
+        by_shape = {}  # shape -> (block, rows)
+        block = np.empty(len(arrays), dtype=np.int64)
+        slot = np.empty(len(arrays), dtype=np.int64)
+        for i, arr in enumerate(arrays):
+            block[i], rows = by_shape.setdefault(arr.shape, (len(by_shape), []))
+            slot[i] = len(rows)
+            rows.append(arr)
+        return cls([np.array(rows, dtype=float) for _, rows in by_shape.values()], block, slot)
+
+    def __len__(self):
+        return len(self.slot)
+
+    def __getitem__(self, i):
+        return self.blocks[self.block[i]][self.slot[i]]
+
+    def stack(self, ids, turned=None):
+        """Rows ``ids`` stacked along a new first axis, each transposed where
+        ``turned`` is set; all of them must then have one shape."""
+        code = 2 * self.block[ids] + (0 if turned is None else turned)  # block, turned
+        parts = []
+        for kind in np.flatnonzero(np.bincount(code)).tolist():
+            sel = code == kind
+            part = self.blocks[kind // 2][self.slot[ids[sel]]]
+            parts.append((sel, part.transpose(0, 2, 1) if kind % 2 else part))
+        if len(parts) == 1:
+            return parts[0][1]
+        out = np.empty((len(ids),) + parts[0][1].shape[1:])
+        for sel, part in parts:
+            out[sel] = part
+        return out
+
+
+class MaskCodes(Sequence):
+    """Per edge, a structural-zero mask or ``None``, as codes into a table.
+
+    ``code[k]`` indexes the read-only ``table`` of distinct masks, or is -1
+    when edge ``k`` has none; indexing returns the mask or ``None``.
+    """
+
+    __slots__ = ("code", "table")
+
+    def __init__(self, code, table):
+        _read_only(code, *table)
+        self.code, self.table = code, tuple(table)
+
+    def __len__(self):
+        return len(self.code)
+
+    def __getitem__(self, k):
+        c = self.code[k]
+        return None if c < 0 else self.table[c]
+
+    def stack(self, ids, turned, shape):
+        """The masks of edges ``ids``, all False where there is none, stacked
+        along a new first axis and transposed where ``turned`` is set; each
+        must then have ``shape``."""
+        blank = np.zeros(shape, dtype=bool)
+        oriented = [blank, blank]  # entry 2 * (code + 1) + turned
+        for mask in self.table:
+            oriented += [mask if mask.shape == shape else blank,
+                         mask.T if mask.T.shape == shape else blank]
+        return np.array(oriented)[2 * (self.code[ids] + 1) + turned]
+
+
+@dataclass(frozen=True, eq=False)
+class NodeTable:
+    """The ground nodes as arrays.
+
+    ``types`` lists the distinct ``(kind, label, tag or "", n_values)`` in
+    sorted order and ``desc[i]`` is node ``i``'s position there, which ranks
+    the nodes' descriptions.  ``consts`` holds each node's constants in a
+    padded ``(N, W)`` matrix, whose ``valid`` mask marks the first
+    ``len(consts)`` entries of each row; ``n_values`` counts each node's
+    values.  Every array is read-only.
+    """
+
+    types: tuple
+    desc: np.ndarray
+    consts: np.ndarray
+    valid: np.ndarray
+    n_values: np.ndarray
+
+    def __post_init__(self):
+        _read_only(self.desc, self.consts, self.valid, self.n_values)
+
+    @classmethod
+    def of(cls, types, desc, consts, valid):
+        n_values = np.array([t[3] for t in types], dtype=np.int64)[desc]
+        return cls(tuple(types), desc, consts, valid, n_values)
+
+    def consts_of(self, i):
+        return tuple(self.consts[i][self.valid[i]].tolist())
+
+    def is_kind(self, kind):
+        """Per node, whether its kind is ``kind``."""
+        return np.array([t[0] == kind for t in self.types], dtype=bool)[self.desc]
+
+    def nodes(self):
+        """The :class:`GroundNode` of every node; a tag of "" comes back as None."""
+        return [GroundNode(kind, label, tuple(row[:length]), nv, tag or None)
+                for (kind, label, tag, nv), row, length in zip(
+                    map(self.types.__getitem__, self.desc.tolist()), self.consts.tolist(),
+                    self.valid.sum(axis=1).tolist())]
+
+
+def _node_table_of(nodes):
+    """The :class:`NodeTable` of a list of :class:`GroundNode`."""
+    keys = [(nd.kind, nd.label, nd.tag or "", nd.n_values) for nd in nodes]
+    types = sorted(set(keys))
+    rank = {key: r for r, key in enumerate(types)}
+    desc = np.fromiter(map(rank.__getitem__, keys), dtype=np.int64, count=len(keys))
+    lengths = np.array([len(nd.consts) for nd in nodes], dtype=np.int64)
+    valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    consts = np.zeros(valid.shape, dtype=np.int64)
+    consts[valid] = [c for nd in nodes for c in nd.consts]
+    return NodeTable.of(types, desc, consts, valid)
+
+
 @dataclass
 class PairwiseGroundModel:
     """Binary-or-auxiliary pairwise MRF in the overcomplete parametrization.
 
-    Immutable after construction (arrays are not written to); safe to share.
-    ``edges`` is an ``(E, 2)`` int64 array of endpoint pairs, lower node id
-    first, with each edge's tag in ``edge_tags``.  ``_provenance`` holds the
-    lists behind :attr:`node_provenance` and :attr:`edge_provenance`, or a
-    function that builds them on first access.
+    Immutable after construction; its arrays are read-only and it is safe to
+    share.  The nodes are the arrays of ``node_table``; the
+    :class:`GroundNode` objects of :attr:`nodes` are built on first access,
+    and no inference stage asks for them.  ``edges`` is an ``(E, 2)`` int64
+    array of endpoint pairs, lower node id first, with each edge's tag in
+    ``edge_tags``.  ``theta_node`` and ``theta_edge`` hold each node's and
+    edge's potential as a row of a block of equal shapes (:class:`BlockRows`:
+    a block, and a slot in it, per id); ``structural_zero`` codes each
+    edge's mask into a small table, -1 for none (:class:`MaskCodes`).
+    ``_nodes`` and ``_provenance`` hold the lists behind :attr:`nodes`,
+    :attr:`node_provenance` and :attr:`edge_provenance`, or functions that
+    build them on first access.
     """
 
     constants: tuple[int, ...]
-    nodes: list[GroundNode]
+    node_table: NodeTable
     edges: np.ndarray
     edge_tags: tuple[str | None, ...]
-    theta_node: list[np.ndarray]
-    theta_edge: list[np.ndarray]
-    structural_zero: list[np.ndarray | None]
+    theta_node: BlockRows
+    theta_edge: BlockRows
+    structural_zero: MaskCodes
+    _nodes: list | Callable = field(repr=False)
     _provenance: tuple | Callable = field(repr=False)
     aux_atoms: dict[int, tuple[int, int, int]] = field(default_factory=dict)
+
+    @property
+    def nodes(self):
+        """The :class:`GroundNode` of every node id."""
+        if callable(self._nodes):
+            self._nodes = self._nodes()
+        return self._nodes
+
+    @property
+    def n_nodes(self):
+        return len(self.node_table.desc)
+
+    @property
+    def n_values(self):
+        """Value count of every node, as an int64 array."""
+        return self.node_table.n_values
 
     @cached_property
     def node_index(self):
@@ -447,13 +259,14 @@ class PairwiseGroundModel:
 
     # -- overcomplete feature layout -------------------------------------
     def feature_layout(self):
-        """Offsets of per-node and per-edge feature blocks (cached)."""
+        """Offsets of per-node and per-edge feature blocks, as read-only int64
+        arrays, and the feature count (cached)."""
         if not hasattr(self, "_feat"):
-            n_values = np.array([nd.n_values for nd in self.nodes], dtype=np.int64)
+            n_values = self.n_values
             sizes = np.concatenate([n_values, n_values[self.edges].prod(axis=1)])
-            start = (np.cumsum(sizes) - sizes).tolist()
-            n = len(self.nodes)
-            self._feat = (start[:n], start[n:], int(sizes.sum()))
+            start = np.cumsum(sizes) - sizes
+            _read_only(start)
+            self._feat = (start[:self.n_nodes], start[self.n_nodes:], int(sizes.sum()))
         return self._feat
 
     @property
@@ -464,7 +277,7 @@ class PairwiseGroundModel:
         return self.feature_layout()[0][i] + t
 
     def edge_feature(self, k, t, h):
-        nv = self.nodes[self.edges[k, 1]].n_values
+        nv = int(self.n_values[self.edges[k, 1]])
         return self.feature_layout()[1][k] + t * nv + h
 
     def theta_vector(self):
@@ -498,7 +311,7 @@ class PairwiseGroundModel:
 
     @property
     def atom_node_ids(self):
-        return [i for i, nd in enumerate(self.nodes) if nd.kind == "atom"]
+        return np.flatnonzero(self.node_table.is_kind("atom")).tolist()
 
     def consistent_aux_value(self, aux_id, values):
         """The unique consistent value of an auxiliary node given ``values`` per node id."""
@@ -507,10 +320,9 @@ class PairwiseGroundModel:
 
     def complete_state(self, atom_values):
         """Extend a per-atom-node assignment dict/array to all nodes."""
-        x = [0] * len(self.nodes)
-        for i, nd in enumerate(self.nodes):
-            if nd.kind == "atom":
-                x[i] = atom_values[i]
+        x = [0] * self.n_nodes
+        for i in self.atom_node_ids:
+            x[i] = atom_values[i]
         for aux_id in self.aux_atoms:
             x[aux_id] = self.consistent_aux_value(aux_id, x)
         return x
@@ -598,16 +410,27 @@ class GroundModelBuilder:
         return k
 
     def build(self):
+        """The model of the calls so far; later calls leave it unchanged."""
+        masks, codes = {}, []  # one table entry per distinct mask
+        for z in self.structural_zero:
+            if z is None:
+                codes.append(-1)
+                continue
+            z = np.array(z, dtype=bool)
+            codes.append(masks.setdefault((z.shape, z.tobytes()), (len(masks), z))[0])
         return PairwiseGroundModel(
             constants=self.constants,
-            nodes=self.nodes,
+            node_table=_node_table_of(self.nodes),
             edges=np.array(self.edges, dtype=np.int64).reshape(-1, 2),
             edge_tags=tuple(self.edge_tags),
-            theta_node=self.theta_node,
-            theta_edge=self.theta_edge,
-            structural_zero=self.structural_zero,
-            _provenance=(self.node_provenance, self.edge_provenance),
-            aux_atoms=self.aux_atoms,
+            theta_node=BlockRows.stacked(self.theta_node),
+            theta_edge=BlockRows.stacked(self.theta_edge),
+            structural_zero=MaskCodes(np.array(codes, dtype=np.int64),
+                                      [z for _, z in masks.values()]),
+            _nodes=list(self.nodes),
+            _provenance=tuple([list(p) for p in lists]
+                              for lists in (self.node_provenance, self.edge_provenance)),
+            aux_atoms=dict(self.aux_atoms),
         )
 
 
@@ -670,12 +493,6 @@ def _zeroed_blocks(is_aux, shape, aux_shape):
     return (np.zeros((is_aux.size - n_aux,) + shape), np.zeros((n_aux,) + aux_shape), slot)
 
 
-def _row_views(is_aux, slot, plain, aux):
-    """Each id's row of the blocks of :func:`_zeroed_blocks`, in id order."""
-    rows = (list(plain), list(aux))
-    return [rows[a][s] for a, s in zip(is_aux.tolist(), slot.tolist())]
-
-
 def _add_rows(block, rows, values):
     """``block[r] += v`` for each row ``r`` and value ``v``, in order."""
     if len(rows):
@@ -701,12 +518,17 @@ class _Bindings:
     pattern: np.ndarray
     tables: dict
 
-    def values(self, k):
-        """The bindings with ``k`` distinct atoms, and their potentials."""
+    def values(self, k, turned=None):
+        """The bindings with ``k`` distinct atoms, and their potentials; the
+        ``(2, 2)`` ones of the bindings where ``turned`` is set come transposed."""
         sel = self.k == k
         if k not in self.tables:
-            return sel, np.zeros((0, 2, 2) if k == 2 else (0, 2 ** k))
-        return sel, self.tables[k][self.pattern[sel]]
+            return sel, np.zeros((0, 2 ** k))
+        table, pattern = self.tables[k], self.pattern[sel]
+        if turned is not None:
+            pattern = pattern + len(table) * turned
+            table = np.concatenate([table, table.transpose(0, 2, 1)])
+        return sel, table[pattern]
 
     def node_counts(self):
         """Nodes each binding adds: its distinct atoms, and an auxiliary one if k == 3."""
@@ -817,10 +639,45 @@ def _add_pair_potentials(forms, flips, rows, pair_theta):
     """Add the potential of every pairwise binding to its edge's row, in order."""
     start = 0
     for fb, flip in zip(forms, flips):
-        _, vals = fb.values(2)
-        _add_rows(pair_theta, rows[start:start + len(vals)],
-                  np.where(flip[:, None, None], vals.transpose(0, 2, 1), vals))
+        _, vals = fb.values(2, flip)
+        _add_rows(pair_theta, rows[start:start + len(vals)], vals)
         start += len(vals)
+
+
+def _ground_node_table(model, n, node_codes, is_aux, forms, aux_of):
+    """The :class:`NodeTable` of a grounding, from its nodes' codes.
+
+    An atom's code is its predicate's offset plus its arguments in base
+    ``n``; an auxiliary node's constants are its binding's, and ``aux_of``
+    lists the auxiliary nodes of each formula in binding order.
+    """
+    arity = np.array([a for _, a in model.predicates], dtype=np.int64)
+    starts = np.cumsum(n ** arity) - n ** arity
+    atom_ids = np.flatnonzero(~is_aux)
+    pred = np.searchsorted(starts, node_codes[atom_ids], side="right") - 1
+    rest = node_codes[atom_ids] - starts[pred]
+    type_of = np.empty(len(node_codes), dtype=np.int64)  # predicate, or formula after them
+    lengths = np.empty(len(node_codes), dtype=np.int64)
+    type_of[atom_ids], lengths[atom_ids] = pred, arity[pred]
+    for fb, (aux_ids, *_) in zip(forms, aux_of):
+        type_of[aux_ids], lengths[aux_ids] = len(arity) + fb.f_idx, fb.combos.shape[1]
+    valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    consts = np.zeros(valid.shape, dtype=np.int64)
+    pair = arity[pred] == 2
+    if atom_ids.size:
+        consts[atom_ids, 0] = np.where(pair, rest // n, rest)
+    if pair.any():
+        consts[atom_ids[pair], 1] = rest[pair] % n
+    for fb, (aux_ids, *_) in zip(forms, aux_of):
+        if aux_ids.size:
+            consts[aux_ids, :fb.combos.shape[1]] = fb.combos[fb.k == 3]
+    raw = ([("atom", name, "", 2) for name, _ in model.predicates]
+           + [("aux", f"f{f}", "", 8) for f in range(len(model.formulas))])
+    present = sorted(np.flatnonzero(np.bincount(type_of, minlength=len(raw))).tolist(),
+                     key=raw.__getitem__)
+    rank = np.zeros(len(raw), dtype=np.int64)
+    rank[present] = np.arange(len(present))
+    return NodeTable.of([raw[t] for t in present], rank[type_of], consts, valid)
 
 
 def ground(model, n):
@@ -838,7 +695,9 @@ def ground(model, n):
     the formulas in order, and parallel potentials are summed in the order
     they are added, as a loop over the groundings would.  A grounding's
     potential depends only on which template atoms coincide, so it is built
-    once per coincidence pattern.  Provenance is built on first access.
+    once per coincidence pattern.  The potentials stay in the blocks they
+    are summed in, and the nodes in the arrays of their codes; the node
+    objects and provenance are built on first access.
     """
     if n < 1:
         raise ModelError(f"domain size must be >= 1, got {n}")
@@ -870,32 +729,22 @@ def ground(model, n):
     edges, bits = np.stack([edge_u[first], edge_v[first]], axis=1), edge_bit[first]
     pair_theta, aux_edge_theta, edge_slot = _zeroed_blocks(bits >= 0, (2, 2), (2, 8))
     _add_pair_potentials(forms, flips, edge_slot[edge_of[edge_bit < 0]], pair_theta)
-    del edge_u, edge_v, edge_bit, flips  # the event arrays go before the node objects come
+    del edge_u, edge_v, edge_bit, flips
 
-    nodes = [None] * len(node_codes)
-    atom_ids = np.flatnonzero(~is_aux)
-    starts = np.array([offsets[p] for p, _ in model.predicates], dtype=np.int64)
-    pred_of = (node_codes[atom_ids, None] >= starts).sum(axis=1) - 1
-    for i, p, r in zip(atom_ids.tolist(), pred_of.tolist(),
-                       (node_codes[atom_ids] - starts[pred_of]).tolist()):
-        name, arity = model.predicates[p]
-        nodes[i] = GroundNode("atom", name, (r,) if arity == 1 else divmod(r, n), 2)
+    table = _ground_node_table(model, n, node_codes, is_aux, forms, aux_of)
     aux_atoms = {}
-    for fb, (aux_ids, *atom_cols) in zip(forms, aux_of):
-        label = f"f{fb.f_idx}"
-        aux_ids = aux_ids.tolist()
-        for i, combo in zip(aux_ids, fb.combos[fb.k == 3].tolist()):
-            nodes[i] = GroundNode("aux", label, tuple(combo), 8)
-        aux_atoms.update(zip(aux_ids, zip(*(c.tolist() for c in atom_cols))))
-
+    for aux_ids, *atom_cols in aux_of:
+        aux_atoms.update(zip(aux_ids.tolist(), zip(*(c.tolist() for c in atom_cols))))
     return PairwiseGroundModel(
         constants=tuple(range(n)),
-        nodes=nodes,
+        node_table=table,
         edges=edges,
         edge_tags=(None,) * len(edges),
-        theta_node=_row_views(is_aux, node_slot, atom_theta, aux_theta),
-        theta_edge=_row_views(bits >= 0, edge_slot, pair_theta, aux_edge_theta),
-        structural_zero=[None if b < 0 else _AUX_ZERO[b] for b in bits.tolist()],
+        theta_node=BlockRows((atom_theta, aux_theta), is_aux.astype(np.int64), node_slot),
+        theta_edge=BlockRows((pair_theta, aux_edge_theta), (bits >= 0).astype(np.int64),
+                             edge_slot),
+        structural_zero=MaskCodes(bits, _AUX_ZERO),
+        _nodes=table.nodes,
         _provenance=partial(_provenance, forms, node_of, edge_of),
         aux_atoms=aux_atoms,
     )

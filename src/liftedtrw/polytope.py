@@ -59,9 +59,8 @@ def lifted_local(lg):
         coeffs = {lg.node_var(orb.id, t): 1.0 for t in range(orb.n_values)}
         cs.add(Row.make(coeffs, "=", 1.0, tag="local"))
     for eo in lg.edge_orbits:
-        u0, v0 = eo.rep
-        nu = lg.model.nodes[u0].n_values
-        nv = lg.model.nodes[v0].n_values
+        nu = lg.node_orbits[eo.u_orbit].n_values
+        nv = lg.node_orbits[eo.v_orbit].n_values
         for t in range(nu):
             coeffs = {}
             for h in range(nv):
@@ -100,10 +99,10 @@ def _cluster_structure(lg, node_orbit_id):
     size is the number of member pairs.  Ground edges join two distinct nodes
     and no pair twice, so such an orbit holds an edge on every member pair.
     """
-    model = lg.model
+    table = lg.model.node_table
     orb = lg.node_orbits[node_orbit_id]
-    nd = model.nodes[orb.rep]
-    if nd.kind != "atom" or nd.n_values != 2 or len(nd.consts) != 1:
+    kind, _label, _tag, n_values = table.types[table.desc[orb.rep]]
+    if kind != "atom" or n_values != 2 or table.valid[orb.rep].sum() != 1:
         raise NotExchangeable(f"orbit {orb.key} is not a unary binary-atom orbit")
     if orb.size < 2:
         raise NotExchangeable("cluster needs at least two nodes")
@@ -187,17 +186,13 @@ def _mirror_graph(lg):
     if mg is not None:
         return mg
     model = lg.model
-    adj = [[] for _ in range(2 * len(model.nodes))]
-    var01, var10, sources = [], [], set()
-    uf, forest = _UnionFind(len(model.nodes)), True
-    for k, (u, v) in enumerate(model.edges.tolist()):
-        nu, nv = model.nodes[u], model.nodes[v]
-        if not (nu.kind == nv.kind == "atom" and nu.n_values == nv.n_values == 2):
-            continue
-        j = len(var01)
-        var01.append(int(lg.feat_to_var[model.edge_feature(k, 0, 1)]))
-        var10.append(int(lg.feat_to_var[model.edge_feature(k, 1, 0)]))
-        sources.update((u, v))
+    binary = model.node_table.is_kind("atom") & (model.n_values == 2)
+    ks = np.flatnonzero(binary[model.edges].all(axis=1))
+    start = model.feature_layout()[1][ks]
+    pairs = model.edges[ks]
+    adj = [[] for _ in range(2 * model.n_nodes)]
+    uf, forest = _UnionFind(model.n_nodes), True
+    for j, (u, v) in enumerate(pairs.tolist()):
         ru, rv = uf.find(u), uf.find(v)
         forest = forest and ru != rv  # an edge inside a component closes a cycle
         uf.union(ru, rv)
@@ -206,12 +201,11 @@ def _mirror_graph(lg):
             adj[2 * a + 1].append((2 * b + 1, j, False))
             adj[2 * a].append((2 * b + 1, j, True))
             adj[2 * a + 1].append((2 * b, j, True))
-    orbit_source = {}
-    for s in sorted(sources):
-        orbit_source.setdefault(int(lg.node_orbit_of[s]), s)
-    sources = [] if forest else sorted(orbit_source.values())
-    lg._mirror = _MirrorGraph(adj, np.array(var01, dtype=int),
-                              np.array(var10, dtype=int), sources)
+    ends = np.flatnonzero(np.bincount(pairs.ravel(), minlength=model.n_nodes))
+    lowest = ends[np.unique(lg.node_orbit_of[ends], return_index=True)[1]]
+    # the (t, h) entry of a 2 x 2 edge block is feature t * 2 + h
+    lg._mirror = _MirrorGraph(adj, lg.feat_to_var[start + 1], lg.feat_to_var[start + 2],
+                              [] if forest else np.sort(lowest).tolist())
     return lg._mirror
 
 
@@ -372,9 +366,8 @@ def crash_basis(lg, cs):
     for orb in lg.node_orbits:
         cols.append(lg.node_var(orb.id, 0))
     for eo in lg.edge_orbits:
-        u0, v0 = eo.rep
-        nu = lg.model.nodes[u0].n_values
-        nv = lg.model.nodes[v0].n_values
+        nu = lg.node_orbits[eo.u_orbit].n_values
+        nv = lg.node_orbits[eo.v_orbit].n_values
         block = {lg.edge_var(eo.id, 0, h) for h in range(nv)}
         block |= {lg.edge_var(eo.id, t, 0) for t in range(1, nu)}
         cols.extend(sorted(block))

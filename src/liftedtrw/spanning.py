@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .symmetry import _fixed_ranks, _lex_codes, _node_table, _UnionFind
+from .symmetry import _fixed_ranks, _lex_codes, _UnionFind
 from .trw import frank_wolfe
 
 BOUND_TOL = 1e-12        # slack of optimize_rho's "bound did not increase" test
@@ -39,22 +39,34 @@ def _pinned_tables(lg, distinguished):
     cache = lg.__dict__.setdefault("_pinned_tables", {})
     if distinguished not in cache:
         model = lg.model
-        _, consts, valid = _node_table(model)
-        fixed = _fixed_ranks(consts, valid, distinguished)
-        _, first, class_of, counts = np.unique(_lex_codes([lg.node_orbit_of, *fixed.T]),
-                                               return_index=True, return_inverse=True,
-                                               return_counts=True)
+        n_nodes, n_edges = model.n_nodes, len(model.edges)
+        table = model.node_table
+        fixed = _fixed_ranks(table.consts, table.valid, distinguished) + 1
+        code = _lex_codes([lg.node_orbit_of, *fixed.T],
+                          [len(lg.node_orbits)] + [len(distinguished) + 1] * fixed.shape[1])
+        radix = int(code.max(initial=0)) + 1
+        # one unique over the nodes' rows (0, code, 0, 0) and the edges' rows
+        # (1, edge orbit, code of u, code of v): node classes come first
+        orbit_of = lg.edge_orbit_of[:n_edges]
+        digits = np.zeros((4, n_nodes + n_edges), dtype=np.int64)
+        digits[0, n_nodes:] = 1
+        digits[1, :n_nodes], digits[1, n_nodes:] = code, orbit_of
+        digits[2:, n_nodes:] = code[model.edges].T
+        rows = _lex_codes(digits, [2, max(radix, len(lg.edge_orbits)), radix, radix])
+        _, first, inverse, counts = np.unique(rows, return_index=True, return_inverse=True,
+                                              return_counts=True)
+        n_classes = int(np.count_nonzero(first < n_nodes))
+        class_of = inverse[:n_nodes]
         node_table = [[] for _ in lg.node_orbits]
-        for ci, (oid, count) in enumerate(zip(lg.node_orbit_of[first].tolist(),
-                                              counts.tolist())):
+        for ci, (oid, count) in enumerate(zip(lg.node_orbit_of[first[:n_classes]].tolist(),
+                                              counts[:n_classes].tolist())):
             node_table[oid].append((ci, count))
-        orbit_of = lg.edge_orbit_of[:len(model.edges)]
-        ends = class_of[model.edges]
-        _, first = np.unique(_lex_codes([orbit_of, *ends.T]), return_index=True)
+        edge_ids = first[n_classes:] - n_nodes
         edge_table = [[] for _ in lg.edge_orbits]
-        for eid, cu, cv in zip(orbit_of[first].tolist(), *ends[first].T.tolist()):
+        for eid, cu, cv in zip(orbit_of[edge_ids].tolist(),
+                               *class_of[model.edges[edge_ids]].T.tolist()):
             edge_table[eid].append((cu, cv))
-        cache[distinguished] = (len(counts), class_of, node_table, edge_table)
+        cache[distinguished] = (n_classes, class_of, node_table, edge_table)
     return cache[distinguished]
 
 
@@ -67,7 +79,7 @@ def _pinned_component_size(lg, node_orbit_ids, edge_orbit_ids, u0):
     Each distinct pair of groups in an edge orbit is joined once.
     """
     n_classes, class_of, node_table, edge_table = _pinned_tables(
-        lg, frozenset(lg.model.nodes[u0].consts))
+        lg, frozenset(lg.model.node_table.consts_of(u0)))
     sizes = {}
     for oid in node_orbit_ids:
         for ci, count in node_table[oid]:
@@ -137,7 +149,7 @@ def lifted_kruskal(lg, weights):
     Raises :class:`DisconnectedGraph` when no spanning tree exists.
     """
     weights = np.asarray(weights, dtype=float)
-    total_gv = len(lg.model.nodes)
+    total_gv = lg.model.n_nodes
     rho = np.zeros(len(lg.edge_orbits))
     if len(lg.edge_orbits) == 0:
         if total_gv <= 1:
@@ -187,7 +199,7 @@ def init_rho_uniform(lg):
     each direction step runs :func:`lifted_kruskal` with weights
     ``-2 (rho_e - (|V|-1)/|E|)`` and the quadratic line search is exact.
     """
-    n_nodes = len(lg.model.nodes)
+    n_nodes = lg.model.n_nodes
     n_edges = len(lg.model.edges)
     if n_edges == 0:
         if n_nodes <= 1:

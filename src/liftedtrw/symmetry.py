@@ -17,9 +17,9 @@ built for one representative per orbit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from operator import attrgetter, is_not
 
 import numpy as np
 
@@ -63,12 +63,15 @@ def canonical_pattern(descs, distinguished=frozenset()):
     return min(forward, backward), forward == backward
 
 
-_descriptor = attrgetter("kind", "label", "tag", "n_values", "consts")
+def _descriptor(model, i):
+    """``(kind, label, tag, n_values, consts)`` of node ``i``, tag "" for none."""
+    table = model.node_table
+    return (*table.types[table.desc[i]], table.consts_of(i))
 
 
 def node_pattern(model, i, distinguished=frozenset()):
     """Canonical key of a single ground node."""
-    return canonical_pattern((_descriptor(model.nodes[i]),), distinguished)[0]
+    return canonical_pattern((_descriptor(model, i),), distinguished)[0]
 
 
 def edge_pattern(model, k, distinguished=frozenset()):
@@ -78,7 +81,7 @@ def edge_pattern(model, k, distinguished=frozenset()):
     descriptors; the orientation lists first the endpoint the key lists first.
     """
     u, v = model.edges[k].tolist()
-    du, dv = _descriptor(model.nodes[u]), _descriptor(model.nodes[v])
+    du, dv = _descriptor(model, u), _descriptor(model, v)
     forward = _ordered_key((du, dv), distinguished)
     backward = _ordered_key((dv, du), distinguished)
     tag = model.edge_tags[k] or ""
@@ -186,33 +189,38 @@ class LiftedGraph:
 
     def orbit_name(self, orbit_id):
         orb = self.node_orbits[orbit_id]
-        nd = self.model.nodes[orb.rep]
-        args = ",".join(f"x{i}" for i in range(len(nd.consts)))
-        return f"{nd.label}({args})" if nd.consts else nd.label
+        _kind, label, _tag, _n_values, consts = _descriptor(self.model, orb.rep)
+        args = ",".join(f"x{i}" for i in range(len(consts)))
+        return f"{label}({args})" if consts else label
 
 
 def _ranks(items, key):
     """Rank of ``key(item)`` among the distinct keys, per item, in key order."""
     distinct = set(items)
     rank = {k: r for r, k in enumerate(sorted({key(x) for x in distinct}))}
+    if len(rank) == 1:
+        return np.zeros(len(items), dtype=np.int64)
     of = {x: rank[key(x)] for x in distinct}
     return np.fromiter(map(of.__getitem__, items), dtype=np.int64, count=len(items))
 
 
-def _lex_codes(columns):
+def _lex_codes(columns, radices=None):
     """One int64 code per row of the equal-length int ``columns``.
 
     Codes follow the lexicographic order of the rows: equal rows share a
-    code and a smaller row has a smaller one.  Each column is shifted to
-    start at 0 and appended as a mixed-radix digit; before a digit would take
-    the codes to 2**63 or beyond, they are re-ranked to ``0..G-1``.
+    code and a smaller row has a smaller one.  Each column is appended as a
+    mixed-radix digit: column ``j`` must lie in ``0..radices[j]-1`` when
+    ``radices`` is given, and is shifted to start at 0 otherwise.  Before a
+    digit would take the codes to 2**63 or beyond, they are re-ranked to
+    ``0..G-1``.
     """
     digits = np.array(columns, dtype=np.int64)
     if not digits.shape[1]:
         return np.zeros(0, dtype=np.int64)
-    low = digits.min(axis=1)
-    radices = (digits.max(axis=1) - low + 1).tolist()
-    digits -= low[:, None]
+    if radices is None:
+        low = digits.min(axis=1)
+        radices = (digits.max(axis=1) - low + 1).tolist()
+        digits -= low[:, None]
     code = digits[0]
     bound = radices[0]  # every code lies in 0..bound-1
     for digit, radix in zip(digits[1:], radices[1:]):
@@ -222,28 +230,6 @@ def _lex_codes(columns):
         code = code * radix + digit
         bound *= radix
     return code
-
-
-def _node_table(model):
-    """Per-node arrays behind the keys, cached on the model.
-
-    ``desc`` ranks each node's ``(kind, label, tag or "", n_values)``;
-    ``consts`` holds its constants in a padded ``(N, W)`` matrix, whose
-    ``valid`` mask marks the first ``len(consts)`` entries of each row.
-    """
-    table = model.__dict__.get("_node_table")
-    if table is None:
-        nodes = model.nodes
-        desc = _ranks(list(map(attrgetter("kind", "label", "tag", "n_values"), nodes)),
-                      key=lambda d: (d[0], d[1], d[2] or "", d[3]))
-        consts = list(map(attrgetter("consts"), nodes))
-        lengths = np.fromiter(map(len, consts), dtype=np.int64, count=len(nodes))
-        valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
-        matrix = np.zeros(valid.shape, dtype=np.int64)
-        matrix[valid] = np.fromiter(itertools.chain.from_iterable(consts), dtype=np.int64,
-                                    count=int(lengths.sum()))
-        table = model.__dict__["_node_table"] = (desc, matrix, valid)
-    return table
 
 
 def _fixed_ranks(consts, valid, distinguished):
@@ -294,17 +280,19 @@ def compute_orbits(model, distinguished=frozenset()):
     takes its smaller row, and is flip-symmetric when both are equal.  The
     tuple key of each orbit is computed from its representative only.
     """
-    desc, consts, valid = _node_table(model)
+    table = model.node_table
+    desc, consts, valid = table.desc, table.consts, table.valid
     node_codes = _relabel_codes(consts, valid, distinguished)
     node_orbit_of = np.unique(_lex_codes([desc, *node_codes.T]), return_inverse=True)[1]
-    node_order = np.argsort(node_orbit_of, kind="stable").tolist()
+    node_order = np.argsort(node_orbit_of, kind="stable")
+    node_ids = node_order.tolist()
     node_orbits = []
     end = 0
     for oid, size in enumerate(np.bincount(node_orbit_of).tolist()):
-        members = node_order[end:end + size]
+        members = node_ids[end:end + size]
         end += size
         node_orbits.append(NodeOrbit(oid, node_pattern(model, members[0], distinguished),
-                                     members, model.nodes[members[0]].n_values))
+                                     members, int(table.n_values[members[0]])))
 
     n_edges = len(model.edges)
     rows = np.concatenate([model.edges, model.edges[:, ::-1]])  # both orientations
@@ -337,14 +325,57 @@ def compute_orbits(model, distinguished=frozenset()):
             raise TyingViolation(f"flip-symmetric edge orbit {key} across two node orbits")
         edge_orbits.append(EdgeOrbit(oid, key, members, u_orb, v_orb, bool(flip[k])))
 
-    return _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of, backward)
+    return _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of,
+                     node_order, order, backward)
 
 
-def _check_tied(x, what, flip=False):
-    """Raise unless each entry of ``x`` is within ``_THETA_TOL * max(1, max
-    |entry|)`` of its first member; with ``flip`` the members of ``x[h, t]``
-    count as members of ``x[t, h]`` for ``t < h``.  Members lie along the last
-    axis, so the reductions run along contiguous memory."""
+def _by_shape(shapes):
+    """Positions grouped by equal entries of the non-negative ``shapes``: per
+    distinct entry its positions in order, and every position's index among
+    them."""
+    groups = {}
+    index = np.empty(len(shapes), dtype=np.int64)
+    for shape in np.flatnonzero(np.bincount(shapes)).tolist():
+        at = np.flatnonzero(shapes == shape)
+        groups[shape] = at
+        index[at] = np.arange(at.size)
+    return groups, index
+
+
+@functools.cache
+def _var_grid(nu, nv, flip):
+    """The variables of a ``(nu, nv)`` value grid, numbered from 0 in row-major
+    order of their first entry; with ``flip``, ``(t, h)`` and ``(h, t)``
+    share one.  Returns the grid of variable ids and, per variable, the
+    flat index of its first entry and of its second, or -1 for none."""
+    grid = np.arange(nu * nv).reshape(nu, nv)
+    first = grid.ravel()
+    second = np.full(first.size, -1)
+    if flip:
+        upper = np.triu(np.ones((nu, nv), dtype=bool)).ravel()
+        first = first[upper]
+        second = np.where(first // nv == first % nv, -1, grid.T.ravel()[first])
+        grid = np.empty(nu * nv, dtype=np.int64)
+        grid[first] = np.arange(first.size)
+        grid[second[second >= 0]] = np.flatnonzero(second >= 0)
+        grid = grid.reshape(nu, nv)
+    for arr in (grid, first, second):
+        arr.flags.writeable = False  # shared by every call
+    return grid, first, second
+
+
+def _tied_sum(members, kind, key, flip=False):
+    """Sum of an orbit's potentials, stacked along the first axis.
+
+    Raises unless each entry is within ``_THETA_TOL * max(1, max |entry|)``
+    of its first member's; with ``flip`` the members of ``[h, t]`` count as
+    members of ``[t, h]`` for ``t < h``.  The members go to the last axis, so
+    the reductions run along contiguous memory.  One member without
+    ``flip`` is its own sum.
+    """
+    if len(members) == 1 and not flip:
+        return members[0]
+    x = np.ascontiguousarray(members.transpose((*range(1, members.ndim), 0)))
     ref = x[..., :1]
     scale = _THETA_TOL * np.maximum(1.0, np.abs(x).max(axis=-1))
     dev = np.abs(x - ref).max(axis=-1)
@@ -354,115 +385,117 @@ def _check_tied(x, what, flip=False):
         bad |= np.triu(dev > np.maximum(scale, scale.T))
     if bad.any():
         where = tuple(np.argwhere(bad)[0].tolist())
-        raise TyingViolation(f"parameters differ within {what}, value {where}")
+        raise TyingViolation(f"parameters differ within {kind} orbit {key}, value {where}")
+    return x.sum(axis=-1)
 
 
-def _oriented_stack(blocks, flips, shape, dtype):
-    """Member blocks stacked along a last axis in the orbit's orientation.
+def _tied_zeros(members, key, flip):
+    """The structural zeros of an edge orbit whose members' masks are stacked
+    along the first axis; raises unless every member has the same ones."""
+    x = members.transpose(1, 2, 0)
+    if flip:
+        x = np.concatenate([x, x.transpose(1, 0, 2)], axis=-1)
+    zero = x.all(axis=-1)
+    if (x.any(axis=-1) != zero).any():
+        raise TyingViolation(f"structural zeros differ within edge orbit {key}")
+    return zero
 
-    ``blocks`` are in their stored orientation; those of members with
-    ``flips`` set go in transposed, all by one fancy-index assignment.
+
+def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of,
+              node_order, edge_order, backward):
+    """The lifted arrays of the given orbits.
+
+    ``node_order`` and ``edge_order`` list the node and edge ids orbit by
+    orbit, each orbit's members in id order, and ``backward`` flags the
+    edges whose orbit lists them as ``(v, u)`` of their stored ``(u, v)``.
+    The members of all orbits of one shape are stacked in orbit order by one
+    gather from the model's blocks, members listed ``(v, u)`` transposed,
+    and each orbit checks and sums its slice of that stack.  The variables
+    of all edge orbits with one value grid are then numbered at once.
     """
-    if any(flips):
-        turned = np.flatnonzero(flips)
-        kept = np.flatnonzero(np.logical_not(flips))
-        out = np.empty((len(blocks),) + shape, dtype=dtype)
-        out[turned] = np.array([blocks[i] for i in turned.tolist()],
-                               dtype=dtype).transpose(0, 2, 1)
-        if kept.size:
-            out[kept] = np.array([blocks[i] for i in kept.tolist()], dtype=dtype)
-    else:
-        out = np.array(blocks, dtype=dtype)
-    return np.ascontiguousarray(out.transpose(1, 2, 0))
-
-
-def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of, backward):
-    """The lifted arrays of the given orbits; ``backward`` flags the edges
-    whose orbit lists them as ``(v, u)`` of their stored ``(u, v)``."""
-    n_vars = 0
-    node_var_start = []
-    var_orbit = []
-    var_mult = []
-    lifted_theta = []
-    structural_zero_var = []
-
-    for orb in node_orbits:
-        node_var_start.append(n_vars)
-        thetas = np.ascontiguousarray(np.array([model.theta_node[i] for i in orb.members]).T)
-        _check_tied(thetas, f"node orbit {orb.key}")
-        for total in thetas.sum(axis=-1).tolist():
-            lifted_theta.append(total)
-            var_orbit.append(("node", orb.id))
-            var_mult.append(1)
-            structural_zero_var.append(False)
-        n_vars += orb.n_values
-
-    edge_var_map = []
-    var_blocks = []  # per orbit: var ids of a forward, then a backward member's features
-    n_edges = len(model.edges)
-    # orbits list their members in edge-id order, as a stable argsort does
-    by_orbit = np.argsort(edge_orbit_of[:n_edges], kind="stable")
-    member_ids = by_orbit.tolist()
-    member_flips = backward[by_orbit].tolist()
-    member_zeroed = np.fromiter(map(is_not, model.structural_zero, itertools.repeat(None)),
-                                dtype=bool, count=n_edges)[by_orbit].tolist()
+    n_values = model.n_values
+    groups, index = _by_shape(n_values[node_order])
+    stacks = {nv: model.theta_node.stack(node_order[at]) for nv, at in groups.items()}
+    node_sums = [np.zeros(0)]
     end = 0
-    for orb in edge_orbits:
-        members = slice(end, end + orb.size)
+    for orb in node_orbits:
+        at = index[end]
         end += orb.size
-        ids, flips = member_ids[members], member_flips[members]
-        nu, nv = (model.nodes[i].n_values for i in orb.members[0])
-        theta_stack = _oriented_stack([model.theta_edge[k] for k in ids], flips, (nu, nv), float)
-        _check_tied(theta_stack, f"edge orbit {orb.key}", orb.flip)
-        theta_sum = theta_stack.sum(axis=-1)
-        zero_var = np.zeros((nu, nv), dtype=bool)
-        if any(member_zeroed[members]):
-            blank = (zero_var, zero_var.T)
-            zero_stack = _oriented_stack([blank[f] if model.structural_zero[k] is None
-                                          else model.structural_zero[k]
-                                          for k, f in zip(ids, flips)], flips, (nu, nv), bool)
-            if orb.flip:
-                zero_stack = np.concatenate([zero_stack, zero_stack.transpose(1, 0, 2)],
-                                            axis=-1)
-            zero_var = zero_stack.all(axis=-1)
-            if (zero_stack.any(axis=-1) != zero_var).any():
-                raise TyingViolation(f"structural zeros differ within edge orbit {orb.key}")
+        node_sums.append(_tied_sum(stacks[orb.n_values][at:at + orb.size], "node", orb.key))
+    orbit_nv = np.array([orb.n_values for orb in node_orbits], dtype=np.int64)
+    node_var_start = (np.cumsum(orbit_nv) - orbit_nv).tolist()
 
-        vmap = -np.ones((nu, nv), dtype=int)
-        for t in range(nu):
-            for h in range(nv):
-                if vmap[t, h] >= 0:
-                    continue
-                entries = [(t, h)]
-                if orb.flip and t != h:
-                    entries.append((h, t))
-                vid = n_vars
-                n_vars += 1
-                for tt, hh in entries:
-                    vmap[tt, hh] = vid
-                lifted_theta.append(float(sum(theta_sum[tt, hh] for tt, hh in entries)))
-                var_orbit.append(("edge", orb.id))
-                var_mult.append(len(entries))
-                structural_zero_var.append(bool(zero_var[t, h]))
-        edge_var_map.append(vmap)
-        var_blocks += [vmap.ravel(), vmap.T.ravel()]
+    orbit_of = edge_orbit_of[:len(model.edges)]
+    turned = backward[edge_order]
+    radix = int(n_values.max(initial=0)) + 1
+    sizes = np.array([orb.size for orb in edge_orbits], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    shape_of = np.repeat(np.array([node_orbits[orb.u_orbit].n_values * radix
+                                   + node_orbits[orb.v_orbit].n_values for orb in edge_orbits],
+                                  dtype=np.int64), sizes)
+    groups, index = _by_shape(shape_of)
+    zeroed = model.structural_zero.code[edge_order] >= 0
+    stacks, zero_stacks = {}, {}
+    for code, at in groups.items():
+        stacks[code] = model.theta_edge.stack(edge_order[at], turned[at])
+        if zeroed[at].any():
+            zero_stacks[code] = model.structural_zero.stack(edge_order[at], turned[at],
+                                                            stacks[code].shape[1:])
+    by_grid = {}  # (nu, nv, flip) -> ids, theta sums and structural zeros of its orbits
+    for orb, code, at, start in zip(edge_orbits, shape_of[starts].tolist(),
+                                    index[starts].tolist(), starts.tolist()):
+        members = slice(at, at + orb.size)
+        theta = _tied_sum(stacks[code][members], "edge", orb.key, orb.flip)
+        zero = np.zeros(theta.shape, dtype=bool)
+        if zeroed[start:start + orb.size].any():
+            zero = _tied_zeros(zero_stacks[code][members], orb.key, orb.flip)
+        ids, thetas, zeros = by_grid.setdefault((*theta.shape, orb.flip), ([], [], []))
+        ids.append(orb.id)
+        thetas.append(theta)
+        zeros.append(zero)
 
+    # edge variables follow the node ones, orbit by orbit in grid order
+    grids = {key: _var_grid(*key) for key in by_grid}
+    n_grid_vars = np.zeros(len(edge_orbits), dtype=np.int64)
+    grid_of_orbit = np.zeros(len(edge_orbits), dtype=np.int64)
+    for g, (key, (ids, _, _)) in enumerate(by_grid.items()):
+        n_grid_vars[ids] = grids[key][1].size
+        grid_of_orbit[ids] = g
+    n_node_vars = int(orbit_nv.sum())
+    edge_var_start = n_node_vars + np.cumsum(n_grid_vars) - n_grid_vars
+    n_vars = n_node_vars + int(n_grid_vars.sum())
+    lifted_theta = np.empty(n_vars)
+    lifted_theta[:n_node_vars] = np.concatenate(node_sums)
+    var_mult = np.ones(n_vars, dtype=int)
+    structural_zero_var = np.zeros(n_vars, dtype=bool)
+    edge_var_map = [None] * len(edge_orbits)
     # ground feature -> variable map: node features first, then edge features,
-    # each edge's copied from its orbit's block for its orientation
-    n_values = np.array([nd.n_values for nd in model.nodes], dtype=int)
+    # each edge's read off its orbit's grid in its orientation
     node_start, edge_start, n_features = model.feature_layout()
-    first_var = np.array(node_var_start, dtype=int)[node_orbit_of]
     n_node_feats = int(n_values.sum())
     feat_to_var = np.empty(n_features, dtype=int)
-    feat_to_var[:n_node_feats] = (np.repeat(first_var - np.array(node_start, dtype=int), n_values)
+    first_var = np.array(node_var_start, dtype=int)[node_orbit_of]
+    feat_to_var[:n_node_feats] = (np.repeat(first_var - node_start, n_values)
                                   + np.arange(n_node_feats))
-    block_size = np.array([b.size for b in var_blocks], dtype=int)
-    block = 2 * edge_orbit_of[:n_edges] + backward
-    start = (np.cumsum(block_size) - block_size)[block] - np.array(edge_start, dtype=int)
-    feat_to_var[n_node_feats:] = np.concatenate([np.zeros(0, dtype=int)] + var_blocks)[
-        np.repeat(start, block_size[block]) + np.arange(n_node_feats, n_features)]
-
-    var_ground_count = np.bincount(feat_to_var, minlength=n_vars)
+    grid_of_edge = grid_of_orbit[orbit_of]
+    for g, (key, (ids, thetas, zeros)) in enumerate(by_grid.items()):
+        grid, first, second = grids[key]
+        thetas = np.array(thetas).reshape(len(ids), grid.size)
+        paired = second >= 0
+        var_ids = edge_var_start[ids][:, None] + np.arange(first.size)
+        lifted_theta[var_ids] = thetas[:, first]
+        lifted_theta[var_ids[:, paired]] += thetas[:, second[paired]]
+        var_mult[var_ids] += paired
+        structural_zero_var[var_ids] = np.array(zeros).reshape(len(ids), grid.size)[:, first]
+        for oid, vmap in zip(ids, edge_var_start[ids][:, None, None] + grid):
+            edge_var_map[oid] = vmap
+        ks = np.flatnonzero(grid_of_edge == g)
+        local = np.where(backward[ks, None], grid.T.ravel(), grid.ravel())
+        feat_to_var[edge_start[ks, None] + np.arange(grid.size)] = (
+            edge_var_start[orbit_of[ks], None] + local)
+    var_orbit = [("node", orb.id) for orb in node_orbits for _ in range(orb.n_values)]
+    var_orbit += [("edge", orb.id) for orb, n in zip(edge_orbits, n_grid_vars.tolist())
+                  for _ in range(n)]
 
     lg = LiftedGraph(
         model=model,
@@ -473,19 +506,19 @@ def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of, bac
         node_var_start=node_var_start,
         edge_var_map=edge_var_map,
         n_vars=n_vars,
-        lifted_theta=np.array(lifted_theta),
-        var_mult=np.array(var_mult, dtype=int),
+        lifted_theta=lifted_theta,
+        var_mult=var_mult,
         var_orbit=var_orbit,
         feat_to_var=feat_to_var,
-        var_ground_count=var_ground_count,
-        structural_zero_var=np.array(structural_zero_var, dtype=bool),
+        var_ground_count=np.bincount(feat_to_var, minlength=n_vars),
+        structural_zero_var=structural_zero_var,
     )
     _check_invariants(lg)
     return lg
 
 
 def _check_invariants(lg):
-    assert sum(o.size for o in lg.node_orbits) == len(lg.model.nodes)
+    assert sum(o.size for o in lg.node_orbits) == lg.model.n_nodes
     assert sum(o.size for o in lg.edge_orbits) == len(lg.model.edges)
     for e in lg.edge_orbits:
         total = sum(e.d(v.id) for v in lg.node_orbits)
@@ -497,13 +530,14 @@ def trivial_lifting(model):
 
     Running the lifted machinery on this graph reproduces the ground problem.
     """
-    node_orbits = [NodeOrbit(i, ("ground-node", i), [i], nd.n_values)
-                   for i, nd in enumerate(model.nodes)]
-    node_orbit_of = np.arange(len(model.nodes))
+    node_orbits = [NodeOrbit(i, ("ground-node", i), [i], nv)
+                   for i, nv in enumerate(model.n_values.tolist())]
+    node_orbit_of = np.arange(model.n_nodes)
     edge_orbits = [EdgeOrbit(k, ("ground-edge", k), [(u, v)], u, v, False)
                    for k, (u, v) in enumerate(model.edges.tolist())]
     edge_orbit_of = np.arange(max(len(model.edges), 1))
     return _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of,
+                     node_orbit_of, edge_orbit_of[:len(model.edges)],
                      np.zeros(len(model.edges), dtype=bool))
 
 
@@ -516,7 +550,7 @@ def fix_node(model, u):
     models with extra tags the classes may merge several stabilizer orbits
     (never split one), which is sufficient for component counting.
     """
-    return compute_orbits(model, distinguished=frozenset(model.nodes[u].consts))
+    return compute_orbits(model, distinguished=frozenset(model.node_table.consts_of(u)))
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,41 @@ class TestBuilder:
         assert g.edges.tolist() == [[u, v]] and g.edge_tags == ("ring",)
         np.testing.assert_array_equal(g.theta_edge[0], np.full((2, 2), 2.0))
 
+    def test_build_copies_what_later_calls_change(self):
+        b = lt.GroundModelBuilder(range(3))
+        u, v = (b.add_node("atom", "V", (i,), 2) for i in range(2))
+        b.add_node_theta(u, [0.0, 1.0])
+        b.add_edge_theta(u, v, np.ones((2, 2)), structural_zero=np.eye(2, dtype=bool),
+                         provenance="f0")
+        g = b.build()
+        b.add_node_theta(u, [0.0, 1.0])
+        b.add_edge_theta(u, v, np.ones((2, 2)), structural_zero=~np.eye(2, dtype=bool),
+                         provenance="f1")
+        w = b.add_node("atom", "V", (2,), 2)
+        b.add_edge_theta(v, w, np.ones((2, 2)))
+        b.aux_atoms[w] = (u, v, w)
+        np.testing.assert_array_equal(g.theta_node[u], [0.0, 1.0])
+        np.testing.assert_array_equal(g.theta_edge[0], np.ones((2, 2)))
+        np.testing.assert_array_equal(g.structural_zero[0], np.eye(2, dtype=bool))
+        assert len(g.nodes) == g.n_nodes == 2 and len(g.theta_node) == 2
+        assert len(g.edges) == len(g.theta_edge) == len(g.structural_zero) == 1
+        assert g.edge_provenance == [["f0"]] and g.aux_atoms == {}
+
+    @pytest.mark.parametrize("make", [lambda: build("friends_smokers", 3, 0.5),
+                                      lambda: lt.zoo.ring_pendant_model()],
+                             ids=["ground", "builder"])
+    def test_arrays_are_read_only(self, make):
+        g = make()
+        with pytest.raises(ValueError, match="read-only"):
+            g.theta_edge[0][0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            g.theta_node[0][0] = 1.0
+        table = g.node_table
+        for arr in (*g.theta_node.blocks, *g.theta_edge.blocks, *g.structural_zero.table,
+                    g.structural_zero.code, table.desc, table.consts, table.valid,
+                    table.n_values):
+            assert not arr.flags.writeable
+
 
 class TestEdgeTable:
     """Edges are one ``(E, 2)`` endpoint array, lower node id first, with
@@ -243,6 +278,32 @@ class TestEdgeTable:
         assert g.edge_index[tuple(g.edges[-1].tolist())] == len(g.edges) - 1
         nd = g.nodes[-1]
         assert g.node_index[(nd.kind, nd.label, nd.consts)] == len(g.nodes) - 1
+
+
+class TestNodeTable:
+    """Grounding writes the nodes as arrays; set-up and solves read those."""
+
+    @pytest.mark.parametrize("name", ["complete_graph", "friends_smokers", "clique_cycle"])
+    def test_no_stage_builds_the_node_objects(self, name, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a GroundNode was built")
+
+        monkeypatch.setattr(lt.model, "GroundNode", refuse)
+        g = build(name, 4, 0.5)
+        lg = lt.compute_orbits(g)
+        rho = lt.init_rho_uniform(lg)
+        for outer in lt.OUTER_CHOICES:
+            lt.frank_wolfe(lg, outer=outer, rho=rho, tol=1e-4, max_iters=20)
+        assert callable(g._nodes)
+
+    @pytest.mark.parametrize("name", ["complete_graph", "friends_smokers", "clique_cycle"])
+    def test_table_describes_the_nodes(self, name):
+        g = build(name, 3, 0.5)
+        table = g.node_table
+        for i, nd in enumerate(g.nodes):
+            assert table.types[table.desc[i]] == (nd.kind, nd.label, "", nd.n_values)
+            assert table.consts_of(i) == nd.consts and g.n_values[i] == nd.n_values
+        assert list(table.types) == sorted(set(table.types))
 
 
 class TestScoreState:

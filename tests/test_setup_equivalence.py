@@ -306,12 +306,36 @@ class TestOrbitEquivalence:
         assert lg.structural_zero_var.sum() == zero.sum()
 
 
+def _lifted_and_rho(g):
+    """The lifted arrays of ``g`` and its uniform rho, None without a spanning tree."""
+    lg = lt.compute_orbits(g)
+    try:
+        rho = lt.init_rho_uniform(lg)
+    except lt.spanning.DisconnectedGraph:
+        rho = None
+    return (lg.lifted_theta, lg.feat_to_var, lg.structural_zero_var, lg.var_mult,
+            lg.var_ground_count, rho)
+
+
+class TestSetupFromEitherForm:
+    """``ground`` and the builder store a model in the same blocks, codes and
+    node table, so set-up from either gives the same bytes."""
+
+    @pytest.mark.parametrize("label,model,n", MODELS, ids=[m[0] for m in MODELS])
+    def test_lifted_arrays_and_rho_match(self, label, model, n):
+        got = _lifted_and_rho(lt.ground(model, n))
+        for a, b in zip(got, _lifted_and_rho(_ground_per_grounding(model, n))):
+            _assert_same_array(a, b)
+
+
 def test_setup_matches_on_a_larger_domain():
-    for name, n in (("friends_smokers", 12), ("complete_graph", 40)):
+    for name, n in (("friends_smokers", 12), ("complete_graph", 40), ("clique_cycle", 10)):
         g = build(name, n, 0.4)
-        _assert_same_ground(g, _ground_per_grounding(
-            lt.parse_model(lt.zoo.model_text(name)).bind_weight(0.4), n))
+        ref = _ground_per_grounding(lt.parse_model(lt.zoo.model_text(name)).bind_weight(0.4), n)
+        _assert_same_ground(g, ref)
         _assert_lifted_matches_references(lt.compute_orbits(g), frozenset())
+        for a, b in zip(_lifted_and_rho(g), _lifted_and_rho(ref)):
+            _assert_same_array(a, b)
 
 
 def _hand_built(constants, nodes, edges):
