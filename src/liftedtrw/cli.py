@@ -51,8 +51,8 @@ def _check_args(args):
     """Reject bad settings before any work, so also for an empty W range."""
     if getattr(args, "n", 1) < 1:
         raise ModelError(f"domain size must be >= 1, got {args.n}")
-    if getattr(args, "tol", 1.0) <= 0:
-        raise ModelError("tolerance must be positive")
+    if not 0 < getattr(args, "tol", 1.0) < np.inf:
+        raise ModelError("tolerance must be positive and finite")
     if getattr(args, "max_iters", 1) < 1:
         raise ModelError("--max-iters must be at least 1")
     if getattr(args, "jobs", 1) < 1:
@@ -93,6 +93,8 @@ def _edge_orbit_weights(lg, text):
     if weights.size != len(lg.edge_orbits):
         raise ModelError(f"need {len(lg.edge_orbits)} weights (one per edge orbit), "
                          f"got {weights.size}")
+    if not np.isfinite(weights).all():
+        raise ModelError(f"weights must be finite, got {text!r}")
     return weights
 
 

@@ -146,9 +146,15 @@ def lifted_kruskal(lg, weights):
     ``weights`` is one weight per edge orbit.  Returns ``rho`` with
     ``rho[e] = (tree edges taken from orbit e) / |e|``; the weighted size
     ``sum_e |e| rho_e w_e`` equals the ground maximum spanning tree weight.
-    Raises :class:`DisconnectedGraph` when no spanning tree exists.
+    Raises :class:`DisconnectedGraph` when no spanning tree exists, and
+    ``ValueError`` unless ``weights`` holds one finite weight per edge orbit.
     """
     weights = np.asarray(weights, dtype=float)
+    if weights.shape != (len(lg.edge_orbits),):
+        raise ValueError(f"weights has shape {weights.shape}, need one entry per "
+                         f"edge orbit ({len(lg.edge_orbits)})")
+    if not np.isfinite(weights).all():
+        raise ValueError("weights has a non-finite entry")
     total_gv = lg.model.n_nodes
     rho = np.zeros(len(lg.edge_orbits))
     if len(lg.edge_orbits) == 0:

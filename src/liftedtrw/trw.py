@@ -143,8 +143,7 @@ def _new_stats():
     return {"lp_s": 0.0, "separate_s": 0.0, "line_search_s": 0.0, "polish_s": 0.0,
             "eq_residual": 0.0, "lp_solves": 0, "lp_refactorizations": 0,
             "polish_tries": 0, "polish_adopted": 0, "polish_faces": 0,
-            "polish_face_failures": 0,
-            "loose_iterations": 0, "loose_termination": ""}
+            "polish_face_failures": 0}
 
 
 @dataclass
@@ -164,9 +163,6 @@ class TrwResult:
     counts the face solves run and ``polish_face_failures`` those that gave
     no point (a non-finite Newton step); a singular KKT matrix, from
     dependent active rows, is solved by least squares and is no failure.
-    A ``+exch`` solve with clusters adds the timings and counts of its looser
-    solve, whose iterations and termination are ``loose_iterations`` and
-    ``loose_termination`` (``0`` and ``""`` when no looser solve ran).
     ``eq_residual`` is the largest equality-row residual ``|A tau - b|`` of
     the returned ``tau``; a ``"gap"`` termination above ``EQ_TOL`` raises,
     since the bound's concavity argument needs ``tau`` on those rows.
@@ -260,15 +256,18 @@ def _newton_polish(obj, lp, tau, active_tol, faces=None):
     ``slack_sign == 0``, and an inequality's violation is
     ``slack_sign * (A x - b)``, since the simplex negates rows of negative
     right-hand side.  Columns the LP pins to zero (``lp.fixed_zero``) stay
-    at zero.
+    at zero.  Columns at most 1e-10 without entropy weight (the cluster
+    counts) start pinned too; when a face's feasible point does not improve
+    the objective over ``tau``, they are freed and that face is solved again
+    from that point, as an active-set method releases a bound.
 
-    ``faces`` maps the ordered active row indices to the face solve there
-    (None when it failed).  At one ``tau`` the indices fix the face system
-    bit for bit, row order included, and rows are only ever appended to
-    ``lp``, so one dict may serve every tolerance and cut round at ``tau``.
+    ``faces`` maps the ordered active row indices, the pinned columns and the
+    start to the face solve there (None when it failed); these inputs fix the
+    face system bit for bit, row order included, and rows are only ever
+    appended to ``lp``, so one dict may serve every tolerance and cut round.
     """
     n = obj.n_vars
-    tau = np.asarray(tau, dtype=float)
+    start = tau = np.asarray(tau, dtype=float)
     pinned = lp.fixed_zero | ((tau <= 1e-10) & (obj.w == 0.0))
     free = np.where(~pinned)[0]
     if free.size == 0:
@@ -280,13 +279,13 @@ def _newton_polish(obj, lp, tau, active_tol, faces=None):
     active = np.flatnonzero(is_active)
     inactive = np.flatnonzero(~is_active)
     for _ in range(6):
-        key = active.tobytes()
+        key = (active.tobytes(), pinned.tobytes(), start.tobytes())
         x = faces.get(key, _UNSOLVED)
         if x is _UNSOLVED:
             # np.ix_ blocks are row-major; a column-major block (A[active][:, free])
             # sums E @ x in another order, which changes the last bits
-            b_e = b[active] - A[np.ix_(active, pinned)] @ tau[pinned]
-            x = faces[key] = _face_newton(obj, free, A[np.ix_(active, free)], b_e, tau)
+            b_e = b[active] - A[np.ix_(active, pinned)] @ start[pinned]
+            x = faces[key] = _face_newton(obj, free, A[np.ix_(active, free)], b_e, start)
         if x is None:
             return None
         cand = np.zeros(n)
@@ -297,6 +296,10 @@ def _newton_polish(obj, lp, tau, active_tol, faces=None):
             s = sign[active]
             if (np.where(s == 0.0, np.abs(resid), s * resid) > 1e-8).any():
                 return None
+            if (pinned & ~lp.fixed_zero).any() and obj.value(cand) <= obj.value(tau):
+                pinned, start = lp.fixed_zero, cand
+                free = np.where(~pinned)[0]
+                continue
             return cand
         active = np.concatenate([active, inactive[violated]])
         inactive = inactive[~violated]
@@ -305,7 +308,7 @@ def _newton_polish(obj, lp, tau, active_tol, faces=None):
 
 def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
                 polish=True):
-    """Conditional gradient on the lifted TRW objective.
+    """Conditional gradient on the lifted TRW objective over ``outer``.
 
     Starts from the moments of the uniform distribution, solves a direction
     LP per iteration (with a cutting-plane inner loop when cycle constraints
@@ -318,13 +321,11 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
     the iterate on its active face, adopted only when it improves the
     objective and no row, old or newly separated, cuts it off.
 
-    A ``+exch`` polytope with clusters lies inside the same outer's without
-    them, so the smaller of the two certified bounds is returned.
-
     ``rho`` holds one edge appearance probability per edge orbit.  The bound
     is an upper bound on log Z for a ``rho`` in the spanning-tree polytope;
     a ``rho`` of the wrong length or with an entry outside [0, 1] (which no
-    such point has) raises ``ValueError``.
+    such point has) raises ``ValueError``, as do ``max_iters`` below 1 and a
+    negative or non-finite ``tol``.
     """
     if rho is None:
         raise ValueError("edge appearance vector rho is required")
@@ -338,26 +339,10 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
         raise ValueError("rho has an entry outside [0, 1]")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    t0 = time.perf_counter()
-    res = _conditional_gradient(lg, outer, rho, tol, max_iters, polish)
-    if res.cluster_counts:
-        loose = _conditional_gradient(lg, outer[:-len("+exch")], rho, tol,
-                                      max_iters, polish)
-        res.bound = min(res.bound, loose.bound)
-        res.lp_pivots += loose.lp_pivots
-        for key, value in loose.stats.items():
-            # the residual is that of the returned tau; the looser solve's
-            # iterations and termination are kept apart, not summed
-            if key not in ("eq_residual", "loose_iterations", "loose_termination"):
-                res.stats[key] += value
-        res.stats["loose_iterations"] = loose.iterations
-        res.stats["loose_termination"] = loose.termination
-    res.millis = (time.perf_counter() - t0) * 1000.0
-    return res
-
-
-def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
-    """One conditional-gradient solve over ``outer``; see ``frank_wolfe``."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    clock = time.perf_counter
+    t_start = clock()
     if lg.n_vars == 0:
         return TrwResult(0.0, 0.0, np.zeros(0), [], [], 0, "gap", {}, outer, rho)
 
@@ -377,7 +362,6 @@ def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
     kkt_dim = system.n_vars - int(system.fixed_zero.sum()) + n_built
     may_polish = polish and kkt_dim <= POLISH_SIZE_CAP
     stats = _new_stats()
-    clock = time.perf_counter
 
     def add_cuts(x):
         """Separate cycle rows at ``x`` into the LP; report whether any were new."""
@@ -488,7 +472,8 @@ def _conditional_gradient(lg, outer, rho, tol, max_iters, polish):
         termination="gap" if converged else "iteration_limit" if moved else "stalled",
         node_marginals=lg.node_marginals(tau),
         outer=outer,
-        rho=np.asarray(rho, dtype=float),
+        rho=rho,
+        millis=(clock() - t_start) * 1000.0,
         lp_pivots=pivots,
         n_cuts=len(system.cs.rows) - n_built,
         cluster_counts=clusters,

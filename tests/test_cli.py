@@ -98,9 +98,10 @@ class TestInfer:
         code, _, _ = run_cli(capsys, "infer", "--model", "complete_graph",
                              "--n", "0", "--W", "1")
         assert code == 2
-        code, _, _ = run_cli(capsys, "infer", "--model", "complete_graph",
-                             "--n", "3", "--W", "1", "--tol", "-1")
-        assert code == 2
+        for tol in ("-1", "nan", "inf"):
+            code, _, _ = run_cli(capsys, "infer", "--model", "complete_graph",
+                                 "--n", "3", "--W", "1", "--tol", tol)
+            assert code == 2, tol
         cg = ("--model", "complete_graph", "--n", "6", "--W", "1")
         cc = ("--model", "clique_cycle", "--n", "3", "--W", "1")  # 6 edge orbits
         for argv in (("infer", *cg, "--max-iters", "0"),
@@ -109,6 +110,8 @@ class TestInfer:
                      ("mst", *cc, "--weights", "1,2"),
                      ("mst", *cc, "--weights", "1,2,3,4,5,6,7,8"),
                      ("mst", *cc, "--weights", "1,2,3,4,5,x"),
+                     ("mst", *cc, "--weights", "1,2,3,4,5,nan"),
+                     ("infer", *cg, "--rho", "kruskal:inf"),
                      ("sweep", "--model", "complete_graph", "--n", "3", "--W=-1:1"),
                      ("sweep", "--model", "complete_graph", "--n", "3", "--W=a:1:1"),
                      # checked before the (here empty) W range is expanded

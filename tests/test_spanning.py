@@ -161,6 +161,22 @@ class TestLiftedKruskal:
         with pytest.raises(DisconnectedGraph):
             lifted_kruskal(lg, np.ones(len(lg.edge_orbits)))
 
+    @pytest.mark.parametrize("size, fill, match", [
+        (3, 1.0, "one entry per edge orbit"),      # raised IndexError mid-scan
+        (8, 1.0, "one entry per edge orbit"),      # dropped the last two
+        (6, np.nan, "non-finite"),                 # gave a tree for no order
+        (6, np.inf, "non-finite"),
+    ])
+    def test_malformed_weights_raise(self, size, fill, match):
+        """``clique_cycle`` n=4 has 6 edge orbits; a weight vector of another
+        length or with a non-finite entry raises."""
+        lg = lt.compute_orbits(build("clique_cycle", 4, 1.0))
+        assert len(lg.edge_orbits) == 6
+        weights = np.arange(size, dtype=float)
+        weights[-1] = fill
+        with pytest.raises(ValueError, match=match):
+            lifted_kruskal(lg, weights)
+
     def test_prefix_component_counts_match_ground(self, ring_model, ring_lifted):
         """Every prefix subgraph seen by the sort order counts correctly."""
         lg = ring_lifted

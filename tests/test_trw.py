@@ -11,8 +11,7 @@ import liftedtrw as lt
 from liftedtrw import trw
 from liftedtrw.lpsolve import Row, Simplex
 from liftedtrw.polytope import build_outer_system, separate_cycles
-from liftedtrw.trw import (TrwObjective, _conditional_gradient, entropy_coefficients,
-                           frank_wolfe, golden_section, gradient,
+from liftedtrw.trw import (TrwObjective, entropy_coefficients, frank_wolfe, golden_section, gradient,
                            lifted_entropy_bound, lifted_linear_term)
 
 from conftest import build, expand_rho, ground_entropy_bound
@@ -333,49 +332,97 @@ class TestFrankWolfe:
         if not res.converged:
             assert res.iterations == 200 and res.gap_trace[-1] > 0.2
 
-    def test_stats_keys_and_types(self):
+    def test_stats_keys_and_types(self, monkeypatch):
         """``stats`` holds float timings, the equality residual and int
-        counters; a ``+exch`` solve adds the timings and counts of its looser
-        solve, keeps the residual of the ``tau`` it returns, and reports the
-        looser solve's iterations and termination, which a solve without
-        clusters leaves at ``0`` and ``""``."""
+        counters, all of the one solve a call makes: a ``+exch`` solve with
+        clusters builds one outer system, counts its own LP solves and pivots,
+        and reports the residual of the ``tau`` it returns."""
         lg = lt.compute_orbits(build("clique_cycle", 4, 0.5))
         rho = lt.init_rho_uniform(lg)
-        res = frank_wolfe(lg, outer="cycle+exch", rho=rho, tol=1e-5, max_iters=200)
+        built, lp_iterations = [], []
+        build_system, lp_solve = trw.build_outer_system, Simplex.solve
+
+        def build_recorded(lg, outer):
+            built.append(outer)
+            return build_system(lg, outer)
+
+        def solve_recorded(self, objective):
+            res = lp_solve(self, objective)
+            lp_iterations.append(res.iterations)
+            return res
+
+        with monkeypatch.context() as mp:
+            mp.setattr(trw, "build_outer_system", build_recorded)
+            mp.setattr(Simplex, "solve", solve_recorded)
+            res = frank_wolfe(lg, outer="cycle+exch", rho=rho, tol=1e-5, max_iters=200)
         timings = {"lp_s", "separate_s", "line_search_s", "polish_s"}
         counters = {"lp_solves", "lp_refactorizations", "polish_tries",
                     "polish_adopted", "polish_faces", "polish_face_failures"}
-        assert set(res.stats) == timings | counters | {"eq_residual", "loose_iterations",
-                                                       "loose_termination"}
+        assert set(res.stats) == timings | counters | {"eq_residual"}
         assert all(type(res.stats[k]) is float and res.stats[k] >= 0.0 for k in timings)
         assert all(type(res.stats[k]) is int for k in counters)
         assert type(res.stats["eq_residual"]) is float
         assert 0.0 <= res.stats["eq_residual"] <= trw.EQ_TOL
-        assert res.cluster_counts
-        parts = [_conditional_gradient(lg, outer, rho, 1e-5, 200, True)
-                 for outer in ("cycle+exch", "cycle")]
-        for k in counters:
-            assert res.stats[k] == sum(p.stats[k] for p in parts), k
-        assert res.stats["eq_residual"] == parts[0].stats["eq_residual"]
-        assert (res.stats["loose_iterations"], res.stats["loose_termination"]) == (
-            parts[1].iterations, parts[1].termination)
-        assert type(res.stats["loose_iterations"]) is int and res.stats["loose_iterations"] > 0
-        assert all((p.stats["loose_iterations"], p.stats["loose_termination"]) == (0, "")
-                   for p in parts)
-        lg_fs = lt.compute_orbits(build("friends_smokers", 3, 0.5))
-        plain = frank_wolfe(lg_fs, outer="local+exch", rho=lt.init_rho_uniform(lg_fs),
-                            tol=1e-5, max_iters=200)
-        assert not plain.cluster_counts
-        assert (plain.stats["loose_iterations"], plain.stats["loose_termination"]) == (0, "")
-        assert res.tau.tobytes() == parts[0].tau.tobytes()
-        eq_rows = [row for row in build_outer_system(lg, "cycle+exch").cs.rows
-                   if row.rel == "="]
+        assert res.cluster_counts and res.converged
+        assert built == ["cycle+exch"]
+        assert res.stats["lp_solves"] == len(lp_iterations)
+        assert res.lp_pivots == sum(lp_iterations)
+        system = build_outer_system(lg, "cycle+exch")
+        assert res.tau.shape == (system.n_vars,)
+        for cl in system.clusters:
+            counts = res.tau[cl.c_offset:cl.c_offset + cl.size + 1]
+            assert res.cluster_counts[cl.node_orbit].tobytes() == counts.tobytes()
+        eq_rows = [row for row in system.cs.rows if row.rel == "="]
         walked = max(abs(sum(c * res.tau[j] for j, c in row.coeffs) - row.rhs)
                      for row in eq_rows)
         assert res.stats["eq_residual"] == pytest.approx(walked, abs=1e-15)
         assert res.stats["lp_solves"] >= res.iterations
         assert 0 < res.stats["polish_adopted"] <= res.stats["polish_tries"]
         assert res.stats["lp_refactorizations"] >= 1
+
+    @pytest.mark.parametrize("weights", [(3, 2, 6, 5, 4, 1), (5, 6, 2, 4, 1, 3),
+                                         (1, 3, 5, 6, 2, 4)])
+    def test_exch_certifies_at_non_uniform_rho(self, weights):
+        """At these rho the polish used to pin the cluster counts at zero and
+        never free them, and ``local+exch`` stalled at gaps of 5.5e-5 to
+        3.8e-3 (which point depended on the BLAS thread count).  Freeing them
+        when a face does not improve certifies within ``local``'s bound."""
+        lg = lt.compute_orbits(build("clique_cycle", 16, -0.5))
+        rho = (0.5 * lt.init_rho_uniform(lg)
+               + 0.5 * lt.lifted_kruskal(lg, np.array(weights, dtype=float)))
+        res = frank_wolfe(lg, outer="local+exch", rho=rho, tol=1e-5, max_iters=200)
+        local = frank_wolfe(lg, outer="local", rho=rho, tol=1e-5, max_iters=200)
+        assert res.termination == "gap"
+        assert res.stats["polish_face_failures"] == 0
+        assert res.bound <= local.bound + 1e-5
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+    def test_malformed_tol_raises(self, tol):
+        """``tol=nan`` and ``tol=-1`` ran every iteration at a converged point
+        and reported ``stalled``; ``tol=inf`` reported ``gap`` after one
+        iteration whatever the gap.  They raise, and ``tol=0`` runs."""
+        lg = lt.compute_orbits(build("complete_graph", 6, -1.0))
+        rho = lt.init_rho_uniform(lg)
+        with pytest.raises(ValueError, match="tol"):
+            frank_wolfe(lg, outer="local", rho=rho, tol=tol, max_iters=50)
+        res = frank_wolfe(lg, outer="local", rho=rho, tol=0.0, max_iters=50)
+        assert res.iterations <= 50 and np.isfinite(res.bound)
+
+    def test_polish_size_cap(self, monkeypatch):
+        """A system whose KKT matrix is above ``POLISH_SIZE_CAP`` rows makes
+        no polish attempt and still certifies a bound no tighter than the
+        polished solve's, within tol."""
+        lg = lt.compute_orbits(build("complete_graph", 12, -1.0))
+        rho = lt.init_rho_uniform(lg)
+        system = build_outer_system(lg, "local+exch")
+        kkt_dim = system.n_vars - int(system.fixed_zero.sum()) + len(system.cs.rows)
+        polished = frank_wolfe(lg, outer="local+exch", rho=rho, tol=1e-5, max_iters=200)
+        assert polished.stats["polish_tries"] > 0
+        monkeypatch.setattr(trw, "POLISH_SIZE_CAP", kkt_dim - 1)
+        capped = frank_wolfe(lg, outer="local+exch", rho=rho, tol=1e-5, max_iters=200)
+        assert capped.stats["polish_tries"] == 0
+        assert capped.converged
+        assert capped.bound >= polished.bound - 1e-5
 
     def test_zero_entropy_weights_reach_their_bound(self, ring_model):
         """A tree-polytope point with rho 0 on two ground edges leaves 18 of
@@ -736,3 +783,35 @@ class TestFaceMemo:
         alone = frank_wolfe(lg, outer=outer, rho=rho, tol=1e-6, max_iters=30)
         assert _solve_bytes(alone) == _solve_bytes(shared)
         assert alone.stats["polish_faces"] == 0 < shared.stats["polish_faces"]
+
+    def test_released_faces_memoized_exactly(self, monkeypatch):
+        """At these rho (those of ``test_exch_certifies_at_non_uniform_rho``)
+        some face is solved again from its point with the cluster counts
+        freed; solving every face afresh gives the bytes of the memoized
+        solve, since the memo key holds the pinned columns and the start."""
+        lg = self._lifted("clique_cycle", 16, -0.5)
+        uniform = lt.init_rho_uniform(lg)
+        polish, face_newton = trw._newton_polish, trw._face_newton
+        taus, released = [], []
+
+        def polish_traced(obj, lp, tau, active_tol, faces=None):
+            taus.append(tau)
+            return polish(obj, lp, tau, active_tol, faces)
+
+        def face_traced(obj, free, E, b_e, start):
+            released.append(start.tobytes() != taus[-1].tobytes())
+            return face_newton(obj, free, E, b_e, start)
+
+        def unshared(obj, lp, tau, active_tol, faces=None):
+            return polish_traced(obj, lp, tau, active_tol, _NoMemo())
+
+        monkeypatch.setattr(trw, "_face_newton", face_traced)
+        for weights in ((3, 2, 6, 5, 4, 1), (5, 6, 2, 4, 1, 3), (1, 3, 5, 6, 2, 4)):
+            rho = 0.5 * uniform + 0.5 * lt.lifted_kruskal(lg, np.array(weights, dtype=float))
+            with monkeypatch.context() as mp:
+                mp.setattr(trw, "_newton_polish", polish_traced)
+                shared = frank_wolfe(lg, outer="local+exch", rho=rho, tol=1e-5, max_iters=200)
+                mp.setattr(trw, "_newton_polish", unshared)
+                alone = frank_wolfe(lg, outer="local+exch", rho=rho, tol=1e-5, max_iters=200)
+            assert _solve_bytes(alone) == _solve_bytes(shared), weights
+        assert any(released)
