@@ -92,7 +92,6 @@ class Simplex:
 
     def __init__(self, n_vars, rows, fixed_zero=None, basis=None):
         self.n = n_vars
-        self.rows = []
         self.fixed_zero = (np.zeros(n_vars, dtype=bool)
                            if fixed_zero is None else np.asarray(fixed_zero, dtype=bool))
         self.m = 0
@@ -116,7 +115,6 @@ class Simplex:
         is stored negated.  Rows already held are copied, not walked."""
         n, first = self.n, self.m
         m = first + len(rows)
-        self.rows.extend(rows)
         self.m = m
         A = np.zeros((m, n), order="F")
         A[:first] = self.A

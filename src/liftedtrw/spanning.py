@@ -15,11 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from .symmetry import _fixed_ranks, _lex_codes, _UnionFind
-from .trw import frank_wolfe
+from .trw import _xlogx, frank_wolfe
 
-BOUND_TOL = 1e-12        # slack of optimize_rho's "bound did not increase" test
 UNIFORM_TOL = 1e-8       # duality gap at which init_rho_uniform stops
-UNIFORM_MAX_ITERS = 500  # conditional-gradient steps of init_rho_uniform
+PROJECT_MAX_ITERS = 500  # conditional-gradient steps of one projection
 
 
 class DisconnectedGraph(Exception):
@@ -140,6 +139,22 @@ def count_components(lg, node_orbit_ids=None, edge_orbit_ids=None):
     return sum(_ground_components_of(lg, nodes, edges) for nodes, edges in comps.values())
 
 
+def _per_orbit(lg, values, name):
+    """``values`` as floats; ``ValueError`` unless one finite entry per edge orbit."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(lg.edge_orbits),):
+        raise ValueError(f"{name} has shape {values.shape}, need one entry per "
+                         f"edge orbit ({len(lg.edge_orbits)})")
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} has a non-finite entry")
+    return values
+
+
+def _sizes(lg):
+    """Ground edge count ``|e|`` per edge orbit."""
+    return np.array([eo.size for eo in lg.edge_orbits], dtype=float)
+
+
 def lifted_kruskal(lg, weights):
     """Edge appearances of a maximum-weight spanning tree, per edge orbit.
 
@@ -149,12 +164,7 @@ def lifted_kruskal(lg, weights):
     Raises :class:`DisconnectedGraph` when no spanning tree exists, and
     ``ValueError`` unless ``weights`` holds one finite weight per edge orbit.
     """
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(lg.edge_orbits),):
-        raise ValueError(f"weights has shape {weights.shape}, need one entry per "
-                         f"edge orbit ({len(lg.edge_orbits)})")
-    if not np.isfinite(weights).all():
-        raise ValueError("weights has a non-finite entry")
+    weights = _per_orbit(lg, weights, "weights")
     total_gv = lg.model.n_nodes
     rho = np.zeros(len(lg.edge_orbits))
     if len(lg.edge_orbits) == 0:
@@ -187,103 +197,101 @@ def lifted_kruskal(lg, weights):
 
 
 def lifted_mst_value(lg, weights, rho):
-    """Spanning-tree weight in the lifted inner product."""
-    sizes = np.array([eo.size for eo in lg.edge_orbits], dtype=float)
-    return float(np.sum(sizes * np.asarray(rho) * np.asarray(weights)))
+    """Spanning-tree weight in the lifted inner product; ``ValueError`` unless
+    ``weights`` and ``rho`` each hold one finite entry per edge orbit."""
+    return float(np.sum(_sizes(lg) * _per_orbit(lg, rho, "rho")
+                        * _per_orbit(lg, weights, "weights")))
 
 
 def tree_edge_total(lg, rho):
-    """``sum_e |e| rho_e`` (equals |V| - 1 for spanning-tree points)."""
-    sizes = np.array([eo.size for eo in lg.edge_orbits], dtype=float)
-    return float(np.sum(sizes * np.asarray(rho)))
+    """``sum_e |e| rho_e`` (equals |V| - 1 for spanning-tree points);
+    ``ValueError`` unless ``rho`` holds one finite entry per edge orbit."""
+    return float(np.sum(_sizes(lg) * _per_orbit(lg, rho, "rho")))
 
 
-def init_rho_uniform(lg):
-    """Most-uniform point of the symmetrized spanning tree polytope.
+def _project(lg, target, rho, tol):
+    """The ``|e|``-weighted nearest point of the spanning-tree polytope to ``target``.
 
-    Minimizes ``sum_e |e| (rho_e - (|V|-1)/|E|)^2`` by conditional gradient;
-    each direction step runs :func:`lifted_kruskal` with weights
-    ``-2 (rho_e - (|V|-1)/|E|)`` and the quadratic line search is exact.
+    Minimizes ``sum_e |e| (rho_e - target_e)^2`` by conditional gradient
+    started from the polytope point ``rho``: each step runs
+    :func:`lifted_kruskal` with weights ``-2 (rho_e - target_e)``, stops once
+    the duality gap is at most ``tol``, and takes the exact quadratic line
+    search.  ``target`` holds one entry per edge orbit.
     """
-    n_nodes = lg.model.n_nodes
-    n_edges = len(lg.model.edges)
-    if n_edges == 0:
-        if n_nodes <= 1:
-            return np.zeros(len(lg.edge_orbits))
-        raise DisconnectedGraph("graph has nodes but no edges")
-    target = (n_nodes - 1) / n_edges
-    sizes = np.array([eo.size for eo in lg.edge_orbits], dtype=float)
-
-    rho = lifted_kruskal(lg, np.ones(len(lg.edge_orbits)))
-    for _ in range(UNIFORM_MAX_ITERS):
-        w = -2.0 * (rho - target)
-        d = lifted_kruskal(lg, w)
+    sizes = _sizes(lg)
+    for _ in range(PROJECT_MAX_ITERS):
+        d = lifted_kruskal(lg, -2.0 * (rho - target))
         gap = float(np.sum(sizes * 2.0 * (rho - target) * (rho - d)))
-        if gap <= UNIFORM_TOL:
+        if gap <= tol:
             break
         diff = d - rho
         denom = float(np.sum(sizes * diff * diff))
         if denom <= 0:
             break
-        lam = -float(np.sum(sizes * (rho - target) * diff)) / denom
-        lam = min(max(lam, 0.0), 1.0)
+        lam = min(max(-float(np.sum(sizes * (rho - target) * diff)) / denom, 0.0), 1.0)
         if lam == 0.0:
             break
         rho = rho + lam * diff
     return np.clip(rho, 0.0, 1.0)
 
 
+def init_rho_uniform(lg):
+    """Most-uniform point of the symmetrized spanning tree polytope.
+
+    The :func:`_project` of the uniform vector ``(|V|-1)/|E|``, to a duality
+    gap of ``UNIFORM_TOL``, from the spanning tree under unit weights.
+    """
+    ones = np.ones(len(lg.edge_orbits))
+    rho = lifted_kruskal(lg, ones)   # raises DisconnectedGraph without a spanning tree
+    # a graph without edges has one node at most and no orbit to aim at
+    return _project(lg, ones * ((lg.model.n_nodes - 1) / max(len(lg.model.edges), 1)),
+                    rho, UNIFORM_TOL)
+
+
 def orbit_entropies(lg, tau):
-    """Per node-orbit and per edge-orbit entropies of a lifted vector."""
-    tau = np.asarray(tau)
-    node_h = np.zeros(len(lg.node_orbits))
-    for orb in lg.node_orbits:
-        s = lg.node_var_start[orb.id]
-        vals = tau[s:s + orb.n_values]
-        node_h[orb.id] = -float(np.sum(vals[vals > 0] * np.log(vals[vals > 0])))
-    edge_h = np.zeros(len(lg.edge_orbits))
-    for eo in lg.edge_orbits:
-        acc = 0.0
-        for var, count in lg.edge_orbit_vars(eo.id):
-            v = float(tau[var])
-            if v > 0:
-                acc -= count * v * np.log(v)
-        edge_h[eo.id] = acc
-    return node_h, edge_h
+    """Per node-orbit and per edge-orbit entropies of a lifted vector.
+
+    An edge orbit's entropy is its representative pair's, so a merged
+    off-diagonal variable counts ``var_mult`` times; entries at or below 0
+    add nothing.
+    """
+    h = -lg.var_mult * _xlogx(np.maximum(np.asarray(tau, dtype=float)[:lg.n_vars], 0.0))
+    edge = np.array([kind == "edge" for kind, _ in lg.var_orbit], dtype=bool)
+    oid = np.array([oid for _, oid in lg.var_orbit], dtype=int)
+    return (np.bincount(oid[~edge], h[~edge], minlength=len(lg.node_orbits)),
+            np.bincount(oid[edge], h[edge], minlength=len(lg.edge_orbits)))
 
 
 def optimize_rho(lg, outer, rho0, outer_iters=10, tol=1e-4, **fw_kwargs):
-    """Improve the edge appearances by conditional gradient on the bound.
+    """Improve the edge appearances by projected gradient steps on the bound.
 
-    Each outer step solves the inner problem, weighs edge orbits by their
-    mutual information, moves toward the resulting spanning-tree point with a
-    diminishing step, and keeps only steps that do not increase the bound.
-    The bound is convex in rho with gradient ``-|e| I_e``, so it stops when
-    the spanning-tree point's gain ``sum_e |e| I_e (d_e - rho_e)``, which
-    bounds any further decrease, is at most the solves' ``tol``.  Returns
-    ``rho`` and the solve at it.
+    The bound is convex in rho with gradient ``-|e| I_e``, ``I_e`` the mutual
+    information of edge orbit ``e`` at the solve's ``tau``.  A step tries the
+    :func:`_project` of ``rho + s I`` (to a gap of ``tol``, from ``rho``),
+    halves ``s`` until the bound does not rise, and doubles ``s`` once
+    accepted.  It stops when the Kruskal tree ``d`` under ``I`` gains
+    ``sum_e |e| I_e (d_e - rho_e)``, which bounds any further decrease, at
+    most ``tol``, or when a step is too short to move ``rho``.  Returns ``rho``
+    and the solve at it.
     """
     rho = np.asarray(rho0, dtype=float)
-    sizes = np.array([eo.size for eo in lg.edge_orbits], dtype=float)
+    sizes = _sizes(lg)
+    ends = np.array([(eo.u_orbit, eo.v_orbit) for eo in lg.edge_orbits], dtype=int).reshape(-1, 2)
     res = frank_wolfe(lg, outer=outer, rho=rho, tol=tol, **fw_kwargs)
-    for k in range(outer_iters):
+    step = 1.0
+    for _ in range(outer_iters):
         node_h, edge_h = orbit_entropies(lg, res.tau)
-        mi = np.zeros(len(lg.edge_orbits))
-        for eo in lg.edge_orbits:
-            mi[eo.id] = node_h[eo.u_orbit] + node_h[eo.v_orbit] - edge_h[eo.id]
-        direction = lifted_kruskal(lg, mi)
-        if float(sizes @ (mi * (direction - rho))) <= tol:
+        mi = node_h[ends[:, 0]] + node_h[ends[:, 1]] - edge_h
+        if float(sizes @ (mi * (lifted_kruskal(lg, mi) - rho))) <= tol:
             break
-        step = 2.0 / (k + 2.0)
-        accepted = False
-        while step > 1e-4:
-            cand = np.clip(rho + step * (direction - rho), 0.0, 1.0)
+        while True:
+            cand = _project(lg, rho + step * mi, rho, tol)
+            if np.array_equal(cand, rho):
+                return rho, res
             cand_res = frank_wolfe(lg, outer=outer, rho=cand, tol=tol, **fw_kwargs)
-            if cand_res.bound <= res.bound + BOUND_TOL:
-                rho, res = cand, cand_res
-                accepted = True
+            if cand_res.bound <= res.bound:
                 break
             step /= 2.0
-        if not accepted:
-            break
+        rho, res = cand, cand_res
+        step *= 2.0
     return rho, res

@@ -162,12 +162,6 @@ class LiftedGraph:
     def edge_var(self, orbit_id, t, h):
         return int(self.edge_var_map[orbit_id][t, h])
 
-    def edge_orbit_vars(self, orbit_id):
-        """Distinct variable ids of an edge orbit with their multiplicities."""
-        vmap = self.edge_var_map[orbit_id]
-        vids, counts = np.unique(vmap, return_counts=True)
-        return [(int(v), int(c)) for v, c in zip(vids, counts)]
-
     # -- ground <-> lifted -------------------------------------------------
     def expand(self, tau):
         """Ground overcomplete vector with every feature set to its orbit value."""

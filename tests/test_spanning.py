@@ -177,6 +177,20 @@ class TestLiftedKruskal:
         with pytest.raises(ValueError, match=match):
             lifted_kruskal(lg, weights)
 
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_malformed_rho_raises_in_totals(self, size):
+        """``tree_edge_total`` and ``lifted_mst_value`` take one entry per
+        edge orbit, as ``lifted_kruskal`` does; one entry used to broadcast
+        to a silent 27.0 on ``clique_cycle`` n=4."""
+        lg = lt.compute_orbits(build("clique_cycle", 4, 1.0))
+        rho = np.full(size, 0.5)
+        with pytest.raises(ValueError, match="one entry per edge orbit"):
+            tree_edge_total(lg, rho)
+        with pytest.raises(ValueError, match="one entry per edge orbit"):
+            lifted_mst_value(lg, np.ones(6), rho)
+        with pytest.raises(ValueError, match="one entry per edge orbit"):
+            lifted_mst_value(lg, rho, np.full(6, 0.5))
+
     def test_prefix_component_counts_match_ground(self, ring_model, ring_lifted):
         """Every prefix subgraph seen by the sort order counts correctly."""
         lg = ring_lifted
@@ -302,6 +316,19 @@ def _uncached_components_of(lg, node_orbit_ids, edge_orbit_ids):
     return len(node_ids) // comp
 
 
+def record_solves(monkeypatch):
+    """The list that every ``frank_wolfe`` result of ``optimize_rho`` joins."""
+    solves = []
+    solve = spanning.frank_wolfe
+
+    def counted(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(spanning, "frank_wolfe", counted)
+    return solves
+
+
 class TestOptimizeRho:
     def test_independent_model_keeps_rho(self):
         # zero edge potentials: mutual information vanishes, so one step
@@ -346,14 +373,29 @@ class TestOptimizeRho:
         solve is returned."""
         lg = lt.compute_orbits(build("complete_graph", 6, -1.0))
         rho0 = init_rho_uniform(lg)
-        solves = []
-        solve = spanning.frank_wolfe
-
-        def counted(*args, **kwargs):
-            solves.append(solve(*args, **kwargs))
-            return solves[-1]
-
-        monkeypatch.setattr(spanning, "frank_wolfe", counted)
+        solves = record_solves(monkeypatch)
         rho, res = optimize_rho(lg, "local", rho0, outer_iters=5, max_iters=2000)
         assert len(solves) == 1 and res is solves[0]
         np.testing.assert_array_equal(rho, rho0)
+
+    def test_projected_steps_need_few_solves(self, monkeypatch):
+        """``clique_cycle`` n=6 W=1 ``local``: steps through the projection
+        reach the bound that 43 solves of vertex steps reached
+        (90.6935761473635) in at most 20 solves."""
+        lg = lt.compute_orbits(build("clique_cycle", 6, 1.0))
+        solves = record_solves(monkeypatch)
+        _, res = optimize_rho(lg, "local", init_rho_uniform(lg), outer_iters=10,
+                              tol=1e-4, max_iters=1000)
+        assert len(solves) <= 20 and res.bound <= 90.6935761473635
+
+    @pytest.mark.parametrize("outer", ["local", "cycle"])
+    def test_rho_stays_in_tree_polytope(self, ring_model, ring_lifted, outer):
+        """Every accepted step is a projection onto the polytope, so the
+        optimized rho satisfies every ground subtour row and sums to
+        |V| - 1 tree edges."""
+        lg = ring_lifted
+        rho0 = init_rho_uniform(lg)
+        rho, _ = optimize_rho(lg, outer, rho0, tol=1e-6, max_iters=2000)
+        assert np.abs(rho - rho0).max() > 0.1
+        assert subtour_violations(ring_model, expand_rho(lg, rho)) == []
+        assert tree_edge_total(lg, rho) == pytest.approx(len(ring_model.nodes) - 1, abs=1e-9)

@@ -518,10 +518,14 @@ def reference_face_newton(obj, free, active, tau):
     return x
 
 
-def reference_newton_polish(obj, rows, fixed_zero, tau, active_tol):
-    """The active-set polish with every row value summed over ``Row.coeffs``."""
+def reference_newton_polish(obj, rows, fixed_zero, tau, active_tol, released=None):
+    """The active-set polish with every row value summed over ``Row.coeffs``.
+
+    Each bound release (freeing the pinned cluster counts when a face's
+    point does not improve on ``tau``) appends that point to ``released``.
+    """
     n = obj.n_vars
-    tau = np.asarray(tau, dtype=float)
+    start = tau = np.asarray(tau, dtype=float)
     pinned = fixed_zero | ((tau <= 1e-10) & (obj.w == 0.0))
     free = np.where(~pinned)[0]
     if free.size == 0:
@@ -537,7 +541,7 @@ def reference_newton_polish(obj, rows, fixed_zero, tau, active_tol):
             inactive.append(row)
 
     for _ in range(6):
-        x = reference_face_newton(obj, free, active, tau)
+        x = reference_face_newton(obj, free, active, start)
         if x is None:
             return None
         cand = np.zeros(n)
@@ -557,6 +561,12 @@ def reference_newton_polish(obj, rows, fixed_zero, tau, active_tol):
                     return None
                 if row.rel == "<=" and val > row.rhs + 1e-8:
                     return None
+            if (pinned & ~fixed_zero).any() and obj.value(cand) <= obj.value(tau):
+                if released is not None:
+                    released.append(cand)
+                pinned, start = fixed_zero, cand
+                free = np.where(~pinned)[0]
+                continue
             return cand
         active = active + violated
         inactive = still
@@ -571,7 +581,7 @@ class TestNewtonPolish:
     ACTIVE_TOLS = (1e-7, 1e-3, 0.05, 0.2)
 
     @staticmethod
-    def _iterates(monkeypatch, lg, outer):
+    def _iterates(monkeypatch, lg, outer, rho):
         """``(objective, rows, fixed_zero, tau)`` at the iterates of a
         polishing and a non-polishing solve, with the LP's rows, cuts
         included, at that iterate."""
@@ -581,13 +591,14 @@ class TestNewtonPolish:
         line_function = TrwObjective.line_function
 
         class Recorded(Simplex):
-            def __init__(self, *args):
-                super().__init__(*args)
+            def __init__(self, n_vars, rows, *args):
+                super().__init__(n_vars, rows, *args)
+                self.system_rows = rows   # the outer system's rows, cuts appended
                 lps.append(self)
 
         def record(obj, lp, tau):
             points.setdefault((tau.tobytes(), lp.m),
-                              (obj, list(lp.rows), lp.fixed_zero, tau.copy()))
+                              (obj, lp.system_rows[:lp.m], lp.fixed_zero, tau.copy()))
 
         def polish_recorded(obj, lp, tau, active_tol, faces=None):
             record(obj, lp, tau)
@@ -601,11 +612,31 @@ class TestNewtonPolish:
             mp.setattr(trw, "Simplex", Recorded)
             mp.setattr(trw, "_newton_polish", polish_recorded)
             mp.setattr(TrwObjective, "line_function", line_recorded)
-            rho = lt.init_rho_uniform(lg)
             for polish_on in (True, False):
                 frank_wolfe(lg, outer=outer, rho=rho, tol=1e-6, max_iters=30,
                             polish=polish_on)
         return list(points.values())
+
+    def _check_row_walk(self, monkeypatch, lg, outer, rho):
+        """At Frank-Wolfe iterates, with the cycle rows found so far, the
+        polish read from the LP's matrix returns the bytes (or None) of the
+        polish that walks the rows.  Returns the iterates and the reference's
+        bound releases."""
+        points = self._iterates(monkeypatch, lg, outer, rho)
+        found, released = [], []
+        for obj, rows, fixed_zero, tau in points:
+            lp = Simplex(obj.n_vars, rows, fixed_zero)
+            faces = {}   # shared by every tolerance at this iterate
+            for t in self.ACTIVE_TOLS:
+                got = _candidate_bytes(trw._newton_polish(obj, lp, tau, t))
+                want = _candidate_bytes(reference_newton_polish(obj, rows, fixed_zero,
+                                                                tau, t, released))
+                assert got == want, t
+                assert _candidate_bytes(trw._newton_polish(obj, lp, tau, t,
+                                                           faces)) == want, t
+                found.append(got is not None)
+        assert any(found)
+        return points, released
 
     @pytest.mark.parametrize("outer", ["local", "cycle", "local+exch", "cycle+exch"])
     @pytest.mark.parametrize("name, n, w", [
@@ -613,29 +644,25 @@ class TestNewtonPolish:
         ("clique_cycle", 3, 2.0), ("ring_pendant", 5, 3.0),
     ])
     def test_matches_row_walk_at_iterates(self, monkeypatch, name, n, w, outer):
-        """At Frank-Wolfe iterates, with the cycle rows found so far, the
-        polish read from the LP's matrix returns the bytes (or None) of the
-        polish that walks the rows."""
         g = (lt.zoo.ring_pendant_model(scale=w) if name == "ring_pendant"
              else build(name, n, w))
         lg = lt.compute_orbits(g)
-        points = self._iterates(monkeypatch, lg, outer)
-        found = []
-        for obj, rows, fixed_zero, tau in points:
-            lp = Simplex(obj.n_vars, rows, fixed_zero)
-            faces = {}   # shared by every tolerance at this iterate
-            for t in self.ACTIVE_TOLS:
-                got = _candidate_bytes(trw._newton_polish(obj, lp, tau, t))
-                want = _candidate_bytes(reference_newton_polish(obj, rows, fixed_zero,
-                                                                tau, t))
-                assert got == want, t
-                assert _candidate_bytes(trw._newton_polish(obj, lp, tau, t,
-                                                           faces)) == want, t
-                found.append(got is not None)
-        assert any(found)
+        points, _ = self._check_row_walk(monkeypatch, lg, outer, lt.init_rho_uniform(lg))
         row_counts = {len(rows) for _obj, rows, _fz, _tau in points}
         if outer.startswith("cycle") and name in ("clique_cycle", "ring_pendant"):
             assert len(row_counts) > 1   # iterates before and after cuts
+
+    @pytest.mark.parametrize("outer", ["local+exch", "cycle+exch"])
+    def test_matches_row_walk_through_bound_release(self, monkeypatch, outer):
+        """At this rho some ``clique_cycle`` n=3 faces do not improve on
+        ``tau`` with the cluster counts pinned, so the polish frees them and
+        solves the face again; the row walk makes the same release."""
+        rho = np.array([float.fromhex(h) for h in (
+            "0x1.2f684bc8d1994p-2", "0x1.2f684bd4841adp-2", "0x1.2f684be469881p-2",
+            "0x1.2f684bdc2e16cp-2", "0x1.2f684bd781346p-2", "0x1.2f684be4cd4bep-2")])
+        lg = lt.compute_orbits(build("clique_cycle", 3, 2.0))
+        _, released = self._check_row_walk(monkeypatch, lg, outer, rho)
+        assert released
 
     @pytest.mark.parametrize("theta, start, expected", [
         # the entropy maximum (1/3 each) violates x0 >= 0.5: the row is added
@@ -671,7 +698,8 @@ class TestNewtonPolish:
         """With ``theta_1 = -1e6`` every Newton step is cut short at
         ``x_1 >= 0``, so the active row ``-x0 <= -0.5`` is left as ``x0``
         started: kept when that satisfies ``x0 >= 0.5``, refused otherwise."""
-        lp = Simplex(2, [Row.make({0: -1.0}, "<=", -0.5)])
+        rows = [Row.make({0: -1.0}, "<=", -0.5)]
+        lp = Simplex(2, rows)
         obj = SimpleNamespace(n_vars=2, theta=np.array([0.0, -1e6]), w=-np.ones(2))
         fixed_zero = np.zeros(2, dtype=bool)
         tau = np.array(start)
@@ -680,7 +708,7 @@ class TestNewtonPolish:
         if kept:
             assert abs(cand[0] - start[0]) < 1e-5
         assert (_candidate_bytes(cand) == _candidate_bytes(
-            reference_newton_polish(obj, lp.rows, fixed_zero, tau, 0.2)))
+            reference_newton_polish(obj, rows, fixed_zero, tau, 0.2)))
 
     def test_gap_termination_off_the_equality_rows_raises(self, monkeypatch):
         """A polish that lands 1e-6 off a normalization row, uphill, is
