@@ -6,6 +6,15 @@ the compact orbit space, with optional tightening via cycle and exchangeable
 cluster constraints.
 """
 
+import os
+
+# One BLAS thread unless the caller set these: a threaded OpenBLAS changes the
+# last bits of the polish's dense solves.  They take effect only where numpy
+# loads after this point, so a caller who imported numpy first keeps its own.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .model import (ModelError, PairwiseGroundModel, TemplatedModel,
                     GroundModelBuilder, ground, parse_model)
 from .symmetry import (LiftedGraph, TyingViolation, canonical_pattern,

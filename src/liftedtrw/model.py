@@ -200,9 +200,8 @@ class PairwiseGroundModel:
     edge's potential as a row of a block of equal shapes (:class:`BlockRows`:
     a block, and a slot in it, per id); ``structural_zero`` codes each
     edge's mask into a small table, -1 for none (:class:`MaskCodes`).
-    ``_nodes`` and ``_provenance`` hold the lists behind :attr:`nodes`,
-    :attr:`node_provenance` and :attr:`edge_provenance`, or functions that
-    build them on first access.
+    ``_provenance`` holds the lists behind :attr:`node_provenance` and
+    :attr:`edge_provenance`, or a function that builds them on first access.
     """
 
     constants: tuple[int, ...]
@@ -212,16 +211,13 @@ class PairwiseGroundModel:
     theta_node: BlockRows
     theta_edge: BlockRows
     structural_zero: MaskCodes
-    _nodes: list | Callable = field(repr=False)
     _provenance: tuple | Callable = field(repr=False)
     aux_atoms: dict[int, tuple[int, int, int]] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def nodes(self):
-        """The :class:`GroundNode` of every node id."""
-        if callable(self._nodes):
-            self._nodes = self._nodes()
-        return self._nodes
+        """The :class:`GroundNode` of every node id, from ``node_table``."""
+        return self.node_table.nodes()
 
     @property
     def n_nodes(self):
@@ -427,7 +423,6 @@ class GroundModelBuilder:
             theta_edge=BlockRows.stacked(self.theta_edge),
             structural_zero=MaskCodes(np.array(codes, dtype=np.int64),
                                       [z for _, z in masks.values()]),
-            _nodes=list(self.nodes),
             _provenance=tuple([list(p) for p in lists]
                               for lists in (self.node_provenance, self.edge_provenance)),
             aux_atoms=dict(self.aux_atoms),
@@ -744,7 +739,6 @@ def ground(model, n):
         theta_edge=BlockRows((pair_theta, aux_edge_theta), (bits >= 0).astype(np.int64),
                              edge_slot),
         structural_zero=MaskCodes(bits, _AUX_ZERO),
-        _nodes=table.nodes,
         _provenance=partial(_provenance, forms, node_of, edge_of),
         aux_atoms=aux_atoms,
     )

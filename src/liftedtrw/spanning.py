@@ -46,10 +46,9 @@ def _pinned_tables(lg, distinguished):
         radix = int(code.max(initial=0)) + 1
         # one unique over the nodes' rows (0, code, 0, 0) and the edges' rows
         # (1, edge orbit, code of u, code of v): node classes come first
-        orbit_of = lg.edge_orbit_of[:n_edges]
         digits = np.zeros((4, n_nodes + n_edges), dtype=np.int64)
         digits[0, n_nodes:] = 1
-        digits[1, :n_nodes], digits[1, n_nodes:] = code, orbit_of
+        digits[1, :n_nodes], digits[1, n_nodes:] = code, lg.edge_orbit_of
         digits[2:, n_nodes:] = code[model.edges].T
         rows = _lex_codes(digits, [2, max(radix, len(lg.edge_orbits)), radix, radix])
         _, first, inverse, counts = np.unique(rows, return_index=True, return_inverse=True,
@@ -62,7 +61,7 @@ def _pinned_tables(lg, distinguished):
             node_table[oid].append((ci, count))
         edge_ids = first[n_classes:] - n_nodes
         edge_table = [[] for _ in lg.edge_orbits]
-        for eid, cu, cv in zip(orbit_of[edge_ids].tolist(),
+        for eid, cu, cv in zip(lg.edge_orbit_of[edge_ids].tolist(),
                                *class_of[model.edges[edge_ids]].T.tolist()):
             edge_table[eid].append((cu, cv))
         cache[distinguished] = (n_classes, class_of, node_table, edge_table)
@@ -116,26 +115,19 @@ def count_components(lg, node_orbit_ids=None, edge_orbit_ids=None):
     stabilizer orbits, which requires the classes not to straddle ground
     components (true for the bundled hand-built models).
     """
-    if node_orbit_ids is None:
-        node_orbit_ids = [o.id for o in lg.node_orbits]
+    nodes = set(range(len(lg.node_orbits)) if node_orbit_ids is None else node_orbit_ids)
     if edge_orbit_ids is None:
-        edge_orbit_ids = [e.id for e in lg.edge_orbits]
-    # components merged smaller into larger: root -> node orbits, edge orbits
-    root_of = {oid: oid for oid in node_orbit_ids}
-    comps = {oid: ([oid], []) for oid in root_of}
-    for eid in edge_orbit_ids:
-        eo = lg.edge_orbits[eid]
-        ru, rv = root_of.get(eo.u_orbit), root_of.get(eo.v_orbit)
-        if ru is None or rv is None:
-            continue
-        if ru != rv:
-            if len(comps[ru][0]) < len(comps[rv][0]):
-                ru, rv = rv, ru
-            nodes, edges = comps.pop(rv)
-            root_of.update(dict.fromkeys(nodes, ru))
-            comps[ru][0].extend(nodes)
-            comps[ru][1].extend(edges)
-        comps[ru][1].append(eid)
+        edge_orbit_ids = range(len(lg.edge_orbits))
+    edges = [eo for eo in map(lg.edge_orbits.__getitem__, edge_orbit_ids)
+             if eo.u_orbit in nodes and eo.v_orbit in nodes]
+    uf = _UnionFind(len(lg.node_orbits))
+    for eo in edges:
+        uf.union(eo.u_orbit, eo.v_orbit)
+    comps = {}  # root -> node orbits, edge orbits
+    for oid in nodes:
+        comps.setdefault(uf.find(oid), ([], []))[0].append(oid)
+    for eo in edges:
+        comps[uf.find(eo.u_orbit)][1].append(eo.id)
     return sum(_ground_components_of(lg, nodes, edges) for nodes, edges in comps.values())
 
 
@@ -256,10 +248,9 @@ def orbit_entropies(lg, tau):
     add nothing.
     """
     h = -lg.var_mult * _xlogx(np.maximum(np.asarray(tau, dtype=float)[:lg.n_vars], 0.0))
-    edge = np.array([kind == "edge" for kind, _ in lg.var_orbit], dtype=bool)
-    oid = np.array([oid for _, oid in lg.var_orbit], dtype=int)
-    return (np.bincount(oid[~edge], h[~edge], minlength=len(lg.node_orbits)),
-            np.bincount(oid[edge], h[edge], minlength=len(lg.edge_orbits)))
+    k = lg.n_node_vars
+    return (np.bincount(lg.var_orbit[:k], h[:k], minlength=len(lg.node_orbits)),
+            np.bincount(lg.var_orbit[k:], h[k:], minlength=len(lg.edge_orbits)))
 
 
 def optimize_rho(lg, outer, rho0, outer_iters=10, tol=1e-4, **fw_kwargs):

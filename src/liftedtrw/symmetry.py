@@ -94,34 +94,20 @@ def edge_pattern(model, k, distinguished=frozenset()):
 class NodeOrbit:
     id: int
     key: tuple
-    members: list[int]
+    size: int
+    rep: int   # lowest member id
     n_values: int
-
-    @property
-    def size(self):
-        return len(self.members)
-
-    @property
-    def rep(self):
-        return self.members[0]
 
 
 @dataclass
 class EdgeOrbit:
     id: int
     key: tuple
-    members: list[tuple[int, int]]  # oriented to match the canonical key
+    size: int
+    rep: tuple[int, int]  # lowest-id member, oriented to match the canonical key
     u_orbit: int
     v_orbit: int
     flip: bool
-
-    @property
-    def size(self):
-        return len(self.members)
-
-    @property
-    def rep(self):
-        return self.members[0]
 
     def d(self, node_orbit_id):
         """Incidence degree of a node orbit on this edge orbit (0, 1 or 2)."""
@@ -137,7 +123,10 @@ class LiftedGraph:
     One lifted variable exists per assignment orbit: per node orbit one
     variable per value, and per edge orbit one variable per ordered value pair
     of the canonical representative, with the two off-diagonal pairs merged
-    into a single variable when the orbit is flip-symmetric.
+    into a single variable when the orbit is flip-symmetric.  Membership is
+    held once, as the orbit id of every ground node and edge in
+    ``node_orbit_of`` and ``edge_orbit_of``; an orbit carries its size and
+    one representative.  The node variables come first in ``var_orbit``.
     """
 
     model: PairwiseGroundModel
@@ -150,12 +139,17 @@ class LiftedGraph:
     n_vars: int
     lifted_theta: np.ndarray
     var_mult: np.ndarray        # entries of the representative mapping to the var
-    var_orbit: list[tuple]      # ("node"|"edge", orbit id)
+    var_orbit: np.ndarray       # orbit id of each var, node or edge by position
     feat_to_var: np.ndarray     # ground feature index -> var id
     var_ground_count: np.ndarray
     structural_zero_var: np.ndarray
 
     # -- variable accessors ------------------------------------------------
+    @property
+    def n_node_vars(self):
+        """Count of the node variables, which precede the edge ones."""
+        return sum(o.n_values for o in self.node_orbits)
+
     def node_var(self, orbit_id, t):
         return self.node_var_start[orbit_id] + t
 
@@ -279,14 +273,11 @@ def compute_orbits(model, distinguished=frozenset()):
     node_codes = _relabel_codes(consts, valid, distinguished)
     node_orbit_of = np.unique(_lex_codes([desc, *node_codes.T]), return_inverse=True)[1]
     node_order = np.argsort(node_orbit_of, kind="stable")
-    node_ids = node_order.tolist()
-    node_orbits = []
-    end = 0
-    for oid, size in enumerate(np.bincount(node_orbit_of).tolist()):
-        members = node_ids[end:end + size]
-        end += size
-        node_orbits.append(NodeOrbit(oid, node_pattern(model, members[0], distinguished),
-                                     members, int(table.n_values[members[0]])))
+    sizes = np.bincount(node_orbit_of)
+    reps = node_order[np.cumsum(sizes) - sizes]
+    node_orbits = [NodeOrbit(oid, node_pattern(model, i, distinguished), size, i, nv)
+                   for oid, (size, i, nv) in enumerate(zip(
+                       sizes.tolist(), reps.tolist(), table.n_values[reps].tolist()))]
 
     n_edges = len(model.edges)
     rows = np.concatenate([model.edges, model.edges[:, ::-1]])  # both orientations
@@ -302,25 +293,20 @@ def compute_orbits(model, distinguished=frozenset()):
     _, reps, orbit_of = np.unique(np.minimum(fwd, bwd), return_index=True, return_inverse=True)
     if (flip != flip[reps][orbit_of]).any():  # pragma: no cover - keys pin the orientation pair
         raise TyingViolation("inconsistent flip flags in an edge orbit")
-    edge_orbit_of = np.zeros(max(n_edges, 1), dtype=int)
-    edge_orbit_of[:n_edges] = orbit_of
-    lead = np.where(backward, model.edges[:, 1], model.edges[:, 0])
-    other = np.where(backward, model.edges[:, 0], model.edges[:, 1])
-    order = np.argsort(orbit_of, kind="stable")
-    oriented = list(zip(lead[order].tolist(), other[order].tolist()))
+    # each orbit's lowest-id edge, lead endpoint first
+    lead = np.where(backward[reps], model.edges[reps, 1], model.edges[reps, 0])
+    other = np.where(backward[reps], model.edges[reps, 0], model.edges[reps, 1])
     edge_orbits = []
-    end = 0
-    for oid, (k, size) in enumerate(zip(reps.tolist(), np.bincount(orbit_of).tolist())):
-        members = oriented[end:end + size]
-        end += size
-        u_orb, v_orb = (int(node_orbit_of[i]) for i in members[0])
+    for oid, (k, size, u, v, u_orb, v_orb) in enumerate(zip(
+            reps.tolist(), np.bincount(orbit_of).tolist(), lead.tolist(), other.tolist(),
+            node_orbit_of[lead].tolist(), node_orbit_of[other].tolist())):
         key = edge_pattern(model, k, distinguished)[0]
         if flip[k] and u_orb != v_orb:  # pragma: no cover - flip forces one orbit
             raise TyingViolation(f"flip-symmetric edge orbit {key} across two node orbits")
-        edge_orbits.append(EdgeOrbit(oid, key, members, u_orb, v_orb, bool(flip[k])))
+        edge_orbits.append(EdgeOrbit(oid, key, size, (u, v), u_orb, v_orb, bool(flip[k])))
 
-    return _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of,
-                     node_order, order, backward)
+    return _assemble(model, node_orbits, edge_orbits, node_orbit_of, orbit_of,
+                     node_order, np.argsort(orbit_of, kind="stable"), backward)
 
 
 def _by_shape(shapes):
@@ -419,7 +405,6 @@ def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of,
     orbit_nv = np.array([orb.n_values for orb in node_orbits], dtype=np.int64)
     node_var_start = (np.cumsum(orbit_nv) - orbit_nv).tolist()
 
-    orbit_of = edge_orbit_of[:len(model.edges)]
     turned = backward[edge_order]
     radix = int(n_values.max(initial=0)) + 1
     sizes = np.array([orb.size for orb in edge_orbits], dtype=np.int64)
@@ -471,7 +456,7 @@ def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of,
     first_var = np.array(node_var_start, dtype=int)[node_orbit_of]
     feat_to_var[:n_node_feats] = (np.repeat(first_var - node_start, n_values)
                                   + np.arange(n_node_feats))
-    grid_of_edge = grid_of_orbit[orbit_of]
+    grid_of_edge = grid_of_orbit[edge_orbit_of]
     for g, (key, (ids, thetas, zeros)) in enumerate(by_grid.items()):
         grid, first, second = grids[key]
         thetas = np.array(thetas).reshape(len(ids), grid.size)
@@ -486,10 +471,9 @@ def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of,
         ks = np.flatnonzero(grid_of_edge == g)
         local = np.where(backward[ks, None], grid.T.ravel(), grid.ravel())
         feat_to_var[edge_start[ks, None] + np.arange(grid.size)] = (
-            edge_var_start[orbit_of[ks], None] + local)
-    var_orbit = [("node", orb.id) for orb in node_orbits for _ in range(orb.n_values)]
-    var_orbit += [("edge", orb.id) for orb, n in zip(edge_orbits, n_grid_vars.tolist())
-                  for _ in range(n)]
+            edge_var_start[edge_orbit_of[ks], None] + local)
+    var_orbit = np.concatenate([np.repeat(np.arange(len(node_orbits)), orbit_nv),
+                                np.repeat(np.arange(len(edge_orbits)), n_grid_vars)])
 
     lg = LiftedGraph(
         model=model,
@@ -524,15 +508,14 @@ def trivial_lifting(model):
 
     Running the lifted machinery on this graph reproduces the ground problem.
     """
-    node_orbits = [NodeOrbit(i, ("ground-node", i), [i], nv)
+    node_orbits = [NodeOrbit(i, ("ground-node", i), 1, i, nv)
                    for i, nv in enumerate(model.n_values.tolist())]
     node_orbit_of = np.arange(model.n_nodes)
-    edge_orbits = [EdgeOrbit(k, ("ground-edge", k), [(u, v)], u, v, False)
+    edge_orbits = [EdgeOrbit(k, ("ground-edge", k), 1, (u, v), u, v, False)
                    for k, (u, v) in enumerate(model.edges.tolist())]
-    edge_orbit_of = np.arange(max(len(model.edges), 1))
+    edge_orbit_of = np.arange(len(model.edges))
     return _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of,
-                     node_orbit_of, edge_orbit_of[:len(model.edges)],
-                     np.zeros(len(model.edges), dtype=bool))
+                     node_orbit_of, edge_orbit_of, np.zeros(len(model.edges), dtype=bool))
 
 
 def fix_node(model, u):
@@ -661,19 +644,13 @@ def verify_orbits(lg, model):
                     feats_uf.union(model.edge_feature(k, t, h), f2)
 
     mismatches = []
-    key_nodes = sorted(tuple(sorted(o.members)) for o in lg.node_orbits)
-    if key_nodes != nodes_uf.partition():
-        mismatches.append("node orbits differ from enumerated partition")
-    key_edges = sorted(
-        tuple(sorted(model.edge_index[(min(u, v), max(u, v))] for u, v in o.members))
-        for o in lg.edge_orbits)
-    enum_edges = edges_uf.partition() if len(model.edges) else []
-    if key_edges != enum_edges:
-        mismatches.append("edge orbits differ from enumerated partition")
-    key_feats = {}
-    for f, v in enumerate(lg.feat_to_var):
-        key_feats.setdefault(int(v), []).append(f)
-    if sorted(tuple(sorted(g)) for g in key_feats.values()) != feats_uf.partition():
-        mismatches.append("assignment orbits differ from enumerated partition")
+    for what, orbit_of, uf in (("node", lg.node_orbit_of, nodes_uf),
+                               ("edge", lg.edge_orbit_of, edges_uf),
+                               ("assignment", lg.feat_to_var, feats_uf)):
+        groups = {}
+        for i, oid in enumerate(orbit_of.tolist()):
+            groups.setdefault(oid, []).append(i)
+        if sorted(map(tuple, groups.values())) != uf.partition():
+            mismatches.append(f"{what} orbits differ from enumerated partition")
 
     return VerifyReport(ok=not mismatches, group_size=group_size, mismatches=mismatches)

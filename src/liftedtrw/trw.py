@@ -59,11 +59,10 @@ class TrwObjective:
         self.lg = lg
         self.n_vars = n_vars
         node_coefs, edge_coefs = entropy_coefficients(lg, rho)
+        k = lg.n_node_vars
         w = np.zeros(n_vars)
-        for var in range(lg.n_vars):
-            kind, oid = lg.var_orbit[var]
-            coef = node_coefs[oid] if kind == "node" else edge_coefs[oid]
-            w[var] = coef * lg.var_mult[var]
+        w[:k] = node_coefs[lg.var_orbit[:k]] * lg.var_mult[:k]
+        w[k:lg.n_vars] = edge_coefs[lg.var_orbit[k:]] * lg.var_mult[k:]
         self.w = w
         self.theta = np.zeros(n_vars)
         self.theta[:lg.n_vars] = lg.lifted_theta

@@ -177,3 +177,8 @@ def ground_components(g, edge_ids):
 
 def expand_rho(lg, rho):
     return np.array([rho[lg.edge_orbit_of[k]] for k in range(len(lg.model.edges))])
+
+
+def members(orbit_of, oid):
+    """Ids of the ground nodes or edges whose orbit in ``orbit_of`` is ``oid``."""
+    return np.flatnonzero(np.asarray(orbit_of) == oid).tolist()

@@ -11,7 +11,7 @@ import numpy as np
 import liftedtrw as lt
 from liftedtrw.trw import TrwObjective, entropy_coefficients
 
-from conftest import build, expand_rho
+from conftest import build, expand_rho, members
 
 ALL_RUNS = []  # (label, TrwResult, tol) collected for the convergence criterion
 
@@ -196,9 +196,7 @@ def test_07_symmetrization(ring_model, ring_lifted):
         rho_g = lt.random_tree_point(ring_model, rng)
         rho_avg = np.zeros(len(lg.edge_orbits))
         for eo in lg.edge_orbits:
-            members = [ring_model.edge_index[(min(u, v), max(u, v))]
-                       for u, v in eo.members]
-            rho_avg[eo.id] = float(np.mean([rho_g[k] for k in members]))
+            rho_avg[eo.id] = float(np.mean([rho_g[k] for k in members(lg.edge_orbit_of, eo.id)]))
         sym = run_ground(ring_model, expand_rho(lg, rho_avg), "local",
                          1e-6, 20000, "c7-sym")
         raw = run_ground(ring_model, rho_g, "local", 1e-6, 20000, "c7-raw")

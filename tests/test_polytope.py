@@ -19,7 +19,7 @@ from liftedtrw.polytope import (CUT_BATCH, CYCLE_VIOLATION_TOL,
                                 detect_exchangeable_clusters,
                                 exchangeable_constraints, lifted_local,
                                 separate_cycles)
-from conftest import build, ground_local_feasible, symmetrized_random_moments
+from conftest import build, ground_local_feasible, members, symmetrized_random_moments
 
 
 def lifted_feasible(cs, x, tol=1e-7):
@@ -262,7 +262,7 @@ def pair_scan_clusters(lg):
         if nd.kind != "atom" or nd.n_values != 2 or len(nd.consts) != 1 or orb.size < 2:
             continue
         edges = [model.edge_index.get((a, b))
-                 for a, b in itertools.combinations(sorted(orb.members), 2)]
+                 for a, b in itertools.combinations(members(lg.node_orbit_of, orb.id), 2)]
         if None in edges:
             continue
         eo_ids = {int(lg.edge_orbit_of[k]) for k in edges}
@@ -320,24 +320,23 @@ class TestSoundness:
             x = np.concatenate([tau, np.zeros(system.n_vars - lg.n_vars)])
             # recover the exact cluster count distribution from brute force
             for cl in system.clusters:
-                members = lg.node_orbits[cl.node_orbit].members
-                probs = _count_distribution(g, members, seed)
+                probs = _count_distribution(g, members(lg.node_orbit_of, cl.node_orbit), seed)
                 x[cl.c_offset:cl.c_offset + cl.size + 1] = probs
             assert lifted_feasible(system.cs, x)
             assert separate_cycles(lg, x, system.cs) == []
 
 
-def _count_distribution(g, members, seed):
+def _count_distribution(g, cluster, seed):
     """Pr(sum of cluster variables = k) under the seeded random distribution."""
     rng = np.random.default_rng(seed)
     atoms = g.atom_node_ids
     scores = rng.normal(size=1 << len(atoms))
     p = np.exp(scores - scores.max())
     p /= p.sum()
-    pos = {i: atoms.index(i) for i in members}
-    out = np.zeros(len(members) + 1)
+    pos = {i: atoms.index(i) for i in cluster}
+    out = np.zeros(len(cluster) + 1)
     for idx in range(1 << len(atoms)):
-        k = sum((idx >> pos[i]) & 1 for i in members)
+        k = sum((idx >> pos[i]) & 1 for i in cluster)
         out[k] += p[idx]
     return out
 

@@ -168,24 +168,34 @@ def _keyed_orbits(model, distinguished):
     return nodes, edges
 
 
-def _member_loop_arrays(lg):
-    """The lifted arrays of ``lg``'s orbits, filled member by member."""
+def _trivial_orbits(model):
+    """``_keyed_orbits``' form of the identity lifting: an orbit per node and edge."""
+    nodes = [(("ground-node", i), [i]) for i in range(model.n_nodes)]
+    edges = [(("ground-edge", k), [(u, v)], {False})
+             for k, (u, v) in enumerate(model.edges.tolist())]
+    return nodes, edges
+
+
+def _member_loop_arrays(lg, nodes, edges):
+    """The lifted arrays of ``lg``'s orbits, filled member by member from the
+    reference orbits ``nodes`` and ``edges`` (in ``_keyed_orbits``' form)."""
     model = lg.model
     n_vars = 0
     node_var_start, lifted_theta, var_mult, var_orbit, zero_var = [], [], [], [], []
-    for orb in lg.node_orbits:
+    for orb, (_key, node_members) in zip(lg.node_orbits, nodes):
         node_var_start.append(n_vars)
-        thetas = np.stack([model.theta_node[i] for i in orb.members])
+        thetas = np.stack([model.theta_node[i] for i in node_members])
         for t in range(orb.n_values):
             lifted_theta.append(float(np.sum(thetas[:, t])))
-            var_orbit.append(("node", orb.id))
+            var_orbit.append(orb.id)
             var_mult.append(1)
             zero_var.append(False)
         n_vars += orb.n_values
+    n_node_vars = n_vars
     edge_var_map = []
-    for orb in lg.edge_orbits:
+    for orb, (_key, edge_members, _flips) in zip(lg.edge_orbits, edges):
         thetas, zeros = [], []
-        for u, v in orb.members:
+        for u, v in edge_members:
             k = model.edge_index[(min(u, v), max(u, v))]
             th, z = model.theta_edge[k], model.structural_zero[k]
             if (u, v) != tuple(model.edges[k].tolist()):
@@ -205,7 +215,7 @@ def _member_loop_arrays(lg):
                 n_vars += 1
                 lifted_theta.append(float(sum(np.sum(theta_stack[:, tt, hh])
                                               for tt, hh in entries)))
-                var_orbit.append(("edge", orb.id))
+                var_orbit.append(orb.id)
                 var_mult.append(len(entries))
                 zero_var.append(all(zero_stack[:, tt, hh].all() for tt, hh in entries))
         edge_var_map.append(vmap)
@@ -214,38 +224,45 @@ def _member_loop_arrays(lg):
     for i, nd in enumerate(model.nodes):
         feat_to_var[node_start[i]:node_start[i] + nd.n_values] = (
             node_var_start[lg.node_orbit_of[i]] + np.arange(nd.n_values))
-    for orb, vmap in zip(lg.edge_orbits, edge_var_map):
-        for u, v in orb.members:
+    for (_key, edge_members, _flips), vmap in zip(edges, edge_var_map):
+        for u, v in edge_members:
             k = model.edge_index[(min(u, v), max(u, v))]
             block = vmap if (u, v) == tuple(model.edges[k].tolist()) else vmap.T
             feat_to_var[edge_start[k]:edge_start[k] + block.size] = block.ravel()
     return dict(
         node_var_start=node_var_start, edge_var_map=edge_var_map, n_vars=n_vars,
-        lifted_theta=np.array(lifted_theta), var_mult=np.array(var_mult, dtype=int),
-        var_orbit=var_orbit, feat_to_var=feat_to_var,
+        n_node_vars=n_node_vars, lifted_theta=np.array(lifted_theta),
+        var_mult=np.array(var_mult, dtype=int), var_orbit=np.array(var_orbit, dtype=int),
+        feat_to_var=feat_to_var,
         var_ground_count=np.bincount(feat_to_var, minlength=n_vars),
         structural_zero_var=np.array(zero_var, dtype=bool))
 
 
 def _assert_lifted_matches_references(lg, distinguished):
+    """Keys, sizes, representatives and membership of ``lg``'s orbits against
+    ``_keyed_orbits`` (``_trivial_orbits`` where ``distinguished`` is None),
+    and its lifted arrays against ``_member_loop_arrays``."""
     model = lg.model
-    if distinguished is not None:
+    if distinguished is None:
+        nodes, edges = _trivial_orbits(model)
+    else:
         nodes, edges = _keyed_orbits(model, distinguished)
-        assert [(o.key, o.members) for o in lg.node_orbits] == nodes
-        assert [(o.key, o.members, {o.flip}) for o in lg.edge_orbits] == edges
-        node_orbit_of = np.zeros(len(model.nodes), dtype=int)
-        edge_orbit_of = np.zeros(max(len(model.edges), 1), dtype=int)
-        for oid, (_key, members) in enumerate(nodes):
-            node_orbit_of[members] = oid
-        for oid, (_key, members, _flips) in enumerate(edges):
-            for u, v in members:
-                edge_orbit_of[model.edge_index[(min(u, v), max(u, v))]] = oid
-        _assert_same_array(lg.node_orbit_of, node_orbit_of)
-        _assert_same_array(lg.edge_orbit_of, edge_orbit_of)
-        for orb in lg.edge_orbits:
-            assert (orb.u_orbit, orb.v_orbit) == tuple(
-                int(node_orbit_of[i]) for i in orb.members[0])
-    for field, expected in _member_loop_arrays(lg).items():
+    assert [(o.key, o.size, o.rep) for o in lg.node_orbits] == [
+        (key, len(m), m[0]) for key, m in nodes]
+    assert [(o.key, o.size, o.rep, {o.flip}) for o in lg.edge_orbits] == [
+        (key, len(m), m[0], flips) for key, m, flips in edges]
+    node_orbit_of = np.zeros(len(model.nodes), dtype=int)
+    edge_orbit_of = np.zeros(len(model.edges), dtype=int)
+    for oid, (_key, members) in enumerate(nodes):
+        node_orbit_of[members] = oid
+    for oid, (_key, members, _flips) in enumerate(edges):
+        for u, v in members:
+            edge_orbit_of[model.edge_index[(min(u, v), max(u, v))]] = oid
+    _assert_same_array(lg.node_orbit_of, node_orbit_of)
+    _assert_same_array(lg.edge_orbit_of, edge_orbit_of)
+    for orb in lg.edge_orbits:
+        assert (orb.u_orbit, orb.v_orbit) == tuple(int(node_orbit_of[i]) for i in orb.rep)
+    for field, expected in _member_loop_arrays(lg, nodes, edges).items():
         got = getattr(lg, field)
         if field == "edge_var_map":
             assert len(got) == len(expected)

@@ -12,7 +12,7 @@ from liftedtrw.spanning import (DisconnectedGraph, count_components,
                                 lifted_mst_value, optimize_rho,
                                 orbit_entropies, tree_edge_total)
 
-from conftest import build, expand_rho, ground_components, subtour_violations
+from conftest import build, expand_rho, ground_components, members, subtour_violations
 
 
 def orbit_id_by_tag(lg, tag):
@@ -58,8 +58,7 @@ class TestCountComponents:
                 ground_ids = [k for k in range(len(ring_model.edges))
                               if lg.edge_orbit_of[k] in ids]
                 # union-find over the ground nodes covered by these orbits
-                nodes = sorted({i for oid in orbits
-                                for i in lg.node_orbits[oid].members})
+                nodes = sorted({i for oid in orbits for i in members(lg.node_orbit_of, oid)})
                 parent = {i: i for i in nodes}
 
                 def find(x):
@@ -206,8 +205,7 @@ class TestLiftedKruskal:
                                lg.edge_orbits[eid].v_orbit}
                 ground_ids = [k for k in range(len(ring_model.edges))
                               if lg.edge_orbit_of[k] in prefix]
-                nodes = sorted({i for oid in orbits
-                                for i in lg.node_orbits[oid].members})
+                nodes = sorted({i for oid in orbits for i in members(lg.node_orbit_of, oid)})
                 parent = {i: i for i in nodes}
 
                 def find(x):
@@ -295,7 +293,7 @@ class TestInitRhoUniform:
 def _uncached_components_of(lg, node_orbit_ids, edge_orbit_ids):
     """Ground component count with a key per node and a union per ground edge."""
     model = lg.model
-    node_ids = [i for oid in node_orbit_ids for i in lg.node_orbits[oid].members]
+    node_ids = [i for oid in node_orbit_ids for i in members(lg.node_orbit_of, oid)]
     u0 = lg.node_orbits[min(node_orbit_ids)].rep
     distinguished = frozenset(model.nodes[u0].consts)
     keys = {}
@@ -309,7 +307,7 @@ def _uncached_components_of(lg, node_orbit_ids, edge_orbit_ids):
         return x
 
     for eid in edge_orbit_ids:
-        for u, v in lg.edge_orbits[eid].members:
+        for u, v in model.edges[members(lg.edge_orbit_of, eid)].tolist():
             parent[find(class_of[v])] = find(class_of[u])
     root = find(class_of[u0])
     comp = sum(1 for i in node_ids if find(class_of[i]) == root)

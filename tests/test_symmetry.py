@@ -9,7 +9,7 @@ import pytest
 import liftedtrw as lt
 from liftedtrw.symmetry import canonical_pattern, edge_pattern
 
-from conftest import build
+from conftest import build, members
 
 
 def _desc(pred, consts):
@@ -171,7 +171,7 @@ class TestFixNode:
         assert sorted(o.size for o in fixed.node_orbits) == [1, 3]
         assert sorted(o.size for o in fixed.edge_orbits) == [3, 3]
         singleton = [o for o in fixed.node_orbits if o.size == 1][0]
-        assert singleton.members == [0]
+        assert singleton.rep == 0 and members(fixed.node_orbit_of, singleton.id) == [0]
 
     def test_single_node_unchanged(self):
         g = lt.ground(lt.parse_model("W V(x)").bind_weight(1.0), 1)
@@ -187,7 +187,7 @@ class TestFixNode:
         """
         u = ring_model.node_index[("atom", "B", (0,))]
         fixed = lt.fix_node(ring_model, u)
-        singleton = [o for o in fixed.node_orbits if o.members == [u]]
+        singleton = [o for o in fixed.node_orbits if members(fixed.node_orbit_of, o.id) == [u]]
         assert len(singleton) == 1
         core_sizes = sorted(o.size for o in fixed.node_orbits
                             if ring_model.nodes[o.rep].label == "B")
@@ -206,9 +206,9 @@ class TestFixNode:
         assert kept == 2  # identity and one reflection
         enum_parts = {frozenset(p) for p in uf.partition()}
         for orbit in fixed.node_orbits:
-            members = set(orbit.members)
-            covered = [p for p in enum_parts if p <= members]
-            assert members == set().union(*covered)
+            orbit_nodes = set(members(fixed.node_orbit_of, orbit.id))
+            covered = [p for p in enum_parts if p <= orbit_nodes]
+            assert orbit_nodes == set().union(*covered)
 
     def test_generated_model_fix_matches_stabilizer(self):
         g = build("friends_smokers", 3, -0.5)
@@ -223,8 +223,55 @@ class TestFixNode:
             for i, j in enumerate(mapping):
                 uf.union(i, int(j))
         enum_parts = uf.partition()
-        key_parts = sorted(tuple(sorted(o.members)) for o in fixed.node_orbits)
+        key_parts = sorted(tuple(members(fixed.node_orbit_of, o.id)) for o in fixed.node_orbits)
         assert key_parts == enum_parts
+
+
+def _bundled_models():
+    for name in lt.zoo.MODEL_TEXTS:
+        for n in (1, 2, 3, 5):
+            yield pytest.param(lambda name=name, n=n: build(name, n, 0.5), id=f"{name}-{n}")
+    for name in sorted(lt.zoo.HAND_BUILT):
+        yield pytest.param(lambda name=name: lt.zoo.build_hand_built(name), id=name)
+
+
+class TestOrbitRecords:
+    """An orbit holds its size and one representative; membership is read off
+    ``node_orbit_of`` and ``edge_orbit_of``, one entry per ground element."""
+
+    @pytest.mark.parametrize("make", list(_bundled_models()))
+    def test_size_and_rep_match_orbit_of(self, make):
+        g = make()
+        liftings = [(lt.compute_orbits(g), frozenset()), (lt.trivial_lifting(g), None)]
+        for u in sorted({0, g.n_nodes - 1}) if g.n_nodes else ():  # clique_cycle-1 has none
+            liftings.append((lt.fix_node(g, u), frozenset(g.node_table.consts_of(u))))
+        for lg, distinguished in liftings:
+            assert lg.node_orbit_of.shape == (g.n_nodes,)
+            assert lg.edge_orbit_of.shape == (len(g.edges),)
+            for orb in lg.node_orbits:
+                ids = members(lg.node_orbit_of, orb.id)
+                assert (orb.size, orb.rep) == (len(ids), ids[0])
+            for eo in lg.edge_orbits:
+                ids = members(lg.edge_orbit_of, eo.id)
+                k = ids[0]  # the lowest-id member, oriented as the canonical key
+                oriented = (tuple(g.edges[k].tolist()) if distinguished is None
+                            else edge_pattern(g, k, distinguished)[2])
+                assert (eo.size, eo.rep) == (len(ids), oriented)
+                assert (eo.u_orbit, eo.v_orbit) == tuple(lg.node_orbit_of[list(eo.rep)].tolist())
+
+    def test_edgeless_model_solves_at_every_outer(self):
+        """complete_graph n=1 has one node and no edge: no orbit array is
+        padded, and every outer bound gives its log Z."""
+        g = build("complete_graph", 1, 0.5)
+        lg = lt.compute_orbits(g)
+        assert len(g.edges) == 0
+        assert lg.edge_orbit_of.shape == lt.trivial_lifting(g).edge_orbit_of.shape == (0,)
+        rho = lt.init_rho_uniform(lg)
+        log_z = lt.brute_force(g).log_z
+        for outer in lt.OUTER_CHOICES:
+            res = lt.frank_wolfe(lg, outer=outer, rho=rho)
+            assert res.converged and abs(res.bound - log_z) < 1e-9, outer
+        assert abs(lt.ground_trw(g, rho[lg.edge_orbit_of]).bound - log_z) < 1e-9
 
 
 class TestVerifyOrbits:

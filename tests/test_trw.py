@@ -14,7 +14,7 @@ from liftedtrw.polytope import build_outer_system, separate_cycles
 from liftedtrw.trw import (TrwObjective, entropy_coefficients, frank_wolfe, golden_section, gradient,
                            lifted_entropy_bound, lifted_linear_term)
 
-from conftest import build, expand_rho, ground_entropy_bound
+from conftest import build, expand_rho, ground_entropy_bound, members
 
 
 def named_rho(lg, mapping):
@@ -446,9 +446,8 @@ class TestFrankWolfe:
             rho_g = lt.random_tree_point(ring_model, rng)
             rho_avg = np.zeros(len(lg.edge_orbits))
             for eo in lg.edge_orbits:
-                members = [ring_model.edge_index[(min(u, v), max(u, v))]
-                           for u, v in eo.members]
-                rho_avg[eo.id] = float(np.mean([rho_g[k] for k in members]))
+                rho_avg[eo.id] = float(np.mean([rho_g[k]
+                                                for k in members(lg.edge_orbit_of, eo.id)]))
             a = lt.ground_trw(ring_model, expand_rho(lg, rho_avg), outer="local",
                               tol=1e-6, max_iters=20000)
             b = lt.ground_trw(ring_model, rho_g, outer="local",
