@@ -17,8 +17,8 @@ del _var
 
 from .model import (ModelError, PairwiseGroundModel, TemplatedModel,
                     GroundModelBuilder, ground, parse_model)
-from .symmetry import (LiftedGraph, TyingViolation, canonical_pattern,
-                       compute_orbits, fix_node, trivial_lifting, verify_orbits)
+from .symmetry import (LiftedGraph, TyingViolation, compute_orbits, trivial_lifting,
+                       verify_orbits)
 from .polytope import (ConstraintSystem, NotExchangeable, build_outer_system,
                        detect_exchangeable_clusters, exchangeable_constraints,
                        lifted_local, separate_cycles, OUTER_CHOICES)
@@ -38,8 +38,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ModelError", "PairwiseGroundModel", "TemplatedModel", "GroundModelBuilder",
     "ground", "parse_model",
-    "LiftedGraph", "TyingViolation", "canonical_pattern", "compute_orbits",
-    "fix_node", "trivial_lifting", "verify_orbits",
+    "LiftedGraph", "TyingViolation", "compute_orbits", "trivial_lifting",
+    "verify_orbits",
     "ConstraintSystem", "NotExchangeable", "build_outer_system",
     "detect_exchangeable_clusters", "exchangeable_constraints", "lifted_local",
     "separate_cycles", "OUTER_CHOICES",

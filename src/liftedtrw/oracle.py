@@ -51,6 +51,9 @@ def _scores(g, values):
         score = score + th[values[i]]
     for k, (u, v) in enumerate(g.edges.tolist()):
         score = score + g.theta_edge[k][values[u], values[v]]
+        mask = g.structural_zero[k]
+        if mask is not None:
+            score[mask[values[u], values[v]]] = -np.inf
     return score
 
 
@@ -58,8 +61,9 @@ def brute_force(g, lg=None, max_states=1 << 24):
     """Exact log-partition function and moments by enumeration.
 
     Enumerates atom-node assignments only; auxiliary nodes take their unique
-    consistent value (inconsistent completions score ``-inf`` and contribute
-    nothing).  Raises :class:`TooLarge` beyond ``max_states`` states.
+    consistent value.  A state that selects a structural zero scores ``-inf``
+    and contributes nothing, as in ``score_state``.  Raises
+    :class:`TooLarge` beyond ``max_states`` states.
     """
     atoms = g.atom_node_ids
     n_states = 1 << len(atoms)

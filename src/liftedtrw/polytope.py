@@ -103,7 +103,7 @@ def _cluster_structure(lg, node_orbit_id):
     orb = lg.node_orbits[node_orbit_id]
     kind, _label, _tag, n_values = table.types[table.desc[orb.rep]]
     if kind != "atom" or n_values != 2 or table.valid[orb.rep].sum() != 1:
-        raise NotExchangeable(f"orbit {orb.key} is not a unary binary-atom orbit")
+        raise NotExchangeable(f"orbit {orb.id} is not a unary binary-atom orbit")
     if orb.size < 2:
         raise NotExchangeable("cluster needs at least two nodes")
     n_pairs = orb.size * (orb.size - 1) // 2

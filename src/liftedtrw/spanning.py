@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .symmetry import _fixed_ranks, _lex_codes, _UnionFind
+from .symmetry import _lex_codes, _UnionFind
 from .trw import _xlogx, frank_wolfe
 
 UNIFORM_TOL = 1e-8       # duality gap at which init_rho_uniform stops
@@ -25,15 +25,28 @@ class DisconnectedGraph(Exception):
     """The ground graph has no spanning tree."""
 
 
+def _fixed_ranks(consts, valid, distinguished):
+    """Rank of each distinguished constant among ``distinguished``; -1 elsewhere."""
+    fixed = np.full(consts.shape, -1, dtype=np.int64)
+    if distinguished:
+        order = np.array(sorted(distinguished), dtype=np.int64)
+        pos = np.minimum(np.searchsorted(order, consts), len(order) - 1)
+        hit = valid & (order[pos] == consts)
+        fixed[hit] = pos[hit]
+    return fixed
+
+
 def _pinned_tables(lg, distinguished):
     """Pinned node classes of ``lg`` and the orbit tables over them.
 
-    A node's class is its orbit in ``lg`` together with the positions of the
-    ``distinguished`` constants among its constants, which is its key with
-    those constants also fixed.  Returns the class count, the class of every
-    ground node, per node orbit its ``(class, node count)`` pairs and per
-    edge orbit its distinct ``(class_u, class_v)`` pairs.  Built once per
-    constant set and cached on ``lg``.
+    A node's class is its orbit in ``lg`` together with which
+    ``distinguished`` constant, if any, sits at each of its argument
+    positions: two nodes share one exactly when a renaming that fixes every
+    ``distinguished`` constant maps one to the other (the stabilizer orbits,
+    for models whose symmetry is the renaming group).  Returns the class
+    count, the class of every ground node, per node orbit its ``(class, node
+    count)`` pairs and per edge orbit its distinct ``(class_u, class_v)``
+    pairs.  Built once per constant set and cached on ``lg``.
     """
     cache = lg.__dict__.setdefault("_pinned_tables", {})
     if distinguished not in cache:
@@ -71,10 +84,10 @@ def _pinned_tables(lg, distinguished):
 def _pinned_component_size(lg, node_orbit_ids, edge_orbit_ids, u0):
     """Ground size of the component containing ``u0`` in the pinned subgraph.
 
-    Nodes are grouped by canonical keys with the constants of ``u0`` also
-    excluded from renaming (the stabilizer orbits), and the groups are
-    connected by the subgraph's edges; ``u0`` sits in a singleton group.
-    Each distinct pair of groups in an edge orbit is joined once.
+    Nodes are grouped by :func:`_pinned_tables` with the constants of ``u0``
+    fixed, and the groups are connected by the subgraph's edges; ``u0`` sits
+    in a singleton group.  Each distinct pair of groups in an edge orbit is
+    joined once.
     """
     n_classes, class_of, node_table, edge_table = _pinned_tables(
         lg, frozenset(lg.model.node_table.consts_of(u0)))

@@ -1,18 +1,17 @@
 """Orbit computation for ground models under the constant renaming group.
 
 Nodes, edges, and overcomplete feature assignments are grouped into orbits by
-canonical keys: the constants mentioned by a node (or an edge's endpoint pair)
-are relabeled by first occurrence, so two elements share a key exactly when
-some renaming of constants maps one to the other.  For models produced by
-:func:`liftedtrw.model.ground` every renaming is an automorphism and the keys
+int codes: the constants mentioned by a node (or an edge's endpoint pair) are
+relabeled by first occurrence, so two elements share a code exactly when some
+renaming of constants maps one to the other.  For models produced by
+:func:`liftedtrw.model.ground` every renaming is an automorphism and the codes
 give the true orbit partition; hand-built models can carry extra ``tag``
 colors on nodes and edges to express their symmetry, and
-:func:`verify_orbits` checks the key partition against explicit enumeration of
-all structure-preserving renamings.
+:func:`verify_orbits` checks the code partition against explicit enumeration
+of all structure-preserving renamings.
 
-:func:`compute_orbits` groups elements by int codes of their keys, computed
-with array operations over all nodes and edges at once; the tuple keys are
-built for one representative per orbit.
+:func:`compute_orbits` computes the codes with array operations over all
+nodes and edges at once, and numbers the orbits in the order of their codes.
 """
 
 from __future__ import annotations
@@ -33,67 +32,9 @@ class TyingViolation(Exception):
 _THETA_TOL = 1e-9
 
 
-def _ordered_key(descs, distinguished=frozenset()):
-    """Key of descriptors in the given order, constants relabeled jointly.
-
-    A constant becomes ``("v", label)`` with labels given by first occurrence
-    across all the descriptors; a distinguished one stays ``("k", c)``.
-    """
-    seen = {}
-    key = []
-    for kind, label, tag, n_values, consts in descs:
-        key.append((kind, label, tag or "", n_values,
-                    tuple([("k", c) if c in distinguished else ("v", seen.setdefault(c, len(seen)))
-                           for c in consts])))
-    return tuple(key)
-
-
-def canonical_pattern(descs, distinguished=frozenset()):
-    """Canonical key of a tuple of ground element descriptors.
-
-    Each descriptor is ``(kind, label, tag, n_values, consts)``.  Constants
-    are relabeled jointly by first occurrence; for pairs the key is the
-    lexicographic minimum over both orderings and the returned flip flag
-    records whether both orderings produce the same key.
-    """
-    forward = _ordered_key(descs, distinguished)
-    if len(descs) != 2:
-        return forward, False
-    backward = _ordered_key(tuple(reversed(descs)), distinguished)
-    return min(forward, backward), forward == backward
-
-
-def _descriptor(model, i):
-    """``(kind, label, tag, n_values, consts)`` of node ``i``, tag "" for none."""
-    table = model.node_table
-    return (*table.types[table.desc[i]], table.consts_of(i))
-
-
-def node_pattern(model, i, distinguished=frozenset()):
-    """Canonical key of a single ground node."""
-    return canonical_pattern((_descriptor(model, i),), distinguished)[0]
-
-
-def edge_pattern(model, k, distinguished=frozenset()):
-    """Canonical key, flip flag and canonical orientation of a ground edge.
-
-    The key is ``(tag, canonical_pattern((du, dv)))`` for the endpoint
-    descriptors; the orientation lists first the endpoint the key lists first.
-    """
-    u, v = model.edges[k].tolist()
-    du, dv = _descriptor(model, u), _descriptor(model, v)
-    forward = _ordered_key((du, dv), distinguished)
-    backward = _ordered_key((dv, du), distinguished)
-    tag = model.edge_tags[k] or ""
-    if forward <= backward:
-        return (tag, forward), forward == backward, (u, v)
-    return (tag, backward), False, (v, u)
-
-
 @dataclass
 class NodeOrbit:
     id: int
-    key: tuple
     size: int
     rep: int   # lowest member id
     n_values: int
@@ -102,9 +43,8 @@ class NodeOrbit:
 @dataclass
 class EdgeOrbit:
     id: int
-    key: tuple
     size: int
-    rep: tuple[int, int]  # lowest-id member, oriented to match the canonical key
+    rep: tuple[int, int]  # lowest-id member, oriented by the orbit's code
     u_orbit: int
     v_orbit: int
     flip: bool
@@ -176,10 +116,10 @@ class LiftedGraph:
         return out
 
     def orbit_name(self, orbit_id):
-        orb = self.node_orbits[orbit_id]
-        _kind, label, _tag, _n_values, consts = _descriptor(self.model, orb.rep)
-        args = ",".join(f"x{i}" for i in range(len(consts)))
-        return f"{label}({args})" if consts else label
+        table, rep = self.model.node_table, self.node_orbits[orbit_id].rep
+        label = table.types[table.desc[rep]][1]
+        args = ",".join(f"x{i}" for i in range(len(table.consts_of(rep))))
+        return f"{label}({args})" if args else label
 
 
 def _ranks(items, key):
@@ -220,70 +160,48 @@ def _lex_codes(columns, radices=None):
     return code
 
 
-def _fixed_ranks(consts, valid, distinguished):
-    """Rank of each distinguished constant among ``distinguished``; -1 elsewhere."""
-    fixed = np.full(consts.shape, -1, dtype=np.int64)
-    if distinguished:
-        order = np.array(sorted(distinguished), dtype=np.int64)
-        pos = np.minimum(np.searchsorted(order, consts), len(order) - 1)
-        hit = valid & (order[pos] == consts)
-        fixed[hit] = pos[hit]
-    return fixed
-
-
-def _relabel_codes(consts, valid, distinguished):
-    """``_ordered_key``'s relabeling of each row of ``consts`` as sortable ints.
-
-    A distinguished constant, ``("k", c)``, becomes its rank among
-    ``distinguished``; any other, ``("v", label)``, becomes
-    ``len(distinguished) + label`` with labels given by first occurrence
-    along the row; padding becomes -1, so a row sorts before its extensions
-    as a shorter tuple does.
-    """
-    codes = _fixed_ranks(consts, valid, distinguished)
-    free = valid & (codes < 0)
+def _relabel_codes(consts, valid):
+    """Each row of ``consts`` with its constants relabeled ``0, 1, ...`` by
+    first occurrence along the row, as sortable ints; padding becomes -1, so
+    a row sorts before its extensions as a shorter tuple does."""
+    codes = np.full(consts.shape, -1, dtype=np.int64)
     n_seen = np.zeros(len(consts), dtype=np.int64)
     for j in range(consts.shape[1]):
-        label = n_seen + len(distinguished)
-        new = free[:, j].copy()
+        label = n_seen.copy()
+        new = valid[:, j].copy()
         for k in range(j):
-            same = new & free[:, k] & (consts[:, k] == consts[:, j])
+            same = new & valid[:, k] & (consts[:, k] == consts[:, j])
             label[same] = codes[same, k]
             new &= ~same
-        codes[free[:, j], j] = label[free[:, j]]
+        codes[valid[:, j], j] = label[valid[:, j]]
         n_seen += new
     return codes
 
 
-def compute_orbits(model, distinguished=frozenset()):
+def compute_orbits(model):
     """Build the :class:`LiftedGraph` of a ground model.
 
-    ``distinguished`` constants are excluded from renaming, which yields the
-    orbit structure under the stabilizer of the nodes mentioning them.
-
-    Keys are compared as int rows: a node's row is its ranked description
-    followed by its relabeled constants, and each orientation of an edge
-    gives the row ``(tag, class of the first node, description of the
+    Elements are compared as int rows: a node's row is its ranked
+    description followed by its relabeled constants, and each orientation of
+    an edge gives the row ``(tag, orbit of the first node, description of the
     second, the second's constants relabeled after the first's)``.  An edge
-    takes its smaller row, and is flip-symmetric when both are equal.  The
-    tuple key of each orbit is computed from its representative only.
+    takes its smaller row, and is flip-symmetric when both are equal.  Orbit
+    ids follow the order of the rows.
     """
     table = model.node_table
     desc, consts, valid = table.desc, table.consts, table.valid
-    node_codes = _relabel_codes(consts, valid, distinguished)
-    node_orbit_of = np.unique(_lex_codes([desc, *node_codes.T]), return_inverse=True)[1]
+    node_orbit_of = np.unique(_lex_codes([desc, *_relabel_codes(consts, valid).T]),
+                              return_inverse=True)[1]
     node_order = np.argsort(node_orbit_of, kind="stable")
     sizes = np.bincount(node_orbit_of)
     reps = node_order[np.cumsum(sizes) - sizes]
-    node_orbits = [NodeOrbit(oid, node_pattern(model, i, distinguished), size, i, nv)
-                   for oid, (size, i, nv) in enumerate(zip(
-                       sizes.tolist(), reps.tolist(), table.n_values[reps].tolist()))]
+    node_orbits = [NodeOrbit(oid, size, i, nv) for oid, (size, i, nv) in enumerate(zip(
+        sizes.tolist(), reps.tolist(), table.n_values[reps].tolist()))]
 
     n_edges = len(model.edges)
     rows = np.concatenate([model.edges, model.edges[:, ::-1]])  # both orientations
     shape = (len(rows), 2 * consts.shape[1])
-    joint = _relabel_codes(consts[rows].reshape(shape), valid[rows].reshape(shape),
-                           distinguished)
+    joint = _relabel_codes(consts[rows].reshape(shape), valid[rows].reshape(shape))
     tag = _ranks(model.edge_tags, key=lambda t: t or "")
     codes = _lex_codes([np.tile(tag, 2), node_orbit_of[rows[:, 0]], desc[rows[:, 1]],
                         *joint[:, consts.shape[1]:].T])
@@ -291,7 +209,7 @@ def compute_orbits(model, distinguished=frozenset()):
     backward = bwd < fwd
     flip = fwd == bwd
     _, reps, orbit_of = np.unique(np.minimum(fwd, bwd), return_index=True, return_inverse=True)
-    if (flip != flip[reps][orbit_of]).any():  # pragma: no cover - keys pin the orientation pair
+    if (flip != flip[reps][orbit_of]).any():  # pragma: no cover - codes pin the orientation pair
         raise TyingViolation("inconsistent flip flags in an edge orbit")
     # each orbit's lowest-id edge, lead endpoint first
     lead = np.where(backward[reps], model.edges[reps, 1], model.edges[reps, 0])
@@ -300,10 +218,9 @@ def compute_orbits(model, distinguished=frozenset()):
     for oid, (k, size, u, v, u_orb, v_orb) in enumerate(zip(
             reps.tolist(), np.bincount(orbit_of).tolist(), lead.tolist(), other.tolist(),
             node_orbit_of[lead].tolist(), node_orbit_of[other].tolist())):
-        key = edge_pattern(model, k, distinguished)[0]
         if flip[k] and u_orb != v_orb:  # pragma: no cover - flip forces one orbit
-            raise TyingViolation(f"flip-symmetric edge orbit {key} across two node orbits")
-        edge_orbits.append(EdgeOrbit(oid, key, size, (u, v), u_orb, v_orb, bool(flip[k])))
+            raise TyingViolation(f"flip-symmetric edge orbit {oid} across two node orbits")
+        edge_orbits.append(EdgeOrbit(oid, size, (u, v), u_orb, v_orb, bool(flip[k])))
 
     return _assemble(model, node_orbits, edge_orbits, node_orbit_of, orbit_of,
                      node_order, np.argsort(orbit_of, kind="stable"), backward)
@@ -344,7 +261,7 @@ def _var_grid(nu, nv, flip):
     return grid, first, second
 
 
-def _tied_sum(members, kind, key, flip=False):
+def _tied_sum(members, kind, oid, flip=False):
     """Sum of an orbit's potentials, stacked along the first axis.
 
     Raises unless each entry is within ``_THETA_TOL * max(1, max |entry|)``
@@ -365,11 +282,11 @@ def _tied_sum(members, kind, key, flip=False):
         bad |= np.triu(dev > np.maximum(scale, scale.T))
     if bad.any():
         where = tuple(np.argwhere(bad)[0].tolist())
-        raise TyingViolation(f"parameters differ within {kind} orbit {key}, value {where}")
+        raise TyingViolation(f"parameters differ within {kind} orbit {oid}, value {where}")
     return x.sum(axis=-1)
 
 
-def _tied_zeros(members, key, flip):
+def _tied_zeros(members, oid, flip):
     """The structural zeros of an edge orbit whose members' masks are stacked
     along the first axis; raises unless every member has the same ones."""
     x = members.transpose(1, 2, 0)
@@ -377,7 +294,7 @@ def _tied_zeros(members, key, flip):
         x = np.concatenate([x, x.transpose(1, 0, 2)], axis=-1)
     zero = x.all(axis=-1)
     if (x.any(axis=-1) != zero).any():
-        raise TyingViolation(f"structural zeros differ within edge orbit {key}")
+        raise TyingViolation(f"structural zeros differ within edge orbit {oid}")
     return zero
 
 
@@ -401,7 +318,7 @@ def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of,
     for orb in node_orbits:
         at = index[end]
         end += orb.size
-        node_sums.append(_tied_sum(stacks[orb.n_values][at:at + orb.size], "node", orb.key))
+        node_sums.append(_tied_sum(stacks[orb.n_values][at:at + orb.size], "node", orb.id))
     orbit_nv = np.array([orb.n_values for orb in node_orbits], dtype=np.int64)
     node_var_start = (np.cumsum(orbit_nv) - orbit_nv).tolist()
 
@@ -424,10 +341,10 @@ def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of,
     for orb, code, at, start in zip(edge_orbits, shape_of[starts].tolist(),
                                     index[starts].tolist(), starts.tolist()):
         members = slice(at, at + orb.size)
-        theta = _tied_sum(stacks[code][members], "edge", orb.key, orb.flip)
+        theta = _tied_sum(stacks[code][members], "edge", orb.id, orb.flip)
         zero = np.zeros(theta.shape, dtype=bool)
         if zeroed[start:start + orb.size].any():
-            zero = _tied_zeros(zero_stacks[code][members], orb.key, orb.flip)
+            zero = _tied_zeros(zero_stacks[code][members], orb.id, orb.flip)
         ids, thetas, zeros = by_grid.setdefault((*theta.shape, orb.flip), ([], [], []))
         ids.append(orb.id)
         thetas.append(theta)
@@ -500,7 +417,7 @@ def _check_invariants(lg):
     assert sum(o.size for o in lg.edge_orbits) == len(lg.model.edges)
     for e in lg.edge_orbits:
         total = sum(e.d(v.id) for v in lg.node_orbits)
-        assert total == 2, f"edge orbit {e.key} has incidence sum {total}"
+        assert total == 2, f"edge orbit {e.id} has incidence sum {total}"
 
 
 def trivial_lifting(model):
@@ -508,26 +425,13 @@ def trivial_lifting(model):
 
     Running the lifted machinery on this graph reproduces the ground problem.
     """
-    node_orbits = [NodeOrbit(i, ("ground-node", i), 1, i, nv)
-                   for i, nv in enumerate(model.n_values.tolist())]
+    node_orbits = [NodeOrbit(i, 1, i, nv) for i, nv in enumerate(model.n_values.tolist())]
     node_orbit_of = np.arange(model.n_nodes)
-    edge_orbits = [EdgeOrbit(k, ("ground-edge", k), 1, (u, v), u, v, False)
+    edge_orbits = [EdgeOrbit(k, 1, (u, v), u, v, False)
                    for k, (u, v) in enumerate(model.edges.tolist())]
     edge_orbit_of = np.arange(len(model.edges))
     return _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of,
                      node_orbit_of, edge_orbit_of, np.zeros(len(model.edges), dtype=bool))
-
-
-def fix_node(model, u):
-    """Orbits under the stabilizer of node ``u``.
-
-    Computed by excluding the constants mentioned by ``u`` from renaming;
-    ``u`` ends up in a singleton orbit.  For models whose symmetry is exactly
-    the renaming group this gives the true stabilizer orbits; for hand-built
-    models with extra tags the classes may merge several stabilizer orbits
-    (never split one), which is sufficient for component counting.
-    """
-    return compute_orbits(model, distinguished=frozenset(model.node_table.consts_of(u)))
 
 
 # ---------------------------------------------------------------------------
@@ -604,11 +508,11 @@ def _renaming_node_map(model, perm):
 
 
 def verify_orbits(lg, model):
-    """Compare canonical-key orbits with explicit renaming-group enumeration.
+    """Compare the orbits of ``lg`` with explicit renaming-group enumeration.
 
     Enumerates all permutations of the model constants, keeps those inducing
     model automorphisms, and checks that the resulting node, edge, and
-    assignment-orbit partitions equal the canonical-key partitions.
+    assignment-orbit partitions equal ``lg``'s.
     Feasible for roughly n <= 6.
     """
     consts = model.constants

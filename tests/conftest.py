@@ -32,6 +32,16 @@ def build(name, n, w=None):
     return lt.zoo.build_model(name, n, w_value=w)
 
 
+def hand_built(constants, nodes, edges=()):
+    """Zero-potential model: ``nodes`` as ``(label, consts, n_values, tag)``,
+    ``edges`` as ``(i, j, tag)`` over positions in ``nodes``."""
+    b = lt.GroundModelBuilder(constants)
+    ids = [b.add_node("atom", label, consts, nv, tag=tag) for label, consts, nv, tag in nodes]
+    for i, j, tag in edges:
+        b.add_edge_theta(ids[i], ids[j], np.zeros((nodes[i][2], nodes[j][2])), tag=tag)
+    return b.build()
+
+
 # ---------------------------------------------------------------------------
 # independent MLN-semantics evaluator
 # ---------------------------------------------------------------------------
@@ -182,3 +192,82 @@ def expand_rho(lg, rho):
 def members(orbit_of, oid):
     """Ids of the ground nodes or edges whose orbit in ``orbit_of`` is ``oid``."""
     return np.flatnonzero(np.asarray(orbit_of) == oid).tolist()
+
+
+def partition(labels):
+    """The ids grouped by equal label, as a sorted list of sorted tuples."""
+    groups = {}
+    for i, label in enumerate(np.asarray(labels).tolist()):
+        groups.setdefault(label, []).append(i)
+    return sorted(tuple(g) for g in groups.values())
+
+
+def edge_orbit_tags(lg):
+    """The tag of each edge orbit, "" for none, read off its ground edges."""
+    tags = [""] * len(lg.edge_orbits)
+    for tag, oid in zip(lg.model.edge_tags, lg.edge_orbit_of.tolist()):
+        tags[oid] = tag or ""
+    return tags
+
+
+# ---------------------------------------------------------------------------
+# reference keying under constant renaming, one Python tuple per element
+# ---------------------------------------------------------------------------
+
+def _relabel_jointly(consts, distinguished):
+    mapping = {}
+    out = []
+    for c in consts:
+        if c in distinguished:
+            out.append(("k", c))
+        else:
+            if c not in mapping:
+                mapping[c] = len(mapping)
+            out.append(("v", mapping[c]))
+    return tuple(out)
+
+
+def ordered_key(descs, distinguished=frozenset()):
+    """Key of descriptors in the given order, constants relabeled jointly;
+    a ``distinguished`` constant keeps its name."""
+    consts = tuple(c for d in descs for c in d[4])
+    pattern = _relabel_jointly(consts, distinguished)
+    shaped = []
+    pos = 0
+    for d in descs:
+        npos = pos + len(d[4])
+        shaped.append((d[0], d[1], d[2] or "", d[3], pattern[pos:npos]))
+        pos = npos
+    return tuple(shaped)
+
+
+def node_desc(node):
+    return (node.kind, node.label, node.tag, node.n_values, node.consts)
+
+
+def keyed_edge(model, k, distinguished=frozenset()):
+    """``(key, flip, oriented pair)`` of edge ``k`` from both ``ordered_key``
+    orderings of its endpoints."""
+    u, v = model.edges[k].tolist()
+    tag = model.edge_tags[k] or ""
+    du, dv = node_desc(model.nodes[u]), node_desc(model.nodes[v])
+    fwd = (tag, ordered_key((du, dv), distinguished))
+    bwd = (tag, ordered_key((dv, du), distinguished))
+    return (fwd, fwd == bwd, (u, v)) if fwd <= bwd else (bwd, False, (v, u))
+
+
+def keyed_orbits(model, distinguished=frozenset()):
+    """Node orbits ``(key, members)`` and edge orbits ``(key, members, flips)``
+    in key order, keying every node and both orderings of every edge with
+    ``ordered_key``."""
+    node_groups = {}
+    for i, nd in enumerate(model.nodes):
+        node_groups.setdefault(ordered_key((node_desc(nd),), distinguished), []).append(i)
+    edge_groups = {}
+    for k in range(len(model.edges)):
+        key, flip, oriented = keyed_edge(model, k, distinguished)
+        edge_groups.setdefault(key, []).append((k, flip, oriented))
+    nodes = [(key, sorted(node_groups[key])) for key in sorted(node_groups)]
+    edges = [(key, [m for _k, _f, m in sorted(edge_groups[key])],
+              {f for _k, f, _m in edge_groups[key]}) for key in sorted(edge_groups)]
+    return nodes, edges

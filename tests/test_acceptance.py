@@ -11,7 +11,7 @@ import numpy as np
 import liftedtrw as lt
 from liftedtrw.trw import TrwObjective, entropy_coefficients
 
-from conftest import build, expand_rho, members
+from conftest import build, edge_orbit_tags, expand_rho, members
 
 ALL_RUNS = []  # (label, TrwResult, tol) collected for the convergence criterion
 
@@ -86,7 +86,7 @@ def test_02_upper_bound_property():
 
 def test_03_worked_example(ring_lifted):
     lg = ring_lifted
-    by_tag = {eo.key[0]: eo.id for eo in lg.edge_orbits}
+    by_tag = {tag: i for i, tag in enumerate(edge_orbit_tags(lg))}
     core = next(o.id for o in lg.node_orbits
                 if lg.model.nodes[o.rep].label == "B")
     pend = next(o.id for o in lg.node_orbits

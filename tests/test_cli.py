@@ -133,6 +133,21 @@ class TestInfer:
             with pytest.raises(ValueError, match="max_iters"):
                 lt.frank_wolfe(lg, rho=lt.init_rho_uniform(lg), max_iters=max_iters)
 
+    @pytest.mark.parametrize("argv, match", [
+        (("infer", "--model", "complete_graph", "--n", "3", "--W", "1", "--rho", "best"),
+         "unknown rho mode 'best'"),
+        (("sweep", "--model", "complete_graph", "--n", "3", "--W=0:1:0"),
+         "W range step must be positive"),
+        (("sweep", "--model", "complete_graph", "--n", "3", "--W=1", "--outer", "local,tree"),
+         "unknown outer bound 'tree'"),
+        (("infer", "--model", "complete_graph", "--n", "3"), "pass --W"),
+    ], ids=["rho-mode", "W-step", "sweep-outer", "no-W"])
+    def test_bad_option_exits_2(self, capsys, argv, match):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and match in err
+        assert out == ""
+
     @pytest.mark.parametrize("text, match", [
         ("1.0 P(x) ^ Q(x)\n", "3 ground components remain"),
         ("0.5 V(x)\n", "graph has nodes but no edges"),

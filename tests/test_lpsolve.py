@@ -1,5 +1,6 @@
 """LP solver tests against scipy.optimize.linprog and structural invariants."""
 
+import sys
 import time
 
 import numpy as np
@@ -110,6 +111,106 @@ class TestSolve:
         res = Simplex(2, rows, np.array([False, True])).solve(np.array([1.0, 2.0]))
         assert res.x[1] == 0.0
         assert abs(res.objective - 1.0) < 1e-12
+
+
+# LPs on which Dantzig's rule cycles through degenerate pivots without end:
+# rows, objective and optimum.  Chvatal, Linear Programming (1983), ch. 3;
+# Beale, Cycling in the dual simplex algorithm (1955).
+CYCLING_LPS = {
+    "chvatal": ([Row.make({0: 0.5, 1: -5.5, 2: -2.5, 3: 9.0}, "<=", 0.0),
+                 Row.make({0: 0.5, 1: -1.5, 2: -0.5, 3: 1.0}, "<=", 0.0),
+                 Row.make({0: 1.0}, "<=", 1.0)],
+                [10.0, -57.0, -9.0, -24.0], [1.0, 0.0, 1.0, 0.0]),
+    "beale": ([Row.make({0: 0.25, 1: -60.0, 2: -0.04, 3: 9.0}, "<=", 0.0),
+               Row.make({0: 0.5, 1: -90.0, 2: -0.02, 3: 3.0}, "<=", 0.0),
+               Row.make({2: 1.0}, "<=", 1.0)],
+              [0.75, -150.0, 0.02, -6.0], [0.04, 0.0, 1.0, 0.0]),
+}
+
+
+def _bland_flags(run):
+    """``run()``, and per ``Simplex._iterate`` call whether it ended in
+    Bland's rule, read off its frame as it returns."""
+    flags = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not Simplex._iterate.__code__:
+            return None
+
+        def local(frame, event, arg):
+            if event == "return":
+                flags.append(frame.f_locals["bland"])
+            return local
+        return local
+
+    sys.settrace(trace)
+    try:
+        out = run()
+    finally:
+        sys.settrace(None)
+    return out, flags
+
+
+def _phase1_bases(monkeypatch):
+    """The list that gets, per ``_phase1``, its basis after the pricing
+    rounds and the basis it returns after the artificial clean-up."""
+    bases = []
+    iterate, phase1 = Simplex._iterate, Simplex._phase1
+
+    def spy_iterate(self, c_struct, basis, binv, phase):
+        out = iterate(self, c_struct, basis, binv, phase)
+        if phase == 1:
+            bases.append(out[0].copy())
+        return out
+
+    def spy_phase1(self):
+        out = phase1(self)
+        bases.append(out[0].copy())
+        return out
+
+    monkeypatch.setattr(Simplex, "_iterate", spy_iterate)
+    monkeypatch.setattr(Simplex, "_phase1", spy_phase1)
+    return bases
+
+
+class TestDegenerate:
+    @pytest.mark.parametrize("name", sorted(CYCLING_LPS))
+    def test_cycling_lp_switches_to_bland(self, name):
+        """Past 10 (m + n) degenerate pivots in a row pricing takes the
+        lowest improving column, which stops the cycle at the optimum."""
+        rows, c, x_opt = CYCLING_LPS[name]
+        simplex = Simplex(4, rows)
+        res, flags = _bland_flags(lambda: simplex.solve(np.array(c)))
+        assert flags == [False, True]  # phase 1 prices once; phase 2 cycles until the switch
+        assert res.iterations > 10 * (simplex.m + simplex.n)
+        np.testing.assert_allclose(res.x, x_opt, atol=1e-12)
+        assert abs(res.objective - scipy_reference(4, rows, c)) < 1e-9
+
+    @pytest.mark.parametrize("rows, c, x_opt, kept, added, c2", [
+        # the second row repeats the first: its artificial stays basic at zero
+        ([Row.make({0: 1.0, 1: 1.0}, "=", 1.0), Row.make({0: 2.0, 1: 2.0}, "=", 2.0),
+          Row.make({0: 1.0}, "<=", 0.7)], [1.0, 0.0], [0.7, 0.3], True,
+         Row.make({1: 1.0}, "<=", 0.5), [0.0, 1.0]),
+        # x1 = 0 leaves an artificial basic at zero on a row that is not
+        # redundant: it is pivoted out for a structural column
+        ([Row.make({1: -1.0}, "=", 0.0), Row.make({0: 1.0, 1: 1.0}, "=", 1.0),
+          Row.make({0: 1.0, 1: 1.0}, "<=", 1.0)], [1.0, 0.0], [1.0, 0.0], False,
+         Row.make({0: 1.0}, "<=", 1.5), [-1.0, 0.0]),
+    ], ids=["redundant-row", "pivot-out"])
+    def test_phase1_artificial_cleanup(self, monkeypatch, rows, c, x_opt, kept, added, c2):
+        bases = _phase1_bases(monkeypatch)
+        simplex = Simplex(2, rows)
+        res = simplex.solve(np.array(c))
+        after_rounds, cleaned = bases
+        assert simplex._art_code[after_rounds].any()
+        assert simplex._art_code[cleaned].any() == kept
+        np.testing.assert_allclose(res.x, x_opt, atol=1e-12)
+        assert abs(res.objective - scipy_reference(2, rows, c)) < 1e-9
+        # a row added afterwards is solved from the held basis, not phase 1
+        simplex.add_rows([added])
+        res = simplex.solve(np.array(c2))
+        assert len(bases) == 2
+        assert abs(res.objective - scipy_reference(2, rows + [added], c2)) < 1e-9
 
 
 class TestWarmStart:

@@ -82,6 +82,34 @@ class TestParse:
         assert f.table[idx]
 
 
+def _parse(text):
+    return lambda: lt.parse_model(text)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(_parse("1 V(x) # U(x)"), "line 1: unexpected character '#'", id="character"),
+    pytest.param(_parse("1 V(x"), "unexpected end of formula", id="end"),
+    pytest.param(_parse("1 V(x) U(x)"), "trailing tokens near 'U'", id="trailing"),
+    pytest.param(_parse("1 ^ V(x)"), r"expected atom or variable, found '\^'", id="operand"),
+    pytest.param(_parse("1 V(x) ^ y"), "bare identifier 'y'", id="bare"),
+    pytest.param(_parse("1 x != y"), "reduces to guards only", id="guards-only"),
+    pytest.param(_parse("1e999 V(x)"), "weights must be finite", id="non-finite"),
+    pytest.param(_parse("predicate R/3"), "R has arity 3, only 1 or 2", id="declared-arity"),
+    pytest.param(_parse("predicate R/1\npredicate R/2"),
+                 "line 2: predicate R redeclared with different arity", id="redeclared"),
+    pytest.param(_parse("V(x)"), "expected 'predicate Name/arity'", id="malformed-line"),
+    pytest.param(_parse("1 R(x,y,z)"), "R has arity 3, only 1 or 2", id="atom-arity"),
+    pytest.param(lambda: lt.parse_model("W V(x)").formulas[0].weight.resolve(),
+                 "symbolic weight W but no value was bound", id="unbound-W"),
+    pytest.param(lambda: lt.ground(lt.parse_model("1 V(x)"), 0),
+                 "domain size must be >= 1, got 0", id="domain-0"),
+])
+def test_bad_input_is_a_model_error(call, match):
+    """Every check on model text and on the domain size names the fault."""
+    with pytest.raises(ModelError, match=match):
+        call()
+
+
 class TestGround:
     def test_complete_graph_n3(self):
         g = build("complete_graph", 3, -1.0)

@@ -44,6 +44,26 @@ class TestBruteForce:
         ref = np.log(np.exp(scores - scores.max()).sum()) + scores.max()
         assert abs(ex.log_z - ref) < 1e-10
 
+    def test_structural_zero_between_atoms(self):
+        """An edge mask forbidding (1, 1) between two atoms leaves three
+        states: log Z = log 3, the enumeration by ``score_state``, which the
+        local bound may not undercut."""
+        b = lt.GroundModelBuilder(range(2))
+        u, v = (b.add_node("atom", "V", (i,), 2) for i in range(2))
+        b.add_edge_theta(u, v, np.zeros((2, 2)),
+                         structural_zero=np.array([[False, False], [False, True]]))
+        g = b.build()
+        ex = brute_force(g)
+        scores = np.array([g.score_state(list(x)) for x in itertools.product(range(2), repeat=2)])
+        finite = scores[np.isfinite(scores)]
+        assert finite.size == 3
+        assert abs(ex.log_z - np.log(np.exp(finite).sum())) < 1e-12
+        assert abs(ex.log_z - math.log(3)) < 1e-12
+        assert ex.edge_moments[0][1, 1] == 0.0
+        lg = lt.compute_orbits(g)
+        res = lt.frank_wolfe(lg, outer="local", rho=lt.init_rho_uniform(lg))
+        assert res.bound >= ex.log_z - 1e-9
+
     def test_relabeling_invariance(self):
         # hand-built model rebuilt under a constant permutation: identical logZ
         def ring_with_perm(perm):

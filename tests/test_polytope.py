@@ -19,7 +19,8 @@ from liftedtrw.polytope import (CUT_BATCH, CYCLE_VIOLATION_TOL,
                                 detect_exchangeable_clusters,
                                 exchangeable_constraints, lifted_local,
                                 separate_cycles)
-from conftest import build, ground_local_feasible, members, symmetrized_random_moments
+from conftest import (build, edge_orbit_tags, ground_local_feasible, members,
+                      symmetrized_random_moments)
 
 
 def lifted_feasible(cs, x, tol=1e-7):
@@ -62,7 +63,7 @@ class TestLiftedLocal:
         """Both marginalization identities of the stem orbit must appear."""
         lg = ring_lifted
         cs = lifted_local(lg)
-        stem = next(eo for eo in lg.edge_orbits if eo.key[0] == "stem")
+        stem = lg.edge_orbits[edge_orbit_tags(lg).index("stem")]
         core = stem.u_orbit if lg.model.nodes[
             lg.node_orbits[stem.u_orbit].rep].label == "B" else stem.v_orbit
         pend = stem.v_orbit if core == stem.u_orbit else stem.u_orbit

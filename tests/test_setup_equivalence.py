@@ -2,9 +2,11 @@
 
 ``ground`` builds one potential per atom-coincidence pattern, and
 ``compute_orbits`` keys nodes and edges by integer codes computed over whole
-arrays.  The helpers below are the per-grounding loop and the joint
-``_ordered_key`` keying they replaced, plus the per-member loops that filled
-the lifted arrays; every field must come out identical.
+arrays.  The references are the per-grounding loop below and the joint tuple
+keying of conftest's ``ordered_key`` that they replaced, plus the per-member
+loops that filled the lifted arrays; every field must come out identical.
+The pinned node classes of ``spanning._pinned_tables`` are checked against
+the same keying with the pinned constants kept by name.
 """
 
 import itertools
@@ -13,10 +15,10 @@ import numpy as np
 import pytest
 
 import liftedtrw as lt
-from liftedtrw import symmetry
-from liftedtrw.symmetry import _lex_codes, fix_node, trivial_lifting
+from liftedtrw import spanning
+from liftedtrw.symmetry import _lex_codes, trivial_lifting
 
-from conftest import build
+from conftest import build, hand_built, keyed_orbits, members, partition
 
 # atoms that coincide under a binding: x=y leaves one atom R(x,x) in the
 # first text and two distinct atoms in the second; in the third, x=y and y=z
@@ -111,74 +113,17 @@ def _assert_same_ground(g, ref):
         assert list(getattr(g, field).items()) == list(getattr(ref, field).items())
 
 
-def _relabel_jointly(consts, distinguished):
-    mapping = {}
-    out = []
-    for c in consts:
-        if c in distinguished:
-            out.append(("k", c))
-        else:
-            if c not in mapping:
-                mapping[c] = len(mapping)
-            out.append(("v", mapping[c]))
-    return tuple(out)
-
-
-def _ordered_key(descs, distinguished):
-    """Key of descriptors in the given order, constants relabeled jointly."""
-    consts = tuple(c for d in descs for c in d[4])
-    pattern = _relabel_jointly(consts, distinguished)
-    shaped = []
-    pos = 0
-    for d in descs:
-        npos = pos + len(d[4])
-        shaped.append((d[0], d[1], d[2] or "", d[3], pattern[pos:npos]))
-        pos = npos
-    return tuple(shaped)
-
-
-def _desc(node):
-    return (node.kind, node.label, node.tag, node.n_values, node.consts)
-
-
-def _keyed_edge(model, k, distinguished):
-    """``(key, flip, oriented pair)`` of edge ``k`` from both ``_ordered_key``
-    orderings of its endpoints."""
-    u, v = model.edges[k].tolist()
-    tag = model.edge_tags[k] or ""
-    du, dv = _desc(model.nodes[u]), _desc(model.nodes[v])
-    fwd = (tag, _ordered_key((du, dv), distinguished))
-    bwd = (tag, _ordered_key((dv, du), distinguished))
-    return (fwd, fwd == bwd, (u, v)) if fwd <= bwd else (bwd, False, (v, u))
-
-
-def _keyed_orbits(model, distinguished):
-    """Node orbits ``(key, members)`` and edge orbits ``(key, members, flips)``,
-    keying every node and both orderings of every edge with ``_ordered_key``."""
-    node_groups = {}
-    for i, nd in enumerate(model.nodes):
-        node_groups.setdefault(_ordered_key((_desc(nd),), distinguished), []).append(i)
-    edge_groups = {}
-    for k in range(len(model.edges)):
-        key, flip, oriented = _keyed_edge(model, k, distinguished)
-        edge_groups.setdefault(key, []).append((k, flip, oriented))
-    nodes = [(key, sorted(node_groups[key])) for key in sorted(node_groups)]
-    edges = [(key, [m for _k, _f, m in sorted(edge_groups[key])],
-              {f for _k, f, _m in edge_groups[key]}) for key in sorted(edge_groups)]
-    return nodes, edges
-
-
 def _trivial_orbits(model):
-    """``_keyed_orbits``' form of the identity lifting: an orbit per node and edge."""
-    nodes = [(("ground-node", i), [i]) for i in range(model.n_nodes)]
-    edges = [(("ground-edge", k), [(u, v)], {False})
-             for k, (u, v) in enumerate(model.edges.tolist())]
+    """``keyed_orbits``' form of the identity lifting: an orbit per node and
+    edge, keyed by its id."""
+    nodes = [(i, [i]) for i in range(model.n_nodes)]
+    edges = [(k, [(u, v)], {False}) for k, (u, v) in enumerate(model.edges.tolist())]
     return nodes, edges
 
 
 def _member_loop_arrays(lg, nodes, edges):
     """The lifted arrays of ``lg``'s orbits, filled member by member from the
-    reference orbits ``nodes`` and ``edges`` (in ``_keyed_orbits``' form)."""
+    reference orbits ``nodes`` and ``edges`` (in ``keyed_orbits``' form)."""
     model = lg.model
     n_vars = 0
     node_var_start, lifted_theta, var_mult, var_orbit, zero_var = [], [], [], [], []
@@ -238,25 +183,21 @@ def _member_loop_arrays(lg, nodes, edges):
         structural_zero_var=np.array(zero_var, dtype=bool))
 
 
-def _assert_lifted_matches_references(lg, distinguished):
-    """Keys, sizes, representatives and membership of ``lg``'s orbits against
-    ``_keyed_orbits`` (``_trivial_orbits`` where ``distinguished`` is None),
-    and its lifted arrays against ``_member_loop_arrays``."""
+def _assert_lifted_matches_references(lg, nodes, edges):
+    """Sizes, representatives and membership of ``lg``'s orbits against the
+    reference orbits ``nodes`` and ``edges`` (``keyed_orbits``' form, in key
+    order, so orbit ids must follow the keys), and its lifted arrays against
+    ``_member_loop_arrays``."""
     model = lg.model
-    if distinguished is None:
-        nodes, edges = _trivial_orbits(model)
-    else:
-        nodes, edges = _keyed_orbits(model, distinguished)
-    assert [(o.key, o.size, o.rep) for o in lg.node_orbits] == [
-        (key, len(m), m[0]) for key, m in nodes]
-    assert [(o.key, o.size, o.rep, {o.flip}) for o in lg.edge_orbits] == [
-        (key, len(m), m[0], flips) for key, m, flips in edges]
+    assert [(o.size, o.rep) for o in lg.node_orbits] == [(len(m), m[0]) for _key, m in nodes]
+    assert [(o.size, o.rep, {o.flip}) for o in lg.edge_orbits] == [
+        (len(m), m[0], flips) for _key, m, flips in edges]
     node_orbit_of = np.zeros(len(model.nodes), dtype=int)
     edge_orbit_of = np.zeros(len(model.edges), dtype=int)
-    for oid, (_key, members) in enumerate(nodes):
-        node_orbit_of[members] = oid
-    for oid, (_key, members, _flips) in enumerate(edges):
-        for u, v in members:
+    for oid, (_key, ids) in enumerate(nodes):
+        node_orbit_of[ids] = oid
+    for oid, (_key, pairs, _flips) in enumerate(edges):
+        for u, v in pairs:
             edge_orbit_of[model.edge_index[(min(u, v), max(u, v))]] = oid
     _assert_same_array(lg.node_orbit_of, node_orbit_of)
     _assert_same_array(lg.edge_orbit_of, edge_orbit_of)
@@ -272,6 +213,32 @@ def _assert_lifted_matches_references(lg, distinguished):
             _assert_same_array(got, expected)
         else:
             assert got == expected, field
+
+
+def _assert_matches_keys(model):
+    """``compute_orbits`` and ``trivial_lifting`` of ``model`` against their
+    references."""
+    _assert_lifted_matches_references(lt.compute_orbits(model), *keyed_orbits(model))
+    _assert_lifted_matches_references(trivial_lifting(model), *_trivial_orbits(model))
+
+
+def _assert_pinned_classes_match_keys(model, distinguished):
+    """``_pinned_tables``' classes with ``distinguished`` fixed partition the
+    nodes as the keys that keep those constants by name do, and its tables
+    hold each node orbit's classes with their counts and each edge orbit's
+    class pairs."""
+    lg = lt.compute_orbits(model)
+    n_classes, class_of, node_table, edge_table = spanning._pinned_tables(lg, distinguished)
+    nodes, _edges = keyed_orbits(model, distinguished)
+    assert partition(class_of) == sorted(tuple(m) for _key, m in nodes)
+    assert n_classes == len(nodes)
+    for orb in lg.node_orbits:
+        classes = class_of[members(lg.node_orbit_of, orb.id)]
+        assert node_table[orb.id] == [(c, int(np.count_nonzero(classes == c)))
+                                      for c in np.unique(classes).tolist()]
+    for eo in lg.edge_orbits:
+        pairs = class_of[model.edges[members(lg.edge_orbit_of, eo.id)]]
+        assert sorted(edge_table[eo.id]) == sorted(set(map(tuple, pairs.tolist())))
 
 
 class TestGroundingEquivalence:
@@ -292,17 +259,13 @@ class TestOrbitEquivalence:
     @pytest.mark.parametrize("label,model,n", MODELS, ids=[m[0] for m in MODELS])
     def test_keys_and_arrays_match_per_member_forms(self, label, model, n):
         g = lt.ground(model, n)
-        _assert_lifted_matches_references(lt.compute_orbits(g), frozenset())
+        _assert_matches_keys(g)
         if g.nodes:
-            u = len(g.nodes) - 1
-            _assert_lifted_matches_references(fix_node(g, u),
-                                              frozenset(g.nodes[u].consts))
-        _assert_lifted_matches_references(trivial_lifting(g), None)
+            _assert_pinned_classes_match_keys(g, frozenset(g.nodes[-1].consts))
 
     def test_hand_built_tags(self, ring_model):
-        _assert_lifted_matches_references(lt.compute_orbits(ring_model), frozenset())
-        _assert_lifted_matches_references(fix_node(ring_model, 0),
-                                          frozenset(ring_model.nodes[0].consts))
+        _assert_matches_keys(ring_model)
+        _assert_pinned_classes_match_keys(ring_model, frozenset(ring_model.nodes[0].consts))
 
     def test_mixed_stored_orientations(self):
         """Members stored as (v, u) are transposed into the orbit's orientation."""
@@ -319,7 +282,7 @@ class TestOrbitEquivalence:
         assert g.edges.tolist() == [[first, atoms[0]], [atoms[2], last]]
         lg = lt.compute_orbits(g)
         assert len(lg.edge_orbits) == 1 and lg.edge_orbits[0].size == 2
-        _assert_lifted_matches_references(lg, frozenset())
+        _assert_lifted_matches_references(lg, *keyed_orbits(g))
         assert lg.structural_zero_var.sum() == zero.sum()
 
 
@@ -350,19 +313,9 @@ def test_setup_matches_on_a_larger_domain():
         g = build(name, n, 0.4)
         ref = _ground_per_grounding(lt.parse_model(lt.zoo.model_text(name)).bind_weight(0.4), n)
         _assert_same_ground(g, ref)
-        _assert_lifted_matches_references(lt.compute_orbits(g), frozenset())
+        _assert_lifted_matches_references(lt.compute_orbits(g), *keyed_orbits(g))
         for a, b in zip(_lifted_and_rho(g), _lifted_and_rho(ref)):
             _assert_same_array(a, b)
-
-
-def _hand_built(constants, nodes, edges):
-    """Zero-potential model: ``nodes`` as ``(label, consts, n_values, tag)``,
-    ``edges`` as ``(i, j, tag)`` over positions in ``nodes``."""
-    b = lt.GroundModelBuilder(constants)
-    ids = [b.add_node("atom", label, consts, nv, tag=tag) for label, consts, nv, tag in nodes]
-    for i, j, tag in edges:
-        b.add_edge_theta(ids[i], ids[j], np.zeros((nodes[i][2], nodes[j][2])), tag=tag)
-    return b.build()
 
 
 # one label "R" with zero to three constants: rows padded to three columns
@@ -400,15 +353,15 @@ class TestArrayKeying:
         ((0, 1, 2), TAG_NODES, TAG_EDGES, [frozenset(), frozenset({1})]),
     ], ids=["padding", "sparse", "tags"])
     def test_hand_built_keys_match_per_member_forms(self, constants, nodes, edges, pinned):
-        g = _hand_built(constants, nodes, edges)
+        g = hand_built(constants, nodes, edges)
+        _assert_matches_keys(g)
         for distinguished in pinned:
-            _assert_lifted_matches_references(lt.compute_orbits(g, distinguished),
-                                              distinguished)
+            _assert_pinned_classes_match_keys(g, distinguished)
         for u in range(len(g.nodes)):
-            _assert_lifted_matches_references(fix_node(g, u), frozenset(g.nodes[u].consts))
+            _assert_pinned_classes_match_keys(g, frozenset(g.nodes[u].consts))
 
     def test_none_and_empty_tags_share_orbits(self):
-        lg = lt.compute_orbits(_hand_built((0, 1, 2), TAG_NODES, TAG_EDGES))
+        lg = lt.compute_orbits(hand_built((0, 1, 2), TAG_NODES, TAG_EDGES))
         assert lg.node_orbit_of[0] == lg.node_orbit_of[1] == lg.node_orbit_of[2]
         assert len({lg.edge_orbit_of[k] for k in range(3)}) == 1
 
@@ -427,31 +380,3 @@ class TestArrayKeying:
         codes = _lex_codes(cols)
         assert codes.dtype == np.int64
         assert np.unique(codes, return_inverse=True)[1].tolist() == [rank[r] for r in rows]
-
-    @pytest.mark.parametrize("make", [
-        lambda: lt.zoo.build_hand_built("ring_pendant"), lambda: build("complete_graph", 4, 0.3),
-        lambda: build("clique_cycle", 3, 0.3), lambda: build("friends_smokers", 3, 0.3)],
-        ids=["ring_pendant", "complete_graph-4", "clique_cycle-3", "friends_smokers-3"])
-    def test_edge_pattern_matches_both_orderings(self, make):
-        """Key, flip flag and orientation of every edge, with no constant
-        and with node 0's constants distinguished."""
-        g = make()
-        for distinguished in (frozenset(), frozenset(g.nodes[0].consts)):
-            for k in range(len(g.edges)):
-                assert symmetry.edge_pattern(g, k, distinguished) == _keyed_edge(
-                    g, k, distinguished)
-
-    def test_edge_pattern_runs_once_per_edge_orbit(self, monkeypatch):
-        calls = []
-        edge_pattern = symmetry.edge_pattern
-
-        def counted(*args):
-            calls.append(args)
-            return edge_pattern(*args)
-
-        monkeypatch.setattr(symmetry, "edge_pattern", counted)
-        for name, n in (("complete_graph", 12), ("clique_cycle", 6), ("friends_smokers", 6)):
-            g = build(name, n, 0.3)
-            calls.clear()
-            lg = lt.compute_orbits(g)
-            assert len(calls) <= len(lg.edge_orbits) < len(g.edges)

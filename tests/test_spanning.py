@@ -12,11 +12,12 @@ from liftedtrw.spanning import (DisconnectedGraph, count_components,
                                 lifted_mst_value, optimize_rho,
                                 orbit_entropies, tree_edge_total)
 
-from conftest import build, expand_rho, ground_components, members, subtour_violations
+from conftest import (build, edge_orbit_tags, expand_rho, ground_components, members,
+                      node_desc, ordered_key, subtour_violations)
 
 
 def orbit_id_by_tag(lg, tag):
-    return next(eo.id for eo in lg.edge_orbits if eo.key[0] == tag)
+    return edge_orbit_tags(lg).index(tag)
 
 
 def brute_force_mst(g, weights):
@@ -297,7 +298,8 @@ def _uncached_components_of(lg, node_orbit_ids, edge_orbit_ids):
     u0 = lg.node_orbits[min(node_orbit_ids)].rep
     distinguished = frozenset(model.nodes[u0].consts)
     keys = {}
-    class_of = {i: keys.setdefault(lt.symmetry.node_pattern(model, i, distinguished), len(keys))
+    class_of = {i: keys.setdefault(ordered_key((node_desc(model.nodes[i]),), distinguished),
+                                   len(keys))
                 for i in node_ids}
     parent = list(range(len(keys)))
 

@@ -7,43 +7,43 @@ import numpy as np
 import pytest
 
 import liftedtrw as lt
-from liftedtrw.symmetry import canonical_pattern, edge_pattern
+from liftedtrw.spanning import _pinned_tables
+from liftedtrw.symmetry import _renaming_node_map, _UnionFind
 
-from conftest import build, members
-
-
-def _desc(pred, consts):
-    return ("atom", pred, None, 2, tuple(consts))
+from conftest import build, edge_orbit_tags, hand_built, keyed_edge, members, partition
 
 
-class TestCanonicalPattern:
-    def test_renamed_pairs_share_key(self):
-        a, _ = canonical_pattern((_desc("Friends", (0, 1)),))
-        b, _ = canonical_pattern((_desc("Friends", (2, 3)),))
-        assert a == b
+class TestRenamingPartition:
+    def test_renamed_pairs_share_an_orbit(self):
+        g = hand_built(range(4), [("Friends", (0, 1), 2, None), ("Friends", (2, 3), 2, None),
+                                  ("Friends", (1, 1), 2, None)])
+        assert lt.compute_orbits(g).node_orbit_of.tolist() == [1, 1, 0]
 
-    def test_ring_edges_share_key_and_flip(self, ring_model):
+    def test_ring_edges_share_an_orbit_and_flip(self, ring_model):
         lg = lt.compute_orbits(ring_model)
-        k01 = ring_model.edge_index[tuple(sorted(
-            (ring_model.node_index[("atom", "B", (0,))],
-             ring_model.node_index[("atom", "B", (1,))])))]
-        k12 = ring_model.edge_index[tuple(sorted(
-            (ring_model.node_index[("atom", "B", (1,))],
-             ring_model.node_index[("atom", "B", (2,))])))]
-        key1, flip1, _ = edge_pattern(ring_model, k01)
-        key2, flip2, _ = edge_pattern(ring_model, k12)
-        assert key1 == key2
-        assert flip1 and flip2
+        core = [ring_model.node_index[("atom", "B", (i,))] for i in range(3)]
+        k01, k12 = (ring_model.edge_index[tuple(sorted(pair))]
+                    for pair in ((core[0], core[1]), (core[1], core[2])))
+        assert lg.edge_orbit_of[k01] == lg.edge_orbit_of[k12]
+        assert lg.edge_orbits[lg.edge_orbit_of[k01]].flip
 
     def test_first_vs_second_argument_incidence(self):
-        a, _ = canonical_pattern((_desc("Smokes", (0,)), _desc("Friends", (0, 1))))
-        b, _ = canonical_pattern((_desc("Smokes", (1,)), _desc("Friends", (0, 1))))
-        assert a != b
+        """Smokes(0) meets Friends(0, 1) at its first argument, Smokes(1) at
+        its second: one node orbit each side, two edge orbits."""
+        g = hand_built(range(2), [("Smokes", (0,), 2, None), ("Smokes", (1,), 2, None),
+                                  ("Friends", (0, 1), 2, None)], [(0, 2, None), (1, 2, None)])
+        lg = lt.compute_orbits(g)
+        assert lg.node_orbit_of[0] == lg.node_orbit_of[1]
+        assert lg.edge_orbit_of[0] != lg.edge_orbit_of[1]
+        assert not any(eo.flip for eo in lg.edge_orbits)
 
-    def test_distinguished_constants_split(self):
-        a = canonical_pattern((_desc("V", (0,)),), distinguished=frozenset({0}))[0]
-        b = canonical_pattern((_desc("V", (1,)),), distinguished=frozenset({0}))[0]
-        assert a != b
+    def test_pinned_constant_splits_the_classes(self):
+        g = hand_built(range(2), [("V", (0,), 2, None), ("V", (1,), 2, None)])
+        lg = lt.compute_orbits(g)
+        assert lg.node_orbit_of.tolist() == [0, 0]
+        n_classes, class_of, node_table, _ = _pinned_tables(lg, frozenset({0}))
+        assert n_classes == 2 and class_of[0] != class_of[1]
+        assert node_table == [[(0, 1), (1, 1)]]
 
 
 class TestComputeOrbits:
@@ -51,7 +51,7 @@ class TestComputeOrbits:
         lg = ring_lifted
         assert sorted(o.size for o in lg.node_orbits) == [5, 5]
         assert [o.size for o in lg.edge_orbits] == [5, 5, 5]
-        by_tag = {eo.key[0]: eo for eo in lg.edge_orbits}
+        by_tag = {tag: lg.edge_orbits[i] for i, tag in enumerate(edge_orbit_tags(lg))}
         core = next(o.id for o in lg.node_orbits
                     if ring_model.nodes[o.rep].label == "B")
         pend = next(o.id for o in lg.node_orbits
@@ -164,67 +164,61 @@ class TestComputeOrbits:
         assert abs(lifted - ground) < 1e-9
 
 
-class TestFixNode:
-    def test_complete_graph_fix(self):
+def _pinned_classes(g, u):
+    """``_pinned_tables``' class of every node of ``g`` with ``u``'s constants fixed."""
+    return _pinned_tables(lt.compute_orbits(g), frozenset(g.node_table.consts_of(u)))[1]
+
+
+def _stabilizer_partition(g, u):
+    """Node orbits under the renamings that map ``g`` to itself and fix node
+    ``u``, by enumeration, and the number of such renamings."""
+    uf = _UnionFind(len(g.nodes))
+    kept = 0
+    for perm in itertools.permutations(range(len(g.constants))):
+        mapping = _renaming_node_map(g, dict(zip(g.constants, (g.constants[i] for i in perm))))
+        if mapping is None or mapping[u] != u:
+            continue
+        kept += 1
+        for i, j in enumerate(mapping):
+            uf.union(i, int(j))
+    return uf.partition(), kept
+
+
+class TestPinnedClasses:
+    """The stabilizer of a node, as ``spanning._pinned_tables`` groups it."""
+
+    def test_complete_graph_pin(self):
         g = build("complete_graph", 4, -1.0)
-        fixed = lt.fix_node(g, 0)
-        assert sorted(o.size for o in fixed.node_orbits) == [1, 3]
-        assert sorted(o.size for o in fixed.edge_orbits) == [3, 3]
-        singleton = [o for o in fixed.node_orbits if o.size == 1][0]
-        assert singleton.rep == 0 and members(fixed.node_orbit_of, singleton.id) == [0]
+        class_of = _pinned_classes(g, 0)
+        assert partition(class_of) == [(0,), (1, 2, 3)]
+        pairs = [tuple(sorted(p)) for p in class_of[g.edges].tolist()]
+        assert sorted(pairs.count(p) for p in set(pairs)) == [3, 3]
 
     def test_single_node_unchanged(self):
         g = lt.ground(lt.parse_model("W V(x)").bind_weight(1.0), 1)
-        fixed = lt.fix_node(g, 0)
-        assert len(fixed.node_orbits) == 1
+        assert partition(_pinned_classes(g, 0)) == [(0,)]
 
-    def test_ring_fix_splits_core_orbit(self, ring_model):
+    def test_ring_pin_splits_core_orbit(self, ring_model):
         """Pinning a core node splits its orbit; classes coarsen the stabilizer.
 
-        For hand-built (non-renaming) symmetry the distinguished-constant
-        classes need not equal the exact stabilizer orbits, but they must
-        never split one: every class is a union of stabilizer orbits.
+        For hand-built (non-renaming) symmetry the pinned classes need not
+        equal the exact stabilizer orbits, but they must never split one:
+        every class is a union of stabilizer orbits.
         """
         u = ring_model.node_index[("atom", "B", (0,))]
-        fixed = lt.fix_node(ring_model, u)
-        singleton = [o for o in fixed.node_orbits if members(fixed.node_orbit_of, o.id) == [u]]
-        assert len(singleton) == 1
-        core_sizes = sorted(o.size for o in fixed.node_orbits
-                            if ring_model.nodes[o.rep].label == "B")
+        classes = partition(_pinned_classes(ring_model, u))
+        assert (u,) in classes
+        core_sizes = sorted(len(c) for c in classes if ring_model.nodes[c[0]].label == "B")
         assert core_sizes == [1, 4]
-
-        from liftedtrw.symmetry import _renaming_node_map, _UnionFind
-        uf = _UnionFind(len(ring_model.nodes))
-        kept = 0
-        for perm in itertools.permutations(range(5)):
-            mapping = _renaming_node_map(ring_model, dict(enumerate(perm)))
-            if mapping is None or mapping[u] != u:
-                continue
-            kept += 1
-            for i, j in enumerate(mapping):
-                uf.union(i, int(j))
+        enum_parts, kept = _stabilizer_partition(ring_model, u)
         assert kept == 2  # identity and one reflection
-        enum_parts = {frozenset(p) for p in uf.partition()}
-        for orbit in fixed.node_orbits:
-            orbit_nodes = set(members(fixed.node_orbit_of, orbit.id))
-            covered = [p for p in enum_parts if p <= orbit_nodes]
-            assert orbit_nodes == set().union(*covered)
+        for cls in map(set, classes):
+            assert cls == set().union(*(p for p in map(set, enum_parts) if p <= cls))
 
-    def test_generated_model_fix_matches_stabilizer(self):
+    def test_generated_model_pin_matches_stabilizer(self):
         g = build("friends_smokers", 3, -0.5)
         u = g.node_index[("atom", "Smokes", (0,))]
-        fixed = lt.fix_node(g, u)
-        from liftedtrw.symmetry import _renaming_node_map, _UnionFind
-        uf = _UnionFind(len(g.nodes))
-        for perm in itertools.permutations(range(3)):
-            mapping = _renaming_node_map(g, dict(enumerate(perm)))
-            if mapping is None or mapping[u] != u:
-                continue
-            for i, j in enumerate(mapping):
-                uf.union(i, int(j))
-        enum_parts = uf.partition()
-        key_parts = sorted(tuple(members(fixed.node_orbit_of, o.id)) for o in fixed.node_orbits)
-        assert key_parts == enum_parts
+        assert partition(_pinned_classes(g, u)) == _stabilizer_partition(g, u)[0]
 
 
 def _bundled_models():
@@ -242,10 +236,8 @@ class TestOrbitRecords:
     @pytest.mark.parametrize("make", list(_bundled_models()))
     def test_size_and_rep_match_orbit_of(self, make):
         g = make()
-        liftings = [(lt.compute_orbits(g), frozenset()), (lt.trivial_lifting(g), None)]
-        for u in sorted({0, g.n_nodes - 1}) if g.n_nodes else ():  # clique_cycle-1 has none
-            liftings.append((lt.fix_node(g, u), frozenset(g.node_table.consts_of(u))))
-        for lg, distinguished in liftings:
+        for lg, oriented in ((lt.compute_orbits(g), lambda k: keyed_edge(g, k)[2]),
+                             (lt.trivial_lifting(g), lambda k: tuple(g.edges[k].tolist()))):
             assert lg.node_orbit_of.shape == (g.n_nodes,)
             assert lg.edge_orbit_of.shape == (len(g.edges),)
             for orb in lg.node_orbits:
@@ -253,10 +245,8 @@ class TestOrbitRecords:
                 assert (orb.size, orb.rep) == (len(ids), ids[0])
             for eo in lg.edge_orbits:
                 ids = members(lg.edge_orbit_of, eo.id)
-                k = ids[0]  # the lowest-id member, oriented as the canonical key
-                oriented = (tuple(g.edges[k].tolist()) if distinguished is None
-                            else edge_pattern(g, k, distinguished)[2])
-                assert (eo.size, eo.rep) == (len(ids), oriented)
+                # the lowest-id member, oriented as its smaller key
+                assert (eo.size, eo.rep) == (len(ids), oriented(ids[0]))
                 assert (eo.u_orbit, eo.v_orbit) == tuple(lg.node_orbit_of[list(eo.rep)].tolist())
 
     def test_edgeless_model_solves_at_every_outer(self):

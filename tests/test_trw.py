@@ -14,14 +14,11 @@ from liftedtrw.polytope import build_outer_system, separate_cycles
 from liftedtrw.trw import (TrwObjective, entropy_coefficients, frank_wolfe, golden_section, gradient,
                            lifted_entropy_bound, lifted_linear_term)
 
-from conftest import build, expand_rho, ground_entropy_bound, members
+from conftest import build, edge_orbit_tags, expand_rho, ground_entropy_bound, members
 
 
 def named_rho(lg, mapping):
-    rho = np.zeros(len(lg.edge_orbits))
-    for eo in lg.edge_orbits:
-        rho[eo.id] = mapping[eo.key[0]]
-    return rho
+    return np.array([mapping[tag] for tag in edge_orbit_tags(lg)], dtype=float)
 
 
 def interior_point(lg, seed):
@@ -55,7 +52,7 @@ class TestEntropyCoefficients:
                     if lg.model.nodes[o.rep].label == "B")
         pend = next(o.id for o in lg.node_orbits
                     if lg.model.nodes[o.rep].label == "R")
-        by_tag = {eo.key[0]: eo.id for eo in lg.edge_orbits}
+        by_tag = {tag: i for i, tag in enumerate(edge_orbit_tags(lg))}
         assert node_coefs[core] == 8.0
         assert node_coefs[pend] == 0.0
         assert edge_coefs[by_tag["stem"]] == -5.0
