@@ -4,7 +4,10 @@ Three families of linear constraints over the lifted variables:
 
 * local: per-orbit normalization and edge-to-node marginalization rows,
 * cycle: valid inequalities separated on the ground graph via shortest paths
-  in a two-layer mirror graph and re-expressed in lifted variables,
+  in a two-layer mirror graph and re-expressed in lifted variables; a ground
+  search runs only where the same search on the mirror graph quotiented by
+  the source's pinned classes, a lower bound on the ground distance that is
+  exact for renaming-group models, finds a path short enough for a cut,
 * exchangeable: count-distribution consistency rows for clusters of mutually
   interchangeable binary nodes, using auxiliary variables ``c_0..c_n`` that
   approximate the probability of seeing exactly ``k`` ones in the cluster.
@@ -12,6 +15,7 @@ Three families of linear constraints over the lifted variables:
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -19,10 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lpsolve import Row
-from .symmetry import _UnionFind
+from .symmetry import _pinned_tables, _UnionFind
 
 CYCLE_VIOLATION_TOL = 1e-6
 CUT_BATCH = 20  # most violated cycle rows returned per separation call
+QUOTIENT_MARGIN = 1e-9  # slack of the quotient pre-check's cutoff
 
 
 class NotExchangeable(Exception):
@@ -163,21 +168,49 @@ class _MirrorGraph:
     """The two-layer mirror graph of a model's binary subgraph, minus weights.
 
     Ground node ``a`` has copies ``2a`` (layer 0) and ``2a + 1`` (layer 1).
-    ``adj`` lists ``(node, edge, crossing)`` per copy, where ``edge`` indexes
-    the binary edges and ``crossing`` says the step switches layers;
-    ``var01``/``var10`` are each binary edge's two disagreement variables.
+    ``pairs`` holds the binary edges' ground endpoints and ``var01``/``var10``
+    each binary edge's two disagreement variables.  :attr:`adj` lists
+    ``(node, edge, crossing)`` per copy, where ``edge`` indexes the binary
+    edges and ``crossing`` says the step switches layers; it is built on the
+    first ground search.
 
     ``sources`` holds one ground node per node orbit that touches a binary
     edge, the orbit's lowest id, in ascending order.  It is empty when the
     binary subgraph is a forest.  There every closed walk with an odd number
     of crossings crosses some edge and also steps along it without crossing,
     at cost ``lam + (1 - lam) = 1``, so no cycle inequality can be violated.
+
+    ``orbit_edge`` maps each binary edge orbit to one of its binary edges,
+    whose weights price every step of the orbit in a quotient graph: ``tau``
+    is constant on orbits, so all of an orbit's edges weigh the same.
+    ``quotients`` caches :func:`_quotient` per constant set.
     """
 
-    adj: list
+    pairs: np.ndarray
     var01: np.ndarray
     var10: np.ndarray
     sources: list
+    orbit_edge: dict
+    quotients: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def adj(self):
+        return _layered_adj(int(self.pairs.max()) + 1,
+                            ((u, v, j) for j, (u, v) in enumerate(self.pairs.tolist())))
+
+
+def _layered_adj(n, edges):
+    """Two-layer adjacency over nodes ``0..n-1`` for ``(u, v, weight index)``
+    edges: per copy its ``(copy, weight index, crossing)`` steps, each edge
+    giving a step within each layer and one across, in both directions."""
+    adj = [[] for _ in range(2 * n)]
+    for u, v, j in edges:
+        for a, b in ((u, v), (v, u)):
+            adj[2 * a].append((2 * b, j, False))
+            adj[2 * a + 1].append((2 * b + 1, j, False))
+            adj[2 * a].append((2 * b + 1, j, True))
+            adj[2 * a + 1].append((2 * b, j, True))
+    return adj
 
 
 def _mirror_graph(lg):
@@ -190,26 +223,45 @@ def _mirror_graph(lg):
     ks = np.flatnonzero(binary[model.edges].all(axis=1))
     start = model.feature_layout()[1][ks]
     pairs = model.edges[ks]
-    adj = [[] for _ in range(2 * model.n_nodes)]
     uf, forest = _UnionFind(model.n_nodes), True
-    for j, (u, v) in enumerate(pairs.tolist()):
+    for u, v in pairs.tolist():
         ru, rv = uf.find(u), uf.find(v)
         forest = forest and ru != rv  # an edge inside a component closes a cycle
         uf.union(ru, rv)
-        for a, b in ((u, v), (v, u)):
-            adj[2 * a].append((2 * b, j, False))
-            adj[2 * a + 1].append((2 * b + 1, j, False))
-            adj[2 * a].append((2 * b + 1, j, True))
-            adj[2 * a + 1].append((2 * b, j, True))
     ends = np.flatnonzero(np.bincount(pairs.ravel(), minlength=model.n_nodes))
     lowest = ends[np.unique(lg.node_orbit_of[ends], return_index=True)[1]]
+    orbits, first = np.unique(lg.edge_orbit_of[ks], return_index=True)
     # the (t, h) entry of a 2 x 2 edge block is feature t * 2 + h
-    lg._mirror = _MirrorGraph(adj, lg.feat_to_var[start + 1], lg.feat_to_var[start + 2],
-                              [] if forest else np.sort(lowest).tolist())
+    lg._mirror = _MirrorGraph(pairs, lg.feat_to_var[start + 1], lg.feat_to_var[start + 2],
+                              [] if forest else np.sort(lowest).tolist(),
+                              dict(zip(orbits.tolist(), first.tolist())))
     return lg._mirror
 
 
-def separate_cycles(lg, tau, cs):
+def _quotient(lg, mg, s):
+    """The mirror graph quotiented by the pinned classes of source ``s``.
+
+    The classes are :func:`~liftedtrw.symmetry._pinned_tables`' with the
+    constants of ``s`` fixed; class ``c`` has copies ``2c`` and ``2c + 1``,
+    joined as ground copies are for each distinct class pair of a binary
+    edge orbit, with that orbit's ``orbit_edge`` as the weight index.
+    Returns the adjacency and the class of ``s``, or None when every class
+    is one ground node (the identity lifting): the quotient is then no
+    smaller than the ground graph.
+    """
+    consts = frozenset(lg.model.node_table.consts_of(s))
+    if consts not in mg.quotients:
+        n_classes, class_of, _, edge_table = _pinned_tables(lg, consts)
+        adj = None
+        if n_classes < lg.model.n_nodes:
+            adj = _layered_adj(n_classes, ((cu, cv, j) for eid, j in mg.orbit_edge.items()
+                                           for cu, cv in edge_table[eid]))
+        mg.quotients[consts] = adj, class_of
+    adj, class_of = mg.quotients[consts]
+    return None if adj is None else (adj, int(class_of[s]))
+
+
+def separate_cycles(lg, tau, cs, stats=None):
     """Find violated lifted cycle inequalities at ``tau`` and add them to ``cs``.
 
     Runs shortest-path separation on the ground graph: a two-layer mirror
@@ -228,6 +280,19 @@ def separate_cycles(lg, tau, cs):
     when a search from every ground node would, so a call without rows
     certifies the same relaxation.  The rows themselves may differ where the
     other members' searches would break ties along other shortest paths.
+
+    Before each ground search the same search runs on the :func:`_quotient`
+    of the mirror graph for its source, and the ground search is skipped
+    when that finds no path below the cutoff (plus ``QUOTIENT_MARGIN`` for
+    the order of summation).  Every ground path maps step by step onto a
+    quotient path of the same length, so the quotient distance is a lower
+    bound for any node partition and the skip never loses a row.  For
+    models whose symmetry is the renaming group the classes are the
+    stabilizer orbits of the source, every quotient path lifts back to a
+    ground path from the source, and the two distances are equal: every
+    ground search that would find nothing is skipped.  The rows still come
+    from the ground searches alone.  ``stats``, when given, counts the
+    ground searches run (``cycle_searches``) and skipped (``cycle_pruned``).
     """
     mg = _mirror_graph(lg)
     if not mg.sources:
@@ -239,7 +304,15 @@ def separate_cycles(lg, tau, cs):
     cutoff = 1.0 - CYCLE_VIOLATION_TOL
     found = []
     seen_keys = set()
+    searches = pruned = 0
     for s in mg.sources:
+        quotient = _quotient(lg, mg, s)
+        if quotient is not None:
+            qadj, qs = quotient
+            if _dijkstra(qadj, weight, 2 * qs, 2 * qs + 1, cutoff + QUOTIENT_MARGIN)[0] is None:
+                pruned += 1
+                continue
+        searches += 1
         dist, parent = _dijkstra(mg.adj, weight, 2 * s, 2 * s + 1, cutoff)
         if dist is None:
             continue
@@ -260,6 +333,9 @@ def separate_cycles(lg, tau, cs):
             continue
         seen_keys.add(key)
         found.append((violation, row))
+    if stats is not None:
+        stats["cycle_searches"] += searches
+        stats["cycle_pruned"] += pruned
 
     found.sort(key=lambda t: -t[0])
     rows = [row for _violation, row in found[:CUT_BATCH]]

@@ -160,6 +160,62 @@ def _lex_codes(columns, radices=None):
     return code
 
 
+def _fixed_ranks(consts, valid, distinguished):
+    """Rank of each distinguished constant among ``distinguished``; -1 elsewhere."""
+    fixed = np.full(consts.shape, -1, dtype=np.int64)
+    if distinguished:
+        order = np.array(sorted(distinguished), dtype=np.int64)
+        pos = np.minimum(np.searchsorted(order, consts), len(order) - 1)
+        hit = valid & (order[pos] == consts)
+        fixed[hit] = pos[hit]
+    return fixed
+
+
+def _pinned_tables(lg, distinguished):
+    """Pinned node classes of ``lg`` and the orbit tables over them.
+
+    A node's class is its orbit in ``lg`` together with which
+    ``distinguished`` constant, if any, sits at each of its argument
+    positions: two nodes share one exactly when a renaming that fixes every
+    ``distinguished`` constant maps one to the other (the stabilizer orbits,
+    for models whose symmetry is the renaming group).  Returns the class
+    count, the class of every ground node, per node orbit its ``(class, node
+    count)`` pairs and per edge orbit its distinct ``(class_u, class_v)``
+    pairs.  Built once per constant set and cached on ``lg``.
+    """
+    cache = lg.__dict__.setdefault("_pinned_tables", {})
+    if distinguished not in cache:
+        model = lg.model
+        n_nodes, n_edges = model.n_nodes, len(model.edges)
+        table = model.node_table
+        fixed = _fixed_ranks(table.consts, table.valid, distinguished) + 1
+        code = _lex_codes([lg.node_orbit_of, *fixed.T],
+                          [len(lg.node_orbits)] + [len(distinguished) + 1] * fixed.shape[1])
+        radix = int(code.max(initial=0)) + 1
+        # one unique over the nodes' rows (0, code, 0, 0) and the edges' rows
+        # (1, edge orbit, code of u, code of v): node classes come first
+        digits = np.zeros((4, n_nodes + n_edges), dtype=np.int64)
+        digits[0, n_nodes:] = 1
+        digits[1, :n_nodes], digits[1, n_nodes:] = code, lg.edge_orbit_of
+        digits[2:, n_nodes:] = code[model.edges].T
+        rows = _lex_codes(digits, [2, max(radix, len(lg.edge_orbits)), radix, radix])
+        _, first, inverse, counts = np.unique(rows, return_index=True, return_inverse=True,
+                                              return_counts=True)
+        n_classes = int(np.count_nonzero(first < n_nodes))
+        class_of = inverse[:n_nodes]
+        node_table = [[] for _ in lg.node_orbits]
+        for ci, (oid, count) in enumerate(zip(lg.node_orbit_of[first[:n_classes]].tolist(),
+                                              counts[:n_classes].tolist())):
+            node_table[oid].append((ci, count))
+        edge_ids = first[n_classes:] - n_nodes
+        edge_table = [[] for _ in lg.edge_orbits]
+        for eid, cu, cv in zip(lg.edge_orbit_of[edge_ids].tolist(),
+                               *class_of[model.edges[edge_ids]].T.tolist()):
+            edge_table[eid].append((cu, cv))
+        cache[distinguished] = (n_classes, class_of, node_table, edge_table)
+    return cache[distinguished]
+
+
 def _relabel_codes(consts, valid):
     """Each row of ``consts`` with its constants relabeled ``0, 1, ...`` by
     first occurrence along the row, as sortable ints; padding becomes -1, so

@@ -142,7 +142,7 @@ def _new_stats():
     return {"lp_s": 0.0, "separate_s": 0.0, "line_search_s": 0.0, "polish_s": 0.0,
             "eq_residual": 0.0, "lp_solves": 0, "lp_refactorizations": 0,
             "polish_tries": 0, "polish_adopted": 0, "polish_faces": 0,
-            "polish_face_failures": 0}
+            "polish_face_failures": 0, "cycle_searches": 0, "cycle_pruned": 0}
 
 
 @dataclass
@@ -157,6 +157,8 @@ class TrwResult:
     (``lp_s``), cycle separation (``separate_s``), line searches
     (``line_search_s``) and polish candidates (``polish_s``), and counts LP
     solves, basis refactorizations, polish attempts and adopted polishes.
+    ``cycle_searches`` counts the ground shortest-path searches of cycle
+    separation and ``cycle_pruned`` those its quotient pre-check skipped.
     A polish attempt solves each distinct face once, whatever the number of
     active-set tolerances and cut rounds that reach it: ``polish_faces``
     counts the face solves run and ``polish_face_failures`` those that gave
@@ -365,7 +367,7 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
     def add_cuts(x):
         """Separate cycle rows at ``x`` into the LP; report whether any were new."""
         t = clock()
-        new_rows = separate_cycles(lg, x, system.cs) if system.use_cycles else []
+        new_rows = separate_cycles(lg, x, system.cs, stats) if system.use_cycles else []
         stats["separate_s"] += clock() - t
         if new_rows:
             t = clock()

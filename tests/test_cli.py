@@ -54,7 +54,10 @@ class TestInfer:
     def test_solve_phases_follow_wall_time(self, capsys):
         """The line after ``wall time`` splits the solve into its LP,
         separation, line-search and polish milliseconds, which fit in the
-        wall time, and counts the face solves and the failed ones."""
+        wall time, counts the face solves and the failed ones, and the
+        ground cycle searches run and those the quotient pre-check pruned
+        (a solve that adds cuts runs some; its last, clean separation prunes
+        every one)."""
         code, out, _ = run_cli(capsys, "infer", "--model", "clique_cycle", "--n", "3",
                                "--W", "2", "--outer", "cycle")
         assert code == 0
@@ -62,13 +65,15 @@ class TestInfer:
         wall = next(i for i, line in enumerate(lines) if line.startswith("wall time "))
         m = re.fullmatch(r"solve phases lp ([0-9.]+), separation ([0-9.]+), "
                          r"line search ([0-9.]+), polish ([0-9.]+) ms "
-                         r"\((\d+) face solves, (\d+) failed\)", lines[wall + 1])
+                         r"\((\d+) face solves, (\d+) failed; (\d+) cycle searches, "
+                         r"(\d+) pruned\)", lines[wall + 1])
         assert m
         phases = [float(m.group(k)) for k in range(1, 5)]
         wall_ms = float(re.fullmatch(r"wall time  ([0-9.]+) ms", lines[wall]).group(1))
         assert sum(phases) <= wall_ms + 0.25   # five values rounded to 0.1 ms
         faces, failed = int(m.group(5)), int(m.group(6))
         assert faces > 0 and 0 <= failed <= faces
+        assert int(m.group(7)) > 0 and int(m.group(8)) > 0
 
     @pytest.mark.parametrize("model,n", [("complete_graph", "6"), ("ring_pendant", "5")])
     def test_setup_time_splits_into_stages(self, capsys, model, n):

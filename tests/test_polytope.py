@@ -474,62 +474,59 @@ class TestSeparation:
         assert (n_rows > 0) == has_cycles
 
     def test_one_search_per_node_orbit_without_cut(self, monkeypatch):
+        """At the uniform point each node orbit's source gets one quotient
+        pre-check, which finds no path, so no ground search runs and the
+        ground adjacency is never built."""
         g = build("clique_cycle", 3, 2.0)
         lg = lt.compute_orbits(g)
         system = build_outer_system(lg, "cycle")
-        calls = []
-        search = polytope._dijkstra
-
-        def counted(*args):
-            calls.append(args[2])
-            return search(*args)
-
-        monkeypatch.setattr(polytope, "_dijkstra", counted)
+        events = _record_searches(monkeypatch)
         assert separate_cycles(lg, system.uniform_point(), system.cs) == []
         assert len(lg.node_orbits) == 3
-        assert sorted(lg.node_orbit_of[s // 2] for s in calls) == [0, 1, 2]
+        sources = [s for kind, s, _found in events if kind == "quotient"]
+        assert sorted(lg.node_orbit_of[s] for s in sources) == [0, 1, 2]
+        assert events == [(kind, s, False) for s in sources for kind in ("quotient", "pre")]
+        assert "adj" not in polytope._mirror_graph(lg).__dict__
 
     def test_one_search_per_node_orbit_with_cuts(self, monkeypatch):
-        """A call at a point with violated cycles searches once per node
-        orbit too, from the orbit's lowest ground node."""
+        """A call at a point with violated cycles pre-checks once per node
+        orbit too, from the orbit's lowest ground node, and searches the
+        ground graph from exactly the sources whose pre-check found a path;
+        on a renaming-group model each of those searches finds one."""
         g = build("clique_cycle", 4, 2.0)
         lg = lt.compute_orbits(g)
         system = build_outer_system(lg, "local")
         x = Simplex(system.n_vars, system.cs.rows,
                     system.fixed_zero).solve(lg.lifted_theta).x
-        calls = []
-        search = polytope._dijkstra
         lowest = _lowest_binary_node_per_orbit(lg)
-
-        def counted(*args):
-            calls.append(args[2] // 2)
-            return search(*args)
-
-        monkeypatch.setattr(polytope, "_dijkstra", counted)
+        events = _record_searches(monkeypatch)
         assert separate_cycles(lg, x, system.cs)
-        assert len({i for _k, u, v in _binary_edges(g) for i in (u, v)}) > len(lowest)
-        assert calls == sorted(lowest.values())
+        assert len(_binary_nodes(g)) > len(lowest)
+        expected = []
+        for s in sorted(lowest.values()):
+            found = next(f for kind, src, f in events if kind == "pre" and src == s)
+            expected += [("quotient", s, False), ("pre", s, found)]
+            if found:
+                expected.append(("ground", s, True))
+        assert events == expected
+        assert any(kind == "ground" for kind, _s, _f in events)
 
     def test_forest_binary_subgraph_runs_no_search(self, monkeypatch):
         """The binary edges of friends_smokers (Smokes-Cancer) form a matching,
         a forest, so no search runs; the solve is that of a search from every
         orbit, which never finds a cut.  With the sources restored, each
-        separation call searches once from each source orbit's lowest node."""
+        separation call pre-checks once from each source orbit's lowest node,
+        and the pre-checks, exact on this model, find no path, so no ground
+        search runs either."""
         g = build("friends_smokers", 6, 1.0)
-        calls = []
         separations = []
-        search = polytope._dijkstra
         separate = trw.separate_cycles
-
-        def counted(*args):
-            calls.append(args[2])
-            return search(*args)
 
         def counted_separate(*args):
             separations.append(args[1])
             return separate(*args)
 
-        monkeypatch.setattr(polytope, "_dijkstra", counted)
+        events = _record_searches(monkeypatch)
         monkeypatch.setattr(trw, "separate_cycles", counted_separate)
         results = []
         for restore_sources in (False, True):
@@ -539,20 +536,131 @@ class TestSeparation:
             if restore_sources:
                 lowest = _lowest_binary_node_per_orbit(lg)
                 lg._mirror = dataclasses.replace(mg, sources=sorted(lowest.values()))
-            calls.clear()
+            events.clear()
             separations.clear()
             res = lt.frank_wolfe(lg, outer="cycle", rho=lt.init_rho_uniform(lg),
                                  tol=1e-5, max_iters=200)
-            results.append((len(calls), len(separations), res.bound, res.objective,
-                            res.gap_trace[-1], res.iterations, res.lp_pivots,
-                            res.n_cuts))
-        (searches, *skipped), (searches_before, *before) = results
-        n_separations = before[0]
+            results.append((list(events), (len(separations), res.bound, res.objective,
+                                           res.gap_trace[-1], res.iterations, res.lp_pivots,
+                                           res.n_cuts),
+                            (res.stats["cycle_searches"], res.stats["cycle_pruned"])))
+        (events_skipped, solve, counts), (events_before, solve_before, counts_before) = results
+        n_separations, n_cuts = solve[0], solve[-1]
         assert len(lowest) == 2 and n_separations > 0
-        assert searches == 0 and searches_before == len(lowest) * n_separations
-        assert sorted(calls) == sorted([2 * s for s in lowest.values()] * n_separations)
-        assert skipped == before
-        assert skipped[-1] == 0
+        assert solve == solve_before and n_cuts == 0
+        assert events_skipped == [] and counts == (0, 0)
+        assert events_before == [(kind, s, False) for s in sorted(lowest.values())
+                                 for kind in ("quotient", "pre")] * n_separations
+        assert counts_before == (0, len(lowest) * n_separations)
+
+
+class TestQuotientPrecheck:
+    @staticmethod
+    def _points(lg, rng):
+        """The uniform point, LP vertices of random objectives over the local
+        polytope (disagreement variables pushed up or down, for short
+        cycles) and a cycle solve's ``tau``."""
+        g = lg.model
+        system = build_outer_system(lg, "local")
+        yield system.uniform_point()
+        disagree = [int(lg.feat_to_var[g.edge_feature(k, t, h)])
+                    for k, _u, _v in _binary_edges(g) for t, h in ((0, 1), (1, 0))]
+        for _trial in range(4):
+            c = rng.normal(size=system.n_vars)
+            c[disagree] += 3.0 * rng.choice([-1.0, 1.0, 1.0], size=len(disagree))
+            yield Simplex(system.n_vars, system.cs.rows, system.fixed_zero).solve(c).x
+        yield lt.frank_wolfe(lg, outer="cycle", rho=lt.init_rho_uniform(lg), tol=1e-4,
+                             max_iters=50).tau
+
+    @pytest.mark.parametrize("name,n", [(name, n) for name in lt.zoo.MODEL_TEXTS
+                                        for n in (3, 4, 5)] + [("ring_pendant", 5)])
+    def test_quotient_distance_bounds_ground_distance(self, name, n):
+        """From every binary ground node, the shortest layer-crossing path of
+        the quotient is no longer than that of the ground mirror graph (built
+        afresh), and on the renaming-group models it is as long."""
+        g = lt.zoo.ring_pendant_model(scale=2.0) if name == "ring_pendant" else build(name, n, 1.5)
+        lg = lt.compute_orbits(g)
+        mg = polytope._mirror_graph(lg)
+        exact = name != "ring_pendant"
+        n_compared = 0
+        for tau in self._points(lg, np.random.default_rng(n)):
+            lam = np.clip(tau[mg.var01] + tau[mg.var10], 0.0, 1.0)
+            weight = (lam.tolist(), (1.0 - lam).tolist())
+            adj = _ground_mirror(lg, tau)
+            for s in _binary_nodes(g):
+                qadj, qs = polytope._quotient(lg, mg, s)
+                assert len(qadj) < 2 * g.n_nodes
+                dq = polytope._dijkstra(qadj, weight, 2 * qs, 2 * qs + 1, math.inf)[0]
+                dq = math.inf if dq is None else dq
+                dg = _shortest(adj, 2 * s, 2 * s + 1)[0]
+                assert dq <= dg + 1e-12
+                if exact:
+                    assert dq == dg or abs(dq - dg) <= 1e-12
+                n_compared += math.isfinite(dg)
+        assert n_compared > 0
+
+    def test_identity_lifting_runs_no_precheck(self):
+        """Every pinned class of the identity lifting is one ground node, so
+        no quotient is built and every source is searched on the ground."""
+        g = build("clique_cycle", 3, 2.0)
+        lg = lt.trivial_lifting(g)
+        mg = polytope._mirror_graph(lg)
+        assert all(polytope._quotient(lg, mg, s) is None for s in _binary_nodes(g))
+        system = build_outer_system(lg, "local")
+        x = Simplex(system.n_vars, system.cs.rows,
+                    system.fixed_zero).solve(lg.lifted_theta).x
+        stats = {"cycle_searches": 0, "cycle_pruned": 0}
+        assert separate_cycles(lg, x, system.cs, stats)
+        assert stats == {"cycle_searches": len(mg.sources), "cycle_pruned": 0}
+
+    @pytest.mark.parametrize("n,w,outer", [(10, 0.5, "cycle+exch"), (12, 1.0, "cycle")])
+    def test_pruned_and_unpruned_separation_give_the_same_bytes(self, monkeypatch, n, w, outer):
+        """The pre-check only skips ground searches that find nothing: with
+        it removed, the solve runs one ground search per source and call and
+        returns the same bound, ``tau``, iterations, pivots and cuts."""
+        def solve():
+            lg = lt.compute_orbits(build("clique_cycle", n, w))
+            res = lt.frank_wolfe(lg, outer=outer, rho=lt.init_rho_uniform(lg), tol=1e-5,
+                                 max_iters=200)
+            return ((res.bound.hex(), res.tau.tobytes(), res.iterations, res.lp_pivots,
+                     res.n_cuts), res.stats["cycle_searches"], res.stats["cycle_pruned"])
+
+        result, searches, pruned = solve()
+        monkeypatch.setattr(polytope, "_quotient", lambda lg, mg, s: None)
+        unpruned_result, unpruned_searches, unpruned_pruned = solve()
+        assert result == unpruned_result
+        assert pruned > 0 and unpruned_pruned == 0
+        assert unpruned_searches == searches + pruned
+
+
+def _record_searches(monkeypatch):
+    """Record ``separate_cycles``' quotient builds and searches, in order.
+
+    Each event is ``(kind, ground source, found)``: ``"quotient"`` for a
+    :func:`polytope._quotient` call (``found`` False), ``"pre"`` for its
+    pre-check search and ``"ground"`` for a ground search, whose ``found``
+    says a path came back below the cutoff.  The two searches are told apart
+    by their cutoff.
+    """
+    events = []
+    search, quotient = polytope._dijkstra, polytope._quotient
+    ground_cutoff = 1.0 - CYCLE_VIOLATION_TOL
+
+    def counted_quotient(lg, mg, s):
+        events.append(("quotient", s, False))
+        return quotient(lg, mg, s)
+
+    def counted_search(adj, weight, src, dst, cutoff):
+        dist, parent = search(adj, weight, src, dst, cutoff)
+        if cutoff == ground_cutoff:
+            events.append(("ground", src // 2, dist is not None))
+        else:
+            events.append(("pre", events[-1][1], dist is not None))
+        return dist, parent
+
+    monkeypatch.setattr(polytope, "_dijkstra", counted_search)
+    monkeypatch.setattr(polytope, "_quotient", counted_quotient)
+    return events
 
 
 def _binary_edges(g):
@@ -565,9 +673,52 @@ def _binary_edges(g):
 def _lowest_binary_node_per_orbit(lg):
     """Node orbit -> its lowest ground node on a binary edge."""
     lowest = {}
-    for s in sorted({i for _k, u, v in _binary_edges(lg.model) for i in (u, v)}):
+    for s in _binary_nodes(lg.model):
         lowest.setdefault(int(lg.node_orbit_of[s]), s)
     return lowest
+
+
+def _binary_nodes(g):
+    """The ground nodes on a binary edge, ascending."""
+    return sorted({i for _k, u, v in _binary_edges(g) for i in (u, v)})
+
+
+def _ground_mirror(lg, tau):
+    """The ground mirror graph at ``tau``, built afresh from the model: per
+    copy its ``(copy, weight, edge id, crossing)`` steps."""
+    g = lg.model
+    adj = [[] for _ in range(2 * len(g.nodes))]
+    for k, u, v in _binary_edges(g):
+        lam = float(tau[lg.feat_to_var[g.edge_feature(k, 0, 1)]]
+                    + tau[lg.feat_to_var[g.edge_feature(k, 1, 0)]])
+        lam = min(max(lam, 0.0), 1.0)
+        for a, b in ((u, v), (v, u)):
+            adj[2 * a].append((2 * b, lam, k, False))
+            adj[2 * a + 1].append((2 * b + 1, lam, k, False))
+            adj[2 * a].append((2 * b + 1, 1.0 - lam, k, True))
+            adj[2 * a + 1].append((2 * b, 1.0 - lam, k, True))
+    return adj
+
+
+def _shortest(adj, src, dst):
+    """Dijkstra without a cutoff on a :func:`_ground_mirror` adjacency:
+    ``(distance, parent)``, the distance ``inf`` when ``dst`` is unreached."""
+    dist = [np.inf] * len(adj)
+    dist[src] = 0.0
+    parent = [None] * len(adj)
+    heap = [(0.0, src)]
+    while heap:
+        d, a = heapq.heappop(heap)
+        if d > dist[a] + 1e-15:
+            continue
+        if a == dst:
+            break
+        for b, wt, k, crossing in adj[a]:
+            if d + wt < dist[b] - 1e-15:
+                dist[b] = d + wt
+                parent[b] = (a, k, crossing)
+                heapq.heappush(heap, (d + wt, b))
+    return dist[dst], parent
 
 
 def _all_sources_separation(lg, tau, cs):
@@ -577,37 +728,13 @@ def _all_sources_separation(lg, tau, cs):
     node; otherwise gathers, ranks and adds rows like ``separate_cycles``.
     """
     g = lg.model
-    edges = _binary_edges(g)
-    adj = [[] for _ in range(2 * len(g.nodes))]
-    for k, u, v in edges:
-        lam = float(tau[lg.feat_to_var[g.edge_feature(k, 0, 1)]]
-                    + tau[lg.feat_to_var[g.edge_feature(k, 1, 0)]])
-        lam = min(max(lam, 0.0), 1.0)
-        for a, b in ((u, v), (v, u)):
-            adj[2 * a].append((2 * b, lam, k, False))
-            adj[2 * a + 1].append((2 * b + 1, lam, k, False))
-            adj[2 * a].append((2 * b + 1, 1.0 - lam, k, True))
-            adj[2 * a + 1].append((2 * b, 1.0 - lam, k, True))
+    adj = _ground_mirror(lg, tau)
     found = []
     seen_keys = set()
-    for s in sorted({u for _, u, _v in edges} | {v for _, _u, v in edges}):
+    for s in _binary_nodes(g):
         src, dst = 2 * s, 2 * s + 1
-        dist = [np.inf] * len(adj)
-        dist[src] = 0.0
-        parent = [None] * len(adj)
-        heap = [(0.0, src)]
-        while heap:
-            d, a = heapq.heappop(heap)
-            if d > dist[a] + 1e-15:
-                continue
-            if a == dst:
-                break
-            for b, wt, k, crossing in adj[a]:
-                if d + wt < dist[b] - 1e-15:
-                    dist[b] = d + wt
-                    parent[b] = (a, k, crossing)
-                    heapq.heappush(heap, (d + wt, b))
-        if dist[dst] >= 1.0 - CYCLE_VIOLATION_TOL:
+        dist, parent = _shortest(adj, src, dst)
+        if dist >= 1.0 - CYCLE_VIOLATION_TOL:
             continue
         coeffs = {}
         n_cross = 0

@@ -5,7 +5,7 @@
 arrays.  The references are the per-grounding loop below and the joint tuple
 keying of conftest's ``ordered_key`` that they replaced, plus the per-member
 loops that filled the lifted arrays; every field must come out identical.
-The pinned node classes of ``spanning._pinned_tables`` are checked against
+The pinned node classes of ``symmetry._pinned_tables`` are checked against
 the same keying with the pinned constants kept by name.
 """
 
@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 import liftedtrw as lt
-from liftedtrw import spanning
-from liftedtrw.symmetry import _lex_codes, trivial_lifting
+from liftedtrw.symmetry import _lex_codes, _pinned_tables, trivial_lifting
 
 from conftest import build, hand_built, keyed_orbits, members, partition
 
@@ -228,7 +227,7 @@ def _assert_pinned_classes_match_keys(model, distinguished):
     hold each node orbit's classes with their counts and each edge orbit's
     class pairs."""
     lg = lt.compute_orbits(model)
-    n_classes, class_of, node_table, edge_table = spanning._pinned_tables(lg, distinguished)
+    n_classes, class_of, node_table, edge_table = _pinned_tables(lg, distinguished)
     nodes, _edges = keyed_orbits(model, distinguished)
     assert partition(class_of) == sorted(tuple(m) for _key, m in nodes)
     assert n_classes == len(nodes)

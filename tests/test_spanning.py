@@ -90,6 +90,30 @@ class TestLiftedKruskal:
         assert rho[orbit_id_by_tag(lg, "chord")] == 0.0
         assert lifted_mst_value(lg, w, rho) == pytest.approx(23.0)
 
+    def test_tree_memoized_by_weight_order(self, monkeypatch):
+        """Weights in one order give one tree: a later call with other
+        weights in that order counts no components, and every call returns
+        its own copy, so changing one result leaves the next intact."""
+        g = build("clique_cycle", 6, 0.5)
+        lg = lt.compute_orbits(g)
+        w = np.arange(len(lg.edge_orbits), dtype=float)
+        first = lifted_kruskal(lg, w)
+        expected = first.copy()
+        first[:] = -1.0
+        counted = []
+        count = spanning.count_components
+
+        def recorded(*args):
+            counted.append(args)
+            return count(*args)
+
+        monkeypatch.setattr(spanning, "count_components", recorded)
+        assert lifted_kruskal(lg, 3.0 * w + 1.0).tobytes() == expected.tobytes()
+        assert counted == []
+        reverse = lifted_kruskal(lg, -w)
+        assert counted
+        assert reverse.tobytes() == lifted_kruskal(lt.compute_orbits(g), -w).tobytes()
+
     def test_exact_tree_is_all_ones(self):
         b = lt.GroundModelBuilder(range(4))
         hub = b.add_node("atom", "H", (), 2)

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 import liftedtrw as lt
-from liftedtrw.spanning import _pinned_tables
-from liftedtrw.symmetry import _renaming_node_map, _UnionFind
+from liftedtrw.symmetry import _pinned_tables, _renaming_node_map, _UnionFind
 
 from conftest import build, edge_orbit_tags, hand_built, keyed_edge, members, partition
 
@@ -185,7 +184,7 @@ def _stabilizer_partition(g, u):
 
 
 class TestPinnedClasses:
-    """The stabilizer of a node, as ``spanning._pinned_tables`` groups it."""
+    """The stabilizer of a node, as ``symmetry._pinned_tables`` groups it."""
 
     def test_complete_graph_pin(self):
         g = build("complete_graph", 4, -1.0)

@@ -333,11 +333,13 @@ class TestFrankWolfe:
         """``stats`` holds float timings, the equality residual and int
         counters, all of the one solve a call makes: a ``+exch`` solve with
         clusters builds one outer system, counts its own LP solves and pivots,
-        and reports the residual of the ``tau`` it returns."""
+        reports the residual of the ``tau`` it returns, and each separation
+        call either searches from or prunes each source."""
         lg = lt.compute_orbits(build("clique_cycle", 4, 0.5))
         rho = lt.init_rho_uniform(lg)
-        built, lp_iterations = [], []
+        built, lp_iterations, separations = [], [], []
         build_system, lp_solve = trw.build_outer_system, Simplex.solve
+        separate = trw.separate_cycles
 
         def build_recorded(lg, outer):
             built.append(outer)
@@ -348,13 +350,19 @@ class TestFrankWolfe:
             lp_iterations.append(res.iterations)
             return res
 
+        def separate_recorded(*args):
+            separations.append(args[1])
+            return separate(*args)
+
         with monkeypatch.context() as mp:
             mp.setattr(trw, "build_outer_system", build_recorded)
             mp.setattr(Simplex, "solve", solve_recorded)
+            mp.setattr(trw, "separate_cycles", separate_recorded)
             res = frank_wolfe(lg, outer="cycle+exch", rho=rho, tol=1e-5, max_iters=200)
         timings = {"lp_s", "separate_s", "line_search_s", "polish_s"}
         counters = {"lp_solves", "lp_refactorizations", "polish_tries",
-                    "polish_adopted", "polish_faces", "polish_face_failures"}
+                    "polish_adopted", "polish_faces", "polish_face_failures",
+                    "cycle_searches", "cycle_pruned"}
         assert set(res.stats) == timings | counters | {"eq_residual"}
         assert all(type(res.stats[k]) is float and res.stats[k] >= 0.0 for k in timings)
         assert all(type(res.stats[k]) is int for k in counters)
@@ -376,6 +384,11 @@ class TestFrankWolfe:
         assert res.stats["lp_solves"] >= res.iterations
         assert 0 < res.stats["polish_adopted"] <= res.stats["polish_tries"]
         assert res.stats["lp_refactorizations"] >= 1
+        n_sources = len(lt.polytope._mirror_graph(lg).sources)
+        assert n_sources > 0 and separations
+        assert (res.stats["cycle_searches"] + res.stats["cycle_pruned"]
+                == n_sources * len(separations))
+        assert res.stats["cycle_pruned"] > 0
 
     @pytest.mark.parametrize("weights", [(3, 2, 6, 5, 4, 1), (5, 6, 2, 4, 1, 3),
                                          (1, 3, 5, 6, 2, 4)])
