@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    liftedtrw infer    --model M --n N [--W w] [--outer O] [--rho MODE] ...
+    liftedtrw infer    --model M --n N [--W w] [--outer O] [--rho MODE] [--trace F] ...
     liftedtrw sweep    --model M --n N --W lo:hi:step [--outer O1,O2|all] ...
     liftedtrw orbits   --model M --n N [--W w]
     liftedtrw mst      --model M --n N [--W w] [--weights w1,w2,...]
@@ -12,6 +12,8 @@ Subcommands::
 (complete_graph, friends_smokers, clique_cycle).  ``--rho`` is ``uniform``
 (most-uniform edge appearances, the default), ``optimize`` (conditional
 gradient on the bound), or ``kruskal:w1,w2,...`` (one weight per edge orbit).
+``infer --trace F`` writes one JSON line per Frank-Wolfe iteration of the
+solve to ``F`` (the keys of ``TrwResult.iteration_trace``).
 CSV output starts with a ``schema=1`` line; rows are ordered by (W, outer)
 and are deterministic apart from the timing column.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
 import multiprocessing
 import os
 import sys
@@ -140,6 +143,7 @@ def _run_one(task):
         "setup_millis": {k: v * 1000.0 for k, v in stages.items()},
         "termination": res.termination,
         "stats": res.stats,
+        "trace": res.iteration_trace,
         "marginals": marg,
     }
 
@@ -184,6 +188,10 @@ def cmd_infer(args):
     if args.out:
         _write_csv([row], args.out, [c for c in row["marginals"]])
         print(f"wrote {args.out}")
+    if args.trace:
+        with open(args.trace, "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(entry) + "\n" for entry in row["trace"])
+        print(f"wrote {len(row['trace'])} iterations to {args.trace}")
     return 0
 
 
@@ -291,6 +299,8 @@ def make_parser():
     sp.add_argument("--tol", type=float, default=1e-4)
     sp.add_argument("--max-iters", dest="max_iters", type=int, default=1000)
     sp.add_argument("--out", default=None, help="CSV output path")
+    sp.add_argument("--trace", default=None,
+                    help="JSON-lines output path, one line per Frank-Wolfe iteration")
     sp.set_defaults(func=cmd_infer)
 
     sp = sub.add_parser("sweep", help="run a W sweep, emit CSV")

@@ -212,7 +212,7 @@ class PairwiseGroundModel:
     theta_edge: BlockRows
     structural_zero: MaskCodes
     _provenance: tuple | Callable = field(repr=False)
-    aux_atoms: dict[int, tuple[int, int, int]] = field(default_factory=dict)
+    _aux_atoms: dict | Callable = field(default_factory=dict, repr=False)
 
     @cached_property
     def nodes(self):
@@ -252,6 +252,13 @@ class PairwiseGroundModel:
         if callable(self._provenance):
             self._provenance = self._provenance()
         return self._provenance
+
+    @property
+    def aux_atoms(self):
+        """Per auxiliary node id, the ids of its three atoms; built on first access."""
+        if callable(self._aux_atoms):
+            self._aux_atoms = self._aux_atoms()
+        return self._aux_atoms
 
     # -- overcomplete feature layout -------------------------------------
     def feature_layout(self):
@@ -425,7 +432,7 @@ class GroundModelBuilder:
                                       [z for _, z in masks.values()]),
             _provenance=tuple([list(p) for p in lists]
                               for lists in (self.node_provenance, self.edge_provenance)),
-            aux_atoms=dict(self.aux_atoms),
+            _aux_atoms=dict(self.aux_atoms),
         )
 
 
@@ -459,13 +466,23 @@ def _pattern_theta(table, pos, w):
     return k, theta
 
 
-def _first_seen(codes):
+def _first_seen(codes, bound=None):
     """Number ``codes`` in order of first appearance.
 
     Returns ``(ids, first)``: the number of every code, and the position of
-    each number's first appearance.  A stable argsort groups equal codes with
-    their earliest position first.
+    each number's first appearance.  With ``bound``, every code lies in
+    ``0..bound-1`` and one linear pass takes each code's first position
+    (``np.minimum.at`` over a table of ``bound`` slots); the distinct first
+    positions, ranked, are the numbers.  Without it, a stable argsort groups
+    equal codes with their earliest position first.
     """
+    if bound is not None:
+        first_at = np.full(bound, codes.size, dtype=np.int64)
+        np.minimum.at(first_at, codes, np.arange(codes.size))
+        is_first = np.zeros(codes.size, dtype=bool)
+        is_first[first_at[first_at < codes.size]] = True
+        rank = np.cumsum(is_first) - 1  # number of the code first seen at each position
+        return rank[first_at[codes]], np.flatnonzero(is_first)
     order = np.argsort(codes, kind="stable")
     ranked = codes[order]
     new = np.ones(ranked.size, dtype=bool)
@@ -479,21 +496,26 @@ def _first_seen(codes):
     return ids, first[by_position]
 
 
-def _zeroed_blocks(is_aux, shape, aux_shape):
-    """Zeroed storage for one array per id, shaped ``aux_shape`` where
-    ``is_aux`` and ``shape`` elsewhere: two blocks, and each id's row in its block.
+def _slots(is_aux):
+    """Each id's row in its block: auxiliary ids and the others are counted apart."""
+    return np.where(is_aux, np.cumsum(is_aux), np.cumsum(~is_aux)) - 1
+
+
+def _summed(n_rows, shape, parts):
+    """A ``(n_rows,) + shape`` block whose row ``r`` sums the values of ``r``
+    in the ``(rows, values)`` parts, in order.
+
+    One ``np.bincount`` per entry adds the values from 0.0 in input order,
+    exactly as ``np.add.at`` into a zeroed block would.
     """
-    slot = np.where(is_aux, np.cumsum(is_aux), np.cumsum(~is_aux)) - 1
-    n_aux = int(is_aux.sum())
-    return (np.zeros((is_aux.size - n_aux,) + shape), np.zeros((n_aux,) + aux_shape), slot)
-
-
-def _add_rows(block, rows, values):
-    """``block[r] += v`` for each row ``r`` and value ``v``, in order."""
-    if len(rows):
-        width = block[0].size
-        np.add.at(block.reshape(-1), rows[:, None] * width + np.arange(width),
-                  values.reshape(len(rows), width))
+    width = int(np.prod(shape))
+    rows = np.concatenate([r for r, _ in parts] + [_NO_INTS])
+    values = np.concatenate([v.reshape(len(v), width) for _, v in parts]
+                            + [np.zeros((0, width))])
+    out = np.empty((n_rows, width))
+    for j in range(width):
+        out[:, j] = np.bincount(rows, weights=values[:, j], minlength=n_rows)
+    return out.reshape((n_rows,) + shape)
 
 
 @dataclass
@@ -596,18 +618,21 @@ def _provenance(forms, node_of, edge_of):
     return tuple(out)
 
 
-def _add_groundings(forms, node_of, node_slot, atom_theta, aux_theta):
-    """Add the node potentials of every binding; list its edges and auxiliary nodes.
+def _collect_groundings(forms, node_of, node_slot):
+    """The node potentials of every binding, and its edges and auxiliary nodes.
 
-    Returns ``(edge_u, edge_v, edge_bit, flips, aux_of)``.  The edge events
-    (lower node id, higher one, and for an auxiliary edge the bit of its
-    atom, else -1) run in the order the bindings add them.  ``flips[f]``
-    marks the pairwise bindings of formula ``f`` whose first distinct atom
-    has the higher node id; ``aux_of[f]`` holds the auxiliary node and
-    the three atom nodes of its bindings with k == 3.
+    Returns ``(atom_parts, aux_parts, edge_u, edge_v, edge_bit, flips,
+    aux_of)``.  The parts list ``(rows, values)`` of the potentials added to
+    the atom and the auxiliary block, in order.  The edge events (lower node
+    id, higher one, and for an auxiliary edge the bit of its atom, else -1)
+    run in the order the bindings add them.  ``flips[f]`` marks the pairwise
+    bindings of formula ``f`` whose first distinct atom has the higher node
+    id; ``aux_of[f]`` holds the auxiliary node and the three atom nodes of
+    its bindings with k == 3.
     """
     padded = np.concatenate([node_of, np.zeros(3, dtype=np.int64)])
     start = 0
+    atom_parts, aux_parts = [], []
     edge_u, edge_v, edge_bit, flips, aux_of = [_NO_INTS], [_NO_INTS], [_NO_INTS], [], []
     for fb in forms:
         counts = fb.node_counts()
@@ -615,9 +640,9 @@ def _add_groundings(forms, node_of, node_slot, atom_theta, aux_theta):
         start += int(counts.sum())
         a0, a1, a2, a3 = (padded[first_event + d] for d in range(4))
         sel, vals = fb.values(1)
-        _add_rows(atom_theta, node_slot[a0[sel]], vals)
+        atom_parts.append((node_slot[a0[sel]], vals))
         sel, vals = fb.values(3)
-        _add_rows(aux_theta, node_slot[a3[sel]], vals)
+        aux_parts.append((node_slot[a3[sel]], vals))
         aux_of.append((a3[sel], a0[sel], a1[sel], a2[sel]))
         pair, triple = fb.k == 2, fb.k == 3
         flips.append(a0[pair] > a1[pair])
@@ -627,16 +652,27 @@ def _add_groundings(forms, node_of, node_slot, atom_theta, aux_theta):
         bit = np.tile(np.arange(3), (len(pair), 1))
         bit[pair, 0] = -1
         edge_bit.append(bit[valid])
-    return (*(np.concatenate(x) for x in (edge_u, edge_v, edge_bit)), flips, aux_of)
+    return (atom_parts, aux_parts, *(np.concatenate(x) for x in (edge_u, edge_v, edge_bit)),
+            flips, aux_of)
 
 
-def _add_pair_potentials(forms, flips, rows, pair_theta):
-    """Add the potential of every pairwise binding to its edge's row, in order."""
+def _pair_parts(forms, flips, rows):
+    """The ``(rows, values)`` of every pairwise binding's potential, in order."""
+    parts = []
     start = 0
     for fb, flip in zip(forms, flips):
         _, vals = fb.values(2, flip)
-        _add_rows(pair_theta, rows[start:start + len(vals)], vals)
+        parts.append((rows[start:start + len(vals)], vals))
         start += len(vals)
+    return parts
+
+
+def _aux_atoms(aux_of):
+    """Per auxiliary node, its three atom nodes, from ``_collect_groundings``' ``aux_of``."""
+    aux_atoms = {}
+    for aux_ids, *atom_cols in aux_of:
+        aux_atoms.update(zip(aux_ids.tolist(), zip(*(c.tolist() for c in atom_cols))))
+    return aux_atoms
 
 
 def _ground_node_table(model, n, node_codes, is_aux, forms, aux_of):
@@ -688,11 +724,14 @@ def ground(model, n):
     grounding adds its distinct atoms in template order, then its auxiliary
     node, then its edges; node and edge ids count first additions across
     the formulas in order, and parallel potentials are summed in the order
-    they are added, as a loop over the groundings would.  A grounding's
-    potential depends only on which template atoms coincide, so it is built
-    once per coincidence pattern.  The potentials stay in the blocks they
-    are summed in, and the nodes in the arrays of their codes; the node
-    objects and provenance are built on first access.
+    they are added, as a loop over the groundings would.  Node ids come from
+    one pass over the bounded range of node codes, without a sort; each
+    block's potentials, of all formulas, are summed by one ``np.bincount``
+    per entry in the order they are added.  A grounding's potential depends
+    only on which template atoms coincide, so it is built once per
+    coincidence pattern.  The potentials stay in the blocks they are summed
+    in, and the nodes in the arrays of their codes; the node objects,
+    provenance and ``aux_atoms`` are built on first access.
     """
     if n < 1:
         raise ModelError(f"domain size must be >= 1, got {n}")
@@ -712,33 +751,38 @@ def ground(model, n):
         node_events.append(events)
         n_bindings += len(fb.k)
     node_events = np.concatenate(node_events)
-    node_of, first = _first_seen(node_events)
+    node_of, first = _first_seen(node_events, n_atom_codes + n_bindings)
     node_codes = node_events[first]
     del node_events
     is_aux = node_codes >= n_atom_codes
-    atom_theta, aux_theta, node_slot = _zeroed_blocks(is_aux, (2,), (8,))
-    edge_u, edge_v, edge_bit, flips, aux_of = _add_groundings(
-        forms, node_of, node_slot, atom_theta, aux_theta)
+    node_slot = _slots(is_aux)
+    atom_parts, aux_parts, edge_u, edge_v, edge_bit, flips, aux_of = _collect_groundings(
+        forms, node_of, node_slot)
+    n_aux = int(is_aux.sum())
+    atom_theta = _summed(len(is_aux) - n_aux, (2,), atom_parts)
+    aux_theta = _summed(n_aux, (8,), aux_parts)
+    del atom_parts, aux_parts
 
     edge_of, first = _first_seen(edge_u * len(node_codes) + edge_v)
     edges, bits = np.stack([edge_u[first], edge_v[first]], axis=1), edge_bit[first]
-    pair_theta, aux_edge_theta, edge_slot = _zeroed_blocks(bits >= 0, (2, 2), (2, 8))
-    _add_pair_potentials(forms, flips, edge_slot[edge_of[edge_bit < 0]], pair_theta)
+    is_aux_edge = bits >= 0
+    edge_slot = _slots(is_aux_edge)
+    n_aux_edges = int(is_aux_edge.sum())
+    pair_theta = _summed(len(bits) - n_aux_edges, (2, 2),
+                         _pair_parts(forms, flips, edge_slot[edge_of[edge_bit < 0]]))
+    aux_edge_theta = np.zeros((n_aux_edges, 2, 8))
     del edge_u, edge_v, edge_bit, flips
 
     table = _ground_node_table(model, n, node_codes, is_aux, forms, aux_of)
-    aux_atoms = {}
-    for aux_ids, *atom_cols in aux_of:
-        aux_atoms.update(zip(aux_ids.tolist(), zip(*(c.tolist() for c in atom_cols))))
     return PairwiseGroundModel(
         constants=tuple(range(n)),
         node_table=table,
         edges=edges,
         edge_tags=(None,) * len(edges),
         theta_node=BlockRows((atom_theta, aux_theta), is_aux.astype(np.int64), node_slot),
-        theta_edge=BlockRows((pair_theta, aux_edge_theta), (bits >= 0).astype(np.int64),
+        theta_edge=BlockRows((pair_theta, aux_edge_theta), is_aux_edge.astype(np.int64),
                              edge_slot),
         structural_zero=MaskCodes(bits, _AUX_ZERO),
         _provenance=partial(_provenance, forms, node_of, edge_of),
-        aux_atoms=aux_atoms,
+        _aux_atoms=partial(_aux_atoms, aux_of),
     )

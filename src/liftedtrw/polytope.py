@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lpsolve import Row
-from .symmetry import _pinned_tables, _UnionFind
+from .symmetry import _pinned_tables, count_components
 
 CYCLE_VIOLATION_TOL = 1e-6
 CUT_BATCH = 20  # most violated cycle rows returned per separation call
@@ -179,6 +179,9 @@ class _MirrorGraph:
     binary subgraph is a forest.  There every closed walk with an odd number
     of crossings crosses some edge and also steps along it without crossing,
     at cost ``lam + (1 - lam) = 1``, so no cycle inequality can be violated.
+    The subgraph is a forest when its edges number its nodes minus its
+    ground components, all three read off the orbits that touch a binary
+    edge (:func:`~liftedtrw.symmetry.count_components`).
 
     ``orbit_edge`` maps each binary edge orbit to one of its binary edges,
     whose weights price every step of the orbit in a quotient graph: ``tau``
@@ -221,19 +224,21 @@ def _mirror_graph(lg):
     model = lg.model
     binary = model.node_table.is_kind("atom") & (model.n_values == 2)
     ks = np.flatnonzero(binary[model.edges].all(axis=1))
-    start = model.feature_layout()[1][ks]
     pairs = model.edges[ks]
-    uf, forest = _UnionFind(model.n_nodes), True
-    for u, v in pairs.tolist():
-        ru, rv = uf.find(u), uf.find(v)
-        forest = forest and ru != rv  # an edge inside a component closes a cycle
-        uf.union(ru, rv)
     ends = np.flatnonzero(np.bincount(pairs.ravel(), minlength=model.n_nodes))
-    lowest = ends[np.unique(lg.node_orbit_of[ends], return_index=True)[1]]
-    orbits, first = np.unique(lg.edge_orbit_of[ks], return_index=True)
-    # the (t, h) entry of a 2 x 2 edge block is feature t * 2 + h
-    lg._mirror = _MirrorGraph(pairs, lg.feat_to_var[start + 1], lg.feat_to_var[start + 2],
-                              [] if forest else np.sort(lowest).tolist(),
+    node_orbits, lowest = np.unique(lg.node_orbit_of[ends], return_index=True)
+    orbits, first, orbit_at = np.unique(lg.edge_orbit_of[ks], return_index=True,
+                                        return_inverse=True)
+    n_binary = sum(lg.node_orbits[o].size for o in node_orbits.tolist())
+    forest = len(ks) == n_binary - count_components(lg, node_orbits.tolist(), orbits.tolist())
+    # each edge's disagreement variables, (0, 1) and (1, 0) of its orbit's
+    # map, swapped where the orbit lists the edge backward
+    var01, var10 = (np.array([lg.edge_var_map[o][t, 1 - t] for o in orbits.tolist()],
+                             dtype=np.int64)[orbit_at] for t in (0, 1))
+    backward = lg.edge_backward[ks]
+    lg._mirror = _MirrorGraph(pairs, np.where(backward, var10, var01),
+                              np.where(backward, var01, var10),
+                              [] if forest else np.sort(ends[lowest]).tolist(),
                               dict(zip(orbits.tolist(), first.tolist())))
     return lg._mirror
 

@@ -3,18 +3,15 @@
 Kruskal's algorithm is simulated at the orbit level: edge orbits are scanned
 in decreasing weight order and the number of tree edges contributed by each
 orbit is the change in ground node count minus the change in ground component
-count, which :func:`count_components` gives for the orbits scanned so far.
-Ground components are counted without touching the ground union-find: within
-a connected sub-lifted-graph all ground components are isomorphic, so one
-component's size is read off the orbit structure after pinning a single
-representative node, and the count is total nodes over component size.
+count, which :func:`~liftedtrw.symmetry.count_components` gives for the
+orbits scanned so far, without touching the ground union-find.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .symmetry import _pinned_tables, _UnionFind
+from .symmetry import count_components
 from .trw import _xlogx, frank_wolfe
 
 UNIFORM_TOL = 1e-8       # duality gap at which init_rho_uniform stops
@@ -23,69 +20,6 @@ PROJECT_MAX_ITERS = 500  # conditional-gradient steps of one projection
 
 class DisconnectedGraph(Exception):
     """The ground graph has no spanning tree."""
-
-
-def _pinned_component_size(lg, node_orbit_ids, edge_orbit_ids, u0):
-    """Ground size of the component containing ``u0`` in the pinned subgraph.
-
-    Nodes are grouped by :func:`_pinned_tables` with the constants of ``u0``
-    fixed, and the groups are connected by the subgraph's edges; ``u0`` sits
-    in a singleton group.  Each distinct pair of groups in an edge orbit is
-    joined once.
-    """
-    n_classes, class_of, node_table, edge_table = _pinned_tables(
-        lg, frozenset(lg.model.node_table.consts_of(u0)))
-    sizes = {}
-    for oid in node_orbit_ids:
-        for ci, count in node_table[oid]:
-            sizes[ci] = sizes.get(ci, 0) + count
-    uf = _UnionFind(n_classes)
-    for eid in edge_orbit_ids:
-        for cu, cv in edge_table[eid]:
-            uf.union(cu, cv)
-    root = uf.find(int(class_of[u0]))
-    return sum(size for ci, size in sizes.items() if uf.find(ci) == root)
-
-
-def _ground_components_of(lg, node_orbit_ids, edge_orbit_ids):
-    """Ground component count for a connected set of node orbits.
-
-    Memoized on ``lg`` by the two orbit sets.
-    """
-    key = (frozenset(node_orbit_ids), frozenset(edge_orbit_ids))
-    memo = lg.__dict__.setdefault("_component_counts", {})
-    if key not in memo:
-        u0 = lg.node_orbits[min(key[0])].rep
-        comp = _pinned_component_size(lg, key[0], key[1], u0)
-        total = sum(lg.node_orbits[oid].size for oid in key[0])
-        assert total % comp == 0, "component sizes must divide the ground node count"
-        memo[key] = total // comp
-    return memo[key]
-
-
-def count_components(lg, node_orbit_ids=None, edge_orbit_ids=None):
-    """Number of ground connected components of a sub-lifted-graph.
-
-    Defaults to the whole graph.  Edge orbits with an endpoint outside the
-    node orbit set are ignored.  Exact for models whose symmetry is the
-    renaming group; for hand-built models the pinned node classes may merge
-    stabilizer orbits, which requires the classes not to straddle ground
-    components (true for the bundled hand-built models).
-    """
-    nodes = set(range(len(lg.node_orbits)) if node_orbit_ids is None else node_orbit_ids)
-    if edge_orbit_ids is None:
-        edge_orbit_ids = range(len(lg.edge_orbits))
-    edges = [eo for eo in map(lg.edge_orbits.__getitem__, edge_orbit_ids)
-             if eo.u_orbit in nodes and eo.v_orbit in nodes]
-    uf = _UnionFind(len(lg.node_orbits))
-    for eo in edges:
-        uf.union(eo.u_orbit, eo.v_orbit)
-    comps = {}  # root -> node orbits, edge orbits
-    for oid in nodes:
-        comps.setdefault(uf.find(oid), ([], []))[0].append(oid)
-    for eo in edges:
-        comps[uf.find(eo.u_orbit)][1].append(eo.id)
-    return sum(_ground_components_of(lg, nodes, edges) for nodes, edges in comps.values())
 
 
 def _per_orbit(lg, values, name):
@@ -113,20 +47,24 @@ def lifted_kruskal(lg, weights):
     Raises :class:`DisconnectedGraph` when no spanning tree exists, and
     ``ValueError`` unless ``weights`` holds one finite weight per edge orbit.
     The tree depends on the weights only through their order, so it is
-    memoized on ``lg`` by that order.
+    memoized on ``lg`` by that order, and looked up before anything else is
+    built.  Orders that share a prefix share its ground component count:
+    the counts are memoized on ``lg`` by the prefix's edge orbit set, whose
+    endpoints are its node orbit set.
     """
-    weights = _per_orbit(lg, weights, "weights")
+    weights = _per_orbit(lg, weights, "weights").tolist()
     total_gv = lg.model.n_nodes
-    rho = np.zeros(len(lg.edge_orbits))
-    if len(lg.edge_orbits) == 0:
+    if not weights:
         if total_gv <= 1:
-            return rho
+            return np.zeros(0)
         raise DisconnectedGraph("graph has nodes but no edges")
 
-    order = tuple(sorted(range(len(lg.edge_orbits)), key=lambda e: (-weights[e], e)))
+    order = tuple(sorted(range(len(weights)), key=lambda e: (-weights[e], e)))
     memo = lg.__dict__.setdefault("_kruskal_trees", {})
     if order in memo:
         return memo[order].copy()
+    prefix_counts = lg.__dict__.setdefault("_prefix_components", {})
+    rho = np.zeros(len(weights))
     nodes, edges = set(), []
     num_gv = 0
     num_gc = 0
@@ -137,7 +75,10 @@ def lifted_kruskal(lg, weights):
         num_gv += delta_v
         nodes |= new_orbits
         edges.append(eid)
-        n_comps = count_components(lg, nodes, edges)
+        key = frozenset(edges)
+        n_comps = prefix_counts.get(key)
+        if n_comps is None:
+            n_comps = prefix_counts[key] = count_components(lg, nodes, edges)
         rho[eid] = (delta_v - (n_comps - num_gc)) / eo.size
         num_gc = n_comps
         if num_gv == total_gv and num_gc == 1:
@@ -174,16 +115,18 @@ def _project(lg, target, rho, tol):
     search.  ``target`` holds one entry per edge orbit.
     """
     sizes = _sizes(lg)
+    twice = sizes * 2.0
     for _ in range(PROJECT_MAX_ITERS):
-        d = lifted_kruskal(lg, -2.0 * (rho - target))
-        gap = float(np.sum(sizes * 2.0 * (rho - target) * (rho - d)))
+        offset = rho - target
+        d = lifted_kruskal(lg, -2.0 * offset)
+        gap = float(np.sum(twice * offset * (rho - d)))
         if gap <= tol:
             break
         diff = d - rho
         denom = float(np.sum(sizes * diff * diff))
         if denom <= 0:
             break
-        lam = min(max(-float(np.sum(sizes * (rho - target) * diff)) / denom, 0.0), 1.0)
+        lam = min(max(-float(np.sum(sizes * offset * diff)) / denom, 0.0), 1.0)
         if lam == 0.0:
             break
         rho = rho + lam * diff

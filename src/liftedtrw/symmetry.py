@@ -12,6 +12,14 @@ of all structure-preserving renamings.
 
 :func:`compute_orbits` computes the codes with array operations over all
 nodes and edges at once, and numbers the orbits in the order of their codes.
+
+:func:`count_components` counts the ground connected components of a
+sub-lifted-graph without touching the ground union-find: within a connected
+sub-lifted-graph all ground components are isomorphic, so one component's
+size is read off the orbit structure after pinning a single representative
+node, and the count is total nodes over component size.  Lifted Kruskal
+(:mod:`liftedtrw.spanning`) and the forest test of cycle separation
+(:mod:`liftedtrw.polytope`) both read it.
 """
 
 from __future__ import annotations
@@ -67,6 +75,10 @@ class LiftedGraph:
     held once, as the orbit id of every ground node and edge in
     ``node_orbit_of`` and ``edge_orbit_of``; an orbit carries its size and
     one representative.  The node variables come first in ``var_orbit``.
+    ``edge_backward`` flags the ground edges whose orbit lists them as
+    ``(v, u)`` of their stored ``(u, v)``.  The ground feature map
+    :attr:`feat_to_var` and :attr:`var_ground_count` are built on first
+    read; no lifted solve reads them.
     """
 
     model: PairwiseGroundModel
@@ -80,9 +92,39 @@ class LiftedGraph:
     lifted_theta: np.ndarray
     var_mult: np.ndarray        # entries of the representative mapping to the var
     var_orbit: np.ndarray       # orbit id of each var, node or edge by position
-    feat_to_var: np.ndarray     # ground feature index -> var id
-    var_ground_count: np.ndarray
     structural_zero_var: np.ndarray
+    edge_backward: np.ndarray
+
+    @functools.cached_property
+    def feat_to_var(self):
+        """Ground feature index -> var id: node features first, then edge
+        features, each edge's read off its orbit's variable map in its
+        orientation."""
+        model = self.model
+        node_start, edge_start, n_features = model.feature_layout()
+        n_values = model.n_values
+        n_node_feats = int(n_values.sum())
+        out = np.empty(n_features, dtype=int)
+        first_var = np.array(self.node_var_start, dtype=int)[self.node_orbit_of]
+        out[:n_node_feats] = np.repeat(first_var - node_start, n_values) + np.arange(n_node_feats)
+        groups = {}  # variable map shape -> its edge orbits
+        for oid, vmap in enumerate(self.edge_var_map):
+            groups.setdefault(vmap.shape, []).append(oid)
+        for (nu, nv), ids in groups.items():
+            maps = np.array([self.edge_var_map[o] for o in ids])
+            place = np.full(len(self.edge_var_map), -1)  # each orbit's index in ids
+            place[ids] = np.arange(len(ids))
+            ks = np.flatnonzero(place[self.edge_orbit_of] >= 0)
+            at = place[self.edge_orbit_of[ks]]
+            out[edge_start[ks, None] + np.arange(nu * nv)] = np.where(
+                self.edge_backward[ks, None], maps.transpose(0, 2, 1).reshape(-1, nu * nv)[at],
+                maps.reshape(-1, nu * nv)[at])
+        return out
+
+    @functools.cached_property
+    def var_ground_count(self):
+        """Ground features per variable; built on first read."""
+        return np.bincount(self.feat_to_var, minlength=self.n_vars)
 
     # -- variable accessors ------------------------------------------------
     @property
@@ -214,6 +256,97 @@ def _pinned_tables(lg, distinguished):
             edge_table[eid].append((cu, cv))
         cache[distinguished] = (n_classes, class_of, node_table, edge_table)
     return cache[distinguished]
+
+
+class _UnionFind:
+    """Disjoint sets over ``0..n-1``; ``union`` returns the merged root."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, i):
+        while self.parent[i] != i:
+            self.parent[i] = self.parent[self.parent[i]]
+            i = self.parent[i]
+        return i
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+        return ra
+
+    def partition(self):
+        groups = {}
+        for i in range(len(self.parent)):
+            groups.setdefault(self.find(i), []).append(i)
+        return sorted(tuple(sorted(g)) for g in groups.values())
+
+
+def _pinned_component_size(lg, node_orbit_ids, edge_orbit_ids, u0):
+    """Ground size of the component containing ``u0`` in the pinned subgraph.
+
+    Nodes are grouped by :func:`_pinned_tables` with the constants of ``u0``
+    fixed, and the groups are connected by the subgraph's edges; ``u0`` sits
+    in a singleton group.  Each distinct pair of groups in an edge orbit is
+    joined once.
+    """
+    n_classes, class_of, node_table, edge_table = _pinned_tables(
+        lg, frozenset(lg.model.node_table.consts_of(u0)))
+    sizes = {}
+    for oid in node_orbit_ids:
+        for ci, count in node_table[oid]:
+            sizes[ci] = sizes.get(ci, 0) + count
+    uf = _UnionFind(n_classes)
+    for eid in edge_orbit_ids:
+        for cu, cv in edge_table[eid]:
+            uf.union(cu, cv)
+    root = uf.find(int(class_of[u0]))
+    return sum(size for ci, size in sizes.items() if uf.find(ci) == root)
+
+
+def _ground_components_of(lg, node_orbit_ids, edge_orbit_ids):
+    """Ground component count for a connected set of node orbits.
+
+    Memoized on ``lg`` by the two orbit sets.  Orbits of one node each are
+    their own ground subgraph, which is then connected: no pinning needed
+    (the identity lifting has one such set per ground component).
+    """
+    key = (frozenset(node_orbit_ids), frozenset(edge_orbit_ids))
+    memo = lg.__dict__.setdefault("_component_counts", {})
+    if key not in memo:
+        total = sum(lg.node_orbits[oid].size for oid in key[0])
+        comp = total
+        if total > len(key[0]):
+            comp = _pinned_component_size(lg, key[0], key[1], lg.node_orbits[min(key[0])].rep)
+        assert total % comp == 0, "component sizes must divide the ground node count"
+        memo[key] = total // comp
+    return memo[key]
+
+
+def count_components(lg, node_orbit_ids=None, edge_orbit_ids=None):
+    """Number of ground connected components of a sub-lifted-graph.
+
+    Defaults to the whole graph.  Edge orbits with an endpoint outside the
+    node orbit set are ignored.  Exact for models whose symmetry is the
+    renaming group; for hand-built models the pinned node classes may merge
+    stabilizer orbits, which requires the classes not to straddle ground
+    components (true for the bundled hand-built models).
+    """
+    nodes = set(range(len(lg.node_orbits)) if node_orbit_ids is None else node_orbit_ids)
+    if edge_orbit_ids is None:
+        edge_orbit_ids = range(len(lg.edge_orbits))
+    edges = [eo for eo in map(lg.edge_orbits.__getitem__, edge_orbit_ids)
+             if eo.u_orbit in nodes and eo.v_orbit in nodes]
+    uf = _UnionFind(len(lg.node_orbits))
+    for eo in edges:
+        uf.union(eo.u_orbit, eo.v_orbit)
+    comps = {}  # root -> node orbits, edge orbits
+    for oid in nodes:
+        comps.setdefault(uf.find(oid), ([], []))[0].append(oid)
+    for eo in edges:
+        comps[uf.find(eo.u_orbit)][1].append(eo.id)
+    return sum(_ground_components_of(lg, nodes, edges) for nodes, edges in comps.values())
 
 
 def _relabel_codes(consts, valid):
@@ -364,7 +497,9 @@ def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of,
     The members of all orbits of one shape are stacked in orbit order by one
     gather from the model's blocks, members listed ``(v, u)`` transposed,
     and each orbit checks and sums its slice of that stack.  The variables
-    of all edge orbits with one value grid are then numbered at once.
+    of all edge orbits with one value grid are then numbered at once.  The
+    lifted graph keeps ``backward``, from which it builds the ground feature
+    map when that is first read.
     """
     n_values = model.n_values
     groups, index = _by_shape(n_values[node_order])
@@ -409,10 +544,8 @@ def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of,
     # edge variables follow the node ones, orbit by orbit in grid order
     grids = {key: _var_grid(*key) for key in by_grid}
     n_grid_vars = np.zeros(len(edge_orbits), dtype=np.int64)
-    grid_of_orbit = np.zeros(len(edge_orbits), dtype=np.int64)
-    for g, (key, (ids, _, _)) in enumerate(by_grid.items()):
+    for key, (ids, _, _) in by_grid.items():
         n_grid_vars[ids] = grids[key][1].size
-        grid_of_orbit[ids] = g
     n_node_vars = int(orbit_nv.sum())
     edge_var_start = n_node_vars + np.cumsum(n_grid_vars) - n_grid_vars
     n_vars = n_node_vars + int(n_grid_vars.sum())
@@ -421,16 +554,7 @@ def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of,
     var_mult = np.ones(n_vars, dtype=int)
     structural_zero_var = np.zeros(n_vars, dtype=bool)
     edge_var_map = [None] * len(edge_orbits)
-    # ground feature -> variable map: node features first, then edge features,
-    # each edge's read off its orbit's grid in its orientation
-    node_start, edge_start, n_features = model.feature_layout()
-    n_node_feats = int(n_values.sum())
-    feat_to_var = np.empty(n_features, dtype=int)
-    first_var = np.array(node_var_start, dtype=int)[node_orbit_of]
-    feat_to_var[:n_node_feats] = (np.repeat(first_var - node_start, n_values)
-                                  + np.arange(n_node_feats))
-    grid_of_edge = grid_of_orbit[edge_orbit_of]
-    for g, (key, (ids, thetas, zeros)) in enumerate(by_grid.items()):
+    for key, (ids, thetas, zeros) in by_grid.items():
         grid, first, second = grids[key]
         thetas = np.array(thetas).reshape(len(ids), grid.size)
         paired = second >= 0
@@ -441,10 +565,6 @@ def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of,
         structural_zero_var[var_ids] = np.array(zeros).reshape(len(ids), grid.size)[:, first]
         for oid, vmap in zip(ids, edge_var_start[ids][:, None, None] + grid):
             edge_var_map[oid] = vmap
-        ks = np.flatnonzero(grid_of_edge == g)
-        local = np.where(backward[ks, None], grid.T.ravel(), grid.ravel())
-        feat_to_var[edge_start[ks, None] + np.arange(grid.size)] = (
-            edge_var_start[edge_orbit_of[ks], None] + local)
     var_orbit = np.concatenate([np.repeat(np.arange(len(node_orbits)), orbit_nv),
                                 np.repeat(np.arange(len(edge_orbits)), n_grid_vars)])
 
@@ -460,9 +580,8 @@ def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of,
         lifted_theta=lifted_theta,
         var_mult=var_mult,
         var_orbit=var_orbit,
-        feat_to_var=feat_to_var,
-        var_ground_count=np.bincount(feat_to_var, minlength=n_vars),
         structural_zero_var=structural_zero_var,
+        edge_backward=backward,
     )
     _check_invariants(lg)
     return lg
@@ -499,31 +618,6 @@ class VerifyReport:
     ok: bool
     group_size: int
     mismatches: list[str] = field(default_factory=list)
-
-
-class _UnionFind:
-    """Disjoint sets over ``0..n-1``; ``union`` returns the merged root."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-        return ra
-
-    def partition(self):
-        groups = {}
-        for i in range(len(self.parent)):
-            groups.setdefault(self.find(i), []).append(i)
-        return sorted(tuple(sorted(g)) for g in groups.values())
 
 
 def _renaming_node_map(model, perm):

@@ -167,6 +167,12 @@ class TrwResult:
     ``eq_residual`` is the largest equality-row residual ``|A tau - b|`` of
     the returned ``tau``; a ``"gap"`` termination above ``EQ_TOL`` raises,
     since the bound's concavity argument needs ``tau`` on those rows.
+
+    ``iteration_trace`` holds one dict per iteration: its number
+    (``iteration``, from 1), the ``gap`` and ``objective`` of ``gap_trace``
+    and ``objective_trace``, the line-search ``step`` taken (None when the
+    iteration took none), the LP ``pivots`` and cycle ``cuts`` added in it,
+    and whether its polish was adopted (``polish_adopted``).
     """
 
     bound: float
@@ -184,6 +190,7 @@ class TrwResult:
     n_cuts: int = 0
     cluster_counts: dict = field(default_factory=dict)
     stats: dict = field(default_factory=_new_stats)
+    iteration_trace: list[dict] = field(default_factory=list)
 
     @property
     def converged(self):
@@ -352,7 +359,7 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
     simplex = Simplex(system.n_vars, system.cs.rows, system.fixed_zero, system.start_basis)
     tau = system.uniform_point()
 
-    gap_trace, obj_trace = [], []
+    gap_trace, obj_trace, iteration_trace = [], [], []
     pivots = 0
     converged = moved = False
     F = obj.value(tau)
@@ -431,29 +438,33 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
         stats["polish_face_failures"] += sum(x is None for x in faces.values())
         return adopted
 
-    while it < max_iters:
+    while not converged and it < max_iters:
         it += 1
-        moved = may_polish and attempt_polish(gap if math.isfinite(gap) else 1.0)
+        pivots_before, rows_before = pivots, len(system.cs.rows)
+        polished = moved = may_polish and attempt_polish(gap if math.isfinite(gap) else 1.0)
 
         gvec = obj.grad(tau)
         s = direction(gvec)
         gap = float(gvec @ (s - tau))
         gap_trace.append(gap)
         obj_trace.append(F)
+        step = None
         if gap <= tol:
-            if add_cuts(tau):
-                continue
-            converged = True
-            break
-
-        delta = s - tau
-        t = clock()
-        lam, flam = golden_section(obj.line_function(tau, delta), tol=LS_TOL)
-        stats["line_search_s"] += clock() - t
-        if flam > F:
-            tau = tau + lam * delta
-            F = flam
-            moved = True
+            converged = not add_cuts(tau)
+        else:
+            delta = s - tau
+            t = clock()
+            lam, flam = golden_section(obj.line_function(tau, delta), tol=LS_TOL)
+            stats["line_search_s"] += clock() - t
+            if flam > F:
+                tau = tau + lam * delta
+                F = flam
+                moved = True
+                step = lam
+        iteration_trace.append({
+            "iteration": it, "gap": gap, "objective": obj_trace[-1], "step": step,
+            "pivots": pivots - pivots_before, "cuts": len(system.cs.rows) - rows_before,
+            "polish_adopted": polished})
 
     stats["lp_refactorizations"] = simplex.refactorizations
     eq = simplex.slack_sign == 0.0
@@ -479,4 +490,5 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
         n_cuts=len(system.cs.rows) - n_built,
         cluster_counts=clusters,
         stats=stats,
+        iteration_trace=iteration_trace,
     )

@@ -1,5 +1,6 @@
 """Command-line interface tests (run in-process through main())."""
 
+import json
 import math
 import re
 
@@ -74,6 +75,36 @@ class TestInfer:
         faces, failed = int(m.group(5)), int(m.group(6))
         assert faces > 0 and 0 <= failed <= faces
         assert int(m.group(7)) > 0 and int(m.group(8)) > 0
+
+    def test_trace_has_one_line_per_iteration(self, capsys, tmp_path):
+        """``--trace`` writes one JSON object per Frank-Wolfe iteration with
+        a fixed schema; the lines number the iterations, and their gaps,
+        objectives, pivots and cuts are those of the same solve run through
+        the API.  The converging last iteration takes no step."""
+        path = tmp_path / "trace.jsonl"
+        code, out, _ = run_cli(capsys, "infer", "--model", "clique_cycle", "--n", "10",
+                               "--W", "0.5", "--outer", "cycle+exch", "--trace", str(path))
+        assert code == 0
+        iterations = int(re.search(r"^iterations (\d+) ", out, re.M).group(1))
+        assert f"wrote {iterations} iterations to {path}" in out
+        entries = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(entries) == iterations > 1
+        for i, e in enumerate(entries, 1):
+            assert list(e) == ["iteration", "gap", "objective", "step", "pivots", "cuts",
+                               "polish_adopted"]
+            assert e["iteration"] == i
+            assert isinstance(e["gap"], float) and isinstance(e["objective"], float)
+            assert e["step"] is None or 0.0 < e["step"] <= 1.0
+            assert isinstance(e["pivots"], int) and isinstance(e["cuts"], int)
+            assert isinstance(e["polish_adopted"], bool)
+        assert entries[-1]["step"] is None
+        lg = lt.compute_orbits(build("clique_cycle", 10, 0.5))
+        res = lt.frank_wolfe(lg, outer="cycle+exch", rho=lt.init_rho_uniform(lg))
+        assert [e["gap"] for e in entries] == res.gap_trace
+        assert [e["objective"] for e in entries] == res.objective_trace
+        assert sum(e["pivots"] for e in entries) == res.lp_pivots
+        assert sum(e["cuts"] for e in entries) == res.n_cuts > 0
+        assert sum(e["polish_adopted"] for e in entries) == res.stats["polish_adopted"]
 
     @pytest.mark.parametrize("model,n", [("complete_graph", "6"), ("ring_pendant", "5")])
     def test_setup_time_splits_into_stages(self, capsys, model, n):

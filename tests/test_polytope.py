@@ -554,6 +554,86 @@ class TestSeparation:
         assert counts_before == (0, len(lowest) * n_separations)
 
 
+def _mixed_orientation_square():
+    """Binary atoms A(i), B(i) on a square A0-B0-B1-A1: the A-B edges share
+    an orbit but are stored A first for 0 and B first for 1, and their
+    potential is not symmetric, so the orbit lists one of them backward."""
+    b = lt.GroundModelBuilder(range(2))
+    a0, b0, b1, a1 = (b.add_node("atom", p, (i,), 2) for p, i in
+                      (("A", 0), ("B", 0), ("B", 1), ("A", 1)))
+    theta = np.array([[0.0, 0.4], [-0.3, 0.9]])
+    b.add_edge_theta(a0, b0, theta, tag="ab")
+    b.add_edge_theta(a1, b1, theta, tag="ab")
+    b.add_edge_theta(a0, a1, np.eye(2), tag="aa")
+    b.add_edge_theta(b0, b1, np.eye(2), tag="bb")
+    return b.build()
+
+
+def _mirror_models():
+    """Every bundled model at n = 2..6 under its orbits and, up to n = 4,
+    under the identity lifting; ring_pendant; the mixed-orientation square."""
+    for name in sorted(lt.zoo.MODEL_TEXTS):
+        for n in range(2, 7):
+            g = build(name, n, 0.5)
+            yield f"{name}-{n}", lt.compute_orbits(g)
+            if n <= 4:
+                yield f"{name}-{n}-trivial", lt.trivial_lifting(g)
+    ring = lt.zoo.ring_pendant_model(scale=1.0)
+    yield "ring_pendant", lt.compute_orbits(ring)
+    yield "ring_pendant-trivial", lt.trivial_lifting(ring)
+    yield "mixed_square", lt.compute_orbits(_mixed_orientation_square())
+
+
+def _ground_forest(g):
+    """Whether the binary edges of ``g`` form a forest, by a ground union-find."""
+    parent = list(range(len(g.nodes)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for _k, u, v in _binary_edges(g):
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[rv] = ru
+    return True
+
+
+MIRROR_MODELS = list(_mirror_models())
+
+
+class TestMirrorGraphFromOrbits:
+    @pytest.mark.parametrize("label,lg", MIRROR_MODELS, ids=[m[0] for m in MIRROR_MODELS])
+    def test_forest_and_variables_match_ground_forms(self, label, lg):
+        """The forest test from lifted counts agrees with a union-find over
+        the ground binary edges, and each binary edge's disagreement
+        variables read off its orbit's map are its ground features' (0, 1)
+        and (1, 0) entries under ``feat_to_var``, which the mirror graph
+        never builds."""
+        g = lg.model
+        mg = polytope._mirror_graph(lg)
+        assert "feat_to_var" not in vars(lg)
+        assert (mg.sources == []) == _ground_forest(g)
+        ks = [k for k, _u, _v in _binary_edges(g)]
+        assert mg.pairs.tolist() == g.edges[ks].tolist()
+        start = g.feature_layout()[1][ks]
+        for got, want in ((mg.var01, lg.feat_to_var[start + 1]),
+                          (mg.var10, lg.feat_to_var[start + 2])):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_cases_cover_both_decisions_and_orientations(self):
+        forests = {_ground_forest(lg.model) for _label, lg in MIRROR_MODELS}
+        assert forests == {True, False}
+        lg = dict(MIRROR_MODELS)["mixed_square"]
+        ab = lg.edge_orbit_of[[0, 1]]
+        assert ab[0] == ab[1] and lg.edge_backward[[0, 1]].tolist() in ([True, False],
+                                                                       [False, True])
+        mg = polytope._mirror_graph(lg)
+        assert mg.sources and mg.var01[0] == mg.var10[1] != mg.var01[1]
+
+
 class TestQuotientPrecheck:
     @staticmethod
     def _points(lg, rng):

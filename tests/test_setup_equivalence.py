@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import liftedtrw as lt
+from liftedtrw.model import _first_seen
 from liftedtrw.symmetry import _lex_codes, _pinned_tables, trivial_lifting
 
 from conftest import build, hand_built, keyed_orbits, members, partition
@@ -245,6 +246,21 @@ class TestGroundingEquivalence:
     def test_pattern_tables_match_per_grounding_loop(self, label, model, n):
         _assert_same_ground(lt.ground(model, n), _ground_per_grounding(model, n))
 
+    @pytest.mark.parametrize("size,bound", [(0, 1), (0, 5), (1, 1), (7, 1), (1, 9), (50, 3),
+                                            (400, 40), (300, 1000)])
+    def test_linear_numbering_matches_sort(self, size, bound):
+        """Numbering codes below a bound by one pass over the bound gives the
+        ids and first positions of the stable argsort: empty arrays, one
+        code, codes repeated many times and codes spread thinly."""
+        codes = np.random.default_rng(size + bound).integers(0, bound, size=size)
+        for got, want in zip(_first_seen(codes, bound), _first_seen(codes)):
+            _assert_same_array(got, want)
+
+    def test_auxiliary_atoms_built_on_first_access(self):
+        g = lt.ground(lt.parse_model(CORNER_TEXTS[0]), 3)
+        assert callable(g._aux_atoms)
+        assert len(g.aux_atoms) == 3 ** 4 and not callable(g._aux_atoms)
+
     def test_coinciding_atoms_make_fewer_distinct_atoms(self):
         g = lt.ground(lt.parse_model(COINCIDING_TEXTS[1]), 2)
         # x=y gives S(0) ^ F(0,0) -> S(0): two distinct atoms, an edge
@@ -308,13 +324,27 @@ class TestSetupFromEitherForm:
 
 
 def test_setup_matches_on_a_larger_domain():
-    for name, n in (("friends_smokers", 12), ("complete_graph", 40), ("clique_cycle", 10)):
+    for name, n in (("friends_smokers", 12), ("complete_graph", 40), ("clique_cycle", 10),
+                    ("complete_graph", 30), ("clique_cycle", 12), ("friends_smokers", 8)):
         g = build(name, n, 0.4)
         ref = _ground_per_grounding(lt.parse_model(lt.zoo.model_text(name)).bind_weight(0.4), n)
         _assert_same_ground(g, ref)
         _assert_lifted_matches_references(lt.compute_orbits(g), *keyed_orbits(g))
         for a, b in zip(_lifted_and_rho(g), _lifted_and_rho(ref)):
             _assert_same_array(a, b)
+
+
+@pytest.mark.parametrize("outer", ["local+exch", "cycle+exch"])
+def test_solve_leaves_feature_map_unbuilt(outer):
+    """Set-up and a solve never build the ground feature map; read
+    afterwards, it and the per-variable counts equal the per-member forms."""
+    g = build("clique_cycle", 10, 0.5)
+    lg = lt.compute_orbits(g)
+    res = lt.frank_wolfe(lg, outer=outer, rho=lt.init_rho_uniform(lg))
+    assert res.converged and (res.n_cuts > 0) == outer.startswith("cycle")
+    assert "feat_to_var" not in vars(lg) and "var_ground_count" not in vars(lg)
+    _assert_lifted_matches_references(lg, *keyed_orbits(g))
+    assert "feat_to_var" in vars(lg)
 
 
 # one label "R" with zero to three constants: rows padded to three columns

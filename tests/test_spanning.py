@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import liftedtrw as lt
-from liftedtrw import spanning
+from liftedtrw import spanning, symmetry
 from liftedtrw.spanning import (DisconnectedGraph, count_components,
                                 init_rho_uniform, lifted_kruskal,
                                 lifted_mst_value, optimize_rho,
@@ -77,6 +77,22 @@ class TestCountComponents:
                 assert count_components(lg, orbits, ids) == expected, combo
 
 
+    @pytest.mark.parametrize("name", ["complete_graph", "friends_smokers", "clique_cycle"])
+    def test_identity_lifting_needs_no_pinning(self, monkeypatch, name):
+        """Under the identity lifting every connected set of orbits is one
+        ground component: the counts of every prefix of the edges equal the
+        ground union-find's, and no pinned classes are built."""
+        g = build(name, 5, 0.5)
+        lg = lt.trivial_lifting(g)
+        monkeypatch.setattr(symmetry, "_pinned_component_size", None)
+        for p in range(0, len(g.edges) + 1, 7):
+            ends = {int(i) for i in g.edges[:p].ravel()}
+            assert (count_components(lg, ends, range(p))
+                    == ground_components(g, range(p)) - (len(g.nodes) - len(ends)))
+        assert count_components(lg) == ground_components(g, range(len(g.edges)))
+        assert "_pinned_tables" not in vars(lg)
+
+
 class TestLiftedKruskal:
     def test_ring_worked_weights(self, ring_lifted):
         lg = ring_lifted
@@ -113,6 +129,35 @@ class TestLiftedKruskal:
         reverse = lifted_kruskal(lg, -w)
         assert counted
         assert reverse.tobytes() == lifted_kruskal(lt.compute_orbits(g), -w).tobytes()
+
+    def test_warm_graph_gives_fresh_bytes(self):
+        """100 random weight vectors, a third of them with ties, give the
+        bytes on one lifted graph, warmed by the trees and prefix counts of
+        all before, that they give on a fresh one."""
+        g = build("clique_cycle", 10, 0.5)
+        warm = lt.compute_orbits(g)
+        rng = np.random.default_rng(12)
+        for i in range(100):
+            w = rng.normal(size=len(warm.edge_orbits))
+            if i % 3 == 0:
+                w = np.round(w)
+            got = lifted_kruskal(warm, w)
+            want = lifted_kruskal(lt.compute_orbits(g), w)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_one_component_count_per_prefix(self, monkeypatch):
+        """Orders that share a prefix count its ground components once: on
+        clique_cycle n=10 the uniform rho counts 22 distinct prefixes, each once."""
+        prefixes = []
+        count = spanning.count_components
+
+        def recorded(lg, nodes, edges):
+            prefixes.append(frozenset(edges))
+            return count(lg, nodes, edges)
+
+        monkeypatch.setattr(spanning, "count_components", recorded)
+        init_rho_uniform(lt.compute_orbits(build("clique_cycle", 10, 0.5)))
+        assert len(prefixes) == len(set(prefixes)) == 22
 
     def test_exact_tree_is_all_ones(self):
         b = lt.GroundModelBuilder(range(4))
@@ -281,11 +326,11 @@ class TestInitRhoUniform:
         same rho as counting every query afresh from per-node keys."""
         g = build("clique_cycle", 16, 0.5)
         with monkeypatch.context() as m:
-            m.setattr(spanning, "_ground_components_of", _uncached_components_of)
+            m.setattr(symmetry, "_ground_components_of", _uncached_components_of)
             expected = init_rho_uniform(lt.compute_orbits(g))
 
         queries, pinned = [], []
-        count, size = spanning._ground_components_of, spanning._pinned_component_size
+        count, size = symmetry._ground_components_of, symmetry._pinned_component_size
 
         def counted(lg, node_orbit_ids, edge_orbit_ids):
             queries.append((frozenset(node_orbit_ids), frozenset(edge_orbit_ids)))
@@ -295,8 +340,8 @@ class TestInitRhoUniform:
             pinned.append(args)
             return size(*args)
 
-        monkeypatch.setattr(spanning, "_ground_components_of", counted)
-        monkeypatch.setattr(spanning, "_pinned_component_size", sized)
+        monkeypatch.setattr(symmetry, "_ground_components_of", counted)
+        monkeypatch.setattr(symmetry, "_pinned_component_size", sized)
         rho = init_rho_uniform(lt.compute_orbits(g))
         assert rho.dtype == expected.dtype and rho.tobytes() == expected.tobytes()
         assert len(queries) > len(set(queries))
@@ -309,7 +354,7 @@ class TestInitRhoUniform:
         every query afresh from per-node keys and per-edge unions."""
         g = build(name, n, 0.5)
         with monkeypatch.context() as m:
-            m.setattr(spanning, "_ground_components_of", _uncached_components_of)
+            m.setattr(symmetry, "_ground_components_of", _uncached_components_of)
             expected = init_rho_uniform(lt.compute_orbits(g))
         rho = init_rho_uniform(lt.compute_orbits(g))
         assert rho.dtype == expected.dtype and rho.tobytes() == expected.tobytes()
