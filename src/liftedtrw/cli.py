@@ -182,7 +182,8 @@ def cmd_infer(args):
     print(f"solve phases lp {st['lp_s'] * 1e3:.1f}, separation {st['separate_s'] * 1e3:.1f}, "
           f"line search {st['line_search_s'] * 1e3:.1f}, polish {st['polish_s'] * 1e3:.1f} ms "
           f"({st['polish_faces']} face solves, {st['polish_face_failures']} failed; "
-          f"{st['cycle_searches']} cycle searches, {st['cycle_pruned']} pruned)")
+          f"{st['cycle_searches']} cycle searches, {st['cycle_pruned']} pruned; "
+          f"{st['lp_phase1_runs']} phase-1 runs, {st['lp_phase1_rounds']} rounds)")
     for name, val in row["marginals"].items():
         print(f"{name:24s} {val:.6f}")
     if args.out:

@@ -141,6 +141,7 @@ def _new_stats():
     """Zeroed per-phase timings (seconds) and counters of a solve."""
     return {"lp_s": 0.0, "separate_s": 0.0, "line_search_s": 0.0, "polish_s": 0.0,
             "eq_residual": 0.0, "lp_solves": 0, "lp_refactorizations": 0,
+            "lp_phase1_runs": 0, "lp_phase1_rounds": 0,
             "polish_tries": 0, "polish_adopted": 0, "polish_faces": 0,
             "polish_face_failures": 0, "cycle_searches": 0, "cycle_pruned": 0}
 
@@ -168,18 +169,22 @@ class TrwResult:
     the returned ``tau``; a ``"gap"`` termination above ``EQ_TOL`` raises,
     since the bound's concavity argument needs ``tau`` on those rows.
 
+    ``lp_phase1_runs`` counts the LP solves that ran phase 1 (no held or
+    crash basis, or one the new cut rows made infeasible) and
+    ``lp_phase1_rounds`` the pricing rounds of those runs.
+
     ``iteration_trace`` holds one dict per iteration: its number
-    (``iteration``, from 1), the ``gap`` and ``objective`` of ``gap_trace``
-    and ``objective_trace``, the line-search ``step`` taken (None when the
-    iteration took none), the LP ``pivots`` and cycle ``cuts`` added in it,
-    and whether its polish was adopted (``polish_adopted``).
+    (``iteration``, from 1), its ``gap`` and its ``objective`` before the
+    step, the line-search ``step`` taken (None when the iteration took
+    none), the LP ``pivots`` and cycle ``cuts`` added in it, and whether its
+    polish was adopted (``polish_adopted``).  ``gap_trace`` and
+    ``objective_trace`` read the gaps and objectives off it.
     """
 
     bound: float
     objective: float
     tau: np.ndarray
-    gap_trace: list[float]
-    objective_trace: list[float]
+    iteration_trace: list[dict]
     iterations: int
     termination: str
     node_marginals: dict
@@ -190,7 +195,16 @@ class TrwResult:
     n_cuts: int = 0
     cluster_counts: dict = field(default_factory=dict)
     stats: dict = field(default_factory=_new_stats)
-    iteration_trace: list[dict] = field(default_factory=list)
+
+    @property
+    def gap_trace(self):
+        """The gap of each iteration."""
+        return [e["gap"] for e in self.iteration_trace]
+
+    @property
+    def objective_trace(self):
+        """The objective of each iteration, before its step."""
+        return [e["objective"] for e in self.iteration_trace]
 
     @property
     def converged(self):
@@ -352,14 +366,14 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
     clock = time.perf_counter
     t_start = clock()
     if lg.n_vars == 0:
-        return TrwResult(0.0, 0.0, np.zeros(0), [], [], 0, "gap", {}, outer, rho)
+        return TrwResult(0.0, 0.0, np.zeros(0), [], 0, "gap", {}, outer, rho)
 
     system = build_outer_system(lg, outer)
     obj = TrwObjective(lg, rho, system.n_vars)
     simplex = Simplex(system.n_vars, system.cs.rows, system.fixed_zero, system.start_basis)
     tau = system.uniform_point()
 
-    gap_trace, obj_trace, iteration_trace = [], [], []
+    iteration_trace = []
     pivots = 0
     converged = moved = False
     F = obj.value(tau)
@@ -446,9 +460,7 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
         gvec = obj.grad(tau)
         s = direction(gvec)
         gap = float(gvec @ (s - tau))
-        gap_trace.append(gap)
-        obj_trace.append(F)
-        step = None
+        record = {"iteration": it, "gap": gap, "objective": F, "step": None}
         if gap <= tol:
             converged = not add_cuts(tau)
         else:
@@ -460,13 +472,14 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
                 tau = tau + lam * delta
                 F = flam
                 moved = True
-                step = lam
-        iteration_trace.append({
-            "iteration": it, "gap": gap, "objective": obj_trace[-1], "step": step,
-            "pivots": pivots - pivots_before, "cuts": len(system.cs.rows) - rows_before,
-            "polish_adopted": polished})
+                record["step"] = lam
+        record.update(pivots=pivots - pivots_before, cuts=len(system.cs.rows) - rows_before,
+                      polish_adopted=polished)
+        iteration_trace.append(record)
 
     stats["lp_refactorizations"] = simplex.refactorizations
+    stats["lp_phase1_runs"] = simplex.phase1_runs
+    stats["lp_phase1_rounds"] = simplex.phase1_rounds
     eq = simplex.slack_sign == 0.0
     stats["eq_residual"] = float(np.abs(simplex.A[eq] @ tau - simplex.b[eq]).max(initial=0.0))
     if converged and stats["eq_residual"] > EQ_TOL:
@@ -478,8 +491,7 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
         bound=float(F + max(gap, 0.0)),
         objective=float(F),
         tau=tau,
-        gap_trace=gap_trace,
-        objective_trace=obj_trace,
+        iteration_trace=iteration_trace,
         iterations=it,
         termination="gap" if converged else "iteration_limit" if moved else "stalled",
         node_marginals=lg.node_marginals(tau),
@@ -490,5 +502,4 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
         n_cuts=len(system.cs.rows) - n_built,
         cluster_counts=clusters,
         stats=stats,
-        iteration_trace=iteration_trace,
     )

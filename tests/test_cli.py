@@ -58,7 +58,8 @@ class TestInfer:
         wall time, counts the face solves and the failed ones, and the
         ground cycle searches run and those the quotient pre-check pruned
         (a solve that adds cuts runs some; its last, clean separation prunes
-        every one)."""
+        every one), and the LP solves that ran phase 1 and their pricing
+        rounds (each run prices at least once)."""
         code, out, _ = run_cli(capsys, "infer", "--model", "clique_cycle", "--n", "3",
                                "--W", "2", "--outer", "cycle")
         assert code == 0
@@ -67,7 +68,7 @@ class TestInfer:
         m = re.fullmatch(r"solve phases lp ([0-9.]+), separation ([0-9.]+), "
                          r"line search ([0-9.]+), polish ([0-9.]+) ms "
                          r"\((\d+) face solves, (\d+) failed; (\d+) cycle searches, "
-                         r"(\d+) pruned\)", lines[wall + 1])
+                         r"(\d+) pruned; (\d+) phase-1 runs, (\d+) rounds\)", lines[wall + 1])
         assert m
         phases = [float(m.group(k)) for k in range(1, 5)]
         wall_ms = float(re.fullmatch(r"wall time  ([0-9.]+) ms", lines[wall]).group(1))
@@ -75,6 +76,8 @@ class TestInfer:
         faces, failed = int(m.group(5)), int(m.group(6))
         assert faces > 0 and 0 <= failed <= faces
         assert int(m.group(7)) > 0 and int(m.group(8)) > 0
+        runs, rounds = int(m.group(9)), int(m.group(10))
+        assert runs <= rounds and (runs == 0) == (rounds == 0)
 
     def test_trace_has_one_line_per_iteration(self, capsys, tmp_path):
         """``--trace`` writes one JSON object per Frank-Wolfe iteration with

@@ -9,7 +9,8 @@ from scipy.optimize import linprog
 
 import liftedtrw as lt
 from liftedtrw import trw
-from liftedtrw.lpsolve import REFACTOR_EVERY, InfeasibleError, Row, Simplex
+from liftedtrw.lpsolve import (OPT_TOL, PIVOT_TOL, REFACTOR_EVERY, InfeasibleError, Row, Simplex,
+                               UnboundedError)
 
 from conftest import build, expand_rho
 
@@ -48,6 +49,21 @@ def random_local_lp(seed, n_points=6):
         rows.append(Row.make(coeffs, "<=", float(abs(rng.normal()) + 0.2)))
     c = rng.normal(size=n)
     return int(n), rows, c
+
+
+def random_large_lp(seed, n=90):
+    """A random bounded LP of 71 rows, above the row count where the
+    inverse update gathers columns: a simplex row, 60 random ``<=`` rows
+    and 10 covering rows stored negated (negative slack signs)."""
+    rng = np.random.default_rng(seed)
+    rows = [Row.make({j: 1.0 for j in range(n)}, "=", 1.0)]
+    for _ in range(60):
+        coeffs = {int(j): float(rng.normal()) for j in rng.choice(n, size=4, replace=False)}
+        rows.append(Row.make(coeffs, "<=", float(abs(rng.normal()) + 0.2)))
+    for _ in range(10):
+        pair = rng.choice(n, size=2, replace=False)
+        rows.append(Row.make({int(j): -1.0 for j in pair}, "<=", -0.01))
+    return n, rows, rng.normal(size=n)
 
 
 class TestSolve:
@@ -128,13 +144,13 @@ CYCLING_LPS = {
 }
 
 
-def _bland_flags(run):
-    """``run()``, and per ``Simplex._iterate`` call whether it ended in
-    Bland's rule, read off its frame as it returns."""
+def _bland_flags(run, cls=Simplex):
+    """``run()``, and per ``cls._iterate`` call whether it ended in Bland's
+    rule, read off its frame as it returns."""
     flags = []
 
     def trace(frame, event, arg):
-        if frame.f_code is not Simplex._iterate.__code__:
+        if frame.f_code is not cls._iterate.__code__:
             return None
 
         def local(frame, event, arg):
@@ -157,8 +173,8 @@ def _phase1_bases(monkeypatch):
     bases = []
     iterate, phase1 = Simplex._iterate, Simplex._phase1
 
-    def spy_iterate(self, c_struct, basis, binv, phase):
-        out = iterate(self, c_struct, basis, binv, phase)
+    def spy_iterate(self, c_struct, basis, binv, phase, xb=None):
+        out = iterate(self, c_struct, basis, binv, phase, xb)
         if phase == 1:
             bases.append(out[0].copy())
         return out
@@ -171,6 +187,22 @@ def _phase1_bases(monkeypatch):
     monkeypatch.setattr(Simplex, "_iterate", spy_iterate)
     monkeypatch.setattr(Simplex, "_phase1", spy_phase1)
     return bases
+
+
+# LPs whose phase 1 ends with an artificial basic: rows, objective,
+# optimum, whether the clean-up keeps an artificial basic, a row added
+# afterwards and the objective solved after it
+CLEANUP_LPS = {
+    # the second row repeats the first: its artificial stays basic at zero
+    "redundant-row": ([Row.make({0: 1.0, 1: 1.0}, "=", 1.0), Row.make({0: 2.0, 1: 2.0}, "=", 2.0),
+                       Row.make({0: 1.0}, "<=", 0.7)], [1.0, 0.0], [0.7, 0.3], True,
+                      Row.make({1: 1.0}, "<=", 0.5), [0.0, 1.0]),
+    # x1 = 0 leaves an artificial basic at zero on a row that is not
+    # redundant: it is pivoted out for a structural column
+    "pivot-out": ([Row.make({1: -1.0}, "=", 0.0), Row.make({0: 1.0, 1: 1.0}, "=", 1.0),
+                   Row.make({0: 1.0, 1: 1.0}, "<=", 1.0)], [1.0, 0.0], [1.0, 0.0], False,
+                  Row.make({0: 1.0}, "<=", 1.5), [-1.0, 0.0]),
+}
 
 
 class TestDegenerate:
@@ -186,18 +218,9 @@ class TestDegenerate:
         np.testing.assert_allclose(res.x, x_opt, atol=1e-12)
         assert abs(res.objective - scipy_reference(4, rows, c)) < 1e-9
 
-    @pytest.mark.parametrize("rows, c, x_opt, kept, added, c2", [
-        # the second row repeats the first: its artificial stays basic at zero
-        ([Row.make({0: 1.0, 1: 1.0}, "=", 1.0), Row.make({0: 2.0, 1: 2.0}, "=", 2.0),
-          Row.make({0: 1.0}, "<=", 0.7)], [1.0, 0.0], [0.7, 0.3], True,
-         Row.make({1: 1.0}, "<=", 0.5), [0.0, 1.0]),
-        # x1 = 0 leaves an artificial basic at zero on a row that is not
-        # redundant: it is pivoted out for a structural column
-        ([Row.make({1: -1.0}, "=", 0.0), Row.make({0: 1.0, 1: 1.0}, "=", 1.0),
-          Row.make({0: 1.0, 1: 1.0}, "<=", 1.0)], [1.0, 0.0], [1.0, 0.0], False,
-         Row.make({0: 1.0}, "<=", 1.5), [-1.0, 0.0]),
-    ], ids=["redundant-row", "pivot-out"])
-    def test_phase1_artificial_cleanup(self, monkeypatch, rows, c, x_opt, kept, added, c2):
+    @pytest.mark.parametrize("name", CLEANUP_LPS)
+    def test_phase1_artificial_cleanup(self, monkeypatch, name):
+        rows, c, x_opt, kept, added, c2 = CLEANUP_LPS[name]
         bases = _phase1_bases(monkeypatch)
         simplex = Simplex(2, rows)
         res = simplex.solve(np.array(c))
@@ -300,6 +323,28 @@ class TestWarmStart:
         with pytest.raises(ValueError, match="basis"):
             Simplex(n, rows, None, list(codes(n, len(rows))))
 
+    @pytest.mark.parametrize("objective", [
+        [1.0],                  # would broadcast through every pricing round
+        [1.0, 1.0],
+        [[1.0, 1.0, 1.0]],
+        1.0,
+        [1.0, np.nan, 1.0],     # prices nothing: the start vertex, objective nan
+        [np.inf, 0.0, 0.0],
+        [0.0, 0.0, -np.inf],
+    ])
+    def test_malformed_objective_raises(self, objective):
+        simplex = Simplex(3, [Row.make({0: 1, 1: 1, 2: 1}, "<=", 1)])
+        with pytest.raises(ValueError, match="objective"):
+            simplex.solve(objective)
+        assert simplex.solve([1.0, 2.0, 0.5]).x.tolist() == [0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("mask", [[True], [False] * 4, [[False] * 3], True])
+    def test_malformed_fixed_zero_raises(self, mask):
+        """A mask that is not one flag per variable would pin other columns
+        than meant."""
+        with pytest.raises(ValueError, match="fixed_zero"):
+            Simplex(3, [Row.make({0: 1, 1: 1, 2: 1}, "<=", 1)], mask)
+
 
 class TestInvariants:
     @pytest.mark.parametrize("seed", range(6))
@@ -363,6 +408,117 @@ class DenseReference(Simplex):
 
     def _refactor_due(self, basis, binv, optimal):
         return not optimal and self._updates >= REFACTOR_EVERY
+
+
+class ParentPricing(Simplex):
+    """The same pricing arithmetic in full-length passes: a ratio test over
+    every row through two ``np.where``, the update of ``binv[:, nz]``
+    broadcast across the nonzero columns, the fixed-zero mask and the slack
+    signs gathered every round, and ``binv @ b`` recomputed at the start of
+    every ``_iterate`` (the ``xb`` that ``solve`` hands over is ignored).
+    ``Simplex`` must reproduce it bit for bit."""
+
+    def _pivot(self, binv, r, d):
+        piv = d[r]
+        binv_r = binv[r].copy()
+        if self.m >= 64:
+            nz = np.flatnonzero(binv_r)
+            binv[:, nz] -= (d / piv)[:, None] * binv_r[nz]
+        else:
+            binv -= (d / piv)[:, None] * binv_r
+        binv[r] = binv_r / piv
+        self._updates += 1
+
+    def _iterate(self, c_struct, basis, binv, phase, xb=None):
+        m = self.m
+        xb = binv @ self.b
+        xb[np.abs(xb) < 1e-12] = 0.0
+        degenerate_count = 0
+        bland = False
+        bland_threshold = 10 * (m + self.n)
+        # measured solves take at most 0.56 (m + n) rounds; past the budget a
+        # corrupted inverse or cycling would spin without end
+        budget = 50 * (m + self.n)
+        iters = 0
+        cb = self._objvec(basis, c_struct, phase)
+        has_slack = self.slack_sign.nonzero()[0]
+        cs = c_struct if phase == 2 else np.zeros(self.n)
+        # the pivot loop calls array methods, not np.argmax and np.nonzero,
+        # whose wrappers cost about 1 us a call: 8% of the LP time on LPs of
+        # a few dozen rows
+        while True:
+            iters += 1
+            if iters > budget:
+                raise RuntimeError(f"simplex phase {phase} made {budget} pricing rounds "
+                                   f"without reaching optimality (m={m}, n={self.n})")
+            y = cb @ binv
+            rc = cs - y @ self.A
+            rc[self.fixed_zero] = -np.inf
+            best_q = -1
+            best_rc = OPT_TOL
+            if bland:
+                cand = np.nonzero(rc > OPT_TOL)[0]
+                if cand.size:
+                    best_q = int(cand[0])
+                    best_rc = rc[best_q]
+            else:
+                q = int(rc.argmax())
+                if rc[q] > best_rc:
+                    best_q, best_rc = q, rc[q]
+            # slack columns: reduced cost is -y_i * sign_i
+            if has_slack.size:
+                rs = -y[has_slack] * self.slack_sign[has_slack]
+                if bland:
+                    good = np.nonzero(rs > OPT_TOL)[0]
+                    if good.size:
+                        i = int(has_slack[good[0]])
+                        enc = self.n + 2 * i
+                        if best_q < 0 or enc < best_q or best_q >= self.n:
+                            best_q, best_rc = enc, rs[good[0]]
+                else:
+                    k = int(rs.argmax())
+                    if rs[k] > best_rc:
+                        best_q = self.n + 2 * int(has_slack[k])
+                        best_rc = rs[k]
+            if best_q < 0:
+                nb = self._factorize(basis) if self._refactor_due(basis, binv, True) else None
+                if nb is None:
+                    break
+                binv, xb = nb, nb @ self.b
+                xb[np.abs(xb) < 1e-12] = 0.0
+                continue
+            q = best_q
+            d = binv @ self._column(q)
+            pos = d > PIVOT_TOL
+            if not pos.any():
+                raise UnboundedError("LP is unbounded (internal error)")
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(pos, np.maximum(xb, 0.0) / np.where(pos, d, 1.0), np.inf)
+            rmin = ratios.min()
+            # ties: artificials leave first, then the smallest code
+            ties = (ratios <= rmin + 1e-12).nonzero()[0]
+            art = self._art_code[basis[ties]]
+            if art.any():
+                ties = ties[art]
+            r = int(ties[basis[ties].argmin()])
+            if rmin < 1e-12:
+                degenerate_count += 1
+                if degenerate_count > bland_threshold:
+                    bland = True
+            else:
+                degenerate_count = 0
+            basis[r] = q
+            cb[r] = cs[q] if q < self.n else 0.0
+            self._pivot(binv, r, d)
+            step = xb[r] / d[r]
+            xb -= step * d
+            xb[r] = step
+            if self._refactor_due(basis, binv, False):
+                nb = self._factorize(basis)
+                if nb is not None:
+                    binv, xb = nb, nb @ self.b
+            xb[np.abs(xb) < 1e-12] = 0.0
+        return basis, binv, xb, iters
 
 
 def assert_same_solve(fast, ref, c):
@@ -455,6 +611,145 @@ class TestDenseReference:
         assert res.lp_pivots == ref.lp_pivots
         # the reference did refactorize on its cadence; the drift checks did not
         assert res.stats["lp_refactorizations"] < ref.stats["lp_refactorizations"]
+
+
+class TestParentPricing:
+    """``Simplex`` against ``ParentPricing``: equal ``x``, basis and
+    iteration count on every solve."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_lps(self, seed):
+        n, rows, c = random_local_lp(seed)
+        assert_same_solve(Simplex(n, rows), ParentPricing(n, rows), c)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_warm_start_sequences(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n, rows, c = random_local_lp(seed)
+        fast, ref = Simplex(n, rows), ParentPricing(n, rows)
+        for _ in range(20):
+            assert_same_solve(fast, ref, c + 0.1 * rng.normal(size=n))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cut_sequences(self, seed):
+        """``<=`` cuts at each vertex add slack columns to price."""
+        n, rows, c = random_local_lp(seed)
+        fast, ref = Simplex(n, rows), ParentPricing(n, rows)
+        for _ in range(4):
+            x = assert_same_solve(fast, ref, c).x
+            top = np.argsort(-x, kind="stable")[:2]
+            cut = Row.make({int(j): 1.0 for j in top}, "<=", 0.7 * float(x[top].sum()))
+            fast.add_rows([cut])
+            ref.add_rows([cut])
+        assert fast.m == len(rows) + 4
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fixed_zero(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        n, rows, c = random_local_lp(seed)
+        fixed = np.arange(n) % 3 == 1
+        fast, ref = Simplex(n, rows, fixed), ParentPricing(n, rows, fixed)
+        for _ in range(5):
+            x = assert_same_solve(fast, ref, c + 0.3 * rng.normal(size=n)).x
+            assert (x[fixed] == 0.0).all()
+
+    @pytest.mark.parametrize("name", sorted(CYCLING_LPS))
+    def test_cycling_lps(self, name):
+        rows, c, _x_opt = CYCLING_LPS[name]
+        fast, ref = Simplex(4, rows), ParentPricing(4, rows)
+        a, flags = _bland_flags(lambda: fast.solve(np.array(c)))
+        b, ref_flags = _bland_flags(lambda: ref.solve(np.array(c)), ParentPricing)
+        assert flags == ref_flags == [False, True]
+        assert (a.x.tobytes(), a.iterations) == (b.x.tobytes(), b.iterations)
+        assert fast._basis.tobytes() == ref._basis.tobytes()
+
+    @pytest.mark.parametrize("name", CLEANUP_LPS)
+    def test_phase1_cleanup(self, name):
+        rows, c, _x_opt, _kept, added, c2 = CLEANUP_LPS[name]
+        fast, ref = Simplex(2, rows), ParentPricing(2, rows)
+        assert_same_solve(fast, ref, np.array(c))
+        fast.add_rows([added])
+        ref.add_rows([added])
+        assert_same_solve(fast, ref, np.array(c2))
+        assert fast.phase1_runs == ref.phase1_runs == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_large_lps(self, seed):
+        """Pivots of random magnitude on 71 rows, slack columns of both
+        signs, and a warm sequence after a cut."""
+        rng = np.random.default_rng(400 + seed)
+        n, rows, c = random_large_lp(seed)
+        fast, ref = Simplex(n, rows), ParentPricing(n, rows)
+        assert fast.m >= 64 and (fast.slack_sign < 0).any()
+        x = assert_same_solve(fast, ref, c).x
+        top = int(np.argmax(x))
+        cut = Row.make({top: 1.0}, "<=", 0.5 * x[top])
+        fast.add_rows([cut])
+        ref.add_rows([cut])
+        for _ in range(6):
+            assert_same_solve(fast, ref, c + 0.3 * rng.normal(size=n))
+
+    @pytest.mark.parametrize("rows, basis, c, x, after", [
+        # the last slack starts at -5e-8, within FEAS_TOL: entering x1 ties
+        # both slacks at ratio 0 through max(xb, 0), and the smaller code leaves
+        ([Row.make({0: 1.0}, "=", 1.0), Row.make({0: 1.0, 1: 1.0}, "<=", 1.0),
+          Row.make({0: 1.0, 1: 1.0, 2: 1.0}, "<=", 1.0 - 5e-8)],
+         [0, 5, 7], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0, 1, 7]),
+        # x0 starts at 5e-13, below the 1e-12 at which xb is cleaned to 0,
+        # and the start is optimal
+        ([Row.make({0: 1.0}, "=", 5e-13), Row.make({0: 1.0, 1: 1.0}, "<=", 1.0)],
+         [0, 4], [1.0, 0.0], [0.0, 0.0], [0, 4]),
+    ], ids=["slack-below-zero", "basic-near-zero"])
+    def test_held_basis_near_zero(self, rows, basis, c, x, after):
+        """A held basis accepted within the feasibility tolerance: its
+        ``binv @ b``, handed from the feasibility test to the pricing
+        rounds, is cleaned and clamped as when recomputed there."""
+        fast, ref = (cls(len(c), rows, None, basis) for cls in (Simplex, ParentPricing))
+        assert assert_same_solve(fast, ref, np.array(c)).x.tolist() == x
+        assert fast._basis.tolist() == after and fast.phase1_runs == 0
+
+    def test_ground_local_lp(self):
+        """A cold solve (phase 1 on 210 rows), 12 warm solves, then three
+        cuts that cut off the vertex."""
+        system, c, _ = ground_local_lp()
+        fast, ref = (cls(system.n_vars, system.cs.rows, system.fixed_zero)
+                     for cls in (Simplex, ParentPricing))
+        res = assert_same_solve(fast, ref, c)
+        rng = np.random.default_rng(9)
+        for _ in range(12):
+            res = assert_same_solve(fast, ref, c + 0.5 * rng.normal(size=c.size))
+        top = np.argsort(-res.x, kind="stable")[:3]
+        cuts = [Row.make({int(j): 1.0}, "<=", 0.5 * res.x[j]) for j in top]
+        fast.add_rows(cuts)
+        ref.add_rows(cuts)
+        assert_same_solve(fast, ref, c)
+        assert fast.m >= 64 and fast.phase1_runs == ref.phase1_runs >= 2
+        assert fast.refactorizations == ref.refactorizations
+
+    @pytest.mark.parametrize("name, n, w, outer, ground", [
+        ("clique_cycle", 10, 0.5, "cycle+exch", False),
+        ("friends_smokers", 10, 1.0, "local+exch", False),   # fixed zeros, phase 1
+        ("complete_graph", 12, -1.0, "local", True),
+    ])
+    def test_solves(self, monkeypatch, name, n, w, outer, ground):
+        """Whole solves give the same bound, ``tau``, pivots and cuts."""
+        g = build(name, n, w)
+        lg = lt.compute_orbits(g)
+        rho = lt.init_rho_uniform(lg)
+
+        def run():
+            if ground:
+                return lt.ground_trw(g, expand_rho(lg, rho), outer=outer, tol=1e-4,
+                                     max_iters=15, polish=False)
+            return lt.frank_wolfe(lg, outer=outer, rho=rho, tol=1e-5, max_iters=200)
+
+        res = run()
+        monkeypatch.setattr(trw, "Simplex", ParentPricing)
+        ref = run()
+        assert np.float64(res.bound).tobytes() == np.float64(ref.bound).tobytes()
+        assert res.tau.tobytes() == ref.tau.tobytes()
+        assert (res.lp_pivots, res.n_cuts) == (ref.lp_pivots, ref.n_cuts)
+        assert res.stats["lp_phase1_runs"] == ref.stats["lp_phase1_runs"]
 
 
 class TestDrift:

@@ -334,12 +334,13 @@ class TestFrankWolfe:
         counters, all of the one solve a call makes: a ``+exch`` solve with
         clusters builds one outer system, counts its own LP solves and pivots,
         reports the residual of the ``tau`` it returns, and each separation
-        call either searches from or prunes each source."""
+        call either searches from or prunes each source; the phase-1 counters
+        are those of its LP's phase-1 runs."""
         lg = lt.compute_orbits(build("clique_cycle", 4, 0.5))
         rho = lt.init_rho_uniform(lg)
-        built, lp_iterations, separations = [], [], []
+        built, lp_iterations, separations, phase1_rounds = [], [], [], []
         build_system, lp_solve = trw.build_outer_system, Simplex.solve
-        separate = trw.separate_cycles
+        separate, phase1 = trw.separate_cycles, Simplex._phase1
 
         def build_recorded(lg, outer):
             built.append(outer)
@@ -354,14 +355,20 @@ class TestFrankWolfe:
             separations.append(args[1])
             return separate(*args)
 
+        def phase1_recorded(self):
+            out = phase1(self)
+            phase1_rounds.append(out[2])
+            return out
+
         with monkeypatch.context() as mp:
             mp.setattr(trw, "build_outer_system", build_recorded)
             mp.setattr(Simplex, "solve", solve_recorded)
             mp.setattr(trw, "separate_cycles", separate_recorded)
+            mp.setattr(Simplex, "_phase1", phase1_recorded)
             res = frank_wolfe(lg, outer="cycle+exch", rho=rho, tol=1e-5, max_iters=200)
         timings = {"lp_s", "separate_s", "line_search_s", "polish_s"}
-        counters = {"lp_solves", "lp_refactorizations", "polish_tries",
-                    "polish_adopted", "polish_faces", "polish_face_failures",
+        counters = {"lp_solves", "lp_refactorizations", "lp_phase1_runs", "lp_phase1_rounds",
+                    "polish_tries", "polish_adopted", "polish_faces", "polish_face_failures",
                     "cycle_searches", "cycle_pruned"}
         assert set(res.stats) == timings | counters | {"eq_residual"}
         assert all(type(res.stats[k]) is float and res.stats[k] >= 0.0 for k in timings)
@@ -384,11 +391,35 @@ class TestFrankWolfe:
         assert res.stats["lp_solves"] >= res.iterations
         assert 0 < res.stats["polish_adopted"] <= res.stats["polish_tries"]
         assert res.stats["lp_refactorizations"] >= 1
+        assert phase1_rounds and (res.stats["lp_phase1_runs"], res.stats["lp_phase1_rounds"]) == (
+            len(phase1_rounds), sum(phase1_rounds))
         n_sources = len(lt.polytope._mirror_graph(lg).sources)
         assert n_sources > 0 and separations
         assert (res.stats["cycle_searches"] + res.stats["cycle_pruned"]
                 == n_sources * len(separations))
         assert res.stats["cycle_pruned"] > 0
+
+    @pytest.mark.parametrize("name, n, w, outer, ground, runs, rounds, pivots", [
+        # the ground local LP starts from its crash basis
+        ("complete_graph", 12, -1.0, "local", True, 0, 0, 483),
+        # structural zeros leave no crash basis: the first solve runs phase 1
+        ("friends_smokers", 10, 1.0, "local+exch", False, 1, 35, 36),
+        # cut rows that cut off the held vertex restart phase 1
+        ("clique_cycle", 10, 0.5, "cycle+exch", False, 5, 143, 228),
+    ])
+    def test_phase1_counts(self, name, n, w, outer, ground, runs, rounds, pivots):
+        """Phase-1 runs and their pricing rounds, pinned on three bench cells
+        (without the bench's W jitter)."""
+        g = build(name, n, w)
+        lg = lt.compute_orbits(g)
+        rho = lt.init_rho_uniform(lg)
+        if ground:
+            res = lt.ground_trw(g, expand_rho(lg, rho), outer=outer, tol=1e-4, max_iters=15,
+                                polish=False)
+        else:
+            res = frank_wolfe(lg, outer=outer, rho=rho, tol=1e-5, max_iters=200)
+        assert (res.stats["lp_phase1_runs"], res.stats["lp_phase1_rounds"],
+                res.lp_pivots) == (runs, rounds, pivots)
 
     @pytest.mark.parametrize("weights", [(3, 2, 6, 5, 4, 1), (5, 6, 2, 4, 1, 3),
                                          (1, 3, 5, 6, 2, 4)])
