@@ -103,7 +103,7 @@ class Simplex:
     scratch, ``phase1_runs`` the solves that ran phase 1 and
     ``phase1_rounds`` the pricing rounds of those phase-1 runs.  A
     ``fixed_zero`` mask of other than ``n_vars`` entries raises
-    ``ValueError``.
+    ``ValueError``, as does a row with a non-finite entry.
     """
 
     def __init__(self, n_vars, rows, fixed_zero=None, basis=None):
@@ -133,10 +133,11 @@ class Simplex:
 
     def _build(self, rows):
         """Append ``rows`` to the matrix; a row of negative right-hand side
-        is stored negated.  Rows already held are copied, not walked."""
+        is stored negated.  Rows already held are copied, not walked.  A row
+        with a non-finite coefficient or right-hand side raises
+        ``ValueError`` and leaves the matrix as it was."""
         n, first = self.n, self.m
         m = first + len(rows)
-        self.m = m
         A = np.zeros((m, n), order="F")
         A[:first] = self.A
         b = np.zeros(m)
@@ -150,6 +151,11 @@ class Simplex:
             b[i] = sign * row.rhs
             if row.rel == "<=":
                 slack_sign[i] = sign
+        bad = ~(np.isfinite(A[first:]).all(axis=1) & np.isfinite(b[first:]))
+        if bad.any():
+            raise ValueError(f"row {first + int(bad.argmax())} has a non-finite "
+                             "coefficient or right-hand side")
+        self.m = m
         self.A = A
         self.b = b
         self.slack_sign = slack_sign
@@ -266,22 +272,27 @@ class Simplex:
     def _iterate(self, c_struct, basis, binv, phase, xb=None):
         """Pricing rounds from ``basis`` to optimality; ``xb`` is
         ``binv @ self.b`` when the caller has it already."""
-        m = self.m
+        m, n = self.m, self.n
         if xb is None:
             xb = binv @ self.b
         xb[np.abs(xb) < 1e-12] = 0.0
         degenerate_count = 0
         bland = False
-        bland_threshold = 10 * (m + self.n)
+        bland_threshold = 10 * (m + n)
         # measured solves take at most 0.56 (m + n) rounds; past the budget a
         # corrupted inverse or cycling would spin without end
-        budget = 50 * (m + self.n)
+        budget = 50 * (m + n)
         iters = 0
         cb = self._objvec(basis, c_struct, phase)
         fixed = self.fixed_zero.nonzero()[0]
-        has_slack = self.slack_sign.nonzero()[0]
-        slack_sign = self.slack_sign[has_slack]
-        cs = c_struct if phase == 2 else np.zeros(self.n)
+        slack_rows = self.slack_sign.nonzero()[0]
+        neg_sign = -self.slack_sign[slack_rows]
+        cs = c_struct if phase == 2 else np.zeros(n)
+        # one reduced cost per candidate column, structural columns first,
+        # then the slacks in row order: the code of entry k is enter_codes[k]
+        rc = np.empty(n + slack_rows.size)
+        rc_struct, rc_slack = rc[:n], rc[n:]
+        enter_codes = np.concatenate([np.arange(n), n + 2 * slack_rows])
         # the pivot loop calls array methods, not np.argmax and np.nonzero,
         # whose wrappers cost about 1 us a call: 8% of the LP time on LPs of
         # a few dozen rows.  Besides the three products with binv and A, a
@@ -291,45 +302,23 @@ class Simplex:
             iters += 1
             if iters > budget:
                 raise RuntimeError(f"simplex phase {phase} made {budget} pricing rounds "
-                                   f"without reaching optimality (m={m}, n={self.n})")
+                                   f"without reaching optimality (m={m}, n={n})")
             y = cb @ binv
-            rc = cs - y @ self.A
+            np.subtract(cs, y @ self.A, out=rc_struct)
+            if slack_rows.size:
+                np.multiply(y[slack_rows], neg_sign, out=rc_slack)
             if fixed.size:
                 rc[fixed] = -np.inf
-            best_q = -1
-            best_rc = OPT_TOL
-            if bland:
-                cand = np.nonzero(rc > OPT_TOL)[0]
-                if cand.size:
-                    best_q = int(cand[0])
-                    best_rc = rc[best_q]
-            else:
-                q = int(rc.argmax())
-                if rc[q] > best_rc:
-                    best_q, best_rc = q, rc[q]
-            # slack columns: reduced cost is -y_i * sign_i
-            if has_slack.size:
-                rs = -y[has_slack] * slack_sign
-                if bland:
-                    good = np.nonzero(rs > OPT_TOL)[0]
-                    if good.size:
-                        i = int(has_slack[good[0]])
-                        enc = self.n + 2 * i
-                        if best_q < 0 or enc < best_q or best_q >= self.n:
-                            best_q, best_rc = enc, rs[good[0]]
-                else:
-                    k = int(rs.argmax())
-                    if rs[k] > best_rc:
-                        best_q = self.n + 2 * int(has_slack[k])
-                        best_rc = rs[k]
-            if best_q < 0:
+            # Dantzig: the largest reduced cost; Bland: the first positive
+            k = (rc > OPT_TOL).argmax() if bland else rc.argmax()
+            if not rc[k] > OPT_TOL:
                 nb = self._factorize(basis) if self._refactor_due(basis, binv, True) else None
                 if nb is None:
                     break
                 binv, xb = nb, nb @ self.b
                 xb[np.abs(xb) < 1e-12] = 0.0
                 continue
-            q = best_q
+            q = int(enter_codes[k])
             d = binv @ self._column(q)
             pos = (d > PIVOT_TOL).nonzero()[0]
             if not pos.size:
@@ -353,7 +342,7 @@ class Simplex:
             else:
                 degenerate_count = 0
             basis[r] = q
-            cb[r] = cs[q] if q < self.n else 0.0
+            cb[r] = cs[q] if q < n else 0.0
             self._pivot(binv, r, d)
             step = xb[r] / d[r]
             xb -= step * d
@@ -374,17 +363,17 @@ class Simplex:
         infeas = float(xb[self._art_code[basis]].sum())
         if infeas > 1e-7:
             raise InfeasibleError(f"phase 1 residual {infeas:.3e}")
-        # pivot remaining artificials out where the row is not redundant
+        # pivot remaining artificials out where the row is not redundant: the
+        # first candidate in _iterate's pricing order, structural then slack
+        n = self.n
         for r in np.flatnonzero(self._art_code[basis]):
             row_vals = binv[r] @ self.A
             row_vals[self.fixed_zero] = 0.0
-            cand = np.nonzero(np.abs(row_vals) > 1e-7)[0]
+            cand = np.flatnonzero(np.abs(np.concatenate([row_vals, binv[r] * self.slack_sign]))
+                                  > 1e-7)
             if cand.size:
-                q = int(cand[0])
-            else:
-                cand = np.flatnonzero(np.abs(binv[r] * self.slack_sign) > 1e-7)
-                q = self.n + 2 * int(cand[0]) if cand.size else -1
-            if q >= 0:
+                k = int(cand[0])
+                q = k if k < n else n + 2 * (k - n)
                 basis[r] = q
                 self._pivot(binv, r, binv @ self._column(q))
         return basis, binv, it1

@@ -370,6 +370,8 @@ class GroundModelBuilder:
         if theta.shape != self.theta_node[i].shape:
             raise ModelError(f"node theta has shape {theta.shape}, "
                              f"expected {self.theta_node[i].shape}")
+        if not np.isfinite(theta).all():
+            raise ModelError(f"node {i} theta has a non-finite entry")
         self.theta_node[i] += theta
 
     def add_edge_theta(self, u, v, theta, tag=None, structural_zero=None, provenance=None):
@@ -378,7 +380,8 @@ class GroundModelBuilder:
         ``theta`` and ``structural_zero`` are indexed by the values of ``u``
         then ``v``, so both must have shape ``(n_values(u), n_values(v))``.
         An edge from a node to itself is refused, as ``ground`` makes none,
-        and so is re-adding an edge with another ``tag``.
+        and so are re-adding an edge with another ``tag`` and a ``theta``
+        with a non-finite entry.
         """
         if u == v:
             raise ModelError(f"edge ({u}, {v}) joins a node to itself")
@@ -387,6 +390,8 @@ class GroundModelBuilder:
         for what, arr in (("theta", theta), ("structural zero", structural_zero)):
             if arr is not None and np.shape(arr) != shape:
                 raise ModelError(f"edge {what} has shape {np.shape(arr)}, expected {shape}")
+        if not np.isfinite(theta).all():
+            raise ModelError(f"edge ({u}, {v}) theta has a non-finite entry")
         key = (u, v) if u <= v else (v, u)
         k = self.edge_index.get(key)
         if k is None:

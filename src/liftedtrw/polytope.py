@@ -168,11 +168,13 @@ class _MirrorGraph:
     """The two-layer mirror graph of a model's binary subgraph, minus weights.
 
     Ground node ``a`` has copies ``2a`` (layer 0) and ``2a + 1`` (layer 1).
-    ``pairs`` holds the binary edges' ground endpoints and ``var01``/``var10``
-    each binary edge's two disagreement variables.  :attr:`adj` lists
-    ``(node, edge, crossing)`` per copy, where ``edge`` indexes the binary
-    edges and ``crossing`` says the step switches layers; it is built on the
-    first ground search.
+    ``pairs`` holds the binary edges' ground endpoints and ``pair_orbit``
+    each one's binary edge orbit, an index into ``edge_orbits`` (the edge
+    orbit ids that hold a binary edge, ascending) and into ``orbit_vars``
+    (per such orbit its two disagreement variables, the ``(0, 1)`` and
+    ``(1, 0)`` entries of its variable map).  :attr:`adj` lists ``(node,
+    orbit, crossing)`` per copy, where ``crossing`` says the step switches
+    layers; it is built on the first ground search.
 
     ``sources`` holds one ground node per node orbit that touches a binary
     edge, the orbit's lowest id, in ascending order.  It is empty when the
@@ -182,24 +184,21 @@ class _MirrorGraph:
     The subgraph is a forest when its edges number its nodes minus its
     ground components, all three read off the orbits that touch a binary
     edge (:func:`~liftedtrw.symmetry.count_components`).
-
-    ``orbit_edge`` maps each binary edge orbit to one of its binary edges,
-    whose weights price every step of the orbit in a quotient graph: ``tau``
-    is constant on orbits, so all of an orbit's edges weigh the same.
     ``quotients`` caches :func:`_quotient` per constant set.
     """
 
     pairs: np.ndarray
-    var01: np.ndarray
-    var10: np.ndarray
+    pair_orbit: np.ndarray
+    edge_orbits: list
+    orbit_vars: np.ndarray
     sources: list
-    orbit_edge: dict
     quotients: dict = field(default_factory=dict)
 
     @functools.cached_property
     def adj(self):
         return _layered_adj(int(self.pairs.max()) + 1,
-                            ((u, v, j) for j, (u, v) in enumerate(self.pairs.tolist())))
+                            ((u, v, o) for (u, v), o in zip(self.pairs.tolist(),
+                                                            self.pair_orbit.tolist())))
 
 
 def _layered_adj(n, edges):
@@ -227,19 +226,14 @@ def _mirror_graph(lg):
     pairs = model.edges[ks]
     ends = np.flatnonzero(np.bincount(pairs.ravel(), minlength=model.n_nodes))
     node_orbits, lowest = np.unique(lg.node_orbit_of[ends], return_index=True)
-    orbits, first, orbit_at = np.unique(lg.edge_orbit_of[ks], return_index=True,
-                                        return_inverse=True)
+    orbits, pair_orbit = np.unique(lg.edge_orbit_of[ks], return_inverse=True)
+    orbits = orbits.tolist()
     n_binary = sum(lg.node_orbits[o].size for o in node_orbits.tolist())
-    forest = len(ks) == n_binary - count_components(lg, node_orbits.tolist(), orbits.tolist())
-    # each edge's disagreement variables, (0, 1) and (1, 0) of its orbit's
-    # map, swapped where the orbit lists the edge backward
-    var01, var10 = (np.array([lg.edge_var_map[o][t, 1 - t] for o in orbits.tolist()],
-                             dtype=np.int64)[orbit_at] for t in (0, 1))
-    backward = lg.edge_backward[ks]
-    lg._mirror = _MirrorGraph(pairs, np.where(backward, var10, var01),
-                              np.where(backward, var01, var10),
-                              [] if forest else np.sort(ends[lowest]).tolist(),
-                              dict(zip(orbits.tolist(), first.tolist())))
+    forest = len(ks) == n_binary - count_components(lg, node_orbits.tolist(), orbits)
+    orbit_vars = np.array([(lg.edge_var_map[o][0, 1], lg.edge_var_map[o][1, 0])
+                           for o in orbits], dtype=np.int64).reshape(-1, 2)
+    lg._mirror = _MirrorGraph(pairs, pair_orbit, orbits, orbit_vars,
+                              [] if forest else np.sort(ends[lowest]).tolist())
     return lg._mirror
 
 
@@ -249,7 +243,8 @@ def _quotient(lg, mg, s):
     The classes are :func:`~liftedtrw.symmetry._pinned_tables`' with the
     constants of ``s`` fixed; class ``c`` has copies ``2c`` and ``2c + 1``,
     joined as ground copies are for each distinct class pair of a binary
-    edge orbit, with that orbit's ``orbit_edge`` as the weight index.
+    edge orbit, with that orbit's index in ``edge_orbits`` as the weight
+    index, as in the ground adjacency.
     Returns the adjacency and the class of ``s``, or None when every class
     is one ground node (the identity lifting): the quotient is then no
     smaller than the ground graph.
@@ -259,7 +254,7 @@ def _quotient(lg, mg, s):
         n_classes, class_of, _, edge_table = _pinned_tables(lg, consts)
         adj = None
         if n_classes < lg.model.n_nodes:
-            adj = _layered_adj(n_classes, ((cu, cv, j) for eid, j in mg.orbit_edge.items()
+            adj = _layered_adj(n_classes, ((cu, cv, o) for o, eid in enumerate(mg.edge_orbits)
                                            for cu, cv in edge_table[eid]))
         mg.quotients[consts] = adj, class_of
     adj, class_of = mg.quotients[consts]
@@ -271,11 +266,14 @@ def separate_cycles(lg, tau, cs, stats=None):
 
     Runs shortest-path separation on the ground graph: a two-layer mirror
     graph where staying in a layer costs the edge disagreement probability and
-    switching layers costs one minus it.  A path from a node's copy in layer 0
-    to its copy in layer 1 shorter than 1 yields a violated inequality, which
-    is projected onto orbit variables and deduplicated against ``cs``.  The
-    ``CUT_BATCH`` most violated new rows are added to ``cs`` and returned,
-    the most violated first.
+    switching layers costs one minus it.  ``tau`` is constant on orbits, so
+    the weights are computed once per binary edge orbit, and every step of
+    a path is labelled by its edge orbit.  A path from a node's copy in
+    layer 0 to its copy in layer 1 shorter than 1 yields a violated
+    inequality in orbit variables, read off the search's parent chain by
+    adding +1 (crossing) or -1 to its step's orbit pair, and deduplicated
+    against ``cs``.  The ``CUT_BATCH`` most violated new rows are added to
+    ``cs`` and returned, the most violated first.
 
     Since ``tau`` is constant on orbits, an automorphism maps a violated
     cycle through any member of a node orbit onto one of the same length
@@ -303,8 +301,9 @@ def separate_cycles(lg, tau, cs, stats=None):
     if not mg.sources:
         return []
     tau = np.asarray(tau)
-    lam = np.clip(tau[mg.var01] + tau[mg.var10], 0.0, 1.0)
+    lam = np.clip(tau[mg.orbit_vars[:, 0]] + tau[mg.orbit_vars[:, 1]], 0.0, 1.0)
     weight = (lam.tolist(), (1.0 - lam).tolist())
+    orbit_vars = mg.orbit_vars.tolist()
 
     cutoff = 1.0 - CYCLE_VIOLATION_TOL
     found = []
@@ -321,13 +320,14 @@ def separate_cycles(lg, tau, cs, stats=None):
         dist, parent = _dijkstra(mg.adj, weight, 2 * s, 2 * s + 1, cutoff)
         if dist is None:
             continue
-        steps = _walk(parent, 2 * s, 2 * s + 1)
         coeffs = {}
         n_cross = 0
-        for j, crossing in steps:
+        cur = 2 * s + 1
+        while cur != 2 * s:
+            cur, o, crossing = parent[cur]
             sign = 1.0 if crossing else -1.0
-            n_cross += int(crossing)
-            for var in (mg.var01[j], mg.var10[j]):
+            n_cross += crossing
+            for var in orbit_vars[o]:
                 coeffs[var] = coeffs.get(var, 0.0) + sign
         row = Row.make(coeffs, "<=", n_cross - 1, tag="cycle")
         key = row.canonical_key()
@@ -376,17 +376,6 @@ def _dijkstra(adj, weight, src, dst, cutoff):
                 if nd < cutoff:
                     heapq.heappush(heap, (nd, v))
     return None, None
-
-
-def _walk(parent, src, dst):
-    steps = []
-    cur = dst
-    while cur != src:
-        prev, k, crossing = parent[cur]
-        steps.append((k, crossing))
-        cur = prev
-    steps.reverse()
-    return steps
 
 
 # ---------------------------------------------------------------------------

@@ -345,6 +345,27 @@ class TestWarmStart:
         with pytest.raises(ValueError, match="fixed_zero"):
             Simplex(3, [Row.make({0: 1, 1: 1, 2: 1}, "<=", 1)], mask)
 
+    @pytest.mark.parametrize("row", [
+        Row.make({0: 1.0, 1: np.nan}, "<=", 1.0),   # gave x = 0 without a word
+        Row.make({0: 1.0, 1: 1.0}, "<=", np.inf),   # gave x = (0, inf)
+        Row.make({0: 1.0, 1: 1.0}, "<=", np.nan),   # IndexError in the ratio test
+    ], ids=["nan-coefficient", "inf-rhs", "nan-rhs"])
+    def test_non_finite_row_raises(self, row):
+        """A row with a non-finite entry is named, at construction and by
+        ``add_rows``, which then leaves the LP and its basis as they were."""
+        held = Row.make({0: 1.0, 1: 1.0}, "<=", 1.0)
+        with pytest.raises(ValueError, match="row 1 has a non-finite"):
+            Simplex(2, [held, row])
+        simplex = Simplex(2, [held])
+        assert simplex.solve([1.0, 2.0]).x.tolist() == [0.0, 1.0]
+        before = (simplex.m, simplex.A.tobytes(), simplex.b.tobytes(),
+                  simplex.slack_sign.tobytes(), simplex._basis.tobytes())
+        with pytest.raises(ValueError, match="row 1 has a non-finite"):
+            simplex.add_rows([row])
+        assert (simplex.m, simplex.A.tobytes(), simplex.b.tobytes(),
+                simplex.slack_sign.tobytes(), simplex._basis.tobytes()) == before
+        assert simplex.solve([1.0, 2.0]).x.tolist() == [0.0, 1.0]
+
 
 class TestInvariants:
     @pytest.mark.parametrize("seed", range(6))

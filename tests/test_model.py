@@ -198,6 +198,21 @@ class TestBuilder:
         np.testing.assert_array_equal(g.theta_edge[0], 2 * theta.T)
         np.testing.assert_array_equal(g.structural_zero[0], zero.T)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_thetas_rejected(self, bad):
+        """A NaN potential passed ``compute_orbits`` (its tie test is False
+        for NaN) and failed only in the first LP; both methods refuse it
+        and leave the model as it was."""
+        b = lt.GroundModelBuilder(range(2))
+        u, v = (b.add_node("atom", "V", (i,), 2) for i in range(2))
+        with pytest.raises(ModelError, match="non-finite"):
+            b.add_node_theta(u, [0.0, bad])
+        with pytest.raises(ModelError, match="non-finite"):
+            b.add_edge_theta(u, v, [[0.0, 1.0], [bad, 0.0]])
+        with pytest.raises(ModelError, match="non-finite"):
+            b.add_edge_theta(v, u, [[0.0, 1.0], [bad, 0.0]], structural_zero=np.eye(2, dtype=bool))
+        g = b.build()
+        assert g.edges.shape == (0, 2) and all(not th.any() for th in g.theta_node)
 
     def test_self_loop_rejected(self):
         """No edge joins a node to itself (as in ``ground``); cluster

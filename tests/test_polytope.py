@@ -14,11 +14,12 @@ import pytest
 import liftedtrw as lt
 from liftedtrw import polytope, trw
 from liftedtrw.lpsolve import Row, Simplex
-from liftedtrw.polytope import (CUT_BATCH, CYCLE_VIOLATION_TOL,
+from liftedtrw.polytope import (CUT_BATCH, CYCLE_VIOLATION_TOL, QUOTIENT_MARGIN,
                                 NotExchangeable, build_outer_system,
                                 detect_exchangeable_clusters,
                                 exchangeable_constraints, lifted_local,
                                 separate_cycles)
+from liftedtrw.symmetry import _pinned_tables
 from conftest import (build, edge_orbit_tags, ground_local_feasible, members,
                       symmetrized_random_moments)
 
@@ -608,22 +609,28 @@ class TestMirrorGraphFromOrbits:
     @pytest.mark.parametrize("label,lg", MIRROR_MODELS, ids=[m[0] for m in MIRROR_MODELS])
     def test_forest_and_variables_match_ground_forms(self, label, lg):
         """The forest test from lifted counts agrees with a union-find over
-        the ground binary edges, and each binary edge's disagreement
-        variables read off its orbit's map are its ground features' (0, 1)
-        and (1, 0) entries under ``feat_to_var``, which the mirror graph
-        never builds."""
+        the ground binary edges; each binary edge is labelled by its edge
+        orbit, whose two disagreement variables read off the orbit's map
+        are, as a set, the edge's ground features' (0, 1) and (1, 0) entries
+        under ``feat_to_var``, which the mirror graph never builds."""
         g = lg.model
         mg = polytope._mirror_graph(lg)
         assert "feat_to_var" not in vars(lg)
         assert (mg.sources == []) == _ground_forest(g)
         ks = [k for k, _u, _v in _binary_edges(g)]
         assert mg.pairs.tolist() == g.edges[ks].tolist()
+        assert mg.edge_orbits == sorted(set(lg.edge_orbit_of[ks].tolist()))
+        assert [mg.edge_orbits[o] for o in mg.pair_orbit] == lg.edge_orbit_of[ks].tolist()
+        assert mg.orbit_vars.shape == (len(mg.edge_orbits), 2)
         start = g.feature_layout()[1][ks]
-        for got, want in ((mg.var01, lg.feat_to_var[start + 1]),
-                          (mg.var10, lg.feat_to_var[start + 2])):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for j, o in enumerate(mg.pair_orbit.tolist()):
+            assert ({int(lg.feat_to_var[start[j] + 1]), int(lg.feat_to_var[start[j] + 2])}
+                    == set(mg.orbit_vars[o].tolist()))
 
     def test_cases_cover_both_decisions_and_orientations(self):
+        """The mixed-orientation square keeps one A-B edge backward; both
+        A-B edges get one label, whose two disagreement variables differ,
+        and its rows are the per-edge reference's."""
         forests = {_ground_forest(lg.model) for _label, lg in MIRROR_MODELS}
         assert forests == {True, False}
         lg = dict(MIRROR_MODELS)["mixed_square"]
@@ -631,7 +638,117 @@ class TestMirrorGraphFromOrbits:
         assert ab[0] == ab[1] and lg.edge_backward[[0, 1]].tolist() in ([True, False],
                                                                        [False, True])
         mg = polytope._mirror_graph(lg)
-        assert mg.sources and mg.var01[0] == mg.var10[1] != mg.var01[1]
+        assert mg.sources and mg.pair_orbit[0] == mg.pair_orbit[1]
+        v01, v10 = mg.orbit_vars[mg.pair_orbit[0]].tolist()
+        assert v01 != v10
+        # the local vertex where A-B and A-A agree and B-B disagrees: a
+        # frustrated square, whose cycle row reads both A-B edges
+        system = build_outer_system(lg, "local")
+        c = np.zeros(system.n_vars)
+        for k, cells in ((0, ((0, 0), (1, 1))), (2, ((0, 0), (1, 1))), (3, ((0, 1), (1, 0)))):
+            for t, h in cells:
+                c[lg.edge_var_map[lg.edge_orbit_of[k]][t, h]] += 1.0
+        x = Simplex(system.n_vars, system.cs.rows, system.fixed_zero).solve(c).x
+        assert _rows_match_parent(lg, [x]) == 1
+
+    @pytest.mark.parametrize("label,lg", MIRROR_MODELS, ids=[m[0] for m in MIRROR_MODELS])
+    def test_rows_match_parent_separation(self, label, lg):
+        """Labelling steps by edge orbit returns the per-edge reference's
+        rows, in its order, and leaves the same constraint system.  Runs
+        on a fresh copy of ``lg``, so the shared one never builds
+        ``feat_to_var``."""
+        lg = dataclasses.replace(lg)
+        _rows_match_parent(lg, TestQuotientPrecheck._points(lg, np.random.default_rng(3)))
+
+
+def _rows_match_parent(lg, points):
+    """Separate two rounds at each point with :func:`separate_cycles` and
+    with :func:`_parent_separation`, each on its own copy of the cycle
+    system; the returned rows, their order and the systems must be equal.
+    Returns the number of rows found."""
+    cs = build_outer_system(lg, "cycle").cs
+    n_rows = 0
+    for tau in points:
+        got_cs, want_cs = copy.deepcopy(cs), copy.deepcopy(cs)
+        for _round in range(2):
+            got = separate_cycles(lg, tau, got_cs)
+            assert got == _parent_separation(lg, tau, want_cs)
+            assert got_cs.rows == want_cs.rows and got_cs._keys == want_cs._keys
+            n_rows += len(got)
+    return n_rows
+
+
+def _parent_separation(lg, tau, cs):
+    """The per-edge cycle separation that :func:`separate_cycles` replaced,
+    kept as the reference for its rows.
+
+    Each binary edge carries its own disagreement variables, the (0, 1) and
+    (1, 0) entries of its orbit's map swapped where the orbit lists the edge
+    backward, and its own weight; a ground step is labelled by its edge and
+    a quotient step by one edge of its orbit (``orbit_edge``).  The sources,
+    the quotient pre-check, the ground search and the ranking are those of
+    :func:`separate_cycles`.
+    """
+    g = lg.model
+    if _ground_forest(g):
+        return []
+    ks = np.array([k for k, _u, _v in _binary_edges(g)], dtype=np.int64)
+    pairs = g.edges[ks]
+    orbits, first, orbit_at = np.unique(lg.edge_orbit_of[ks], return_index=True,
+                                        return_inverse=True)
+    var01, var10 = (np.array([lg.edge_var_map[o][t, 1 - t] for o in orbits.tolist()],
+                             dtype=np.int64)[orbit_at] for t in (0, 1))
+    backward = lg.edge_backward[ks]
+    var01, var10 = np.where(backward, var10, var01), np.where(backward, var01, var10)
+    orbit_edge = dict(zip(orbits.tolist(), first.tolist()))
+    adj = polytope._layered_adj(int(pairs.max()) + 1,
+                                ((u, v, j) for j, (u, v) in enumerate(pairs.tolist())))
+    tau = np.asarray(tau)
+    lam = np.clip(tau[var01] + tau[var10], 0.0, 1.0)
+    weight = (lam.tolist(), (1.0 - lam).tolist())
+
+    cutoff = 1.0 - CYCLE_VIOLATION_TOL
+    found = []
+    seen_keys = set()
+    for s in sorted(_lowest_binary_node_per_orbit(lg).values()):
+        n_classes, class_of, _, edge_table = _pinned_tables(
+            lg, frozenset(g.node_table.consts_of(s)))
+        if n_classes < g.n_nodes:
+            qadj = polytope._layered_adj(n_classes, ((cu, cv, j) for eid, j in orbit_edge.items()
+                                                     for cu, cv in edge_table[eid]))
+            qs = int(class_of[s])
+            if polytope._dijkstra(qadj, weight, 2 * qs, 2 * qs + 1,
+                                  cutoff + QUOTIENT_MARGIN)[0] is None:
+                continue
+        dist, parent = polytope._dijkstra(adj, weight, 2 * s, 2 * s + 1, cutoff)
+        if dist is None:
+            continue
+        steps = []
+        cur = 2 * s + 1
+        while cur != 2 * s:
+            cur, j, crossing = parent[cur]
+            steps.append((j, crossing))
+        coeffs = {}
+        n_cross = 0
+        for j, crossing in reversed(steps):
+            sign = 1.0 if crossing else -1.0
+            n_cross += int(crossing)
+            for var in (var01[j], var10[j]):
+                coeffs[var] = coeffs.get(var, 0.0) + sign
+        row = Row.make(coeffs, "<=", n_cross - 1, tag="cycle")
+        key = row.canonical_key()
+        if key in seen_keys or row in cs:
+            continue
+        violation = sum(c * tau[j] for j, c in row.coeffs) - row.rhs
+        if violation <= CYCLE_VIOLATION_TOL:
+            continue
+        seen_keys.add(key)
+        found.append((violation, row))
+    found.sort(key=lambda t: -t[0])
+    rows = [row for _violation, row in found[:CUT_BATCH]]
+    for row in rows:
+        cs.add(row)
+    return rows
 
 
 class TestQuotientPrecheck:
@@ -664,7 +781,7 @@ class TestQuotientPrecheck:
         exact = name != "ring_pendant"
         n_compared = 0
         for tau in self._points(lg, np.random.default_rng(n)):
-            lam = np.clip(tau[mg.var01] + tau[mg.var10], 0.0, 1.0)
+            lam = np.clip(tau[mg.orbit_vars[:, 0]] + tau[mg.orbit_vars[:, 1]], 0.0, 1.0)
             weight = (lam.tolist(), (1.0 - lam).tolist())
             adj = _ground_mirror(lg, tau)
             for s in _binary_nodes(g):
