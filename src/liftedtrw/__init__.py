@@ -19,9 +19,9 @@ from .model import (ModelError, PairwiseGroundModel, TemplatedModel,
                     GroundModelBuilder, ground, parse_model)
 from .symmetry import (LiftedGraph, TyingViolation, compute_orbits, trivial_lifting,
                        verify_orbits)
-from .polytope import (ConstraintSystem, NotExchangeable, build_outer_system,
-                       detect_exchangeable_clusters, exchangeable_constraints,
-                       lifted_local, separate_cycles, OUTER_CHOICES)
+from .polytope import (NotExchangeable, build_outer_system, detect_exchangeable_clusters,
+                       exchangeable_constraints, lifted_local, separate_cycles,
+                       OUTER_CHOICES)
 from .lpsolve import InfeasibleError, Row, Simplex, UnboundedError
 from .trw import (TrwResult, entropy_coefficients, frank_wolfe, golden_section,
                   gradient, lifted_entropy_bound, lifted_linear_term)
@@ -40,7 +40,7 @@ __all__ = [
     "ground", "parse_model",
     "LiftedGraph", "TyingViolation", "compute_orbits", "trivial_lifting",
     "verify_orbits",
-    "ConstraintSystem", "NotExchangeable", "build_outer_system",
+    "NotExchangeable", "build_outer_system",
     "detect_exchangeable_clusters", "exchangeable_constraints", "lifted_local",
     "separate_cycles", "OUTER_CHOICES",
     "InfeasibleError", "Row", "Simplex", "UnboundedError",

@@ -51,7 +51,6 @@ OPT_TOL = 1e-9
 FEAS_TOL = 1e-7
 REFACTOR_EVERY = 50     # updates between drift checks
 DRIFT_TOL = 1e-9        # largest residual max|B (B^-1 v) - v| kept
-KEY_DIGITS = 12         # decimals of a row's coefficients in its canonical key
 
 
 class InfeasibleError(Exception):
@@ -64,24 +63,22 @@ class UnboundedError(Exception):
 
 @dataclass(frozen=True)
 class Row:
+    """A sparse row; :meth:`make` lists each column once, ascending, so a row
+    is its own key (a set or dict of rows holds each constraint once)."""
+
     coeffs: tuple[tuple[int, float], ...]
     rel: str  # '=' or '<='
     rhs: float
-    tag: str = ""
 
     @staticmethod
-    def make(coeffs, rel, rhs, tag=""):
+    def make(coeffs, rel, rhs):
         """A row from ``{column: coefficient}`` or ``(column, coefficient)``
         pairs; pairs of one column are summed and zero sums dropped."""
         summed = {}
         for j, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
             summed[int(j)] = summed.get(int(j), 0.0) + float(c)
         return Row(tuple(sorted((j, c) for j, c in summed.items() if c != 0.0)),
-                   rel, float(rhs), tag)
-
-    def canonical_key(self):
-        return (tuple((j, round(c, KEY_DIGITS)) for j, c in self.coeffs),
-                self.rel, round(self.rhs, KEY_DIGITS))
+                   rel, float(rhs))
 
 
 @dataclass
@@ -103,7 +100,8 @@ class Simplex:
     scratch, ``phase1_runs`` the solves that ran phase 1 and
     ``phase1_rounds`` the pricing rounds of those phase-1 runs.  A
     ``fixed_zero`` mask of other than ``n_vars`` entries raises
-    ``ValueError``, as does a row with a non-finite entry.
+    ``ValueError``, as does a row with a non-finite entry, a relation other
+    than ``=`` or ``<=`` or a column outside ``[0, n_vars)``.
     """
 
     def __init__(self, n_vars, rows, fixed_zero=None, basis=None):
@@ -134,7 +132,8 @@ class Simplex:
     def _build(self, rows):
         """Append ``rows`` to the matrix; a row of negative right-hand side
         is stored negated.  Rows already held are copied, not walked.  A row
-        with a non-finite coefficient or right-hand side raises
+        with a non-finite coefficient or right-hand side, a relation other
+        than ``=`` or ``<=`` or a column outside ``[0, n)`` raises
         ``ValueError`` and leaves the matrix as it was."""
         n, first = self.n, self.m
         m = first + len(rows)
@@ -145,8 +144,12 @@ class Simplex:
         slack_sign = np.zeros(m)
         slack_sign[:first] = self.slack_sign
         for i, row in enumerate(rows, first):
+            if row.rel not in ("=", "<="):
+                raise ValueError(f"row {i} has relation {row.rel!r}, not '=' or '<='")
             sign = -1.0 if row.rhs < 0 else 1.0
             for j, c in row.coeffs:
+                if not 0 <= j < n:
+                    raise ValueError(f"row {i} has column {j} outside [0, {n})")
                 A[i, j] += sign * c
             b[i] = sign * row.rhs
             if row.rel == "<=":

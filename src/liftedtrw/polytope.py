@@ -7,7 +7,8 @@ Three families of linear constraints over the lifted variables:
   in a two-layer mirror graph and re-expressed in lifted variables; a ground
   search runs only where the same search on the mirror graph quotiented by
   the source's pinned classes, a lower bound on the ground distance that is
-  exact for renaming-group models, finds a path short enough for a cut,
+  exact for renaming-group models, finds a path short enough for a cut;
+  separation returns the violated rows and keeps none,
 * exchangeable: count-distribution consistency rows for clusters of mutually
   interchangeable binary nodes, using auxiliary variables ``c_0..c_n`` that
   approximate the probability of seeing exactly ``k`` ones in the cluster.
@@ -34,35 +35,19 @@ class NotExchangeable(Exception):
     """The node orbit lacks the single flip-symmetric internal edge orbit."""
 
 
-@dataclass
-class ConstraintSystem:
-    """Sparse rows over the lifted variables, deduplicated by canonical key."""
-
-    rows: list[Row] = field(default_factory=list)
-    _keys: set = field(default_factory=set)
-
-    def add(self, row):
-        key = row.canonical_key()
-        if key not in self._keys:
-            self._keys.add(key)
-            self.rows.append(row)
-
-    def __contains__(self, row):
-        return row.canonical_key() in self._keys
-
-
 def lifted_local(lg):
-    """Lifted local-polytope constraints.
+    """Lifted local-polytope constraints, as a list of rows.
 
     Per node orbit one normalization row; per edge orbit, marginalization rows
     obtained by projecting the representative ground edge's rows onto orbit
-    variables (one redundant side row is dropped, and rows that coincide after
-    flip merging are deduplicated).
+    variables.  One redundant side row is dropped, and rows that coincide
+    after flip merging (equal rows, see :class:`~liftedtrw.lpsolve.Row`) are
+    kept once, where they first appear.
     """
-    cs = ConstraintSystem()
+    rows = []
     for orb in lg.node_orbits:
         coeffs = {lg.node_var(orb.id, t): 1.0 for t in range(orb.n_values)}
-        cs.add(Row.make(coeffs, "=", 1.0, tag="local"))
+        rows.append(Row.make(coeffs, "=", 1.0))
     for eo in lg.edge_orbits:
         nu = lg.node_orbits[eo.u_orbit].n_values
         nv = lg.node_orbits[eo.v_orbit].n_values
@@ -73,7 +58,7 @@ def lifted_local(lg):
                 coeffs[v] = coeffs.get(v, 0.0) + 1.0
             nvar = lg.node_var(eo.u_orbit, t)
             coeffs[nvar] = coeffs.get(nvar, 0.0) - 1.0
-            cs.add(Row.make(coeffs, "=", 0.0, tag="local"))
+            rows.append(Row.make(coeffs, "=", 0.0))
         for h in range(nv - 1):
             coeffs = {}
             for t in range(nu):
@@ -81,8 +66,8 @@ def lifted_local(lg):
                 coeffs[v] = coeffs.get(v, 0.0) + 1.0
             nvar = lg.node_var(eo.v_orbit, h)
             coeffs[nvar] = coeffs.get(nvar, 0.0) - 1.0
-            cs.add(Row.make(coeffs, "=", 0.0, tag="local"))
-    return cs
+            rows.append(Row.make(coeffs, "=", 0.0))
+    return list(dict.fromkeys(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +134,13 @@ def exchangeable_constraints(lg, node_orbit_id, c_offset):
     rows = []
     r00 = {c_offset + k: (n - k) * (n - k - 1) / denom for k in range(0, n - 1)}
     r00[v00] = -1.0
-    rows.append(Row.make(r00, "=", 0.0, tag="exchangeable"))
+    rows.append(Row.make(r00, "=", 0.0))
     r11 = {c_offset + k: k * (k - 1) / denom for k in range(2, n + 1)}
     r11[v11] = -1.0
-    rows.append(Row.make(r11, "=", 0.0, tag="exchangeable"))
+    rows.append(Row.make(r11, "=", 0.0))
     r01 = {c_offset + k: k * (n - k) / denom for k in range(1, n)}
     r01[v01] = -1.0
-    rows.append(Row.make(r01, "=", 0.0, tag="exchangeable"))
+    rows.append(Row.make(r01, "=", 0.0))
     return rows, n
 
 
@@ -261,8 +246,8 @@ def _quotient(lg, mg, s):
     return None if adj is None else (adj, int(class_of[s]))
 
 
-def separate_cycles(lg, tau, cs, stats=None):
-    """Find violated lifted cycle inequalities at ``tau`` and add them to ``cs``.
+def separate_cycles(lg, tau, stats=None):
+    """The most violated lifted cycle inequalities at ``tau``.
 
     Runs shortest-path separation on the ground graph: a two-layer mirror
     graph where staying in a layer costs the edge disagreement probability and
@@ -271,18 +256,20 @@ def separate_cycles(lg, tau, cs, stats=None):
     a path is labelled by its edge orbit.  A path from a node's copy in
     layer 0 to its copy in layer 1 shorter than 1 yields a violated
     inequality in orbit variables, read off the search's parent chain by
-    adding +1 (crossing) or -1 to its step's orbit pair, and deduplicated
-    against ``cs``.  The ``CUT_BATCH`` most violated new rows are added to
-    ``cs`` and returned, the most violated first.
+    adding +1 (crossing) or -1 to its step's orbit pair.  The ``CUT_BATCH``
+    most violated distinct rows are returned, the most violated first, each
+    violated at ``tau`` by more than ``CYCLE_VIOLATION_TOL``, and added
+    nowhere: the caller's LP is their only holder.  A ``tau`` that is not
+    1-D with ``lg.n_vars`` or more entries, all finite, raises ``ValueError``.
 
     Since ``tau`` is constant on orbits, an automorphism maps a violated
     cycle through any member of a node orbit onto one of the same length
     through the orbit's source, and a row's projection onto orbit variables
-    is invariant under it.  So one search per node orbit suffices: at a
-    ``tau`` that satisfies the rows of ``cs``, a call returns rows exactly
-    when a search from every ground node would, so a call without rows
-    certifies the same relaxation.  The rows themselves may differ where the
-    other members' searches would break ties along other shortest paths.
+    is invariant under it.  So one search per node orbit suffices: a call
+    returns rows exactly when a search from every ground node would, so a
+    call without rows certifies the same relaxation.  The rows themselves
+    may differ where the other members' searches would break ties along
+    other shortest paths.
 
     Before each ground search the same search runs on the :func:`_quotient`
     of the mirror graph for its source, and the ground search is skipped
@@ -297,17 +284,20 @@ def separate_cycles(lg, tau, cs, stats=None):
     from the ground searches alone.  ``stats``, when given, counts the
     ground searches run (``cycle_searches``) and skipped (``cycle_pruned``).
     """
+    tau = np.asarray(tau)
+    if tau.ndim != 1 or tau.size < lg.n_vars or not np.isfinite(tau).all():
+        raise ValueError(f"tau has shape {tau.shape}; need {lg.n_vars} or more "
+                         "entries, all finite")
     mg = _mirror_graph(lg)
     if not mg.sources:
         return []
-    tau = np.asarray(tau)
     lam = np.clip(tau[mg.orbit_vars[:, 0]] + tau[mg.orbit_vars[:, 1]], 0.0, 1.0)
     weight = (lam.tolist(), (1.0 - lam).tolist())
     orbit_vars = mg.orbit_vars.tolist()
 
     cutoff = 1.0 - CYCLE_VIOLATION_TOL
     found = []
-    seen_keys = set()
+    seen = set()
     searches = pruned = 0
     for s in mg.sources:
         quotient = _quotient(lg, mg, s)
@@ -329,24 +319,20 @@ def separate_cycles(lg, tau, cs, stats=None):
             n_cross += crossing
             for var in orbit_vars[o]:
                 coeffs[var] = coeffs.get(var, 0.0) + sign
-        row = Row.make(coeffs, "<=", n_cross - 1, tag="cycle")
-        key = row.canonical_key()
-        if key in seen_keys or row in cs:
+        row = Row.make(coeffs, "<=", n_cross - 1)
+        if row in seen:
             continue
         violation = sum(c * tau[j] for j, c in row.coeffs) - row.rhs
         if violation <= CYCLE_VIOLATION_TOL:
             continue
-        seen_keys.add(key)
+        seen.add(row)
         found.append((violation, row))
     if stats is not None:
         stats["cycle_searches"] += searches
         stats["cycle_pruned"] += pruned
 
     found.sort(key=lambda t: -t[0])
-    rows = [row for _violation, row in found[:CUT_BATCH]]
-    for row in rows:
-        cs.add(row)
-    return rows
+    return [row for _violation, row in found[:CUT_BATCH]]
 
 
 def _dijkstra(adj, weight, src, dst, cutoff):
@@ -387,12 +373,13 @@ OUTER_CHOICES = ("local", "cycle", "local+exch", "cycle+exch")
 
 @dataclass
 class OuterSystem:
-    """A constraint system plus metadata for one outer-bound choice."""
+    """The starting rows of one outer bound, the local rows and for ``+exch``
+    the cluster rows, plus metadata.  A solve adds cycle rows to its LP alone."""
 
     lg: object
     outer: str
     n_vars: int
-    cs: ConstraintSystem
+    rows: list[Row]
     fixed_zero: np.ndarray
     clusters: list[Cluster]
     use_cycles: bool
@@ -419,14 +406,14 @@ class OuterSystem:
         return x
 
 
-def crash_basis(lg, cs):
+def crash_basis(lg, rows):
     """A feasible starting basis for a pure local system, or None.
 
     Encodes the vertex of the all-zeros assignment: per node orbit the
     value-0 variable, per edge orbit the first row and first column of the
     value grid.  The simplex takes it at construction and extends it with
     the start codes of rows added later, so it also serves a system that
-    gains cuts before its first solve.  None when ``cs`` holds more than the
+    gains cuts before its first solve.  None when ``rows`` are more than the
     local rows or a structural zero is present (auxiliary-node systems start
     from phase 1).
     """
@@ -441,41 +428,40 @@ def crash_basis(lg, cs):
         block = {lg.edge_var(eo.id, 0, h) for h in range(nv)}
         block |= {lg.edge_var(eo.id, t, 0) for t in range(1, nu)}
         cols.extend(sorted(block))
-    if len(cols) != len(cs.rows) or len(set(cols)) != len(cols):
+    if len(cols) != len(rows) or len(set(cols)) != len(cols):
         return None
     return cols
 
 
 def build_outer_system(lg, outer):
-    """Assemble the constraint system for one of the four outer bounds.
+    """Assemble the starting rows for one of the four outer bounds.
 
     The local rows are built on first use and cached on ``lg``; each system
-    gets its own copy of them, so rows added to one never reach another.
+    gets its own list of them, so a row appended to one never reaches another.
     """
     if outer not in OUTER_CHOICES:
         raise ValueError(f"outer must be one of {OUTER_CHOICES}, got {outer!r}")
     local = getattr(lg, "_local", None)
     if local is None:
         local = lg._local = lifted_local(lg)
-    cs = ConstraintSystem(list(local.rows), set(local._keys))
+    rows = list(local)
     n_vars = lg.n_vars
     clusters = []
     if outer.endswith("+exch"):
         for cl in detect_exchangeable_clusters(lg):
-            rows, n = exchangeable_constraints(lg, cl.node_orbit, n_vars)
+            cl_rows, n = exchangeable_constraints(lg, cl.node_orbit, n_vars)
             clusters.append(Cluster(cl.node_orbit, cl.edge_orbit, cl.size, n_vars))
             n_vars += n + 1
-            for row in rows:
-                cs.add(row)
+            rows += cl_rows
     fixed_zero = np.concatenate(
         [lg.structural_zero_var, np.zeros(n_vars - lg.n_vars, dtype=bool)])
     return OuterSystem(
         lg=lg,
         outer=outer,
         n_vars=n_vars,
-        cs=cs,
+        rows=rows,
         fixed_zero=fixed_zero,
         clusters=clusters,
         use_cycles=outer.startswith("cycle"),
-        start_basis=None if clusters else crash_basis(lg, cs),
+        start_basis=None if clusters else crash_basis(lg, rows),
     )

@@ -370,7 +370,7 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
 
     system = build_outer_system(lg, outer)
     obj = TrwObjective(lg, rho, system.n_vars)
-    simplex = Simplex(system.n_vars, system.cs.rows, system.fixed_zero, system.start_basis)
+    simplex = Simplex(system.n_vars, system.rows, system.fixed_zero, system.start_basis)
     tau = system.uniform_point()
 
     iteration_trace = []
@@ -380,15 +380,16 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
     gap = math.inf
     it = 0
     clean_vertices = set()
-    n_built = len(system.cs.rows)
+    n_built = simplex.m
     kkt_dim = system.n_vars - int(system.fixed_zero.sum()) + n_built
     may_polish = polish and kkt_dim <= POLISH_SIZE_CAP
     stats = _new_stats()
 
     def add_cuts(x):
-        """Separate cycle rows at ``x`` into the LP; report whether any were new."""
+        """Add the cycle rows violated at ``x`` to the LP, their only holder;
+        report whether there were any."""
         t = clock()
-        new_rows = separate_cycles(lg, x, system.cs, stats) if system.use_cycles else []
+        new_rows = separate_cycles(lg, x, stats) if system.use_cycles else []
         stats["separate_s"] += clock() - t
         if new_rows:
             t = clock()
@@ -454,7 +455,7 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
 
     while not converged and it < max_iters:
         it += 1
-        pivots_before, rows_before = pivots, len(system.cs.rows)
+        pivots_before, rows_before = pivots, simplex.m
         polished = moved = may_polish and attempt_polish(gap if math.isfinite(gap) else 1.0)
 
         gvec = obj.grad(tau)
@@ -473,7 +474,7 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
                 F = flam
                 moved = True
                 record["step"] = lam
-        record.update(pivots=pivots - pivots_before, cuts=len(system.cs.rows) - rows_before,
+        record.update(pivots=pivots - pivots_before, cuts=simplex.m - rows_before,
                       polish_adopted=polished)
         iteration_trace.append(record)
 
@@ -499,7 +500,7 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
         rho=rho,
         millis=(clock() - t_start) * 1000.0,
         lp_pivots=pivots,
-        n_cuts=len(system.cs.rows) - n_built,
+        n_cuts=simplex.m - n_built,
         cluster_counts=clusters,
         stats=stats,
     )

@@ -96,14 +96,14 @@ class TestSolve:
         equals the ground local LP optimum."""
         lg = ring_lifted
         g = ring_model
-        cs = lt.lifted_local(lg)
+        rows = lt.lifted_local(lg)
         theta_bar = lg.lifted_theta
-        res = Simplex(lg.n_vars, cs.rows, lg.structural_zero_var).solve(theta_bar)
+        res = Simplex(lg.n_vars, rows, lg.structural_zero_var).solve(theta_bar)
 
         from liftedtrw.symmetry import trivial_lifting
         lg0 = trivial_lifting(g)
-        cs0 = lt.lifted_local(lg0)
-        ref = scipy_reference(lg0.n_vars, cs0.rows, g.theta_vector())
+        rows0 = lt.lifted_local(lg0)
+        ref = scipy_reference(lg0.n_vars, rows0, g.theta_vector())
         assert abs(res.objective - ref) < 1e-7
 
     def test_infeasible_detected(self):
@@ -296,12 +296,12 @@ class TestWarmStart:
         the bytes of a fresh simplex of all rows given the extended basis."""
         system, c, crash = ground_local_lp()
         n = system.n_vars
-        lp = Simplex(n, system.cs.rows, system.fixed_zero, crash)
+        lp = Simplex(n, system.rows, system.fixed_zero, crash)
         cuts = [Row.make({j: 1.0, j + 1: 1.0}, "<=", 1.5) for j in range(0, 9, 3)]
         lp.add_rows(cuts)
         extended = np.concatenate([crash, n + 2 * np.arange(len(crash), lp.m)])
         assert lp._basis.tobytes() == extended.tobytes()
-        fresh = Simplex(n, system.cs.rows + cuts, system.fixed_zero, extended)
+        fresh = Simplex(n, system.rows + cuts, system.fixed_zero, extended)
 
         def no_phase1(self):
             raise AssertionError("phase 1 ran")
@@ -310,7 +310,7 @@ class TestWarmStart:
         a, b = lp.solve(c), fresh.solve(c)
         assert a.x.tobytes() == b.x.tobytes()
         assert a.iterations == b.iterations
-        assert abs(a.objective - scipy_reference(n, system.cs.rows + cuts, c)) < 1e-8
+        assert abs(a.objective - scipy_reference(n, system.rows + cuts, c)) < 1e-8
 
     @pytest.mark.parametrize("codes", [
         lambda n, m: range(m - 1),              # one code short
@@ -353,18 +353,62 @@ class TestWarmStart:
     def test_non_finite_row_raises(self, row):
         """A row with a non-finite entry is named, at construction and by
         ``add_rows``, which then leaves the LP and its basis as they were."""
-        held = Row.make({0: 1.0, 1: 1.0}, "<=", 1.0)
-        with pytest.raises(ValueError, match="row 1 has a non-finite"):
-            Simplex(2, [held, row])
-        simplex = Simplex(2, [held])
-        assert simplex.solve([1.0, 2.0]).x.tolist() == [0.0, 1.0]
-        before = (simplex.m, simplex.A.tobytes(), simplex.b.tobytes(),
-                  simplex.slack_sign.tobytes(), simplex._basis.tobytes())
-        with pytest.raises(ValueError, match="row 1 has a non-finite"):
-            simplex.add_rows([row])
-        assert (simplex.m, simplex.A.tobytes(), simplex.b.tobytes(),
-                simplex.slack_sign.tobytes(), simplex._basis.tobytes()) == before
-        assert simplex.solve([1.0, 2.0]).x.tolist() == [0.0, 1.0]
+        assert_row_rejected(row, "row 1 has a non-finite")
+
+    @pytest.mark.parametrize("row, match", [
+        # max x0 s.t. x0 >= 0.5, x0 <= 2 was solved as x0 = 0.5
+        (Row.make({0: 1.0}, ">=", 0.5), "row 1 has relation '>='"),
+        # written onto the last column
+        (Row.make({-1: 1.0}, "<=", 1.0), r"row 1 has column -1 outside \[0, 2\)"),
+        # a bare IndexError
+        (Row.make({0: 1.0, 2: 1.0}, "<=", 1.0), r"row 1 has column 2 outside \[0, 2\)"),
+    ], ids=["relation", "column-minus-1", "column-n"])
+    def test_malformed_row_raises(self, row, match):
+        """A row of another relation than ``=`` or ``<=``, or with a column
+        outside ``[0, n)``, is named, at construction and by ``add_rows``,
+        which then leaves the LP and its basis as they were."""
+        assert_row_rejected(row, match)
+
+
+class TestRow:
+    def test_row_is_its_own_key(self):
+        """Rows of one constraint, built from a dict or from pairs in another
+        order with a column repeated, are equal and hash alike, so a set or
+        a dict of rows holds the constraint once."""
+        a = Row.make({3: 1.0, 0: -1.0, 7: 0.5}, "<=", 1.0)
+        b = Row.make([(7, 0.25), (0, -1.0), (3, 1.0), (7, 0.25)], "<=", 1)
+        assert a.coeffs == ((0, -1.0), (3, 1.0), (7, 0.5))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1 and list(dict.fromkeys([a, b, a])) == [a]
+        assert a != Row.make({3: 1.0, 0: -1.0, 7: 0.5}, "=", 1.0)
+        assert a != Row.make({3: 1.0, 0: -1.0, 7: 0.5}, "<=", 2.0)
+
+    def test_one_ulp_is_another_row(self):
+        """Equality is exact: a coefficient or right-hand side one ulp away
+        gives a different row."""
+        a = Row.make({0: 0.1, 1: 1.0}, "<=", 1.0)
+        for other in (Row.make({0: np.nextafter(0.1, 1.0), 1: 1.0}, "<=", 1.0),
+                      Row.make({0: 0.1, 1: np.nextafter(1.0, 0.0)}, "<=", 1.0),
+                      Row.make({0: 0.1, 1: 1.0}, "<=", np.nextafter(1.0, 2.0))):
+            assert other != a and len({a, other}) == 2
+
+
+def assert_row_rejected(row, match):
+    """``row`` raises ``ValueError`` matching ``match`` as the second row of
+    a two-variable LP, and passed to ``add_rows`` after a solve, which then
+    leaves the matrix, the basis and the next solve as they were."""
+    held = Row.make({0: 1.0, 1: 1.0}, "<=", 1.0)
+    with pytest.raises(ValueError, match=match):
+        Simplex(2, [held, row])
+    simplex = Simplex(2, [held])
+    assert simplex.solve([1.0, 2.0]).x.tolist() == [0.0, 1.0]
+    before = (simplex.m, simplex.A.tobytes(), simplex.b.tobytes(),
+              simplex.slack_sign.tobytes(), simplex._basis.tobytes())
+    with pytest.raises(ValueError, match=match):
+        simplex.add_rows([row])
+    assert (simplex.m, simplex.A.tobytes(), simplex.b.tobytes(),
+            simplex.slack_sign.tobytes(), simplex._basis.tobytes()) == before
+    assert simplex.solve([1.0, 2.0]).x.tolist() == [0.0, 1.0]
 
 
 class TestInvariants:
@@ -399,10 +443,10 @@ class TestInvariants:
         lg = lt.compute_orbits(g)
         system = lt.build_outer_system(lg, "local")
         assert system.start_basis is not None
-        simplex = Simplex(system.n_vars, system.cs.rows, system.fixed_zero,
+        simplex = Simplex(system.n_vars, system.rows, system.fixed_zero,
                           system.start_basis)
         res = simplex.solve(lg.lifted_theta)
-        ref = scipy_reference(system.n_vars, system.cs.rows, lg.lifted_theta)
+        ref = scipy_reference(system.n_vars, system.rows, lg.lifted_theta)
         assert abs(res.objective - ref) < 1e-8
 
 
@@ -579,9 +623,9 @@ class TestDenseReference:
 
     def test_ground_warm_start_sequence(self):
         system, c, basis = ground_local_lp()
-        assert len(system.cs.rows) >= 64   # the nonzero-column update
+        assert len(system.rows) >= 64   # the nonzero-column update
         rng = np.random.default_rng(7)
-        fast, ref = (cls(system.n_vars, system.cs.rows, system.fixed_zero, basis)
+        fast, ref = (cls(system.n_vars, system.rows, system.fixed_zero, basis)
                      for cls in (Simplex, DenseReference))
         updates = 0
         for _ in range(12):
@@ -591,7 +635,7 @@ class TestDenseReference:
 
     def test_ground_after_add_rows(self):
         system, c, basis = ground_local_lp()
-        fast, ref = (cls(system.n_vars, system.cs.rows, system.fixed_zero, basis)
+        fast, ref = (cls(system.n_vars, system.rows, system.fixed_zero, basis)
                      for cls in (Simplex, DenseReference))
         res = assert_same_solve(fast, ref, c)
         top = np.argsort(-res.x)[:3]
@@ -613,7 +657,7 @@ class TestDenseReference:
                 self.checked += 1
 
         system, c, _ = ground_local_lp()
-        simplex = Checked(system.n_vars, system.cs.rows, system.fixed_zero)
+        simplex = Checked(system.n_vars, system.rows, system.fixed_zero)
         simplex.checked = 0
         rng = np.random.default_rng(8)
         for _ in range(6):
@@ -733,7 +777,7 @@ class TestParentPricing:
         """A cold solve (phase 1 on 210 rows), 12 warm solves, then three
         cuts that cut off the vertex."""
         system, c, _ = ground_local_lp()
-        fast, ref = (cls(system.n_vars, system.cs.rows, system.fixed_zero)
+        fast, ref = (cls(system.n_vars, system.rows, system.fixed_zero)
                      for cls in (Simplex, ParentPricing))
         res = assert_same_solve(fast, ref, c)
         rng = np.random.default_rng(9)
@@ -798,7 +842,7 @@ class TestDrift:
         """An error in a column of the inverse whose right-hand side is 0
         does not move ``B^-1 b``; the drift check must still see it."""
         system, c, basis = ground_local_lp()
-        simplex = Simplex(system.n_vars, system.cs.rows, system.fixed_zero, basis)
+        simplex = Simplex(system.n_vars, system.rows, system.fixed_zero, basis)
         simplex.solve(c)
         j = int(np.flatnonzero(simplex.b == 0.0)[0])
         i = int(np.argmax(np.abs(simplex._binv[:, j])))
@@ -806,5 +850,5 @@ class TestDrift:
         simplex._binv[i, j] += 1e-6
         res = simplex.solve(c)
         assert simplex.refactorizations == count + 1
-        cold = Simplex(system.n_vars, system.cs.rows, system.fixed_zero, basis).solve(c)
+        cold = Simplex(system.n_vars, system.rows, system.fixed_zero, basis).solve(c)
         assert res.x.tobytes() == cold.x.tobytes()

@@ -24,11 +24,11 @@ from conftest import (build, edge_orbit_tags, ground_local_feasible, members,
                       symmetrized_random_moments)
 
 
-def lifted_feasible(cs, x, tol=1e-7):
+def lifted_feasible(rows, x, tol=1e-7):
     x = np.asarray(x)
     if (x < -tol).any():
         return False
-    for row in cs.rows:
+    for row in rows:
         val = sum(c * x[j] for j, c in row.coeffs)
         if row.rel == "=" and abs(val - row.rhs) > tol:
             return False
@@ -37,13 +37,46 @@ def lifted_feasible(cs, x, tol=1e-7):
     return True
 
 
+def _mixed_orientation_square():
+    """Binary atoms A(i), B(i) on a square A0-B0-B1-A1: the A-B edges share
+    an orbit but are stored A first for 0 and B first for 1, and their
+    potential is not symmetric, so the orbit lists one of them backward."""
+    b = lt.GroundModelBuilder(range(2))
+    a0, b0, b1, a1 = (b.add_node("atom", p, (i,), 2) for p, i in
+                      (("A", 0), ("B", 0), ("B", 1), ("A", 1)))
+    theta = np.array([[0.0, 0.4], [-0.3, 0.9]])
+    b.add_edge_theta(a0, b0, theta, tag="ab")
+    b.add_edge_theta(a1, b1, theta, tag="ab")
+    b.add_edge_theta(a0, a1, np.eye(2), tag="aa")
+    b.add_edge_theta(b0, b1, np.eye(2), tag="bb")
+    return b.build()
+
+
+def _mirror_models():
+    """Every bundled model at n = 2..6 under its orbits and, up to n = 4,
+    under the identity lifting; ring_pendant; the mixed-orientation square."""
+    for name in sorted(lt.zoo.MODEL_TEXTS):
+        for n in range(2, 7):
+            g = build(name, n, 0.5)
+            yield f"{name}-{n}", lt.compute_orbits(g)
+            if n <= 4:
+                yield f"{name}-{n}-trivial", lt.trivial_lifting(g)
+    ring = lt.zoo.ring_pendant_model(scale=1.0)
+    yield "ring_pendant", lt.compute_orbits(ring)
+    yield "ring_pendant-trivial", lt.trivial_lifting(ring)
+    yield "mixed_square", lt.compute_orbits(_mixed_orientation_square())
+
+
+MIRROR_MODELS = list(_mirror_models())
+
+
 class TestLiftedLocal:
     def test_local_rows_built_once_and_copied(self, monkeypatch):
         """The outer systems of one lifted graph share the local rows, built
-        once; a row added to one system reaches no other, later ones
-        included."""
+        once; each system gets its own list, so a row appended to one
+        reaches no other, later ones included."""
         lg = lt.compute_orbits(build("clique_cycle", 3, 2.0))
-        want = lifted_local(lg).rows
+        want = lifted_local(lg)
         built = []
 
         def counted(g):
@@ -53,17 +86,44 @@ class TestLiftedLocal:
         monkeypatch.setattr(polytope, "lifted_local", counted)
         systems = [build_outer_system(lg, outer) for outer in lt.OUTER_CHOICES]
         assert built == [lg]
-        assert all(system.cs.rows[:len(want)] == want for system in systems)
-        cut = Row.make({0: 1.0, 1: 1.0}, "<=", 0.5, tag="cycle")
-        systems[1].cs.add(cut)
+        assert all(system.rows[:len(want)] == want for system in systems)
+        cut = Row.make({0: 1.0, 1: 1.0}, "<=", 0.5)
+        systems[1].rows.append(cut)
         later = build_outer_system(lg, "cycle")
-        assert built == [lg] and later.cs.rows == want
-        assert all(cut not in system.cs for system in systems[:1] + systems[2:] + [later])
+        assert built == [lg] and later.rows == want and lg._local == want
+        assert all(cut not in system.rows for system in systems[:1] + systems[2:] + [later])
+
+    @pytest.mark.parametrize("label,lg", MIRROR_MODELS, ids=[m[0] for m in MIRROR_MODELS])
+    def test_coinciding_flip_merged_rows_appear_once(self, label, lg):
+        """Flip merging makes a flip-symmetric orbit's column row for value
+        ``h`` equal to its row for ``t = h``: each such row is listed once,
+        where the row of ``t = h`` stands, and no two listed rows are equal.
+        Every other row is distinct: one normalization row per node orbit
+        and ``nu + nv - 1`` marginalization rows per edge orbit."""
+        rows = lifted_local(lg)
+        assert len(set(rows)) == len(rows)
+        n_values = [orb.n_values for orb in lg.node_orbits]
+        n_rows = len(lg.node_orbits)
+        for eo in lg.edge_orbits:
+            nu, nv = n_values[eo.u_orbit], n_values[eo.v_orbit]
+            n_rows += nu + nv - 1
+            if not eo.flip:
+                continue
+            n_rows -= nv - 1
+            for h in range(nv - 1):
+                col = {lg.edge_var(eo.id, t, h): 1.0 for t in range(nu)}
+                row = {lg.edge_var(eo.id, h, t): 1.0 for t in range(nv)}
+                for coeffs in (col, row):
+                    coeffs[lg.node_var(eo.u_orbit, h)] = -1.0
+                assert Row.make(col, "=", 0.0) == Row.make(row, "=", 0.0)
+                assert rows.count(Row.make(col, "=", 0.0)) == 1
+        assert len(rows) == n_rows
+        assert any(eo.flip for _label, g in MIRROR_MODELS for eo in g.edge_orbits)
 
     def test_ring_stem_rows_present(self, ring_model, ring_lifted):
         """Both marginalization identities of the stem orbit must appear."""
         lg = ring_lifted
-        cs = lifted_local(lg)
+        rows = lifted_local(lg)
         stem = lg.edge_orbits[edge_orbit_tags(lg).index("stem")]
         core = stem.u_orbit if lg.model.nodes[
             lg.node_orbits[stem.u_orbit].rep].label == "B" else stem.v_orbit
@@ -82,21 +142,19 @@ class TestLiftedLocal:
             row_pend = {lg.edge_var(stem.id, 0, 0): 1.0,
                         lg.edge_var(stem.id, 0, 1): 1.0,
                         lg.node_var(pend, 0): -1.0}
-        keys = {r.canonical_key() for r in cs.rows}
-        from liftedtrw.lpsolve import Row
-        assert Row.make(row_core, "=", 0.0).canonical_key() in keys
-        assert Row.make(row_pend, "=", 0.0).canonical_key() in keys
+        assert Row.make(row_core, "=", 0.0) in rows
+        assert Row.make(row_pend, "=", 0.0) in rows
 
     def test_flip_merged_normalization_identity(self):
         """e00 + e11 + 2 a01 = 1 must be implied by the emitted rows."""
         g = build("complete_graph", 4, -1.0)
         lg = lt.compute_orbits(g)
-        cs = lifted_local(lg)
+        rows = lifted_local(lg)
         eo = lg.edge_orbits[0]
         rng = np.random.default_rng(0)
         for seed in range(20):
             tau = symmetrized_random_moments(g, lg, seed)
-            assert lifted_feasible(cs, tau)
+            assert lifted_feasible(rows, tau)
             total = (tau[lg.edge_var(eo.id, 0, 0)] + tau[lg.edge_var(eo.id, 1, 1)]
                      + 2 * tau[lg.edge_var(eo.id, 0, 1)])
             assert abs(total - 1.0) < 1e-9
@@ -104,9 +162,9 @@ class TestLiftedLocal:
     def test_single_orbit_normalization(self):
         g = lt.ground(lt.parse_model("W V(x)").bind_weight(1.0), 3)
         lg = lt.compute_orbits(g)
-        cs = lifted_local(lg)
-        assert len(cs.rows) == 1
-        assert cs.rows[0].rel == "="
+        rows = lifted_local(lg)
+        assert len(rows) == 1
+        assert rows[0].rel == "="
 
 
 class TestProjectionEquivalence:
@@ -118,7 +176,7 @@ class TestProjectionEquivalence:
     def test_lifted_iff_ground(self, name, n, w):
         g = build(name, n, w)
         lg = lt.compute_orbits(g)
-        cs = lifted_local(lg)
+        rows = lifted_local(lg)
         rng = np.random.default_rng(42)
         agree = 0
         for trial in range(120):
@@ -129,7 +187,7 @@ class TestProjectionEquivalence:
             else:
                 tau = symmetrized_random_moments(g, lg, trial)
                 tau = tau + rng.normal(scale=0.05, size=lg.n_vars)
-            lifted_ok = lifted_feasible(cs, tau) and not (
+            lifted_ok = lifted_feasible(rows, tau) and not (
                 tau[lg.structural_zero_var] > 1e-7).any()
             ground_ok = ground_local_feasible(g, lg.expand(tau))
             assert lifted_ok == ground_ok
@@ -187,9 +245,9 @@ class TestExchangeable:
         """The Newton polish needs independent equality rows; sum_k c_k = 1 is
         implied by them, so it must not be a row of its own."""
         system = build_outer_system(lt.compute_orbits(build(name, n, 1.0)), "local+exch")
-        assert system.clusters and all(row.rel == "=" for row in system.cs.rows)
-        E = np.zeros((len(system.cs.rows), system.n_vars))
-        for i, row in enumerate(system.cs.rows):
+        assert system.clusters and all(row.rel == "=" for row in system.rows)
+        E = np.zeros((len(system.rows), system.n_vars))
+        for i, row in enumerate(system.rows):
             for j, c in row.coeffs:
                 E[i, j] = c
         assert np.linalg.matrix_rank(E) == len(E)
@@ -324,8 +382,8 @@ class TestSoundness:
             for cl in system.clusters:
                 probs = _count_distribution(g, members(lg.node_orbit_of, cl.node_orbit), seed)
                 x[cl.c_offset:cl.c_offset + cl.size + 1] = probs
-            assert lifted_feasible(system.cs, x)
-            assert separate_cycles(lg, x, system.cs) == []
+            assert lifted_feasible(system.rows, x)
+            assert separate_cycles(lg, x) == []
 
 
 def _count_distribution(g, cluster, seed):
@@ -354,7 +412,7 @@ class TestNesting:
             for outer in ("local", "local+exch"):
                 system = build_outer_system(lg, outer)
                 obj = np.concatenate([c, np.zeros(system.n_vars - lg.n_vars)])
-                values[outer] = Simplex(system.n_vars, system.cs.rows,
+                values[outer] = Simplex(system.n_vars, system.rows,
                                         system.fixed_zero).solve(obj).objective
             assert values["local+exch"] <= values["local"] + 1e-9
 
@@ -369,7 +427,7 @@ class TestNesting:
             for _ in range(6):
                 c = rng.normal(size=lg.n_vars)
                 obj = np.concatenate([c, np.zeros(system.n_vars - lg.n_vars)])
-                lp_val = Simplex(system.n_vars, system.cs.rows,
+                lp_val = Simplex(system.n_vars, system.rows,
                                  system.fixed_zero).solve(obj).objective
                 best = -np.inf
                 for state in itertools.product((0, 1), repeat=n):
@@ -389,7 +447,23 @@ class TestSeparation:
         lg = lt.compute_orbits(g)
         system = build_outer_system(lg, "cycle")
         tau = system.uniform_point()
-        assert separate_cycles(lg, tau, system.cs) == []
+        assert separate_cycles(lg, tau) == []
+
+    @pytest.mark.parametrize("name", ["clique_cycle", "friends_smokers"])
+    def test_bad_point_raises(self, name):
+        """An all-NaN ``tau`` gave no row on ``clique_cycle`` n=3, which reads
+        as a certificate, and a short one a bare ``IndexError``; they raise,
+        as do a 2-D one and an infinite entry, also where the binary subgraph
+        is a forest (``friends_smokers``).  Cluster counts may follow the
+        lifted variables."""
+        lg = lt.compute_orbits(build(name, 3, 2.0))
+        uniform = build_outer_system(lg, "local").uniform_point()
+        bad = [np.full(lg.n_vars, np.nan), uniform[:-1], uniform[None, :],
+               np.where(np.arange(lg.n_vars) == 0, np.inf, uniform)]
+        for tau in bad:
+            with pytest.raises(ValueError, match="tau"):
+                separate_cycles(lg, tau)
+        assert separate_cycles(lg, np.concatenate([uniform, [0.25, 0.75]])) == []
 
     def test_tree_graph_has_no_cycles(self):
         b = lt.GroundModelBuilder(range(3))
@@ -401,7 +475,7 @@ class TestSeparation:
         tau = np.full(lg.n_vars, 0.5)
         tau[lg.feat_to_var] = 0.0  # fill with a fractional-but-local point
         system = build_outer_system(lg, "cycle")
-        assert separate_cycles(lg, system.uniform_point(), system.cs) == []
+        assert separate_cycles(lg, system.uniform_point()) == []
 
     def test_clique_cycle_fractional_point_is_cut(self):
         """The local optimum at strong repulsion violates a cycle inequality;
@@ -411,20 +485,20 @@ class TestSeparation:
         lg = lt.compute_orbits(g)
         system = build_outer_system(lg, "local")
         grad = lg.lifted_theta
-        res = Simplex(system.n_vars, system.cs.rows, system.fixed_zero).solve(grad)
+        res = Simplex(system.n_vars, system.rows, system.fixed_zero).solve(grad)
         x, val = res.x, res.objective
 
-        n_local = len(system.cs.rows)
-        rows = separate_cycles(lg, x, system.cs)
+        n_local = len(system.rows)
+        rows = separate_cycles(lg, x)
         assert rows
-        assert system.cs.rows[n_local:] == rows
+        assert len(system.rows) == n_local
 
         best_found = max(sum(c * x[j] for j, c in r.coeffs) - r.rhs for r in rows)
         best_exhaustive = _exhaustive_worst_violation(g, lg, x)
         assert best_exhaustive > 1e-6
         assert abs(best_found - best_exhaustive) < 1e-9
 
-        val2 = Simplex(system.n_vars, system.cs.rows,
+        val2 = Simplex(system.n_vars, system.rows + rows,
                        system.fixed_zero).solve(grad).objective
         assert val2 < val - 1e-6
 
@@ -448,27 +522,27 @@ class TestSeparation:
                     for k, _u, _v in _binary_edges(g) for t, h in ((0, 1), (1, 0))]
         rng = np.random.default_rng(7)
         n_rows = 0
+        held = list(system.rows)
         for _trial in range(6):
             c = rng.normal(size=system.n_vars)
             c[disagree] += 3.0 * rng.choice([-1.0, 1.0, 1.0], size=len(disagree))
             for _round in range(4):
-                x = Simplex(system.n_vars, system.cs.rows,
-                            system.fixed_zero).solve(c).x
+                x = Simplex(system.n_vars, held, system.fixed_zero).solve(c).x
                 # points between the vertex and the uniform point have cycle
                 # lengths up to 1, near the search's cutoff
                 t = rng.uniform(0.5, 1.0)
                 mid = t * x + (1.0 - t) * system.uniform_point()
-                for point, cs in ((mid, copy.deepcopy(system.cs)), (x, system.cs)):
-                    expected = _all_sources_separation(lg, point, copy.deepcopy(cs))
-                    n_before = len(cs.rows)
-                    rows = separate_cycles(lg, point, cs)
+                for point in (mid, x):
+                    expected = _all_sources_separation(lg, point, set(held))
+                    rows = separate_cycles(lg, point)
                     assert bool(rows) == bool(expected)
-                    assert cs.rows[n_before:] == rows
+                    assert not set(rows) & set(held)
                     for row in rows:
                         violation = sum(cf * point[j] for j, cf in row.coeffs) - row.rhs
                         assert violation > CYCLE_VIOLATION_TOL
                     if len(expected) < CUT_BATCH:
                         assert all(row in expected for row in rows)
+                held += rows
                 n_rows += len(rows)
                 if not rows:
                     break
@@ -482,7 +556,7 @@ class TestSeparation:
         lg = lt.compute_orbits(g)
         system = build_outer_system(lg, "cycle")
         events = _record_searches(monkeypatch)
-        assert separate_cycles(lg, system.uniform_point(), system.cs) == []
+        assert separate_cycles(lg, system.uniform_point()) == []
         assert len(lg.node_orbits) == 3
         sources = [s for kind, s, _found in events if kind == "quotient"]
         assert sorted(lg.node_orbit_of[s] for s in sources) == [0, 1, 2]
@@ -497,11 +571,11 @@ class TestSeparation:
         g = build("clique_cycle", 4, 2.0)
         lg = lt.compute_orbits(g)
         system = build_outer_system(lg, "local")
-        x = Simplex(system.n_vars, system.cs.rows,
+        x = Simplex(system.n_vars, system.rows,
                     system.fixed_zero).solve(lg.lifted_theta).x
         lowest = _lowest_binary_node_per_orbit(lg)
         events = _record_searches(monkeypatch)
-        assert separate_cycles(lg, x, system.cs)
+        assert separate_cycles(lg, x)
         assert len(_binary_nodes(g)) > len(lowest)
         expected = []
         for s in sorted(lowest.values()):
@@ -555,36 +629,6 @@ class TestSeparation:
         assert counts_before == (0, len(lowest) * n_separations)
 
 
-def _mixed_orientation_square():
-    """Binary atoms A(i), B(i) on a square A0-B0-B1-A1: the A-B edges share
-    an orbit but are stored A first for 0 and B first for 1, and their
-    potential is not symmetric, so the orbit lists one of them backward."""
-    b = lt.GroundModelBuilder(range(2))
-    a0, b0, b1, a1 = (b.add_node("atom", p, (i,), 2) for p, i in
-                      (("A", 0), ("B", 0), ("B", 1), ("A", 1)))
-    theta = np.array([[0.0, 0.4], [-0.3, 0.9]])
-    b.add_edge_theta(a0, b0, theta, tag="ab")
-    b.add_edge_theta(a1, b1, theta, tag="ab")
-    b.add_edge_theta(a0, a1, np.eye(2), tag="aa")
-    b.add_edge_theta(b0, b1, np.eye(2), tag="bb")
-    return b.build()
-
-
-def _mirror_models():
-    """Every bundled model at n = 2..6 under its orbits and, up to n = 4,
-    under the identity lifting; ring_pendant; the mixed-orientation square."""
-    for name in sorted(lt.zoo.MODEL_TEXTS):
-        for n in range(2, 7):
-            g = build(name, n, 0.5)
-            yield f"{name}-{n}", lt.compute_orbits(g)
-            if n <= 4:
-                yield f"{name}-{n}-trivial", lt.trivial_lifting(g)
-    ring = lt.zoo.ring_pendant_model(scale=1.0)
-    yield "ring_pendant", lt.compute_orbits(ring)
-    yield "ring_pendant-trivial", lt.trivial_lifting(ring)
-    yield "mixed_square", lt.compute_orbits(_mixed_orientation_square())
-
-
 def _ground_forest(g):
     """Whether the binary edges of ``g`` form a forest, by a ground union-find."""
     parent = list(range(len(g.nodes)))
@@ -600,9 +644,6 @@ def _ground_forest(g):
             return False
         parent[rv] = ru
     return True
-
-
-MIRROR_MODELS = list(_mirror_models())
 
 
 class TestMirrorGraphFromOrbits:
@@ -648,39 +689,43 @@ class TestMirrorGraphFromOrbits:
         for k, cells in ((0, ((0, 0), (1, 1))), (2, ((0, 0), (1, 1))), (3, ((0, 1), (1, 0)))):
             for t, h in cells:
                 c[lg.edge_var_map[lg.edge_orbit_of[k]][t, h]] += 1.0
-        x = Simplex(system.n_vars, system.cs.rows, system.fixed_zero).solve(c).x
+        x = Simplex(system.n_vars, system.rows, system.fixed_zero).solve(c).x
         assert _rows_match_parent(lg, [x]) == 1
 
     @pytest.mark.parametrize("label,lg", MIRROR_MODELS, ids=[m[0] for m in MIRROR_MODELS])
     def test_rows_match_parent_separation(self, label, lg):
         """Labelling steps by edge orbit returns the per-edge reference's
-        rows, in its order, and leaves the same constraint system.  Runs
-        on a fresh copy of ``lg``, so the shared one never builds
-        ``feat_to_var``."""
+        rows, in its order, at points feasible for the rows the reference
+        skips.  Runs on a fresh copy of ``lg``, so the shared one never
+        builds ``feat_to_var``."""
         lg = dataclasses.replace(lg)
         _rows_match_parent(lg, TestQuotientPrecheck._points(lg, np.random.default_rng(3)))
 
 
 def _rows_match_parent(lg, points):
-    """Separate two rounds at each point with :func:`separate_cycles` and
-    with :func:`_parent_separation`, each on its own copy of the cycle
-    system; the returned rows, their order and the systems must be equal.
-    Returns the number of rows found."""
-    cs = build_outer_system(lg, "cycle").cs
+    """Separate at each point with :func:`separate_cycles` and with
+    :func:`_parent_separation` skipping the cycle system's rows; the rows
+    and their order must be equal.  Where rows come back, the two must agree
+    again at the vertex maximizing ``tau`` over the system plus those rows,
+    where the reference skips those rows too.  Returns the number of rows
+    found at ``points``."""
+    system = build_outer_system(lg, "cycle")
     n_rows = 0
     for tau in points:
-        got_cs, want_cs = copy.deepcopy(cs), copy.deepcopy(cs)
-        for _round in range(2):
-            got = separate_cycles(lg, tau, got_cs)
-            assert got == _parent_separation(lg, tau, want_cs)
-            assert got_cs.rows == want_cs.rows and got_cs._keys == want_cs._keys
-            n_rows += len(got)
+        got = separate_cycles(lg, tau)
+        assert got == _parent_separation(lg, tau, set(system.rows))
+        n_rows += len(got)
+        if got:
+            held = system.rows + got
+            x = Simplex(system.n_vars, held, system.fixed_zero).solve(tau).x
+            assert separate_cycles(lg, x) == _parent_separation(lg, x, set(held))
     return n_rows
 
 
-def _parent_separation(lg, tau, cs):
+def _parent_separation(lg, tau, held):
     """The per-edge cycle separation that :func:`separate_cycles` replaced,
-    kept as the reference for its rows.
+    kept as the reference for its rows; it skips the rows in ``held``, as
+    the separation of a point feasible for them must.
 
     Each binary edge carries its own disagreement variables, the (0, 1) and
     (1, 0) entries of its orbit's map swapped where the orbit lists the edge
@@ -709,7 +754,7 @@ def _parent_separation(lg, tau, cs):
 
     cutoff = 1.0 - CYCLE_VIOLATION_TOL
     found = []
-    seen_keys = set()
+    seen = set()
     for s in sorted(_lowest_binary_node_per_orbit(lg).values()):
         n_classes, class_of, _, edge_table = _pinned_tables(
             lg, frozenset(g.node_table.consts_of(s)))
@@ -735,20 +780,16 @@ def _parent_separation(lg, tau, cs):
             n_cross += int(crossing)
             for var in (var01[j], var10[j]):
                 coeffs[var] = coeffs.get(var, 0.0) + sign
-        row = Row.make(coeffs, "<=", n_cross - 1, tag="cycle")
-        key = row.canonical_key()
-        if key in seen_keys or row in cs:
+        row = Row.make(coeffs, "<=", n_cross - 1)
+        if row in seen or row in held:
             continue
         violation = sum(c * tau[j] for j, c in row.coeffs) - row.rhs
         if violation <= CYCLE_VIOLATION_TOL:
             continue
-        seen_keys.add(key)
+        seen.add(row)
         found.append((violation, row))
     found.sort(key=lambda t: -t[0])
-    rows = [row for _violation, row in found[:CUT_BATCH]]
-    for row in rows:
-        cs.add(row)
-    return rows
+    return [row for _violation, row in found[:CUT_BATCH]]
 
 
 class TestQuotientPrecheck:
@@ -765,7 +806,7 @@ class TestQuotientPrecheck:
         for _trial in range(4):
             c = rng.normal(size=system.n_vars)
             c[disagree] += 3.0 * rng.choice([-1.0, 1.0, 1.0], size=len(disagree))
-            yield Simplex(system.n_vars, system.cs.rows, system.fixed_zero).solve(c).x
+            yield Simplex(system.n_vars, system.rows, system.fixed_zero).solve(c).x
         yield lt.frank_wolfe(lg, outer="cycle", rho=lt.init_rho_uniform(lg), tol=1e-4,
                              max_iters=50).tau
 
@@ -804,10 +845,10 @@ class TestQuotientPrecheck:
         mg = polytope._mirror_graph(lg)
         assert all(polytope._quotient(lg, mg, s) is None for s in _binary_nodes(g))
         system = build_outer_system(lg, "local")
-        x = Simplex(system.n_vars, system.cs.rows,
+        x = Simplex(system.n_vars, system.rows,
                     system.fixed_zero).solve(lg.lifted_theta).x
         stats = {"cycle_searches": 0, "cycle_pruned": 0}
-        assert separate_cycles(lg, x, system.cs, stats)
+        assert separate_cycles(lg, x, stats)
         assert stats == {"cycle_searches": len(mg.sources), "cycle_pruned": 0}
 
     @pytest.mark.parametrize("n,w,outer", [(10, 0.5, "cycle+exch"), (12, 1.0, "cycle")])
@@ -918,16 +959,17 @@ def _shortest(adj, src, dst):
     return dist[dst], parent
 
 
-def _all_sources_separation(lg, tau, cs):
+def _all_sources_separation(lg, tau, held):
     """Cycle separation from every binary ground node, without the cutoff.
 
     Builds the mirror graph afresh and runs Dijkstra from every binary ground
-    node; otherwise gathers, ranks and adds rows like ``separate_cycles``.
+    node, skips the rows in ``held`` and otherwise gathers and ranks rows
+    like ``separate_cycles``.
     """
     g = lg.model
     adj = _ground_mirror(lg, tau)
     found = []
-    seen_keys = set()
+    seen = set()
     for s in _binary_nodes(g):
         src, dst = 2 * s, 2 * s + 1
         dist, parent = _shortest(adj, src, dst)
@@ -945,20 +987,16 @@ def _all_sources_separation(lg, tau, cs):
             for t, h in ((0, 1), (1, 0)):
                 var = int(lg.feat_to_var[g.edge_feature(k, t, h)])
                 coeffs[var] = coeffs.get(var, 0.0) + (1.0 if crossing else -1.0)
-        row = Row.make(coeffs, "<=", n_cross - 1, tag="cycle")
-        key = row.canonical_key()
-        if key in seen_keys or row in cs:
+        row = Row.make(coeffs, "<=", n_cross - 1)
+        if row in seen or row in held:
             continue
         violation = sum(c * tau[j] for j, c in row.coeffs) - row.rhs
         if violation <= CYCLE_VIOLATION_TOL:
             continue
-        seen_keys.add(key)
+        seen.add(row)
         found.append((violation, row))
     found.sort(key=lambda t: -t[0])
-    rows = [row for _violation, row in found[:CUT_BATCH]]
-    for row in rows:
-        cs.add(row)
-    return rows
+    return [row for _violation, row in found[:CUT_BATCH]]
 
 
 def _exhaustive_worst_violation(g, lg, tau):

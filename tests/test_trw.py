@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import liftedtrw as lt
-from liftedtrw import trw
+from liftedtrw import polytope, trw
 from liftedtrw.lpsolve import Row, Simplex
 from liftedtrw.polytope import build_outer_system, separate_cycles
 from liftedtrw.trw import (TrwObjective, entropy_coefficients, frank_wolfe, golden_section, gradient,
@@ -172,7 +172,7 @@ class TestGoldenSection:
         obj = TrwObjective(lg, rho, system.n_vars)
         tau = system.uniform_point()
         grad = obj.grad(tau)
-        s = Simplex(system.n_vars, system.cs.rows, system.fixed_zero).solve(grad).x
+        s = Simplex(system.n_vars, system.rows, system.fixed_zero).solve(grad).x
         phi = obj.line_function(tau, s - tau)
         lam, _ = golden_section(phi, 0.0, 1.0 - 1e-9, 1e-8)
         grid = np.arange(0.0, 1.0, 1e-4)
@@ -286,8 +286,7 @@ class TestFrankWolfe:
             rho = lt.init_rho_uniform(lg)
             local = frank_wolfe(lg, outer="local", rho=rho, tol=1e-6, max_iters=20000)
             cycle = frank_wolfe(lg, outer="cycle", rho=rho, tol=1e-6, max_iters=20000)
-            fresh = build_outer_system(lg, "cycle")
-            assert separate_cycles(lg, cycle.tau, fresh.cs) == [], w
+            assert separate_cycles(lg, cycle.tau) == [], w
             assert cycle.converged and cycle.bound < local.bound - 1.0, w
 
     @pytest.mark.parametrize("name, n, w, below", [
@@ -384,7 +383,7 @@ class TestFrankWolfe:
         for cl in system.clusters:
             counts = res.tau[cl.c_offset:cl.c_offset + cl.size + 1]
             assert res.cluster_counts[cl.node_orbit].tobytes() == counts.tobytes()
-        eq_rows = [row for row in system.cs.rows if row.rel == "="]
+        eq_rows = [row for row in system.rows if row.rel == "="]
         walked = max(abs(sum(c * res.tau[j] for j, c in row.coeffs) - row.rhs)
                      for row in eq_rows)
         assert res.stats["eq_residual"] == pytest.approx(walked, abs=1e-15)
@@ -456,7 +455,7 @@ class TestFrankWolfe:
         lg = lt.compute_orbits(build("complete_graph", 12, -1.0))
         rho = lt.init_rho_uniform(lg)
         system = build_outer_system(lg, "local+exch")
-        kkt_dim = system.n_vars - int(system.fixed_zero.sum()) + len(system.cs.rows)
+        kkt_dim = system.n_vars - int(system.fixed_zero.sum()) + len(system.rows)
         polished = frank_wolfe(lg, outer="local+exch", rho=rho, tol=1e-5, max_iters=200)
         assert polished.stats["polish_tries"] > 0
         monkeypatch.setattr(trw, "POLISH_SIZE_CAP", kkt_dim - 1)
@@ -617,6 +616,61 @@ def _candidate_bytes(cand):
     return None if cand is None else cand.tobytes()
 
 
+HELD_ROW_CASES = ([(name, n, w, False) for name in sorted(lt.zoo.MODEL_TEXTS)
+                   for n in range(2, 7) for w in (-2.0, 2.0)]
+                  + [("ring_pendant", 5, w, ground) for w in (-1.0, 3.0)
+                     for ground in (False, True)])
+
+
+class TestCutRows:
+    @pytest.mark.parametrize("outer", ["cycle", "cycle+exch"])
+    @pytest.mark.parametrize("name, n, w, ground", HELD_ROW_CASES)
+    def test_separation_returns_no_held_row(self, monkeypatch, name, n, w, ground, outer):
+        """A solve's LP is the only holder of its cut rows.  Tracking the
+        rows it holds, those it is built from plus every ``add_rows``, no
+        row that separation returns is held already, and each is violated
+        at its point by more than ``CYCLE_VIOLATION_TOL``; so no filter
+        against the held rows is needed.  Lifted solves, and ``ring_pendant``
+        through ``ground_trw`` too."""
+        held = set()
+        returned = []
+        build_lp, add_rows, separate = Simplex.__init__, Simplex.add_rows, trw.separate_cycles
+
+        def build_tracked(self, n_vars, rows, *args):
+            rows = list(rows)
+            build_lp(self, n_vars, rows, *args)
+            held.clear()
+            held.update(rows)
+
+        def add_tracked(self, rows):
+            rows = list(rows)
+            add_rows(self, rows)
+            held.update(rows)
+
+        def separate_checked(lg, tau, *args):
+            rows = separate(lg, tau, *args)
+            for row in rows:
+                assert row not in held
+                violation = sum(c * tau[j] for j, c in row.coeffs) - row.rhs
+                assert violation > polytope.CYCLE_VIOLATION_TOL
+            returned.extend(rows)
+            return rows
+
+        monkeypatch.setattr(Simplex, "__init__", build_tracked)
+        monkeypatch.setattr(Simplex, "add_rows", add_tracked)
+        monkeypatch.setattr(trw, "separate_cycles", separate_checked)
+        g = lt.zoo.ring_pendant_model(scale=w) if name == "ring_pendant" else build(name, n, w)
+        lg = lt.compute_orbits(g)
+        rho = lt.init_rho_uniform(lg)
+        if ground:
+            res = lt.ground_trw(g, expand_rho(lg, rho), outer=outer, tol=1e-5, max_iters=200)
+        else:
+            res = frank_wolfe(lg, outer=outer, rho=rho, tol=1e-5, max_iters=200)
+        assert res.n_cuts == len(returned)
+        if (name, w) in (("clique_cycle", 2.0), ("ring_pendant", 3.0)) and n >= 3:
+            assert returned
+
+
 class TestNewtonPolish:
     ACTIVE_TOLS = (1e-7, 1e-3, 0.05, 0.2)
 
@@ -633,12 +687,17 @@ class TestNewtonPolish:
         class Recorded(Simplex):
             def __init__(self, n_vars, rows, *args):
                 super().__init__(n_vars, rows, *args)
-                self.system_rows = rows   # the outer system's rows, cuts appended
+                self.held_rows = list(rows)   # the outer system's rows, cuts appended
                 lps.append(self)
+
+            def add_rows(self, rows):
+                rows = list(rows)
+                super().add_rows(rows)
+                self.held_rows += rows
 
         def record(obj, lp, tau):
             points.setdefault((tau.tobytes(), lp.m),
-                              (obj, lp.system_rows[:lp.m], lp.fixed_zero, tau.copy()))
+                              (obj, list(lp.held_rows), lp.fixed_zero, tau.copy()))
 
         def polish_recorded(obj, lp, tau, active_tol, faces=None):
             record(obj, lp, tau)
