@@ -15,7 +15,10 @@ gradient on the bound), or ``kruskal:w1,w2,...`` (one weight per edge orbit).
 ``infer --trace F`` writes one JSON line per Frank-Wolfe iteration of the
 solve to ``F`` (the keys of ``TrwResult.iteration_trace``).
 CSV output starts with a ``schema=1`` line; rows are ordered by (W, outer)
-and are deterministic apart from the timing column.
+and are deterministic apart from the timing column.  ``sweep`` grounds,
+lifts and finds rho once per W value and solves every outer bound on that
+lifted graph (under ``--rho optimize`` rho is found per outer bound);
+``--jobs`` spreads the W values over worker processes.
 """
 
 from __future__ import annotations
@@ -124,28 +127,38 @@ def _marginal_columns(lg):
     return cols
 
 
-def _run_one(task):
-    """One (W, outer) inference; used directly and by sweep workers."""
-    args, w_value, outer = task
+def _run_w(task):
+    """The rows of one W, one per outer bound; used directly and by sweep workers.
+
+    The model is built, grounded and lifted once for all the outer bounds,
+    and rho found once, except under ``--rho optimize``, where rho depends
+    on the outer bound.  Each row carries the set-up stage times it used.
+    """
+    args, w_value, outers = task
     _, lg, stages = _build(args, w_value)
-    t0 = time.perf_counter()
-    rho, res = _resolve_rho(lg, args.rho, outer, args.tol, args.max_iters)
-    stages["rho"] = time.perf_counter() - t0
-    if res is None:
-        res = trw.frank_wolfe(lg, outer=outer, rho=rho, tol=args.tol,
-                              max_iters=args.max_iters)
-    marg = {name: res.node_marginals[oid][1]
-            for oid, name in _marginal_columns(lg)}
-    gap = res.gap_trace[-1] if res.gap_trace else 0.0
-    return {
-        "W": w_value, "outer": outer, "n": args.n, "bound": res.bound,
-        "gap": gap, "iters": res.iterations, "millis": res.millis,
-        "setup_millis": {k: v * 1000.0 for k, v in stages.items()},
-        "termination": res.termination,
-        "stats": res.stats,
-        "trace": res.iteration_trace,
-        "marginals": marg,
-    }
+    rows, rho = [], None
+    for outer in outers:
+        res = None
+        if rho is None or args.rho == "optimize":
+            t0 = time.perf_counter()
+            rho, res = _resolve_rho(lg, args.rho, outer, args.tol, args.max_iters)
+            stages["rho"] = time.perf_counter() - t0
+        if res is None:
+            res = trw.frank_wolfe(lg, outer=outer, rho=rho, tol=args.tol,
+                                  max_iters=args.max_iters)
+        marg = {name: res.node_marginals[oid][1]
+                for oid, name in _marginal_columns(lg)}
+        gap = res.gap_trace[-1] if res.gap_trace else 0.0
+        rows.append({
+            "W": w_value, "outer": outer, "n": args.n, "bound": res.bound,
+            "gap": gap, "iters": res.iterations, "millis": res.millis,
+            "setup_millis": {k: v * 1000.0 for k, v in stages.items()},
+            "termination": res.termination,
+            "stats": res.stats,
+            "trace": res.iteration_trace,
+            "marginals": marg,
+        })
+    return rows
 
 
 def _write_csv(rows, out, columns):
@@ -169,7 +182,7 @@ def _write_csv(rows, out, columns):
 
 def cmd_infer(args):
     w_value = args.W
-    row = _run_one((args, w_value, args.outer))
+    row, = _run_w((args, w_value, (args.outer,)))
     print(f"model={args.model} n={args.n} W={w_value} outer={args.outer}")
     print(f"bound      {row['bound']:.10g}")
     print(f"final gap  {row['gap']:.3g}")
@@ -221,14 +234,14 @@ def cmd_sweep(args):
         if o not in OUTER_CHOICES:
             raise ModelError(f"unknown outer bound {o!r}")
     w_values = _parse_range(args.W) if args.W else [None]
-    tasks = [(args, w, o) for w in w_values for o in outers]
+    tasks = [(args, w, outers) for w in w_values]  # one set-up per W
     if args.jobs > 1 and len(tasks) > 1:
         # spawn, not fork: forking once OpenBLAS has started its threads is unsafe
         with ProcessPoolExecutor(max_workers=args.jobs,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
-            rows = list(pool.map(_run_one, tasks))
+            rows = [row for w_rows in pool.map(_run_w, tasks) for row in w_rows]
     else:
-        rows = [_run_one(t) for t in tasks]
+        rows = [row for task in tasks for row in _run_w(task)]
     rows.sort(key=lambda r: (r["W"] if r["W"] is not None else 0.0,
                              OUTER_CHOICES.index(r["outer"])))
     columns = sorted({c for r in rows for c in r["marginals"]}) if rows else []

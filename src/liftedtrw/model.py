@@ -86,15 +86,18 @@ class BlockRows(Sequence):
 
     def stack(self, ids, turned=None):
         """Rows ``ids`` stacked along a new first axis, each transposed where
-        ``turned`` is set; all of them must then have one shape."""
+        ``turned`` is set; all of them must then have one shape.  Rows are
+        copied by ``np.take``, which moves a row at a time, not an entry."""
         code = 2 * self.block[ids] + (0 if turned is None else turned)  # block, turned
+        kinds = np.flatnonzero(np.bincount(code)).tolist()
+        if len(kinds) == 1:
+            part = np.take(self.blocks[kinds[0] // 2], self.slot[ids], axis=0)
+            return part.transpose(0, 2, 1) if kinds[0] % 2 else part
         parts = []
-        for kind in np.flatnonzero(np.bincount(code)).tolist():
+        for kind in kinds:
             sel = code == kind
-            part = self.blocks[kind // 2][self.slot[ids[sel]]]
+            part = np.take(self.blocks[kind // 2], self.slot[ids[sel]], axis=0)
             parts.append((sel, part.transpose(0, 2, 1) if kind % 2 else part))
-        if len(parts) == 1:
-            return parts[0][1]
         out = np.empty((len(ids),) + parts[0][1].shape[1:])
         for sel, part in parts:
             out[sel] = part
@@ -121,16 +124,17 @@ class MaskCodes(Sequence):
         c = self.code[k]
         return None if c < 0 else self.table[c]
 
-    def stack(self, ids, turned, shape):
-        """The masks of edges ``ids``, all False where there is none, stacked
-        along a new first axis and transposed where ``turned`` is set; each
-        must then have ``shape``."""
+    def oriented(self, shape):
+        """Two blanks, then each mask and its transpose, as one bool array
+        ``(2 * len(table) + 2,) + shape``: entry ``2 * (c + 1) + turned`` is
+        mask ``c``, transposed where ``turned`` is set, and all False where
+        there is none or it has another shape."""
         blank = np.zeros(shape, dtype=bool)
-        oriented = [blank, blank]  # entry 2 * (code + 1) + turned
+        oriented = [blank, blank]
         for mask in self.table:
             oriented += [mask if mask.shape == shape else blank,
                          mask.T if mask.T.shape == shape else blank]
-        return np.array(oriented)[2 * (self.code[ids] + 1) + turned]
+        return np.array(oriented)
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,15 +483,19 @@ def _first_seen(codes, bound=None):
     ``0..bound-1`` and one linear pass takes each code's first position
     (``np.minimum.at`` over a table of ``bound`` slots); the distinct first
     positions, ranked, are the numbers.  Without it, a stable argsort groups
-    equal codes with their earliest position first.
+    equal codes with their earliest position first.  Both give the same
+    numbers; the pass over the table is the faster while ``bound`` is at
+    most ``_TABLE_SPAN`` times the code count.
     """
     if bound is not None:
         first_at = np.full(bound, codes.size, dtype=np.int64)
         np.minimum.at(first_at, codes, np.arange(codes.size))
         is_first = np.zeros(codes.size, dtype=bool)
         is_first[first_at[first_at < codes.size]] = True
-        rank = np.cumsum(is_first) - 1  # number of the code first seen at each position
-        return rank[first_at[codes]], np.flatnonzero(is_first)
+        first = np.flatnonzero(is_first)
+        number = np.empty(codes.size, dtype=np.int64)  # of the code first seen there
+        number[first] = np.arange(first.size)
+        return number[first_at[codes]], first
     order = np.argsort(codes, kind="stable")
     ranked = codes[order]
     new = np.ones(ranked.size, dtype=bool)
@@ -501,25 +509,39 @@ def _first_seen(codes, bound=None):
     return ids, first[by_position]
 
 
+# The table pass of ``_first_seen`` beats the sort up to a bound of about 32
+# (a few hundred random codes) to 100 (twenty thousand and more) times the
+# code count; above it the table's cache misses cost more than the sort.
+_TABLE_SPAN = 32
+
+
 def _slots(is_aux):
     """Each id's row in its block: auxiliary ids and the others are counted apart."""
-    return np.where(is_aux, np.cumsum(is_aux), np.cumsum(~is_aux)) - 1
+    n_aux = np.cumsum(is_aux, dtype=np.int64)  # auxiliary ids up to each id
+    return np.where(is_aux, n_aux, np.arange(1, len(is_aux) + 1) - n_aux) - 1
 
 
 def _summed(n_rows, shape, parts):
     """A ``(n_rows,) + shape`` block whose row ``r`` sums the values of ``r``
-    in the ``(rows, values)`` parts, in order.
+    in the ``(rows, table, codes)`` parts, in order; a part's values are
+    ``table[codes]``.
 
     One ``np.bincount`` per entry adds the values from 0.0 in input order,
-    exactly as ``np.add.at`` into a zeroed block would.
+    exactly as ``np.add.at`` into a zeroed block would; the weights of entry
+    ``j`` are one gather from column ``j`` of the parts' (small) tables,
+    stacked.  An entry that is zero in every table sums to 0.0 without one.
     """
     width = int(np.prod(shape))
-    rows = np.concatenate([r for r, _ in parts] + [_NO_INTS])
-    values = np.concatenate([v.reshape(len(v), width) for _, v in parts]
-                            + [np.zeros((0, width))])
-    out = np.empty((n_rows, width))
+    rows = np.concatenate([r for r, _, _ in parts] + [_NO_INTS])
+    tables = [t.reshape(len(t), width) for _, t, _ in parts] + [np.zeros((0, width))]
+    offsets = np.cumsum([0] + [len(t) for t in tables])
+    codes = np.concatenate([c + offset for (_, _, c), offset in zip(parts, offsets)]
+                           + [_NO_INTS])
+    columns = np.concatenate(tables).T.copy()
+    out = np.zeros((n_rows, width))
     for j in range(width):
-        out[:, j] = np.bincount(rows, weights=values[:, j], minlength=n_rows)
+        if columns[j].any():
+            out[:, j] = np.bincount(rows, weights=columns[j][codes], minlength=n_rows)
     return out.reshape((n_rows,) + shape)
 
 
@@ -540,17 +562,19 @@ class _Bindings:
     pattern: np.ndarray
     tables: dict
 
-    def values(self, k, turned=None):
-        """The bindings with ``k`` distinct atoms, and their potentials; the
-        ``(2, 2)`` ones of the bindings where ``turned`` is set come transposed."""
+    def potentials(self, k, turned=None):
+        """The bindings with ``k`` distinct atoms, and their potentials as
+        ``(sel, table, codes)``: binding ``sel[i]``'s is ``table[codes[i]]``,
+        the ``(2, 2)`` ones of the bindings where ``turned`` is set
+        transposed."""
         sel = self.k == k
         if k not in self.tables:
-            return sel, np.zeros((0, 2 ** k))
+            return sel, np.zeros((0, 2 ** k)), _NO_INTS
         table, pattern = self.tables[k], self.pattern[sel]
         if turned is not None:
             pattern = pattern + len(table) * turned
             table = np.concatenate([table, table.transpose(0, 2, 1)])
-        return sel, table[pattern]
+        return sel, table, pattern
 
     def node_counts(self):
         """Nodes each binding adds: its distinct atoms, and an auxiliary one if k == 3."""
@@ -567,34 +591,46 @@ def _bind_formula(f_idx, formula, n, offsets, aux_base):
     A ground atom is coded as its predicate's offset plus its arguments in
     base ``n``, and a binding's auxiliary node as ``aux_base`` plus the
     binding's index; a binding's events are its distinct atoms in template
-    order, then its auxiliary node.
+    order, then its auxiliary node.  The variables' constants, the atom
+    codes and which template atoms coincide are held as one 1-D column per
+    variable or template atom; only ``combos`` and the events are stacked,
+    and the auxiliary column only when some binding has three distinct atoms.
     """
     var_at = {v: i for i, v in enumerate(formula.variables)}
     n_vars = len(formula.variables)
-    index = np.arange(n ** n_vars)
-    combos = np.stack([index // n ** (n_vars - 1 - j) % n for j in range(n_vars)], axis=1)
-    keep = np.ones(index.size, dtype=bool)
+    digits = np.arange(n)  # variable j's digit of binding index b is b // n**(n_vars-1-j) % n
+    cols = [np.tile(np.repeat(digits, n ** (n_vars - 1 - j)), n ** j) for j in range(n_vars)]
+    keep = None
     for g in formula.guards:
         ids = sorted(var_at[v] for v in g)  # one id: the guard is x != x
-        keep &= combos[:, ids[0]] != combos[:, ids[-1]]
-    combos = combos[keep]
-    atoms = np.stack([
-        offsets[a.pred] + sum(combos[:, var_at[v]] * n ** (len(a.args) - 1 - i)
-                              for i, v in enumerate(a.args))
-        for a in formula.atoms], axis=1)
+        differ = cols[ids[0]] != cols[ids[-1]]
+        keep = differ if keep is None else keep & differ
+    if keep is not None:
+        cols = [c[keep] for c in cols]
+    m = len(cols[0])
+    atoms = []
+    for a in formula.atoms:
+        code = np.full(m, offsets[a.pred], dtype=np.int64)
+        for i, v in enumerate(a.args):
+            place = n ** (len(a.args) - 1 - i)
+            code += cols[var_at[v]] if place == 1 else cols[var_at[v]] * place
+        atoms.append(code)
 
-    n_atoms = atoms.shape[1]
-    new = np.ones(atoms.shape, dtype=bool)  # first template atom of its ground atom
-    pos = np.zeros(atoms.shape, dtype=np.int64)
-    k = np.ones(len(atoms), dtype=np.int64)
+    n_atoms = len(atoms)
+    new = [np.ones(m, dtype=bool)]  # first template atom of its ground atom
+    pos = [np.zeros(m, dtype=np.int64)]
+    k = np.ones(m, dtype=np.int64)
+    pattern = np.zeros(m, dtype=np.int64)
     for i in range(1, n_atoms):
-        pos[:, i] = k
+        pos_i, new_i = k.copy(), new[0].copy()
         for j in range(i):
-            same = atoms[:, i] == atoms[:, j]
-            new[:, i] &= ~same
-            pos[same, i] = pos[same, j]
-        k += new[:, i]
-    pattern = sum(pos[:, i] * 3 ** i for i in range(n_atoms))
+            same = atoms[i] == atoms[j]
+            new_i &= ~same
+            np.copyto(pos_i, pos[j], where=same)
+        pos.append(pos_i)
+        new.append(new_i)
+        k += new_i
+        pattern += pos_i * 3 ** i
     w = formula.weight.resolve()
     tables = {}
     for code in np.flatnonzero(np.bincount(pattern)).tolist():
@@ -602,10 +638,12 @@ def _bind_formula(f_idx, formula, n, offsets, aux_base):
         kk, theta = _pattern_theta(formula.table, pos_i, w)
         tables.setdefault(kk, np.zeros((3 ** n_atoms,) + theta.shape))[code] = theta
 
-    aux = (aux_base + np.arange(len(atoms)))[:, None]
-    mask = np.concatenate([new, (k == 3)[:, None]], axis=1)
-    return (_Bindings(f_idx, combos, k, pattern, tables),
-            np.concatenate([atoms, aux], axis=1)[mask])
+    triple = k == 3
+    if triple.any():
+        atoms.append(aux_base + np.arange(len(k)))
+        new.append(triple)
+    events = np.stack(atoms, axis=1)[np.stack(new, axis=1)]
+    return _Bindings(f_idx, np.stack(cols, axis=1), k, pattern, tables), events
 
 
 def _provenance(forms, node_of, edge_of):
@@ -627,48 +665,60 @@ def _collect_groundings(forms, node_of, node_slot):
     """The node potentials of every binding, and its edges and auxiliary nodes.
 
     Returns ``(atom_parts, aux_parts, edge_u, edge_v, edge_bit, flips,
-    aux_of)``.  The parts list ``(rows, values)`` of the potentials added to
-    the atom and the auxiliary block, in order.  The edge events (lower node
-    id, higher one, and for an auxiliary edge the bit of its atom, else -1)
-    run in the order the bindings add them.  ``flips[f]`` marks the pairwise
-    bindings of formula ``f`` whose first distinct atom has the higher node
-    id; ``aux_of[f]`` holds the auxiliary node and the three atom nodes of
-    its bindings with k == 3.
+    aux_of)``.  The parts list ``(rows, table, codes)`` of the potentials
+    added to the atom and the auxiliary block, in order.  The edge events
+    (lower node id, higher one, and for an auxiliary edge the bit of its
+    atom, else -1) run in the order the bindings add them.  ``flips[f]``
+    marks the pairwise bindings of formula ``f`` whose first distinct atom
+    has the higher node id; ``aux_of[f]`` holds the auxiliary node and the
+    three atom nodes of its bindings with k == 3.  Each node is gathered by
+    a 1-D index from the bindings that have it: a formula without k == 3
+    bindings takes two gathers for its pairwise ones and its edge events
+    straight from them, and one with k == 3 places each binding's edges at
+    its offset among the formula's edge events.
     """
-    padded = np.concatenate([node_of, np.zeros(3, dtype=np.int64)])
     start = 0
-    atom_parts, aux_parts = [], []
-    edge_u, edge_v, edge_bit, flips, aux_of = [_NO_INTS], [_NO_INTS], [_NO_INTS], [], []
+    atom_parts, aux_parts, edge_events, flips, aux_of = [], [], [], [], []
     for fb in forms:
         counts = fb.node_counts()
         first_event = start + np.cumsum(counts) - counts
         start += int(counts.sum())
-        a0, a1, a2, a3 = (padded[first_event + d] for d in range(4))
-        sel, vals = fb.values(1)
-        atom_parts.append((node_slot[a0[sel]], vals))
-        sel, vals = fb.values(3)
-        aux_parts.append((node_slot[a3[sel]], vals))
-        aux_of.append((a3[sel], a0[sel], a1[sel], a2[sel]))
+        sel, table, codes = fb.potentials(1)
+        atom_parts.append((node_slot[node_of[first_event[sel]]], table, codes))
         pair, triple = fb.k == 2, fb.k == 3
-        flips.append(a0[pair] > a1[pair])
-        valid = np.stack([pair | triple, triple, triple], axis=1)
-        edge_u.append(np.stack([np.where(pair, np.minimum(a0, a1), a0), a1, a2], axis=1)[valid])
-        edge_v.append(np.stack([np.where(pair, np.maximum(a0, a1), a3), a3, a3], axis=1)[valid])
-        bit = np.tile(np.arange(3), (len(pair), 1))
-        bit[pair, 0] = -1
-        edge_bit.append(bit[valid])
-    return (atom_parts, aux_parts, *(np.concatenate(x) for x in (edge_u, edge_v, edge_bit)),
+        at = first_event[pair]
+        a0, a1 = node_of[at], node_of[at + 1]
+        flips.append(a0 > a1)
+        u, v, bit = np.minimum(a0, a1), np.maximum(a0, a1), np.full(at.size, -1, dtype=np.int64)
+        if not triple.any():
+            aux_of.append((_NO_INTS,) * 4)
+            edge_events.append((u, v, bit))
+            continue
+        at = first_event[triple]
+        aux, atoms = node_of[at + 3], [node_of[at + d] for d in range(3)]
+        _, table, codes = fb.potentials(3)
+        aux_parts.append((node_slot[aux], table, codes))
+        aux_of.append((aux, *atoms))
+        n_edges = fb.edge_counts()
+        first_edge = np.cumsum(n_edges) - n_edges
+        out = np.empty((3, int(n_edges.sum())), dtype=np.int64)  # u, v, bit per edge event
+        out[:, first_edge[pair]] = u, v, bit
+        for d, atom in enumerate(atoms):
+            at = first_edge[triple] + d
+            out[0, at], out[1, at], out[2, at] = atom, aux, d
+        edge_events.append(tuple(out))
+    return (atom_parts, aux_parts, *map(np.concatenate, zip(*edge_events, (_NO_INTS,) * 3)),
             flips, aux_of)
 
 
 def _pair_parts(forms, flips, rows):
-    """The ``(rows, values)`` of every pairwise binding's potential, in order."""
+    """The ``(rows, table, codes)`` of every pairwise binding's potential, in order."""
     parts = []
     start = 0
     for fb, flip in zip(forms, flips):
-        _, vals = fb.values(2, flip)
-        parts.append((rows[start:start + len(vals)], vals))
-        start += len(vals)
+        _, table, codes = fb.potentials(2, flip)
+        parts.append((rows[start:start + len(codes)], table, codes))
+        start += len(codes)
     return parts
 
 
@@ -725,18 +775,24 @@ def ground(model, n):
     binding (``x != x`` admits none) simply contribute nothing.
 
     Each formula is grounded by array operations over all its bindings,
-    taken in the order of ``itertools.product`` over its variables.  A
-    grounding adds its distinct atoms in template order, then its auxiliary
-    node, then its edges; node and edge ids count first additions across
-    the formulas in order, and parallel potentials are summed in the order
-    they are added, as a loop over the groundings would.  Node ids come from
-    one pass over the bounded range of node codes, without a sort; each
-    block's potentials, of all formulas, are summed by one ``np.bincount``
-    per entry in the order they are added.  A grounding's potential depends
-    only on which template atoms coincide, so it is built once per
-    coincidence pattern.  The potentials stay in the blocks they are summed
-    in, and the nodes in the arrays of their codes; the node objects,
-    provenance and ``aux_atoms`` are built on first access.
+    taken in the order of ``itertools.product`` over its variables, each
+    pass reading and writing 1-D columns (one per variable, template atom or
+    node of a binding).  A grounding adds its distinct atoms in template
+    order, then its auxiliary node, then its edges; node and edge ids count
+    first additions across the formulas in order, and parallel potentials
+    are summed in the order they are added, as a loop over the groundings
+    would.  Node ids come from one pass over the bounded range of node
+    codes, without a sort.  Edge ids come from the same pass over the range
+    of edge codes, the node count squared, while that is at most
+    ``_TABLE_SPAN`` times the edge events, and from a stable sort otherwise
+    (as where auxiliary nodes make the node count large); both number the
+    edges alike.  Each block's potentials, of all formulas, are summed by
+    one ``np.bincount`` per entry in the order they are added.  A
+    grounding's potential depends only on which template atoms coincide, so
+    it is built once per coincidence pattern.  The potentials stay in the
+    blocks they are summed in, and the nodes in the arrays of their codes;
+    the node objects, provenance and ``aux_atoms`` are built on first
+    access.
     """
     if n < 1:
         raise ModelError(f"domain size must be >= 1, got {n}")
@@ -768,7 +824,10 @@ def ground(model, n):
     aux_theta = _summed(n_aux, (8,), aux_parts)
     del atom_parts, aux_parts
 
-    edge_of, first = _first_seen(edge_u * len(node_codes) + edge_v)
+    n_nodes = len(node_codes)
+    edge_codes = edge_u * n_nodes + edge_v
+    edge_of, first = _first_seen(
+        edge_codes, n_nodes ** 2 if n_nodes ** 2 <= _TABLE_SPAN * edge_codes.size else None)
     edges, bits = np.stack([edge_u[first], edge_v[first]], axis=1), edge_bit[first]
     is_aux_edge = bits >= 0
     edge_slot = _slots(is_aux_edge)
@@ -776,7 +835,7 @@ def ground(model, n):
     pair_theta = _summed(len(bits) - n_aux_edges, (2, 2),
                          _pair_parts(forms, flips, edge_slot[edge_of[edge_bit < 0]]))
     aux_edge_theta = np.zeros((n_aux_edges, 2, 8))
-    del edge_u, edge_v, edge_bit, flips
+    del edge_u, edge_v, edge_bit, edge_codes, flips
 
     table = _ground_node_table(model, n, node_codes, is_aux, forms, aux_of)
     return PairwiseGroundModel(

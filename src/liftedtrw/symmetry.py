@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import PairwiseGroundModel
+from .model import _TABLE_SPAN, PairwiseGroundModel
 
 
 class TyingViolation(Exception):
@@ -165,52 +166,80 @@ class LiftedGraph:
 
 
 def _ranks(items, key):
-    """Rank of ``key(item)`` among the distinct keys, per item, in key order."""
+    """Rank of ``key(item)`` among the distinct keys, per item, in key order,
+    and the number of distinct keys."""
+    if items and items.count(items[0]) == len(items):  # all equal, as a grounding's tags are
+        return np.zeros(len(items), dtype=np.int64), 1
     distinct = set(items)
     rank = {k: r for r, k in enumerate(sorted({key(x) for x in distinct}))}
-    if len(rank) == 1:
-        return np.zeros(len(items), dtype=np.int64)
+    if len(rank) <= 1:
+        return np.zeros(len(items), dtype=np.int64), len(rank)
     of = {x: rank[key(x)] for x in distinct}
-    return np.fromiter(map(of.__getitem__, items), dtype=np.int64, count=len(items))
+    return np.fromiter(map(of.__getitem__, items), dtype=np.int64, count=len(items)), len(rank)
 
 
 def _lex_codes(columns, radices=None):
-    """One int64 code per row of the equal-length int ``columns``.
+    """One int64 code per row of the equal-length 1-D int ``columns``.
 
     Codes follow the lexicographic order of the rows: equal rows share a
     code and a smaller row has a smaller one.  Each column is appended as a
     mixed-radix digit: column ``j`` must lie in ``0..radices[j]-1`` when
-    ``radices`` is given, and is shifted to start at 0 otherwise.  Before a
-    digit would take the codes to 2**63 or beyond, they are re-ranked to
-    ``0..G-1``.
+    ``radices`` is given, and is shifted to start at 0 otherwise (one min
+    and one max pass per column, which a caller that knows its ranges
+    saves).  Before a digit would take the codes to 2**63 or beyond, they
+    are re-ranked to ``0..G-1``.
     """
-    digits = np.array(columns, dtype=np.int64)
-    if not digits.shape[1]:
+    columns = [np.asarray(c, dtype=np.int64) for c in columns]
+    if not columns[0].size:
         return np.zeros(0, dtype=np.int64)
     if radices is None:
-        low = digits.min(axis=1)
-        radices = (digits.max(axis=1) - low + 1).tolist()
-        digits -= low[:, None]
-    code = digits[0]
-    bound = radices[0]  # every code lies in 0..bound-1
-    for digit, radix in zip(digits[1:], radices[1:]):
+        lows = [int(c.min()) for c in columns]
+        radices = [int(c.max()) - low + 1 for c, low in zip(columns, lows)]
+        columns = [c - low for c, low in zip(columns, lows)]
+    code, bound = None, 1  # every code lies in 0..bound-1
+    for digit, radix in zip(columns, radices):
+        if radix == 1:  # a digit that is always 0
+            continue
+        if code is None:
+            code, bound = digit, radix
+            continue
         if bound * radix > 2 ** 63:
             uniq, code = np.unique(code, return_inverse=True)
             bound = len(uniq)
         code = code * radix + digit
         bound *= radix
-    return code
+    return np.zeros(columns[0].size, dtype=np.int64) if code is None else code
 
 
-def _fixed_ranks(consts, valid, distinguished):
-    """Rank of each distinguished constant among ``distinguished``; -1 elsewhere."""
-    fixed = np.full(consts.shape, -1, dtype=np.int64)
-    if distinguished:
-        order = np.array(sorted(distinguished), dtype=np.int64)
-        pos = np.minimum(np.searchsorted(order, consts), len(order) - 1)
-        hit = valid & (order[pos] == consts)
-        fixed[hit] = pos[hit]
-    return fixed
+def _fixed_ranks(cols, valid, distinguished):
+    """Per constant column, each distinguished constant's rank among
+    ``distinguished`` plus 1, and 0 elsewhere; ``valid`` marks each column's
+    constants."""
+    order = np.array(sorted(distinguished), dtype=np.int64)
+    if not order.size:
+        return [np.zeros(col.size, dtype=np.int64) for col in cols]
+    out = []
+    for col, ok in zip(cols, valid):
+        pos = np.minimum(np.searchsorted(order, col), order.size - 1)
+        out.append(np.where(ok & (order[pos] == col), pos + 1, 0))
+    return out
+
+
+def _distinct(codes, bound):
+    """The distinct ``codes`` in increasing order, the index of each code
+    among them, and how often each occurs.
+
+    Every code lies in ``0..bound-1``.  While ``bound`` is at most
+    ``_TABLE_SPAN`` times the code count, one ``np.bincount`` over the range
+    gives them; otherwise a sort does.
+    """
+    if bound <= _TABLE_SPAN * codes.size:
+        counts = np.bincount(codes, minlength=bound)
+        distinct = np.flatnonzero(counts)
+        index = np.zeros(bound, dtype=np.int64)
+        index[distinct] = np.arange(distinct.size)
+        return distinct, index[codes], counts[distinct]
+    return np.unique(codes, return_inverse=True, return_counts=True)
 
 
 def _pinned_tables(lg, distinguished):
@@ -223,37 +252,36 @@ def _pinned_tables(lg, distinguished):
     for models whose symmetry is the renaming group).  Returns the class
     count, the class of every ground node, per node orbit its ``(class, node
     count)`` pairs and per edge orbit its distinct ``(class_u, class_v)``
-    pairs.  Built once per constant set and cached on ``lg``.
+    pairs in increasing order.  Classes are numbered in the order of their
+    codes, the orbit and then the ranks of the pinned constants, taken over
+    the node table's constant columns.  Built once per constant set and
+    cached on ``lg``.
     """
     cache = lg.__dict__.setdefault("_pinned_tables", {})
     if distinguished not in cache:
         model = lg.model
-        n_nodes, n_edges = model.n_nodes, len(model.edges)
         table = model.node_table
-        fixed = _fixed_ranks(table.consts, table.valid, distinguished) + 1
-        code = _lex_codes([lg.node_orbit_of, *fixed.T],
-                          [len(lg.node_orbits)] + [len(distinguished) + 1] * fixed.shape[1])
-        radix = int(code.max(initial=0)) + 1
-        # one unique over the nodes' rows (0, code, 0, 0) and the edges' rows
-        # (1, edge orbit, code of u, code of v): node classes come first
-        digits = np.zeros((4, n_nodes + n_edges), dtype=np.int64)
-        digits[0, n_nodes:] = 1
-        digits[1, :n_nodes], digits[1, n_nodes:] = code, lg.edge_orbit_of
-        digits[2:, n_nodes:] = code[model.edges].T
-        rows = _lex_codes(digits, [2, max(radix, len(lg.edge_orbits)), radix, radix])
-        _, first, inverse, counts = np.unique(rows, return_index=True, return_inverse=True,
-                                              return_counts=True)
-        n_classes = int(np.count_nonzero(first < n_nodes))
-        class_of = inverse[:n_nodes]
+        width, n_orbits = table.consts.shape[1], len(lg.node_orbits)
+        fixed = _fixed_ranks(table.consts.T.copy(), table.valid.T.copy(), distinguished)
+        radix = len(distinguished) + 1
+        code = _lex_codes([lg.node_orbit_of, *fixed], [n_orbits] + [radix] * width)
+        classes, class_of, counts = _distinct(code, n_orbits * radix ** width)
+        n_classes = len(classes)
+        orbit_of_class = np.empty(n_classes, dtype=np.int64)
+        orbit_of_class[class_of] = lg.node_orbit_of
         node_table = [[] for _ in lg.node_orbits]
-        for ci, (oid, count) in enumerate(zip(lg.node_orbit_of[first[:n_classes]].tolist(),
-                                              counts[:n_classes].tolist())):
+        for ci, (oid, count) in enumerate(zip(orbit_of_class.tolist(), counts.tolist())):
             node_table[oid].append((ci, count))
-        edge_ids = first[n_classes:] - n_nodes
+        cu, cv = class_of[model.edges[:, 0]], class_of[model.edges[:, 1]]
+        radices = [len(lg.edge_orbits), n_classes, n_classes]
+        pairs, pair_of, _ = _distinct(_lex_codes([lg.edge_orbit_of, cu, cv], radices),
+                                      math.prod(radices))
+        edge = np.empty(len(pairs), dtype=np.int64)  # an edge of each (orbit, cu, cv)
+        edge[pair_of] = np.arange(len(pair_of))
         edge_table = [[] for _ in lg.edge_orbits]
-        for eid, cu, cv in zip(lg.edge_orbit_of[edge_ids].tolist(),
-                               *class_of[model.edges[edge_ids]].T.tolist()):
-            edge_table[eid].append((cu, cv))
+        for eid, u, v in zip(lg.edge_orbit_of[edge].tolist(), cu[edge].tolist(),
+                             cv[edge].tolist()):
+            edge_table[eid].append((u, v))
         cache[distinguished] = (n_classes, class_of, node_table, edge_table)
     return cache[distinguished]
 
@@ -349,22 +377,36 @@ def count_components(lg, node_orbit_ids=None, edge_orbit_ids=None):
     return sum(_ground_components_of(lg, nodes, edges) for nodes, edges in comps.values())
 
 
-def _relabel_codes(consts, valid):
-    """Each row of ``consts`` with its constants relabeled ``0, 1, ...`` by
-    first occurrence along the row, as sortable ints; padding becomes -1, so
-    a row sorts before its extensions as a shorter tuple does."""
-    codes = np.full(consts.shape, -1, dtype=np.int64)
-    n_seen = np.zeros(len(consts), dtype=np.int64)
-    for j in range(consts.shape[1]):
-        label = n_seen.copy()
-        new = valid[:, j].copy()
+def _relabel_codes(cols, valid):
+    """The constants of a padded table relabeled ``1, 2, ...`` by first
+    occurrence along each row, as sortable ints; padding becomes 0, so a row
+    sorts before its extensions as a shorter tuple does.
+
+    ``cols`` holds the table's columns and ``valid`` marks, per column, the
+    rows where it holds a constant; both are lists of 1-D arrays, and so is
+    the result, one column each.
+    """
+    codes = []
+    n_seen = np.zeros(len(cols[0]) if cols else 0, dtype=np.int64)
+    for j, (col, ok) in enumerate(zip(cols, valid)):
+        label = n_seen + 1
+        new = ok.copy()
         for k in range(j):
-            same = new & valid[:, k] & (consts[:, k] == consts[:, j])
-            label[same] = codes[same, k]
-            new &= ~same
-        codes[valid[:, j], j] = label[valid[:, j]]
+            same = new & valid[k] & (cols[k] == col)
+            np.copyto(label, codes[k], where=same)
+            new ^= same
+        codes.append(np.where(ok, label, 0))
         n_seen += new
     return codes
+
+
+def _members(orbit_of, n_orbits):
+    """Element ids orbit by orbit, each orbit's in increasing order: the
+    stable argsort of ``orbit_of``, by numpy's radix sort where the ids fit
+    in 16 bits (a stable sort has one result, whatever the algorithm)."""
+    if n_orbits <= np.iinfo(np.int16).max:
+        orbit_of = orbit_of.astype(np.int16)
+    return np.argsort(orbit_of, kind="stable")
 
 
 def compute_orbits(model):
@@ -375,57 +417,75 @@ def compute_orbits(model):
     an edge gives the row ``(tag, orbit of the first node, description of the
     second, the second's constants relabeled after the first's)``.  An edge
     takes its smaller row, and is flip-symmetric when both are equal.  Orbit
-    ids follow the order of the rows.
+    ids follow the order of the rows.  The rows are held as 1-D columns:
+    the node table's constant columns, gathered by endpoint for the edges,
+    and each digit's range is known, so the codes need no min/max pass and
+    are counted by :func:`_distinct` over their range.
     """
     table = model.node_table
-    desc, consts, valid = table.desc, table.consts, table.valid
-    node_orbit_of = np.unique(_lex_codes([desc, *_relabel_codes(consts, valid).T]),
-                              return_inverse=True)[1]
-    node_order = np.argsort(node_orbit_of, kind="stable")
-    sizes = np.bincount(node_orbit_of)
+    desc, width, n_types = table.desc, table.consts.shape[1], len(table.types)
+    cols, valid = list(table.consts.T.copy()), list(table.valid.T.copy())
+    radices = [n_types] + [width + 1] * width
+    _, node_orbit_of, sizes = _distinct(_lex_codes([desc, *_relabel_codes(cols, valid)], radices),
+                                        math.prod(radices))
+    node_order = _members(node_orbit_of, len(sizes))
     reps = node_order[np.cumsum(sizes) - sizes]
     node_orbits = [NodeOrbit(oid, size, i, nv) for oid, (size, i, nv) in enumerate(zip(
         sizes.tolist(), reps.tolist(), table.n_values[reps].tolist()))]
 
     n_edges = len(model.edges)
-    rows = np.concatenate([model.edges, model.edges[:, ::-1]])  # both orientations
-    shape = (len(rows), 2 * consts.shape[1])
-    joint = _relabel_codes(consts[rows].reshape(shape), valid[rows].reshape(shape))
-    tag = _ranks(model.edge_tags, key=lambda t: t or "")
-    codes = _lex_codes([np.tile(tag, 2), node_orbit_of[rows[:, 0]], desc[rows[:, 1]],
-                        *joint[:, consts.shape[1]:].T])
+    ends = model.edges.T.copy()
+    # the first and the second endpoint of every edge in both orientations
+    first, second = np.concatenate([ends[0], ends[1]]), np.concatenate([ends[1], ends[0]])
+    joint = _relabel_codes([c[first] for c in cols] + [c[second] for c in cols],
+                           [v[first] for v in valid] + [v[second] for v in valid])
+    tag, n_tags = _ranks(model.edge_tags, key=lambda t: t or "")
+    radices = [n_tags, len(node_orbits), n_types] + [2 * width + 1] * width
+    codes = _lex_codes([np.tile(tag, 2), node_orbit_of[first], desc[second], *joint[width:]],
+                       radices)
     fwd, bwd = codes[:n_edges], codes[n_edges:]
     backward = bwd < fwd
     flip = fwd == bwd
-    _, reps, orbit_of = np.unique(np.minimum(fwd, bwd), return_index=True, return_inverse=True)
+    _, orbit_of, sizes = _distinct(np.minimum(fwd, bwd), math.prod(radices))
+    edge_order = _members(orbit_of, len(sizes))
+    reps = edge_order[np.cumsum(sizes) - sizes]  # each orbit's lowest-id edge
     if (flip != flip[reps][orbit_of]).any():  # pragma: no cover - codes pin the orientation pair
         raise TyingViolation("inconsistent flip flags in an edge orbit")
-    # each orbit's lowest-id edge, lead endpoint first
-    lead = np.where(backward[reps], model.edges[reps, 1], model.edges[reps, 0])
-    other = np.where(backward[reps], model.edges[reps, 0], model.edges[reps, 1])
+    # lead endpoint first
+    lead = np.where(backward[reps], ends[1, reps], ends[0, reps])
+    other = np.where(backward[reps], ends[0, reps], ends[1, reps])
     edge_orbits = []
     for oid, (k, size, u, v, u_orb, v_orb) in enumerate(zip(
-            reps.tolist(), np.bincount(orbit_of).tolist(), lead.tolist(), other.tolist(),
+            reps.tolist(), sizes.tolist(), lead.tolist(), other.tolist(),
             node_orbit_of[lead].tolist(), node_orbit_of[other].tolist())):
         if flip[k] and u_orb != v_orb:  # pragma: no cover - flip forces one orbit
             raise TyingViolation(f"flip-symmetric edge orbit {oid} across two node orbits")
         edge_orbits.append(EdgeOrbit(oid, size, (u, v), u_orb, v_orb, bool(flip[k])))
 
     return _assemble(model, node_orbits, edge_orbits, node_orbit_of, orbit_of,
-                     node_order, np.argsort(orbit_of, kind="stable"), backward)
+                     node_order, edge_order, backward)
 
 
-def _by_shape(shapes):
-    """Positions grouped by equal entries of the non-negative ``shapes``: per
-    distinct entry its positions in order, and every position's index among
-    them."""
+def _by_shape(shapes, sizes, order):
+    """The members of the orbits of each shape, and each orbit's place among them.
+
+    ``shapes`` and ``sizes`` hold one non-negative shape code and the member
+    count per orbit, and ``order`` lists the members orbit by orbit.
+    Returns, per distinct shape, the members of its orbits in order, and
+    per orbit the position of its first member among those of its shape.
+    """
+    at = np.empty(len(shapes), dtype=np.int64)
+    distinct = np.flatnonzero(np.bincount(shapes)).tolist()
+    if len(distinct) == 1:
+        at[:] = np.cumsum(sizes) - sizes
+        return {distinct[0]: order}, at
+    of_member = np.repeat(shapes, sizes)
     groups = {}
-    index = np.empty(len(shapes), dtype=np.int64)
-    for shape in np.flatnonzero(np.bincount(shapes)).tolist():
-        at = np.flatnonzero(shapes == shape)
-        groups[shape] = at
-        index[at] = np.arange(at.size)
-    return groups, index
+    for shape in distinct:
+        ids = shapes == shape
+        at[ids] = np.cumsum(sizes[ids]) - sizes[ids]
+        groups[shape] = order[of_member == shape]
+    return groups, at
 
 
 @functools.cache
@@ -462,12 +522,14 @@ def _tied_sum(members, kind, oid, flip=False):
     if len(members) == 1 and not flip:
         return members[0]
     x = np.ascontiguousarray(members.transpose((*range(1, members.ndim), 0)))
-    ref = x[..., :1]
-    scale = _THETA_TOL * np.maximum(1.0, np.abs(x).max(axis=-1))
-    dev = np.abs(x - ref).max(axis=-1)
+    ref = x[..., 0]
+    # the largest |x - ref| and |x| come from the largest and smallest member
+    hi, lo = x.max(axis=-1), x.min(axis=-1)
+    scale = _THETA_TOL * np.maximum(1.0, np.maximum(hi, -lo))
+    dev = np.maximum(hi - ref, ref - lo)
     bad = dev > scale
     if flip:
-        dev = np.maximum(dev, np.abs(x.transpose(1, 0, 2) - ref).max(axis=-1))
+        dev = np.maximum(dev, np.maximum(hi.T - ref, ref - lo.T))
         bad |= np.triu(dev > np.maximum(scale, scale.T))
     if bad.any():
         where = tuple(np.argwhere(bad)[0].tolist())
@@ -476,8 +538,9 @@ def _tied_sum(members, kind, oid, flip=False):
 
 
 def _tied_zeros(members, oid, flip):
-    """The structural zeros of an edge orbit whose members' masks are stacked
-    along the first axis; raises unless every member has the same ones."""
+    """The structural zeros of an edge orbit whose members' masks, or the
+    distinct ones among them, are stacked along the first axis; raises
+    unless every member has the same ones."""
     x = members.transpose(1, 2, 0)
     if flip:
         x = np.concatenate([x, x.transpose(1, 0, 2)], axis=-1)
@@ -496,46 +559,46 @@ def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of,
     edges whose orbit lists them as ``(v, u)`` of their stored ``(u, v)``.
     The members of all orbits of one shape are stacked in orbit order by one
     gather from the model's blocks, members listed ``(v, u)`` transposed,
-    and each orbit checks and sums its slice of that stack.  The variables
+    and each orbit checks and sums its slice of that stack.  An edge orbit's
+    structural zeros are checked over the distinct oriented masks of its
+    members, found by one ``np.bincount`` over all edges.  The variables
     of all edge orbits with one value grid are then numbered at once.  The
     lifted graph keeps ``backward``, from which it builds the ground feature
     map when that is first read.
     """
-    n_values = model.n_values
-    groups, index = _by_shape(n_values[node_order])
-    stacks = {nv: model.theta_node.stack(node_order[at]) for nv, at in groups.items()}
-    node_sums = [np.zeros(0)]
-    end = 0
-    for orb in node_orbits:
-        at = index[end]
-        end += orb.size
-        node_sums.append(_tied_sum(stacks[orb.n_values][at:at + orb.size], "node", orb.id))
     orbit_nv = np.array([orb.n_values for orb in node_orbits], dtype=np.int64)
+    sizes = np.array([orb.size for orb in node_orbits], dtype=np.int64)
+    groups, at = _by_shape(orbit_nv, sizes, node_order)
+    stacks = {nv: model.theta_node.stack(members) for nv, members in groups.items()}
+    node_sums = [np.zeros(0)]
+    for orb, i in zip(node_orbits, at.tolist()):
+        node_sums.append(_tied_sum(stacks[orb.n_values][i:i + orb.size], "node", orb.id))
     node_var_start = (np.cumsum(orbit_nv) - orbit_nv).tolist()
 
-    turned = backward[edge_order]
-    radix = int(n_values.max(initial=0)) + 1
+    radix = int(orbit_nv.max(initial=0)) + 1
     sizes = np.array([orb.size for orb in edge_orbits], dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
-    shape_of = np.repeat(np.array([node_orbits[orb.u_orbit].n_values * radix
-                                   + node_orbits[orb.v_orbit].n_values for orb in edge_orbits],
-                                  dtype=np.int64), sizes)
-    groups, index = _by_shape(shape_of)
-    zeroed = model.structural_zero.code[edge_order] >= 0
-    stacks, zero_stacks = {}, {}
-    for code, at in groups.items():
-        stacks[code] = model.theta_edge.stack(edge_order[at], turned[at])
-        if zeroed[at].any():
-            zero_stacks[code] = model.structural_zero.stack(edge_order[at], turned[at],
-                                                            stacks[code].shape[1:])
+    shapes = np.array([orbit_nv[orb.u_orbit] * radix + orbit_nv[orb.v_orbit]
+                       for orb in edge_orbits], dtype=np.int64)
+    groups, at = _by_shape(shapes, sizes, edge_order)
+    stacks = {code: model.theta_edge.stack(members, backward[members])
+              for code, members in groups.items()}
+    # per edge orbit, which masks it has as kind 2 * (code + 1) + turned
+    n_kinds = 2 * len(model.structural_zero.table) + 2
+    code_of = model.structural_zero.code[edge_order]
+    kinds = None
+    if (code_of >= 0).any():
+        kinds = np.bincount(edge_orbit_of[edge_order] * n_kinds + 2 * code_of + 2
+                            + backward[edge_order],
+                            minlength=len(edge_orbits) * n_kinds).reshape(-1, n_kinds) > 0
+    oriented = {}  # value grid -> model.structural_zero.oriented(grid)
     by_grid = {}  # (nu, nv, flip) -> ids, theta sums and structural zeros of its orbits
-    for orb, code, at, start in zip(edge_orbits, shape_of[starts].tolist(),
-                                    index[starts].tolist(), starts.tolist()):
-        members = slice(at, at + orb.size)
-        theta = _tied_sum(stacks[code][members], "edge", orb.id, orb.flip)
+    for orb, code, i in zip(edge_orbits, shapes.tolist(), at.tolist()):
+        theta = _tied_sum(stacks[code][i:i + orb.size], "edge", orb.id, orb.flip)
         zero = np.zeros(theta.shape, dtype=bool)
-        if zeroed[start:start + orb.size].any():
-            zero = _tied_zeros(zero_stacks[code][members], orb.id, orb.flip)
+        if kinds is not None and kinds[orb.id, 2:].any():
+            if theta.shape not in oriented:
+                oriented[theta.shape] = model.structural_zero.oriented(theta.shape)
+            zero = _tied_zeros(oriented[theta.shape][kinds[orb.id]], orb.id, orb.flip)
         ids, thetas, zeros = by_grid.setdefault((*theta.shape, orb.flip), ([], [], []))
         ids.append(orb.id)
         thetas.append(theta)
@@ -588,11 +651,20 @@ def _assemble(model, node_orbits, edge_orbits, node_orbit_of, edge_orbit_of,
 
 
 def _check_invariants(lg):
+    """Orbit sizes add up to the ground node and edge counts, and every edge
+    orbit has incidence sum 2 over the node orbits.
+
+    By :meth:`EdgeOrbit.d`, an edge orbit's sum over the node orbits counts
+    its endpoints ``u_orbit`` and ``v_orbit`` that are node orbit ids, so
+    one array pass over the endpoints checks every edge orbit.
+    """
     assert sum(o.size for o in lg.node_orbits) == lg.model.n_nodes
     assert sum(o.size for o in lg.edge_orbits) == len(lg.model.edges)
-    for e in lg.edge_orbits:
-        total = sum(e.d(v.id) for v in lg.node_orbits)
-        assert total == 2, f"edge orbit {e.id} has incidence sum {total}"
+    ends = np.array([(e.u_orbit, e.v_orbit) for e in lg.edge_orbits]).reshape(-1, 2)
+    total = np.isin(ends, np.arange(len(lg.node_orbits))).sum(axis=1)
+    bad = np.flatnonzero(total != 2)
+    assert not bad.size, (f"edge orbit {lg.edge_orbits[bad[0]].id} has incidence sum "
+                          f"{total[bad[0]]}")
 
 
 def trivial_lifting(model):

@@ -326,6 +326,42 @@ class TestSweep:
 
         assert rows_without_millis(serial) == rows_without_millis(parallel)
 
+    @pytest.mark.parametrize("rho", ["uniform", "optimize", "kruskal:1,2,3,4,5,6"])
+    def test_grounds_each_w_once(self, capsys, monkeypatch, tmp_path, rho):
+        """``--outer all`` grounds each W once and solves every outer bound
+        on its lifted graph; the rows equal those of one sweep per outer
+        bound, where every (W, outer) pair is set up afresh, but for the
+        timing column."""
+        import liftedtrw.cli as cli
+        args = ["sweep", "--model", "clique_cycle", "--n", "3", "--W=-1:1:1",
+                "--tol", "1e-5", "--rho", rho]
+        grounded = []
+        ground = cli.ground
+
+        def counted(*a, **k):
+            grounded.append(a[1])
+            return ground(*a, **k)
+
+        monkeypatch.setattr(cli, "ground", counted)
+        together = tmp_path / "all.csv"
+        assert run_cli(capsys, *args, "--outer", "all", "--out", str(together))[0] == 0
+        assert grounded == [3, 3, 3]
+        rows = []
+        for outer in lt.OUTER_CHOICES:
+            apart = tmp_path / f"{outer}.csv"
+            assert run_cli(capsys, *args, "--outer", outer, "--out", str(apart))[0] == 0
+            rows += apart.read_text().splitlines()[2:]
+        assert len(grounded) == 3 + 3 * len(lt.OUTER_CHOICES)
+
+        def without_millis(lines):
+            return [",".join(p for i, p in enumerate(l.split(",")) if i != 6) for l in lines]
+
+        head, *got = together.read_text().splitlines()[1:]
+        want = sorted(rows, key=lambda r: (float(r.split(",")[0]),
+                                           lt.OUTER_CHOICES.index(r.split(",")[1])))
+        assert head.startswith("W,outer,n,bound,gap,iters,millis")
+        assert without_millis(got) == without_millis(want)
+
 
 class TestOrbitsMstValidate:
     def test_orbits_table_clique_cycle(self, capsys):

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import liftedtrw as lt
+from liftedtrw import model as model_module
 from liftedtrw.model import _first_seen
-from liftedtrw.symmetry import _lex_codes, _pinned_tables, trivial_lifting
+from liftedtrw.symmetry import _lex_codes, _pinned_tables, _relabel_codes, trivial_lifting
 
 from conftest import build, hand_built, keyed_orbits, members, partition
 
@@ -34,7 +35,12 @@ COINCIDING_TEXTS = ["1.0 R(x,y) ^ R(y,x)", "0.5 S(x) ^ F(x,y) -> S(y)",
 CORNER_TEXTS = ["0.3 R(x,y) ^ S(y,z) ^ T(z,w)", "0.2 R(x,x) v R(x,y)",
                 "0.5 A(x)\n0.7 [x != y ^ (B(x) <-> A(y))]",
                 "1 A(x) ^ B(x)\n1e16 A(x) ^ B(x)\n-1e16 A(x) ^ B(x)\n"
-                "1 A(x)\n1e16 A(x)\n-1e16 A(x)"]
+                "1 A(x)\n1e16 A(x)\n-1e16 A(x)",
+                # x=y leaves two distinct atoms in the first formula (k == 2)
+                # and x != y three (k == 3), next to a pairwise-only formula;
+                # the third has k == 1 at x=y and k == 3 elsewhere
+                "0.3 R(x,y) v S(y) v R(y,x)\n0.7 [x != y ^ (S(x) <-> S(y))]\n"
+                "-0.4 R(x,y) v R(y,x) v R(x,x)"]
 
 
 def _models():
@@ -323,15 +329,33 @@ class TestSetupFromEitherForm:
             _assert_same_array(a, b)
 
 
-def test_setup_matches_on_a_larger_domain():
+def test_setup_matches_on_a_larger_domain(monkeypatch):
+    """Up to the sizes of the large-domain benchmark, whose models number
+    their edges both ways: by the table pass of ``_first_seen`` (a node
+    count squared within ``_TABLE_SPAN`` times the edge events) and by the
+    sort (friends_smokers, whose auxiliary nodes make the square large)."""
+    calls = []
+    first_seen = model_module._first_seen
+
+    def spied(codes, bound=None):
+        calls.append((codes.size, bound))  # the last call of a grounding numbers its edges
+        return first_seen(codes, bound)
+
     for name, n in (("friends_smokers", 12), ("complete_graph", 40), ("clique_cycle", 10),
-                    ("complete_graph", 30), ("clique_cycle", 12), ("friends_smokers", 8)):
-        g = build(name, n, 0.4)
+                    ("complete_graph", 30), ("clique_cycle", 12), ("friends_smokers", 8),
+                    ("complete_graph", 150), ("clique_cycle", 40), ("friends_smokers", 40)):
+        with monkeypatch.context() as m:
+            m.setattr(model_module, "_first_seen", spied)
+            g = build(name, n, 0.4)
         ref = _ground_per_grounding(lt.parse_model(lt.zoo.model_text(name)).bind_weight(0.4), n)
         _assert_same_ground(g, ref)
         _assert_lifted_matches_references(lt.compute_orbits(g), *keyed_orbits(g))
         for a, b in zip(_lifted_and_rho(g), _lifted_and_rho(ref)):
             _assert_same_array(a, b)
+        n_events, bound = calls[-1]
+        table_pass = g.n_nodes ** 2 <= model_module._TABLE_SPAN * n_events
+        assert table_pass == (name != "friends_smokers")
+        assert bound == (g.n_nodes ** 2 if table_pass else None)
 
 
 @pytest.mark.parametrize("outer", ["local+exch", "cycle+exch"])
@@ -371,6 +395,51 @@ TAG_NODES = [("V", (0,), 2, None), ("V", (1,), 2, ""), ("V", (2,), 2, None),
              ("W", (0,), 2, "t"), ("W", (1,), 2, None)]
 TAG_EDGES = [(0, 1, None), (1, 2, ""), (0, 2, None), (0, 3, "t"), (1, 3, ""),
              (2, 4, "t"), (4, 3, None)]
+
+
+def _relabel_by_dict(rows, width):
+    """Per row, given as tuples of constants, its constants numbered 1, 2,
+    ... by first occurrence across the tuples, each tuple padded with 0 to
+    ``width``."""
+    out = []
+    for row in rows:
+        labels, codes = {}, []
+        for part in row:
+            codes += [labels.setdefault(c, len(labels) + 1) for c in part]
+            codes += [0] * (width - len(part))
+        out.append(codes)
+    return out
+
+
+class TestColumnRelabel:
+    """``_relabel_codes`` over the node table's columns, and over the
+    endpoint columns gathered for both orientations of edges as
+    ``compute_orbits`` gathers them, against a dict per row."""
+
+    @pytest.mark.parametrize("width", range(7))
+    @pytest.mark.parametrize("n_rows", [0, 1, 50])
+    def test_matches_per_row_dict(self, width, n_rows):
+        rng = np.random.default_rng(100 * width + n_rows)
+        consts = rng.integers(0, 4, size=(n_rows, width))  # four constants: many repeats
+        lengths = rng.integers(0, width + 1, size=n_rows)
+        valid = np.arange(width) < lengths[:, None]  # padding holds constants too
+        rows = [tuple(consts[i, :lengths[i]].tolist()) for i in range(n_rows)]
+        cols, ok = list(consts.T.copy()), list(valid.T.copy())
+
+        got = _relabel_codes(cols, ok)
+        assert len(got) == width
+        assert all(c.dtype == np.int64 and c.shape == (n_rows,) for c in got)
+        want = _relabel_by_dict([(r,) for r in rows], width)
+        assert np.array(got, dtype=np.int64).reshape(width, n_rows).T.tolist() == want
+
+        ends = rng.integers(0, max(n_rows, 1), size=(2, 3 * n_rows))
+        first, second = np.concatenate([ends[0], ends[1]]), np.concatenate([ends[1], ends[0]])
+        got = _relabel_codes([c[first] for c in cols] + [c[second] for c in cols],
+                             [v[first] for v in ok] + [v[second] for v in ok])
+        assert len(got) == 2 * width
+        want = _relabel_by_dict([(rows[a], rows[b]) for a, b in zip(first.tolist(),
+                                                                     second.tolist())], width)
+        assert np.array(got, dtype=np.int64).reshape(2 * width, first.size).T.tolist() == want
 
 
 class TestArrayKeying:

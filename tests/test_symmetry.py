@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import liftedtrw as lt
-from liftedtrw.symmetry import _pinned_tables, _renaming_node_map, _UnionFind
+from liftedtrw.symmetry import _check_invariants, _pinned_tables, _renaming_node_map, _UnionFind
 
 from conftest import build, edge_orbit_tags, hand_built, keyed_edge, members, partition
 
@@ -84,6 +84,35 @@ class TestComputeOrbits:
             lg = lt.compute_orbits(g)
             assert sum(o.size for o in lg.node_orbits) == len(g.nodes)
             assert sum(o.size for o in lg.edge_orbits) == len(g.edges)
+
+    @pytest.mark.parametrize("lifting", ["orbits", "trivial"])
+    def test_invariant_check_catches_corruption(self, lifting):
+        """An edge orbit whose endpoint is no node orbit id (-1, the node
+        orbit count, or a fraction), on a self-loop orbit or a two-orbit
+        one, fails the invariant check, and so do orbit sizes that no longer
+        add up to the ground counts."""
+        make = lt.compute_orbits if lifting == "orbits" else lt.trivial_lifting
+        g = build("clique_cycle", 3, -1.0)
+        lg = make(g)
+        _check_invariants(lg)
+        loops = [e for e in lg.edge_orbits if e.u_orbit == e.v_orbit]
+        others = [e for e in lg.edge_orbits if e.u_orbit != e.v_orbit]
+        assert others and (loops or lifting == "trivial")
+        for eo in loops[-1:] + others[-1:]:
+            for side in ("u_orbit", "v_orbit"):
+                for bad in (-1, len(lg.node_orbits), 0.5):
+                    kept = getattr(eo, side)
+                    setattr(eo, side, bad)
+                    with pytest.raises(AssertionError, match=f"edge orbit {eo.id} has incidence"):
+                        _check_invariants(lg)
+                    setattr(eo, side, kept)
+        _check_invariants(lg)
+        for orbits in (lg.node_orbits, lg.edge_orbits):
+            orbits[-1].size += 1
+            with pytest.raises(AssertionError):
+                _check_invariants(lg)
+            orbits[-1].size -= 1
+        _check_invariants(lg)
 
     def test_orbit_size_divides_group_order(self):
         for n in (3, 4, 5):
