@@ -204,8 +204,8 @@ class PairwiseGroundModel:
     edge's potential as a row of a block of equal shapes (:class:`BlockRows`:
     a block, and a slot in it, per id); ``structural_zero`` codes each
     edge's mask into a small table, -1 for none (:class:`MaskCodes`).
-    ``_provenance`` holds the lists behind :attr:`node_provenance` and
-    :attr:`edge_provenance`, or a function that builds them on first access.
+    ``_aux_atoms`` holds :attr:`aux_atoms`, or a function that builds it on
+    first access.
     """
 
     constants: tuple[int, ...]
@@ -215,7 +215,6 @@ class PairwiseGroundModel:
     theta_node: BlockRows
     theta_edge: BlockRows
     structural_zero: MaskCodes
-    _provenance: tuple | Callable = field(repr=False)
     _aux_atoms: dict | Callable = field(default_factory=dict, repr=False)
 
     @cached_property
@@ -243,21 +242,6 @@ class PairwiseGroundModel:
         return {(u, v): k for k, (u, v) in enumerate(self.edges.tolist())}
 
     @property
-    def node_provenance(self):
-        """Per node, the ``(formula index, binding)`` of each grounding that added it."""
-        return self._provenance_lists()[0]
-
-    @property
-    def edge_provenance(self):
-        """Per edge, the ``(formula index, binding)`` of each potential added to it."""
-        return self._provenance_lists()[1]
-
-    def _provenance_lists(self):
-        if callable(self._provenance):
-            self._provenance = self._provenance()
-        return self._provenance
-
-    @property
     def aux_atoms(self):
         """Per auxiliary node id, the ids of its three atoms; built on first access."""
         if callable(self._aux_atoms):
@@ -280,23 +264,9 @@ class PairwiseGroundModel:
     def n_features(self):
         return self.feature_layout()[2]
 
-    def node_feature(self, i, t):
-        return self.feature_layout()[0][i] + t
-
     def edge_feature(self, k, t, h):
         nv = int(self.n_values[self.edges[k, 1]])
         return self.feature_layout()[1][k] + t * nv + h
-
-    def theta_vector(self):
-        """The full overcomplete parameter vector."""
-        out = np.zeros(self.n_features)
-        for i, th in enumerate(self.theta_node):
-            s = self.feature_layout()[0][i]
-            out[s:s + th.size] = th
-        for k, th in enumerate(self.theta_edge):
-            s = self.feature_layout()[1][k]
-            out[s:s + th.size] = th.ravel()
-        return out
 
     # -- scoring ----------------------------------------------------------
     def score_state(self, x):
@@ -320,20 +290,6 @@ class PairwiseGroundModel:
     def atom_node_ids(self):
         return np.flatnonzero(self.node_table.is_kind("atom")).tolist()
 
-    def consistent_aux_value(self, aux_id, values):
-        """The unique consistent value of an auxiliary node given ``values`` per node id."""
-        a0, a1, a2 = self.aux_atoms[aux_id]
-        return values[a0] | (values[a1] << 1) | (values[a2] << 2)
-
-    def complete_state(self, atom_values):
-        """Extend a per-atom-node assignment dict/array to all nodes."""
-        x = [0] * self.n_nodes
-        for i in self.atom_node_ids:
-            x[i] = atom_values[i]
-        for aux_id in self.aux_atoms:
-            x[aux_id] = self.consistent_aux_value(aux_id, x)
-        return x
-
 
 class GroundModelBuilder:
     """Incremental constructor used by grounding and by hand-built models."""
@@ -348,11 +304,9 @@ class GroundModelBuilder:
         self.theta_node = []
         self.theta_edge = []
         self.structural_zero = []
-        self.node_provenance = []
-        self.edge_provenance = []
         self.aux_atoms = {}
 
-    def add_node(self, kind, label, consts, n_values, tag=None, provenance=None):
+    def add_node(self, kind, label, consts, n_values, tag=None):
         key = (kind, label, tuple(consts))
         if key in self.node_index:
             i = self.node_index[key]
@@ -364,9 +318,6 @@ class GroundModelBuilder:
             self.node_index[key] = i
             self.nodes.append(GroundNode(kind, label, tuple(consts), n_values, tag))
             self.theta_node.append(np.zeros(n_values))
-            self.node_provenance.append([])
-        if provenance is not None:
-            self.node_provenance[i].append(provenance)
         return i
 
     def add_node_theta(self, i, theta):
@@ -378,7 +329,7 @@ class GroundModelBuilder:
             raise ModelError(f"node {i} theta has a non-finite entry")
         self.theta_node[i] += theta
 
-    def add_edge_theta(self, u, v, theta, tag=None, structural_zero=None, provenance=None):
+    def add_edge_theta(self, u, v, theta, tag=None, structural_zero=None):
         """Accumulate a pairwise potential; parallel potentials are summed.
 
         ``theta`` and ``structural_zero`` are indexed by the values of ``u``
@@ -407,7 +358,6 @@ class GroundModelBuilder:
             nv = self.nodes[key[1]].n_values
             self.theta_edge.append(np.zeros((nu, nv)))
             self.structural_zero.append(None)
-            self.edge_provenance.append([])
         elif self.edge_tags[k] != tag:
             raise ModelError(f"edge {key} exists with tag {self.edge_tags[k]!r}")
         if u > v:
@@ -417,8 +367,6 @@ class GroundModelBuilder:
         if structural_zero is not None:
             old = self.structural_zero[k]
             self.structural_zero[k] = structural_zero if old is None else (old | structural_zero)
-        if provenance is not None:
-            self.edge_provenance[k].append(provenance)
         return k
 
     def build(self):
@@ -439,8 +387,6 @@ class GroundModelBuilder:
             theta_edge=BlockRows.stacked(self.theta_edge),
             structural_zero=MaskCodes(np.array(codes, dtype=np.int64),
                                       [z for _, z in masks.values()]),
-            _provenance=tuple([list(p) for p in lists]
-                              for lists in (self.node_provenance, self.edge_provenance)),
             _aux_atoms=dict(self.aux_atoms),
         )
 
@@ -646,21 +592,6 @@ def _bind_formula(f_idx, formula, n, offsets, aux_base):
     return _Bindings(f_idx, np.stack(cols, axis=1), k, pattern, tables), events
 
 
-def _provenance(forms, node_of, edge_of):
-    """The provenance lists of a grounding, from the ids of its node and edge events."""
-    prov = [(fb.f_idx, tuple(c)) for fb in forms for c in fb.combos.tolist()]
-    binding = np.arange(len(prov))
-    out = []
-    for ids, counts in ((node_of, [fb.node_counts() for fb in forms]),
-                        (edge_of, [fb.edge_counts() for fb in forms])):
-        lists = [[] for _ in range(int(ids.max()) + 1 if ids.size else 0)]
-        event_binding = np.repeat(binding, np.concatenate(counts + [_NO_INTS]))
-        for i, b in zip(ids.tolist(), event_binding.tolist()):
-            lists[i].append(prov[b])
-        out.append(lists)
-    return tuple(out)
-
-
 def _collect_groundings(forms, node_of, node_slot):
     """The node potentials of every binding, and its edges and auxiliary nodes.
 
@@ -791,8 +722,7 @@ def ground(model, n):
     grounding's potential depends only on which template atoms coincide, so
     it is built once per coincidence pattern.  The potentials stay in the
     blocks they are summed in, and the nodes in the arrays of their codes;
-    the node objects, provenance and ``aux_atoms`` are built on first
-    access.
+    the node objects and ``aux_atoms`` are built on first access.
     """
     if n < 1:
         raise ModelError(f"domain size must be >= 1, got {n}")
@@ -847,6 +777,5 @@ def ground(model, n):
         theta_edge=BlockRows((pair_theta, aux_edge_theta), is_aux_edge.astype(np.int64),
                              edge_slot),
         structural_zero=MaskCodes(bits, _AUX_ZERO),
-        _provenance=partial(_provenance, forms, node_of, edge_of),
         _aux_atoms=partial(_aux_atoms, aux_of),
     )

@@ -140,10 +140,6 @@ class LiftedGraph:
         return int(self.edge_var_map[orbit_id][t, h])
 
     # -- ground <-> lifted -------------------------------------------------
-    def expand(self, tau):
-        """Ground overcomplete vector with every feature set to its orbit value."""
-        return np.asarray(tau)[self.feat_to_var]
-
     def project(self, mu):
         """Orbit averages of a ground overcomplete vector."""
         mu = np.asarray(mu, dtype=float)

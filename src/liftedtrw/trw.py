@@ -193,7 +193,6 @@ class TrwResult:
     millis: float = 0.0
     lp_pivots: int = 0
     n_cuts: int = 0
-    cluster_counts: dict = field(default_factory=dict)
     stats: dict = field(default_factory=_new_stats)
 
     @property
@@ -486,8 +485,6 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
     if converged and stats["eq_residual"] > EQ_TOL:
         raise RuntimeError(f"gap termination off the equality rows: residual "
                            f"{stats['eq_residual']:.3e} > {EQ_TOL}")
-    clusters = {cl.node_orbit: tau[cl.c_offset:cl.c_offset + cl.size + 1].copy()
-                for cl in system.clusters}
     return TrwResult(
         bound=float(F + max(gap, 0.0)),
         objective=float(F),
@@ -501,6 +498,5 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
         millis=(clock() - t_start) * 1000.0,
         lp_pivots=pivots,
         n_cuts=simplex.m - n_built,
-        cluster_counts=clusters,
         stats=stats,
     )

@@ -69,6 +69,17 @@ def formula_score(model, n, atom_values):
     return total
 
 
+def complete_state(g, atom_values):
+    """Every node's value, from the atoms' values indexed by node id: an
+    auxiliary node takes the one value consistent with its three atoms."""
+    x = [0] * g.n_nodes
+    for i in g.atom_node_ids:
+        x[i] = atom_values[i]
+    for aux, (a0, a1, a2) in g.aux_atoms.items():
+        x[aux] = x[a0] | (x[a1] << 1) | (x[a2] << 2)
+    return x
+
+
 def atom_assignment(g, state):
     """Dict view of an atom-node assignment for formula_score."""
     out = {}
@@ -82,24 +93,36 @@ def atom_assignment(g, state):
 # ground-level reference machinery
 # ---------------------------------------------------------------------------
 
+def theta_vector(g):
+    """The ground overcomplete parameter vector, laid out by ``feature_layout``."""
+    node_start, edge_start, n_features = g.feature_layout()
+    out = np.zeros(n_features)
+    for s, th in zip(node_start.tolist(), g.theta_node):
+        out[s:s + th.size] = th
+    for s, th in zip(edge_start.tolist(), g.theta_edge):
+        out[s:s + th.size] = th.ravel()
+    return out
+
+
 def ground_local_feasible(g, mu, tol=1e-7):
     """Explicit check of the ground local-polytope constraints."""
     mu = np.asarray(mu)
     if (mu < -tol).any():
         return False
+    node_start = g.feature_layout()[0]
     for i, nd in enumerate(g.nodes):
-        total = sum(mu[g.node_feature(i, t)] for t in range(nd.n_values))
+        total = sum(mu[node_start[i] + t] for t in range(nd.n_values))
         if abs(total - 1.0) > tol:
             return False
     for k, (u, v) in enumerate(g.edges.tolist()):
         nu, nv = g.nodes[u].n_values, g.nodes[v].n_values
         for t in range(nu):
             lhs = sum(mu[g.edge_feature(k, t, h)] for h in range(nv))
-            if abs(lhs - mu[g.node_feature(u, t)]) > tol:
+            if abs(lhs - mu[node_start[u] + t]) > tol:
                 return False
         for h in range(nv):
             lhs = sum(mu[g.edge_feature(k, t, h)] for t in range(nu))
-            if abs(lhs - mu[g.node_feature(v, h)]) > tol:
+            if abs(lhs - mu[node_start[v] + h]) > tol:
                 return False
     return True
 
@@ -114,12 +137,13 @@ def ground_entropy_bound(g, mu, rho_ground):
         return -float(np.sum(vals * np.log(vals)))
 
     total = 0.0
+    node_start = g.feature_layout()[0]
     rho_at = np.zeros(len(g.nodes))
     for k, (u, v) in enumerate(g.edges.tolist()):
         rho_at[u] += rho_ground[k]
         rho_at[v] += rho_ground[k]
     for i, nd in enumerate(g.nodes):
-        h = ent([mu[g.node_feature(i, t)] for t in range(nd.n_values)])
+        h = ent([mu[node_start[i] + t] for t in range(nd.n_values)])
         total -= (1.0 - rho_at[i]) * h
     for k, (u, v) in enumerate(g.edges.tolist()):
         nu, nv = g.nodes[u].n_values, g.nodes[v].n_values
@@ -136,14 +160,14 @@ def symmetrized_random_moments(g, lg, seed):
     logz = np.log(np.exp(scores - scores.max()).sum()) + scores.max()
     p = np.exp(scores - logz)
     mu = np.zeros(g.n_features)
+    node_start = g.feature_layout()[0]
     for idx in range(1 << len(atoms)):
         state = [0] * len(g.nodes)
         for pos, i in enumerate(atoms):
             state[i] = (idx >> pos) & 1
-        for aux in g.aux_atoms:
-            state[aux] = g.consistent_aux_value(aux, state)
+        state = complete_state(g, state)
         for i in range(len(g.nodes)):
-            mu[g.node_feature(i, state[i])] += p[idx]
+            mu[node_start[i] + state[i]] += p[idx]
         for k, (u, v) in enumerate(g.edges.tolist()):
             mu[g.edge_feature(k, state[u], state[v])] += p[idx]
     # orbit-averaging is exactly the symmetrization of the distribution

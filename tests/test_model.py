@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import liftedtrw as lt
 from liftedtrw.model import ModelError
 
-from conftest import atom_assignment, build, formula_score
+from conftest import atom_assignment, build, complete_state, formula_score
 
 
 class TestParse:
@@ -225,8 +225,8 @@ class TestBuilder:
 
     def test_readding_a_node_must_match(self):
         b = lt.GroundModelBuilder(range(2))
-        node = b.add_node("atom", "V", (0,), 2, provenance="f0")
-        assert b.add_node("atom", "V", (0,), 2, provenance="f1") == node
+        node = b.add_node("atom", "V", (0,), 2)
+        assert b.add_node("atom", "V", (0,), 2) == node
         with pytest.raises(ModelError, match="values"):
             b.add_node("atom", "V", (0,), 8, tag="x")
         with pytest.raises(ModelError, match="tag"):
@@ -235,7 +235,6 @@ class TestBuilder:
             b.add_node("atom", "V", (0,), 8)
         g = b.build()
         assert len(g.nodes) == 1 and (g.nodes[0].n_values, g.nodes[0].tag) == (2, None)
-        assert g.node_provenance[0] == ["f0", "f1"]
 
     def test_readding_an_edge_must_match(self):
         b = lt.GroundModelBuilder(range(2))
@@ -254,12 +253,10 @@ class TestBuilder:
         b = lt.GroundModelBuilder(range(3))
         u, v = (b.add_node("atom", "V", (i,), 2) for i in range(2))
         b.add_node_theta(u, [0.0, 1.0])
-        b.add_edge_theta(u, v, np.ones((2, 2)), structural_zero=np.eye(2, dtype=bool),
-                         provenance="f0")
+        b.add_edge_theta(u, v, np.ones((2, 2)), structural_zero=np.eye(2, dtype=bool))
         g = b.build()
         b.add_node_theta(u, [0.0, 1.0])
-        b.add_edge_theta(u, v, np.ones((2, 2)), structural_zero=~np.eye(2, dtype=bool),
-                         provenance="f1")
+        b.add_edge_theta(u, v, np.ones((2, 2)), structural_zero=~np.eye(2, dtype=bool))
         w = b.add_node("atom", "V", (2,), 2)
         b.add_edge_theta(v, w, np.ones((2, 2)))
         b.aux_atoms[w] = (u, v, w)
@@ -268,7 +265,7 @@ class TestBuilder:
         np.testing.assert_array_equal(g.structural_zero[0], np.eye(2, dtype=bool))
         assert len(g.nodes) == g.n_nodes == 2 and len(g.theta_node) == 2
         assert len(g.edges) == len(g.theta_edge) == len(g.structural_zero) == 1
-        assert g.edge_provenance == [["f0"]] and g.aux_atoms == {}
+        assert g.aux_atoms == {}
 
     @pytest.mark.parametrize("make", [lambda: build("friends_smokers", 3, 0.5),
                                       lambda: lt.zoo.ring_pendant_model()],
@@ -366,7 +363,7 @@ class TestScoreState:
     def test_inconsistent_auxiliary_is_minus_infinity(self):
         g = build("friends_smokers", 2, 1.0)
         aux_id = next(iter(g.aux_atoms))
-        state = g.complete_state([0] * len(g.nodes))
+        state = complete_state(g, [0] * len(g.nodes))
         good = g.score_state(state)
         assert np.isfinite(good)
         state[aux_id] = (state[aux_id] + 1) % 8
@@ -390,7 +387,7 @@ class TestMlnEquivalence:
             state = [0] * len(g.nodes)
             for pos, i in enumerate(atoms):
                 state[i] = (idx >> pos) & 1
-            state = g.complete_state(state)
+            state = complete_state(g, state)
             direct = formula_score(tm, n, atom_assignment(g, state))
             assert abs(g.score_state(state) - direct) < 1e-9
 
@@ -404,24 +401,7 @@ class TestMlnEquivalence:
         state = [0] * len(g.nodes)
         for pos, i in enumerate(atoms):
             state[i] = (idx >> pos) & 1
-        state = g.complete_state(state)
+        state = complete_state(g, state)
         direct = formula_score(tm, 2, atom_assignment(g, state))
         assert abs(g.score_state(state) - direct) < 1e-9
 
-
-class TestTying:
-    @pytest.mark.parametrize("name,n", [
-        ("complete_graph", 4), ("friends_smokers", 3), ("clique_cycle", 3),
-    ])
-    def test_theta_tied_by_provenance_pattern(self, name, n):
-        g = build(name, n, -1.1)
-        groups = {}
-        for k in range(len(g.edges)):
-            for f_idx, combo in g.edge_provenance[k]:
-                pattern = tuple(np.unique(combo, return_inverse=True)[1])
-                groups.setdefault((f_idx, pattern), []).append(g.theta_edge[k])
-        for key, thetas in groups.items():
-            base = thetas[0]
-            for th in thetas[1:]:
-                assert (np.allclose(th, base, atol=1e-12)
-                        or np.allclose(th, base.T, atol=1e-12)), key

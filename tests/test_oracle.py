@@ -12,7 +12,7 @@ from liftedtrw.oracle import (TooLarge, brute_force,
                               ground_trw, random_exchangeable_moments,
                               random_tree_point)
 
-from conftest import build, expand_rho, subtour_violations
+from conftest import build, complete_state, expand_rho, subtour_violations
 
 
 class TestBruteForce:
@@ -39,7 +39,7 @@ class TestBruteForce:
             state = [0] * len(g.nodes)
             for pos, i in enumerate(atoms):
                 state[i] = (idx >> pos) & 1
-            scores.append(g.score_state(g.complete_state(state)))
+            scores.append(g.score_state(complete_state(g, state)))
         scores = np.array(scores)
         ref = np.log(np.exp(scores - scores.max()).sum()) + scores.max()
         assert abs(ex.log_z - ref) < 1e-10

@@ -189,7 +189,7 @@ class TestProjectionEquivalence:
                 tau = tau + rng.normal(scale=0.05, size=lg.n_vars)
             lifted_ok = lifted_feasible(rows, tau) and not (
                 tau[lg.structural_zero_var] > 1e-7).any()
-            ground_ok = ground_local_feasible(g, lg.expand(tau))
+            ground_ok = ground_local_feasible(g, tau[lg.feat_to_var])
             assert lifted_ok == ground_ok
             agree += 1
         assert agree == 120
@@ -430,10 +430,11 @@ class TestNesting:
                 lp_val = Simplex(system.n_vars, system.rows,
                                  system.fixed_zero).solve(obj).objective
                 best = -np.inf
+                node_start = g.feature_layout()[0]
                 for state in itertools.product((0, 1), repeat=n):
                     mu = np.zeros(g.n_features)
                     for i, t in enumerate(state):
-                        mu[g.node_feature(i, t)] = 1.0
+                        mu[node_start[i] + t] = 1.0
                     for k, (u, v) in enumerate(g.edges.tolist()):
                         mu[g.edge_feature(k, state[u], state[v])] = 1.0
                     best = max(best, float(c @ lg.project(mu)))

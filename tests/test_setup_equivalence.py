@@ -78,22 +78,20 @@ def _ground_per_grounding(model, n):
                 bits = [(idx >> j) & 1 for j in range(k)]
                 t_idx = sum(bits[pos[i]] << i for i in range(len(ground_atoms)))
                 table[idx] = w if formula.table[t_idx] else 0.0
-            prov = (f_idx, combo)
-            ids = [builder.add_node("atom", p, args, 2, provenance=prov) for p, args in distinct]
+            ids = [builder.add_node("atom", p, args, 2) for p, args in distinct]
             if k == 1:
                 builder.add_node_theta(ids[0], table)
             elif k == 2:
-                builder.add_edge_theta(ids[0], ids[1], table.reshape(2, 2, order="F"),
-                                       provenance=prov)
+                builder.add_edge_theta(ids[0], ids[1], table.reshape(2, 2, order="F"))
             else:
-                aux = builder.add_node("aux", f"f{f_idx}", combo, 8, provenance=prov)
+                aux = builder.add_node("aux", f"f{f_idx}", combo, 8)
                 builder.add_node_theta(aux, table)
                 builder.aux_atoms[aux] = tuple(ids)
                 vals = np.arange(8)
                 for bit, atom_id in enumerate(ids):
                     zero = ((vals >> bit) & 1)[:, None] != np.arange(2)[None, :]
                     builder.add_edge_theta(aux, atom_id, np.zeros((8, 2)),
-                                           structural_zero=zero, provenance=prov)
+                                           structural_zero=zero)
     return builder.build()
 
 
@@ -113,8 +111,6 @@ def _assert_same_ground(g, ref):
         assert len(getattr(g, field)) == len(getattr(ref, field))
         for a, b in zip(getattr(g, field), getattr(ref, field)):
             _assert_same_array(a, b)
-    assert g.node_provenance == ref.node_provenance
-    assert g.edge_provenance == ref.edge_provenance
     for field in ("aux_atoms", "node_index", "edge_index"):
         assert list(getattr(g, field).items()) == list(getattr(ref, field).items())
 
@@ -269,10 +265,11 @@ class TestGroundingEquivalence:
 
     def test_coinciding_atoms_make_fewer_distinct_atoms(self):
         g = lt.ground(lt.parse_model(COINCIDING_TEXTS[1]), 2)
-        # x=y gives S(0) ^ F(0,0) -> S(0): two distinct atoms, an edge
+        # x=y gives S(0) ^ F(0,0) -> S(0): two distinct atoms, an edge, and
+        # a tautology, so its potential is the weight everywhere
         edge = g.edge_index[tuple(sorted((g.node_index[("atom", "S", (0,))],
                                           g.node_index[("atom", "F", (0, 0))])))]
-        assert (0, (0, 0)) in g.edge_provenance[edge]
+        np.testing.assert_array_equal(g.theta_edge[edge], np.full((2, 2), 0.5))
         assert len(g.aux_atoms) == 2  # x != y: three distinct atoms
 
 
