@@ -1,5 +1,7 @@
 """Parser and grounding tests, checked against direct formula evaluation."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -405,3 +407,51 @@ class TestMlnEquivalence:
         direct = formula_score(tm, 2, atom_assignment(g, state))
         assert abs(g.score_state(state) - direct) < 1e-9
 
+
+
+def _edge_groundings(model, n, g):
+    """The groundings ``(formula index, combo)`` behind each edge of ``g``,
+    found by walking the template: a grounding with two distinct atoms makes
+    the edge between them, one with three makes an auxiliary node and its
+    three edges to the atoms."""
+    out = [[] for _ in range(len(g.edges))]
+    for f_idx, f in enumerate(model.formulas):
+        for combo in itertools.product(range(n), repeat=len(f.variables)):
+            binding = dict(zip(f.variables, combo))
+            if any(binding[a] == binding[b] for a, b in (tuple(p) for p in f.guards)):
+                continue
+            atoms = dict.fromkeys((a.pred, tuple(binding[v] for v in a.args)) for a in f.atoms)
+            ids = [g.node_index[("atom", pred, args)] for pred, args in atoms]
+            if len(ids) == 2:
+                pairs = [ids]
+            elif len(ids) == 3:
+                aux = g.node_index[("aux", f"f{f_idx}", combo)]
+                pairs = [(aux, i) for i in ids]
+            else:
+                pairs = []
+            for u, v in pairs:
+                out[g.edge_index[(min(u, v), max(u, v))]].append((f_idx, combo))
+    return out
+
+
+class TestTying:
+    @pytest.mark.parametrize("name,n", [
+        ("complete_graph", 4), ("friends_smokers", 3), ("clique_cycle", 3),
+    ])
+    def test_theta_tied_by_provenance_pattern(self, name, n):
+        g = build(name, n, -1.1)
+        tm = lt.parse_model(lt.zoo.model_text(name))
+        if tm.has_symbolic_weight:
+            tm = tm.bind_weight(-1.1)
+        provenance = _edge_groundings(tm, n, g)
+        assert all(provenance)
+        groups = {}
+        for k in range(len(g.edges)):
+            for f_idx, combo in provenance[k]:
+                pattern = tuple(np.unique(combo, return_inverse=True)[1])
+                groups.setdefault((f_idx, pattern), []).append(g.theta_edge[k])
+        for key, thetas in groups.items():
+            base = thetas[0]
+            for th in thetas[1:]:
+                assert (np.allclose(th, base, atol=1e-12)
+                        or np.allclose(th, base.T, atol=1e-12)), key
