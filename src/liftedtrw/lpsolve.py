@@ -15,21 +15,33 @@ constraint matrix is materialized; slack and artificial columns are unit
 vectors handled implicitly.
 
 The explicit basis inverse is updated in place at each pivot.  On matrices
-of 64 rows or more the rank-1 update touches only the columns where the
-leaving row of the inverse is nonzero (a median of 8 of 210 on the ground
-local LP of ``complete_graph`` n=12, whose inverse is about 5% nonzero);
-every other column would only have zero subtracted, so the result is the
-same as the full update's.  Besides its three matrix-vector products
-(``cb @ binv``, ``y @ A`` and ``binv @ a_q``), a pricing round touches the
-inverse only in those columns, and its ratio test gathers and divides only
-the rows where ``d`` is positive.  Over the 38 LP solves (1 095 pivots)
-of one ``ground_reference`` bench pass, best of 15 on one core of a shared
-2-CPU Intel Xeon host, the ratio test takes 6.3 ms, the update 11.0 ms and
-the three products 18 ms, of 47 ms.  Read over every row, with the update
-broadcast across the gathered columns, the first two took 11.4 and
-17.0 ms.  ``binv`` stays C-ordered and ``A`` F-ordered: the layout picks
-the BLAS kernel and so the summation order of each product, and with it
-the last bits of every pivot.
+of ``GATHER_ROWS`` (64) rows or more the rank-1 update touches only the
+columns where the leaving row of the inverse is nonzero (a median of 8 of
+210 on the ground local LP of ``complete_graph`` n=12, whose inverse is
+about 5% nonzero); every other column would only have zero subtracted, so
+the result is the same as the full update's.  The ratio test gathers and
+divides only the rows where ``d`` is positive, and a pivot of step exactly 0
+(most pivots of a ground LP are degenerate) leaves ``B^-1 b`` as it is.
+
+Pricing depends on the size.  LPs under ``UPDATE_PRICES_ROWS`` (112) rows,
+every lifted LP of the bench among them (at most 36 rows), price each round
+afresh with ``y = cb @ binv`` and ``c - y @ A`` and take the entering column
+as ``binv @ a_q``; their pivots are those of pricing over whole rows, bit for
+bit.  Larger LPs price afresh only at the start of a solve and after each
+factorization, and carry ``y`` and the reduced costs through each pivot
+along the new pivot row of the inverse, over its nonzero columns and the
+rows of ``A`` they select; the entering column is computed from its own
+nonzeros, held by column since ``_build``.  When the carried costs show no
+improving column the round prices afresh, so a solve ends only on exactly
+recomputed reduced costs; the last bits of the carried ones may pick
+another pivot path than pricing afresh would, to the same optimum.  The 38
+LP solves of one ``ground_reference`` bench pass, two of its cells on the
+210-row ground LP, took 62.9 ms over 1 093 pivots (best of 15 passes in each
+of 6 runs, on one core of a shared 2-CPU Intel Xeon host); with every round
+priced afresh, dense FTRAN and no skip of zero steps they took 76.5 ms over
+1 095 pivots.  ``binv`` stays C-ordered and ``A`` F-ordered: the layout picks
+the BLAS kernel and so the summation order of each product, and with it the
+last bits of every pivot.
 
 The inverse is computed afresh only when it has drifted: every
 ``REFACTOR_EVERY`` updates, and when a solve reaches optimality with an
@@ -51,6 +63,18 @@ OPT_TOL = 1e-9
 FEAS_TOL = 1e-7
 REFACTOR_EVERY = 50     # updates between drift checks
 DRIFT_TOL = 1e-9        # largest residual max|B (B^-1 v) - v| kept
+# Row counts from which the rules for large LPs run.  Both were measured on
+# one core of a shared 2-CPU Intel Xeon host, numpy 2.4 with OpenBLAS.
+# _pivot gathers the nonzero columns of the inverse from GATHER_ROWS rows: the
+# crossover lay between 64 and 128 rows for leaving rows 1% to 12% nonzero.
+# _iterate carries the prices, and computes the entering column binv @ a_q
+# from its nonzeros, from UPDATE_PRICES_ROWS rows.  On the ground local LPs of
+# complete_graph, pricing afresh took 5.8, 8.2 and 16.4 us at 92, 117 and 210
+# rows, against 6.8, 7.9 and 8.6 us to carry the prices through a pivot; over
+# warm solve sequences a carried round was 6% slower at 92 rows, 6% faster at
+# 117 and 18% faster at 210.
+GATHER_ROWS = 64
+UPDATE_PRICES_ROWS = 112
 
 
 class InfeasibleError(Exception):
@@ -97,8 +121,12 @@ class Simplex:
     column code per row, for the first solve; ``add_rows`` extends a held
     basis with the new rows' start codes.  Columns marked in ``fixed_zero``
     never enter.  ``refactorizations`` counts the inverses computed from
-    scratch, ``phase1_runs`` the solves that ran phase 1 and
-    ``phase1_rounds`` the pricing rounds of those phase-1 runs.  A
+    scratch, ``phase1_runs`` the solves that ran phase 1,
+    ``phase1_rounds`` the pricing rounds of those phase-1 runs and
+    ``degenerate_pivots`` the pivots of ratio below 1e-12.  LPs of
+    ``UPDATE_PRICES_ROWS`` rows or more carry their duals and reduced costs
+    from pivot to pivot and price afresh before they stop; smaller ones
+    price every round afresh, bit for bit as over whole rows.  A
     ``fixed_zero`` mask of other than ``n_vars`` entries raises
     ``ValueError``, as does a row with a non-finite entry, a relation other
     than ``=`` or ``<=`` or a column outside ``[0, n_vars)``.
@@ -128,6 +156,7 @@ class Simplex:
         self.refactorizations = 0
         self.phase1_runs = 0
         self.phase1_rounds = 0
+        self.degenerate_pivots = 0
 
     def _build(self, rows):
         """Append ``rows`` to the matrix; a row of negative right-hand side
@@ -169,6 +198,11 @@ class Simplex:
         self._unit_coef[n + 1::2] = 1.0
         self._art_code = np.zeros(n + 2 * m, dtype=bool)
         self._art_code[n + 1::2] = True
+        # the nonzeros of A by column, for _ftran: column j's row indices
+        # and values are _col_rows and _col_vals over _col_start[j:j + 2]
+        cols, self._col_rows = A.T.nonzero()
+        self._col_vals = A.T[cols, self._col_rows]
+        self._col_start = np.searchsorted(cols, np.arange(n + 1))
 
     def add_rows(self, rows):
         first = self.m
@@ -242,9 +276,8 @@ class Simplex:
 
         Only the columns where row ``r`` of ``binv`` is nonzero change; the
         others would have zero subtracted.  On small matrices gathering and
-        scattering those columns costs more than the whole update (the
-        crossover lies between 64 and 128 rows for leaving rows 1% to 12%
-        nonzero), so matrices under 64 rows are updated whole.  The gathered
+        scattering those columns costs more than the whole update, so
+        matrices under ``GATHER_ROWS`` rows are updated whole.  The gathered
         columns are taken as rows of ``binv.T``, so the broadcast's inner
         loop runs along the m entries of a column, not across the few
         columns (a median of 8 of 210 on the ground local LP): 10 instead of
@@ -254,7 +287,7 @@ class Simplex:
         """
         piv = d[r]
         binv_r = binv[r].copy()
-        if self.m >= 64:
+        if self.m >= GATHER_ROWS:
             nz = binv_r.nonzero()[0]
             binv.T[nz] -= binv_r[nz][:, None] * (d / piv)
         else:
@@ -272,10 +305,46 @@ class Simplex:
             return False
         return self._drift(basis, binv) > DRIFT_TOL
 
+    def _price(self, cb, binv, cs, rc_struct, fixed):
+        """Duals ``y = cb @ binv`` and, in place, the structural reduced
+        costs ``cs - y @ A``, fixed-zero columns at ``-inf``; returns ``y``."""
+        y = cb @ binv
+        np.subtract(cs, y @ self.A, out=rc_struct)
+        if fixed.size:
+            rc_struct[fixed] = -np.inf
+        return y
+
+    def _update_prices(self, y, rc_struct, binv_r, rc_q):
+        """Move ``y`` and the structural reduced costs ``rc_struct``, in
+        place, past a pivot whose entering column had reduced cost ``rc_q``;
+        ``binv_r`` is the pivot row of the updated inverse.  ``y`` gains
+        ``rc_q * binv_r`` and the reduced costs lose ``rc_q * binv_r @ A``,
+        both over the nonzero columns of ``binv_r``, so over those rows of
+        ``A`` alone."""
+        nz = binv_r.nonzero()[0]
+        step = rc_q * binv_r[nz]
+        y[nz] += step
+        rc_struct -= step @ self.A[nz]
+
+    def _ftran(self, binv, q):
+        """``binv @ a_q``: a structural column through its nonzeros only."""
+        if q >= self.n:
+            return binv[:, (q - self.n) // 2] * self._unit_coef[q]
+        s, e = self._col_start[q], self._col_start[q + 1]
+        return self._col_vals[s:e] @ binv.T[self._col_rows[s:e]]
+
     def _iterate(self, c_struct, basis, binv, phase, xb=None):
         """Pricing rounds from ``basis`` to optimality; ``xb`` is
-        ``binv @ self.b`` when the caller has it already."""
+        ``binv @ self.b`` when the caller has it already.
+
+        On LPs of ``UPDATE_PRICES_ROWS`` rows or more the duals and reduced
+        costs are carried from round to round by ``_update_prices`` and the
+        entering column goes through ``_ftran``; they are priced afresh at
+        the start, after each factorization and whenever the carried ones
+        show no improving column, so a solve ends only on exact prices.
+        Smaller LPs price every round from scratch."""
         m, n = self.m, self.n
+        carry = m >= UPDATE_PRICES_ROWS
         if xb is None:
             xb = binv @ self.b
         xb[np.abs(xb) < 1e-12] = 0.0
@@ -296,33 +365,39 @@ class Simplex:
         rc = np.empty(n + slack_rows.size)
         rc_struct, rc_slack = rc[:n], rc[n:]
         enter_codes = np.concatenate([np.arange(n), n + 2 * slack_rows])
+        y = None        # the duals; None when they are to be priced afresh
+        carried = False     # whether y and rc_struct were updated, not priced
         # the pivot loop calls array methods, not np.argmax and np.nonzero,
         # whose wrappers cost about 1 us a call: 8% of the LP time on LPs of
-        # a few dozen rows.  Besides the three products with binv and A, a
-        # round works on the candidate rows of the ratio test and the
-        # nonzero columns of the leaving row of binv (see _pivot)
+        # a few dozen rows.  Besides the products with binv and A, a round
+        # works on the candidate rows of the ratio test and the nonzero
+        # columns of the leaving row of binv (see _pivot)
         while True:
             iters += 1
             if iters > budget:
                 raise RuntimeError(f"simplex phase {phase} made {budget} pricing rounds "
                                    f"without reaching optimality (m={m}, n={n})")
-            y = cb @ binv
-            np.subtract(cs, y @ self.A, out=rc_struct)
-            if slack_rows.size:
-                np.multiply(y[slack_rows], neg_sign, out=rc_slack)
-            if fixed.size:
-                rc[fixed] = -np.inf
-            # Dantzig: the largest reduced cost; Bland: the first positive
-            k = (rc > OPT_TOL).argmax() if bland else rc.argmax()
+            while True:
+                if y is None:
+                    y = self._price(cb, binv, cs, rc_struct, fixed)
+                    carried = False
+                if slack_rows.size:
+                    np.multiply(y[slack_rows], neg_sign, out=rc_slack)
+                # Dantzig: the largest reduced cost; Bland: the first positive
+                k = (rc > OPT_TOL).argmax() if bland else rc.argmax()
+                # carried costs that show no improving column are priced afresh
+                if rc[k] > OPT_TOL or not carried:
+                    break
+                y = None
             if not rc[k] > OPT_TOL:
                 nb = self._factorize(basis) if self._refactor_due(basis, binv, True) else None
                 if nb is None:
                     break
-                binv, xb = nb, nb @ self.b
+                binv, xb, y = nb, nb @ self.b, None
                 xb[np.abs(xb) < 1e-12] = 0.0
                 continue
             q = int(enter_codes[k])
-            d = binv @ self._column(q)
+            d = self._ftran(binv, q) if carry else binv @ self._column(q)
             pos = (d > PIVOT_TOL).nonzero()[0]
             if not pos.size:
                 raise UnboundedError("LP is unbounded (internal error)")
@@ -339,6 +414,7 @@ class Simplex:
             else:
                 r = int(ties[0])
             if rmin < 1e-12:
+                self.degenerate_pivots += 1
                 degenerate_count += 1
                 if degenerate_count > bland_threshold:
                     bland = True
@@ -347,14 +423,24 @@ class Simplex:
             basis[r] = q
             cb[r] = cs[q] if q < n else 0.0
             self._pivot(binv, r, d)
+            if carry:
+                self._update_prices(y, rc_struct, binv[r], rc[k])
+                carried = True
+            else:
+                y = None
+            # a step of exactly 0 moves no entry of xb, which stays clean
             step = xb[r] / d[r]
-            xb -= step * d
-            xb[r] = step
+            if step:
+                xb -= step * d
+                xb[r] = step
+                xb[np.abs(xb) < 1e-12] = 0.0
+            else:
+                xb[r] = 0.0
             if self._refactor_due(basis, binv, False):
                 nb = self._factorize(basis)
                 if nb is not None:
-                    binv, xb = nb, nb @ self.b
-            xb[np.abs(xb) < 1e-12] = 0.0
+                    binv, xb, y = nb, nb @ self.b, None
+                    xb[np.abs(xb) < 1e-12] = 0.0
         return basis, binv, xb, iters
 
     def _phase1(self):

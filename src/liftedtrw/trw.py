@@ -141,7 +141,7 @@ def _new_stats():
     """Zeroed per-phase timings (seconds) and counters of a solve."""
     return {"lp_s": 0.0, "separate_s": 0.0, "line_search_s": 0.0, "polish_s": 0.0,
             "eq_residual": 0.0, "lp_solves": 0, "lp_refactorizations": 0,
-            "lp_phase1_runs": 0, "lp_phase1_rounds": 0,
+            "lp_phase1_runs": 0, "lp_phase1_rounds": 0, "lp_degenerate_pivots": 0,
             "polish_tries": 0, "polish_adopted": 0, "polish_faces": 0,
             "polish_face_failures": 0, "cycle_searches": 0, "cycle_pruned": 0}
 
@@ -172,6 +172,8 @@ class TrwResult:
     ``lp_phase1_runs`` counts the LP solves that ran phase 1 (no held or
     crash basis, or one the new cut rows made infeasible) and
     ``lp_phase1_rounds`` the pricing rounds of those runs.
+    ``lp_degenerate_pivots`` counts the degenerate LP pivots, those of
+    ratio below 1e-12.
 
     ``iteration_trace`` holds one dict per iteration: its number
     (``iteration``, from 1), its ``gap`` and its ``objective`` before the
@@ -480,6 +482,7 @@ def frank_wolfe(lg, outer="local", rho=None, tol=1e-4, max_iters=1000,
     stats["lp_refactorizations"] = simplex.refactorizations
     stats["lp_phase1_runs"] = simplex.phase1_runs
     stats["lp_phase1_rounds"] = simplex.phase1_rounds
+    stats["lp_degenerate_pivots"] = simplex.degenerate_pivots
     eq = simplex.slack_sign == 0.0
     stats["eq_residual"] = float(np.abs(simplex.A[eq] @ tau - simplex.b[eq]).max(initial=0.0))
     if converged and stats["eq_residual"] > EQ_TOL:

@@ -1,7 +1,9 @@
 """LP solver tests against scipy.optimize.linprog and structural invariants."""
 
+import importlib.util
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from scipy.optimize import linprog
 
 import liftedtrw as lt
 from liftedtrw import trw
-from liftedtrw.lpsolve import (OPT_TOL, PIVOT_TOL, REFACTOR_EVERY, InfeasibleError, Row, Simplex,
-                               UnboundedError)
+from liftedtrw.lpsolve import (GATHER_ROWS, OPT_TOL, PIVOT_TOL, REFACTOR_EVERY, UPDATE_PRICES_ROWS,
+                               InfeasibleError, Row, Simplex, UnboundedError)
 
 from conftest import build, expand_rho, theta_vector
 
@@ -111,12 +113,19 @@ class TestSolve:
         with pytest.raises(InfeasibleError):
             Simplex(1, rows).solve(np.array([1.0]))
 
-    def test_pricing_rounds_are_bounded(self, monkeypatch):
+    @pytest.mark.parametrize("large", [False, True], ids=["priced", "carried"])
+    def test_pricing_rounds_are_bounded(self, monkeypatch, large):
         """With an inverse that pivots leave stale, pricing picks the same
-        columns forever; the solve raises after 50 (m + n) rounds."""
-        n, rows, c = random_local_lp(5)
+        columns forever; the solve raises after 50 (m + n) rounds, also on
+        an LP that carries its prices between pivots."""
+        if large:
+            system, c, _ = ground_local_lp()
+            n, rows = system.n_vars, system.rows
+        else:
+            n, rows, c = random_local_lp(5)
         monkeypatch.setattr(Simplex, "_pivot", lambda self, binv, r, d: None)
         simplex = Simplex(n, rows)
+        assert (simplex.m >= UPDATE_PRICES_ROWS) == large
         t0 = time.perf_counter()
         with pytest.raises(RuntimeError, match=f"made {50 * (simplex.m + n)} pricing rounds"):
             simplex.solve(c)
@@ -462,7 +471,10 @@ def ground_local_lp():
 class DenseReference(Simplex):
     """The dense rank-1 update of the whole inverse and an unconditional
     refactorization every ``REFACTOR_EVERY`` updates: the sparse update and
-    the drift-checked refactorization must reproduce it bit for bit."""
+    the drift-checked refactorization must reproduce it bit for bit.  On
+    LPs of ``UPDATE_PRICES_ROWS`` rows or more each factorization also
+    prices afresh, so the reference's extra ones may move the pivot path
+    there, to the same optimum."""
 
     def _pivot(self, binv, r, d):
         piv = d[r]
@@ -481,12 +493,14 @@ class ParentPricing(Simplex):
     broadcast across the nonzero columns, the fixed-zero mask and the slack
     signs gathered every round, and ``binv @ b`` recomputed at the start of
     every ``_iterate`` (the ``xb`` that ``solve`` hands over is ignored).
-    ``Simplex`` must reproduce it bit for bit."""
+    Below ``UPDATE_PRICES_ROWS`` rows ``Simplex`` must reproduce it bit for
+    bit.  From there on ``Simplex`` carries its prices between pivots and
+    this is the exact-pricing reference, whose optimum it must reach."""
 
     def _pivot(self, binv, r, d):
         piv = d[r]
         binv_r = binv[r].copy()
-        if self.m >= 64:
+        if self.m >= GATHER_ROWS:
             nz = np.flatnonzero(binv_r)
             binv[:, nz] -= (d / piv)[:, None] * binv_r[nz]
         else:
@@ -596,6 +610,18 @@ def assert_same_solve(fast, ref, c):
     return a
 
 
+def assert_same_optimum(fast, ref, c, rows):
+    """Solve ``c`` on both simplexes over ``rows``, on an LP where ``fast``
+    carries its prices between pivots: ``x`` and the objective agree within
+    1e-12, and the objective with HiGHS.  Returns the first result."""
+    assert fast.m >= UPDATE_PRICES_ROWS
+    a, b = fast.solve(c), ref.solve(c)
+    assert np.abs(a.x - b.x).max() <= 1e-12
+    assert abs(a.objective - b.objective) <= 1e-12
+    assert abs(a.objective - scipy_reference(fast.n, rows, c)) < 1e-8
+    return a
+
+
 class TestDenseReference:
     @pytest.mark.parametrize("seed", range(12))
     def test_random_lps(self, seed):
@@ -623,7 +649,7 @@ class TestDenseReference:
 
     def test_ground_warm_start_sequence(self):
         system, c, basis = ground_local_lp()
-        assert len(system.rows) >= 64   # the nonzero-column update
+        assert len(system.rows) >= GATHER_ROWS   # the nonzero-column update
         rng = np.random.default_rng(7)
         fast, ref = (cls(system.n_vars, system.rows, system.fixed_zero, basis)
                      for cls in (Simplex, DenseReference))
@@ -637,12 +663,12 @@ class TestDenseReference:
         system, c, basis = ground_local_lp()
         fast, ref = (cls(system.n_vars, system.rows, system.fixed_zero, basis)
                      for cls in (Simplex, DenseReference))
-        res = assert_same_solve(fast, ref, c)
+        res = assert_same_optimum(fast, ref, c, system.rows)
         top = np.argsort(-res.x)[:3]
         cuts = [Row.make({int(j): 1.0}, "<=", 0.5 * res.x[j]) for j in top]
         fast.add_rows(cuts)
         ref.add_rows(cuts)
-        assert_same_solve(fast, ref, c + 0.1)
+        assert_same_optimum(fast, ref, c + 0.1, system.rows + cuts)
 
     def test_ground_inverse_bytes(self):
         """Each update of the inverse equals the dense update byte for byte,
@@ -662,7 +688,7 @@ class TestDenseReference:
         rng = np.random.default_rng(8)
         for _ in range(6):
             simplex.solve(c + 0.5 * rng.normal(size=c.size))
-        assert simplex.m >= 64 and simplex.checked > REFACTOR_EVERY
+        assert simplex.m >= GATHER_ROWS and simplex.checked > REFACTOR_EVERY
 
     def test_ground_trw(self, monkeypatch):
         g = build("complete_graph", 12, -1.0)
@@ -672,8 +698,11 @@ class TestDenseReference:
         res = lt.ground_trw(g, rho_g, **settings)
         monkeypatch.setattr(trw, "Simplex", DenseReference)
         ref = lt.ground_trw(g, rho_g, **settings)
-        assert np.float64(res.bound).tobytes() == np.float64(ref.bound).tobytes()
-        assert res.lp_pivots == ref.lp_pivots
+        monkeypatch.setattr(trw, "Simplex", ParentPricing)
+        exact = lt.ground_trw(g, rho_g, **settings)
+        # the pivot paths differ (see DenseReference); the bound's bytes do not
+        assert (np.float64(res.bound).tobytes() == np.float64(ref.bound).tobytes()
+                == np.float64(exact.bound).tobytes())
         # the reference did refactorize on its cadence; the drift checks did not
         assert res.stats["lp_refactorizations"] < ref.stats["lp_refactorizations"]
 
@@ -745,7 +774,7 @@ class TestParentPricing:
         rng = np.random.default_rng(400 + seed)
         n, rows, c = random_large_lp(seed)
         fast, ref = Simplex(n, rows), ParentPricing(n, rows)
-        assert fast.m >= 64 and (fast.slack_sign < 0).any()
+        assert GATHER_ROWS <= fast.m < UPDATE_PRICES_ROWS and (fast.slack_sign < 0).any()
         x = assert_same_solve(fast, ref, c).x
         top = int(np.argmax(x))
         cut = Row.make({top: 1.0}, "<=", 0.5 * x[top])
@@ -775,20 +804,20 @@ class TestParentPricing:
 
     def test_ground_local_lp(self):
         """A cold solve (phase 1 on 210 rows), 12 warm solves, then three
-        cuts that cut off the vertex."""
+        cuts that cut off the vertex: the same optimum as exact pricing."""
         system, c, _ = ground_local_lp()
         fast, ref = (cls(system.n_vars, system.rows, system.fixed_zero)
                      for cls in (Simplex, ParentPricing))
-        res = assert_same_solve(fast, ref, c)
+        res = assert_same_optimum(fast, ref, c, system.rows)
         rng = np.random.default_rng(9)
         for _ in range(12):
-            res = assert_same_solve(fast, ref, c + 0.5 * rng.normal(size=c.size))
+            res = assert_same_optimum(fast, ref, c + 0.5 * rng.normal(size=c.size), system.rows)
         top = np.argsort(-res.x, kind="stable")[:3]
         cuts = [Row.make({int(j): 1.0}, "<=", 0.5 * res.x[j]) for j in top]
         fast.add_rows(cuts)
         ref.add_rows(cuts)
-        assert_same_solve(fast, ref, c)
-        assert fast.m >= 64 and fast.phase1_runs == ref.phase1_runs >= 2
+        assert_same_optimum(fast, ref, c, system.rows + cuts)
+        assert fast.phase1_runs == ref.phase1_runs >= 2
         assert fast.refactorizations == ref.refactorizations
 
     @pytest.mark.parametrize("name, n, w, outer, ground", [
@@ -813,8 +842,74 @@ class TestParentPricing:
         ref = run()
         assert np.float64(res.bound).tobytes() == np.float64(ref.bound).tobytes()
         assert res.tau.tobytes() == ref.tau.tobytes()
-        assert (res.lp_pivots, res.n_cuts) == (ref.lp_pivots, ref.n_cuts)
+        assert res.n_cuts == ref.n_cuts
         assert res.stats["lp_phase1_runs"] == ref.stats["lp_phase1_runs"]
+        if not ground:   # the ground LP carries its prices, on another pivot path
+            assert res.lp_pivots == ref.lp_pivots
+
+
+def bench_workloads(monkeypatch):
+    """The bench's ``workloads`` module, loaded from its file and held in
+    ``sys.modules`` for the test."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCarriedPrices:
+    """LPs of ``UPDATE_PRICES_ROWS`` rows or more carry their duals and
+    reduced costs from pivot to pivot and stop only on fresh prices."""
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda rc, rng: rc.fill(0.0),   # every column looks priced out
+        lambda rc, rng: rc.__iadd__(1e-6 * rng.normal(size=rc.size)),
+    ], ids=["zeroed", "noisy"])
+    def test_corrupted_carried_costs_reach_the_optimum(self, monkeypatch, corrupt):
+        """Reduced costs spoiled after every pivot of the 210-row ground LP
+        still end each solve at the optimum of exact pricing: the last
+        round prices afresh."""
+        system, c, basis = ground_local_lp()
+        update, noise, calls = Simplex._update_prices, np.random.default_rng(10), []
+
+        def corrupted(self, y, rc_struct, binv_r, rc_q):
+            update(self, y, rc_struct, binv_r, rc_q)
+            corrupt(rc_struct, noise)
+            calls.append(self.m)
+
+        monkeypatch.setattr(Simplex, "_update_prices", corrupted)
+        fast, ref = (cls(system.n_vars, system.rows, system.fixed_zero, basis)
+                     for cls in (Simplex, ParentPricing))
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            assert_same_optimum(fast, ref, c + 0.5 * rng.normal(size=c.size), system.rows)
+        assert len(calls) > REFACTOR_EVERY
+
+    def test_lifted_bench_lps_price_afresh(self, monkeypatch):
+        """Every LP of the bench's lifted solves at seed 1, cut rows
+        included, stays under ``UPDATE_PRICES_ROWS`` rows, so it prices as
+        ``ParentPricing`` does, bit for bit; the ground LPs carry their
+        prices."""
+        wl = bench_workloads(monkeypatch)
+        seen = []
+        iterate = Simplex._iterate
+
+        def spy(self, *args, **kwargs):
+            seen.append(self.m)
+            return iterate(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simplex, "_iterate", spy)
+        lifted, ground = [], []
+        for name in wl.WORKLOADS:
+            for inst in wl.instances(name, 1):
+                for solve in inst.solves:
+                    seen.clear()
+                    wl.run_instance(wl.Instance(inst.model, inst.n, inst.w, (solve,)))
+                    (ground if solve.ground else lifted).extend(seen)
+        assert lifted and ground
+        assert max(lifted) < UPDATE_PRICES_ROWS <= min(ground)
 
 
 class TestDrift:

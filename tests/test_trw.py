@@ -368,8 +368,8 @@ class TestFrankWolfe:
             res = frank_wolfe(lg, outer="cycle+exch", rho=rho, tol=1e-5, max_iters=200)
         timings = {"lp_s", "separate_s", "line_search_s", "polish_s"}
         counters = {"lp_solves", "lp_refactorizations", "lp_phase1_runs", "lp_phase1_rounds",
-                    "polish_tries", "polish_adopted", "polish_faces", "polish_face_failures",
-                    "cycle_searches", "cycle_pruned"}
+                    "lp_degenerate_pivots", "polish_tries", "polish_adopted", "polish_faces",
+                    "polish_face_failures", "cycle_searches", "cycle_pruned"}
         assert set(res.stats) == timings | counters | {"eq_residual"}
         assert all(type(res.stats[k]) is float and res.stats[k] >= 0.0 for k in timings)
         assert all(type(res.stats[k]) is int for k in counters)
@@ -379,6 +379,7 @@ class TestFrankWolfe:
         assert built == ["cycle+exch"]
         assert res.stats["lp_solves"] == len(lp_iterations)
         assert res.lp_pivots == sum(lp_iterations)
+        assert 0 < res.stats["lp_degenerate_pivots"] < res.lp_pivots
         system = build_outer_system(lg, "cycle+exch")
         assert system.clusters and res.tau.shape == (system.n_vars,)
         eq_rows = [row for row in system.rows if row.rel == "="]
@@ -396,17 +397,18 @@ class TestFrankWolfe:
                 == n_sources * len(separations))
         assert res.stats["cycle_pruned"] > 0
 
-    @pytest.mark.parametrize("name, n, w, outer, ground, runs, rounds, pivots", [
-        # the ground local LP starts from its crash basis
-        ("complete_graph", 12, -1.0, "local", True, 0, 0, 483),
+    @pytest.mark.parametrize("name, n, w, outer, ground, runs, rounds, pivots, degenerate", [
+        # the ground local LP starts from its crash basis; it carries its
+        # prices between pivots, so its pivots differ from exact pricing's
+        ("complete_graph", 12, -1.0, "local", True, 0, 0, 476, 332),
         # structural zeros leave no crash basis: the first solve runs phase 1
-        ("friends_smokers", 10, 1.0, "local+exch", False, 1, 35, 36),
+        ("friends_smokers", 10, 1.0, "local+exch", False, 1, 35, 36, 32),
         # cut rows that cut off the held vertex restart phase 1
-        ("clique_cycle", 10, 0.5, "cycle+exch", False, 5, 143, 228),
+        ("clique_cycle", 10, 0.5, "cycle+exch", False, 5, 143, 228, 162),
     ])
-    def test_phase1_counts(self, name, n, w, outer, ground, runs, rounds, pivots):
-        """Phase-1 runs and their pricing rounds, pinned on three bench cells
-        (without the bench's W jitter)."""
+    def test_phase1_counts(self, name, n, w, outer, ground, runs, rounds, pivots, degenerate):
+        """Phase-1 runs, their pricing rounds, LP pivots and degenerate
+        pivots, pinned on three bench cells (without the bench's W jitter)."""
         g = build(name, n, w)
         lg = lt.compute_orbits(g)
         rho = lt.init_rho_uniform(lg)
@@ -415,8 +417,8 @@ class TestFrankWolfe:
                                 polish=False)
         else:
             res = frank_wolfe(lg, outer=outer, rho=rho, tol=1e-5, max_iters=200)
-        assert (res.stats["lp_phase1_runs"], res.stats["lp_phase1_rounds"],
-                res.lp_pivots) == (runs, rounds, pivots)
+        assert (res.stats["lp_phase1_runs"], res.stats["lp_phase1_rounds"], res.lp_pivots,
+                res.stats["lp_degenerate_pivots"]) == (runs, rounds, pivots, degenerate)
 
     @pytest.mark.parametrize("weights", [(3, 2, 6, 5, 4, 1), (5, 6, 2, 4, 1, 3),
                                          (1, 3, 5, 6, 2, 4)])
