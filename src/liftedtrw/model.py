@@ -397,8 +397,9 @@ class GroundModelBuilder:
 # edge shares them.
 _AUX_ZERO = tuple(np.arange(2)[:, None] != ((np.arange(8) >> bit) & 1)[None, :]
                   for bit in range(3))
-for _arr in _AUX_ZERO:
-    _arr.flags.writeable = False
+# The potential of every auxiliary edge, shared as row 0.
+_AUX_EDGE_THETA = np.zeros((1, 2, 8))
+_read_only(*_AUX_ZERO, _AUX_EDGE_THETA)
 
 _NO_INTS = np.zeros(0, dtype=np.int64)
 
@@ -421,44 +422,56 @@ def _pattern_theta(table, pos, w):
     return k, theta
 
 
-def _first_seen(codes, bound=None):
-    """Number ``codes`` in order of first appearance.
+def _group(codes, bound):
+    """Group the int ``codes``, each in ``0..bound-1``.
 
-    Returns ``(ids, first)``: the number of every code, and the position of
-    each number's first appearance.  With ``bound``, every code lies in
-    ``0..bound-1`` and one linear pass takes each code's first position
-    (``np.minimum.at`` over a table of ``bound`` slots); the distinct first
-    positions, ranked, are the numbers.  Without it, a stable argsort groups
-    equal codes with their earliest position first.  Both give the same
-    numbers; the pass over the table is the faster while ``bound`` is at
-    most ``_TABLE_SPAN`` times the code count.
+    Returns the distinct codes in increasing order, the index of each code
+    among them, how often each distinct code occurs, and the position of its
+    first occurrence.  While ``bound`` is at most ``_TABLE_SPAN`` times the
+    code count, one pass over a table of ``bound`` slots gives them
+    (``np.bincount`` counts, ``np.minimum.at`` takes first positions);
+    otherwise a stable argsort groups equal codes with the earliest first.
     """
-    if bound is not None:
-        first_at = np.full(bound, codes.size, dtype=np.int64)
-        np.minimum.at(first_at, codes, np.arange(codes.size))
-        is_first = np.zeros(codes.size, dtype=bool)
-        is_first[first_at[first_at < codes.size]] = True
-        first = np.flatnonzero(is_first)
-        number = np.empty(codes.size, dtype=np.int64)  # of the code first seen there
-        number[first] = np.arange(first.size)
-        return number[first_at[codes]], first
+    n = codes.size
+    if bound <= _TABLE_SPAN * n:
+        counts = np.bincount(codes, minlength=bound)
+        distinct = (counts != 0).nonzero()[0]
+        index = np.zeros(bound, dtype=np.int64)
+        index[distinct] = np.arange(distinct.size)
+        first_at = np.empty(bound, dtype=np.int64)
+        first_at.fill(n)
+        np.minimum.at(first_at, codes, np.arange(n))
+        return distinct, index[codes], counts[distinct], first_at[distinct]
     order = np.argsort(codes, kind="stable")
     ranked = codes[order]
-    new = np.ones(ranked.size, dtype=bool)
+    new = np.ones(n, dtype=bool)
     np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
-    first = order[new]  # one per distinct code, in code order
-    by_position = np.argsort(first, kind="stable")
-    rank = np.empty(first.size, dtype=np.int64)
-    rank[by_position] = np.arange(first.size)
-    ids = np.empty(codes.size, dtype=np.int64)
-    ids[order] = rank[np.cumsum(new) - 1]
-    return ids, first[by_position]
+    starts = new.nonzero()[0]
+    index = np.empty(n, dtype=np.int64)
+    index[order] = np.cumsum(new) - 1
+    return ranked[starts], index, np.diff(starts, append=n), order[starts]
 
 
-# The table pass of ``_first_seen`` beats the sort up to a bound of about 32
+# The table pass of ``_group`` beats the sort up to a bound of about 32
 # (a few hundred random codes) to 100 (twenty thousand and more) times the
 # code count; above it the table's cache misses cost more than the sort.
 _TABLE_SPAN = 32
+
+
+def _first_seen(codes, bound):
+    """Number ``codes``, each in ``0..bound-1``, in order of first appearance.
+
+    Returns ``(ids, first)``: the number of every code, and the position of
+    each number's first appearance.  The numbers rank the first positions
+    of :func:`_group`, by one pass over the codes' positions.
+    """
+    _, index, _, first_at = _group(codes, bound)
+    is_first = np.zeros(codes.size, dtype=bool)
+    is_first[first_at] = True
+    first = is_first.nonzero()[0]
+    number = np.empty(codes.size, dtype=np.int64)  # of the code first seen there
+    number[first] = np.arange(first.size)
+    return number[first_at][index], first
 
 
 def _slots(is_aux):
@@ -712,17 +725,17 @@ def ground(model, n):
     order, then its auxiliary node, then its edges; node and edge ids count
     first additions across the formulas in order, and parallel potentials
     are summed in the order they are added, as a loop over the groundings
-    would.  Node ids come from one pass over the bounded range of node
-    codes, without a sort.  Edge ids come from the same pass over the range
-    of edge codes, the node count squared, while that is at most
-    ``_TABLE_SPAN`` times the edge events, and from a stable sort otherwise
-    (as where auxiliary nodes make the node count large); both number the
-    edges alike.  Each block's potentials, of all formulas, are summed by
-    one ``np.bincount`` per entry in the order they are added.  A
+    would.  Node and edge ids come from :func:`_first_seen` over the range
+    of their codes: the atom codes plus the bindings for nodes, the node
+    count squared for edges (:func:`_group` sorts where auxiliary nodes
+    make that square large).  Each block's potentials, of all formulas, are
+    summed by one ``np.bincount`` per entry in the order they are added.  A
     grounding's potential depends only on which template atoms coincide, so
-    it is built once per coincidence pattern.  The potentials stay in the
-    blocks they are summed in, and the nodes in the arrays of their codes;
-    the node objects and ``aux_atoms`` are built on first access.
+    it is built once per coincidence pattern.  Every auxiliary edge's
+    potential is zero, and all of them share one read-only zero row.  The
+    potentials stay in the blocks they are summed in, and the nodes in the
+    arrays of their codes; the node objects and ``aux_atoms`` are built on
+    first access.
     """
     if n < 1:
         raise ModelError(f"domain size must be >= 1, got {n}")
@@ -756,15 +769,12 @@ def ground(model, n):
 
     n_nodes = len(node_codes)
     edge_codes = edge_u * n_nodes + edge_v
-    edge_of, first = _first_seen(
-        edge_codes, n_nodes ** 2 if n_nodes ** 2 <= _TABLE_SPAN * edge_codes.size else None)
+    edge_of, first = _first_seen(edge_codes, n_nodes ** 2)
     edges, bits = np.stack([edge_u[first], edge_v[first]], axis=1), edge_bit[first]
     is_aux_edge = bits >= 0
-    edge_slot = _slots(is_aux_edge)
-    n_aux_edges = int(is_aux_edge.sum())
-    pair_theta = _summed(len(bits) - n_aux_edges, (2, 2),
+    edge_slot = np.where(is_aux_edge, 0, _slots(is_aux_edge))  # row 0 of _AUX_EDGE_THETA
+    pair_theta = _summed(len(bits) - int(is_aux_edge.sum()), (2, 2),
                          _pair_parts(forms, flips, edge_slot[edge_of[edge_bit < 0]]))
-    aux_edge_theta = np.zeros((n_aux_edges, 2, 8))
     del edge_u, edge_v, edge_bit, edge_codes, flips
 
     table = _ground_node_table(model, n, node_codes, is_aux, forms, aux_of)
@@ -774,7 +784,7 @@ def ground(model, n):
         edges=edges,
         edge_tags=(None,) * len(edges),
         theta_node=BlockRows((atom_theta, aux_theta), is_aux.astype(np.int64), node_slot),
-        theta_edge=BlockRows((pair_theta, aux_edge_theta), is_aux_edge.astype(np.int64),
+        theta_edge=BlockRows((pair_theta, _AUX_EDGE_THETA), is_aux_edge.astype(np.int64),
                              edge_slot),
         structural_zero=MaskCodes(bits, _AUX_ZERO),
         _aux_atoms=partial(_aux_atoms, aux_of),

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lpsolve import Row
+from .model import _group
 from .symmetry import _pinned_tables, count_components
 
 CYCLE_VIOLATION_TOL = 1e-6
@@ -210,8 +211,8 @@ def _mirror_graph(lg):
     ks = np.flatnonzero(binary[model.edges].all(axis=1))
     pairs = model.edges[ks]
     ends = np.flatnonzero(np.bincount(pairs.ravel(), minlength=model.n_nodes))
-    node_orbits, lowest = np.unique(lg.node_orbit_of[ends], return_index=True)
-    orbits, pair_orbit = np.unique(lg.edge_orbit_of[ks], return_inverse=True)
+    node_orbits, _, _, lowest = _group(lg.node_orbit_of[ends], len(lg.node_orbits))
+    orbits, pair_orbit, _, _ = _group(lg.edge_orbit_of[ks], len(lg.edge_orbits))
     orbits = orbits.tolist()
     n_binary = sum(lg.node_orbits[o].size for o in node_orbits.tolist())
     forest = len(ks) == n_binary - count_components(lg, node_orbits.tolist(), orbits)

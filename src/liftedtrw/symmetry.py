@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import _TABLE_SPAN, PairwiseGroundModel
+from .model import PairwiseGroundModel, _group
 
 
 class TyingViolation(Exception):
@@ -174,24 +174,18 @@ def _ranks(items, key):
     return np.fromiter(map(of.__getitem__, items), dtype=np.int64, count=len(items)), len(rank)
 
 
-def _lex_codes(columns, radices=None):
+def _lex_codes(columns, radices):
     """One int64 code per row of the equal-length 1-D int ``columns``.
 
     Codes follow the lexicographic order of the rows: equal rows share a
     code and a smaller row has a smaller one.  Each column is appended as a
-    mixed-radix digit: column ``j`` must lie in ``0..radices[j]-1`` when
-    ``radices`` is given, and is shifted to start at 0 otherwise (one min
-    and one max pass per column, which a caller that knows its ranges
-    saves).  Before a digit would take the codes to 2**63 or beyond, they
-    are re-ranked to ``0..G-1``.
+    mixed-radix digit, column ``j`` in ``0..radices[j]-1``.  Before a digit
+    would take the codes to 2**63 or beyond, they are re-ranked to
+    ``0..G-1`` by :func:`~liftedtrw.model._group`.
     """
     columns = [np.asarray(c, dtype=np.int64) for c in columns]
     if not columns[0].size:
         return np.zeros(0, dtype=np.int64)
-    if radices is None:
-        lows = [int(c.min()) for c in columns]
-        radices = [int(c.max()) - low + 1 for c, low in zip(columns, lows)]
-        columns = [c - low for c, low in zip(columns, lows)]
     code, bound = None, 1  # every code lies in 0..bound-1
     for digit, radix in zip(columns, radices):
         if radix == 1:  # a digit that is always 0
@@ -200,7 +194,7 @@ def _lex_codes(columns, radices=None):
             code, bound = digit, radix
             continue
         if bound * radix > 2 ** 63:
-            uniq, code = np.unique(code, return_inverse=True)
+            uniq, code, _, _ = _group(code, bound)
             bound = len(uniq)
         code = code * radix + digit
         bound *= radix
@@ -219,23 +213,6 @@ def _fixed_ranks(cols, valid, distinguished):
         pos = np.minimum(np.searchsorted(order, col), order.size - 1)
         out.append(np.where(ok & (order[pos] == col), pos + 1, 0))
     return out
-
-
-def _distinct(codes, bound):
-    """The distinct ``codes`` in increasing order, the index of each code
-    among them, and how often each occurs.
-
-    Every code lies in ``0..bound-1``.  While ``bound`` is at most
-    ``_TABLE_SPAN`` times the code count, one ``np.bincount`` over the range
-    gives them; otherwise a sort does.
-    """
-    if bound <= _TABLE_SPAN * codes.size:
-        counts = np.bincount(codes, minlength=bound)
-        distinct = np.flatnonzero(counts)
-        index = np.zeros(bound, dtype=np.int64)
-        index[distinct] = np.arange(distinct.size)
-        return distinct, index[codes], counts[distinct]
-    return np.unique(codes, return_inverse=True, return_counts=True)
 
 
 def _pinned_tables(lg, distinguished):
@@ -261,19 +238,17 @@ def _pinned_tables(lg, distinguished):
         fixed = _fixed_ranks(table.consts.T.copy(), table.valid.T.copy(), distinguished)
         radix = len(distinguished) + 1
         code = _lex_codes([lg.node_orbit_of, *fixed], [n_orbits] + [radix] * width)
-        classes, class_of, counts = _distinct(code, n_orbits * radix ** width)
-        n_classes = len(classes)
-        orbit_of_class = np.empty(n_classes, dtype=np.int64)
-        orbit_of_class[class_of] = lg.node_orbit_of
+        _, class_of, counts, first = _group(code, n_orbits * radix ** width)
+        n_classes = len(counts)
         node_table = [[] for _ in lg.node_orbits]
-        for ci, (oid, count) in enumerate(zip(orbit_of_class.tolist(), counts.tolist())):
+        for ci, (oid, count) in enumerate(zip(lg.node_orbit_of[first].tolist(),
+                                              counts.tolist())):
             node_table[oid].append((ci, count))
         cu, cv = class_of[model.edges[:, 0]], class_of[model.edges[:, 1]]
         radices = [len(lg.edge_orbits), n_classes, n_classes]
-        pairs, pair_of, _ = _distinct(_lex_codes([lg.edge_orbit_of, cu, cv], radices),
-                                      math.prod(radices))
-        edge = np.empty(len(pairs), dtype=np.int64)  # an edge of each (orbit, cu, cv)
-        edge[pair_of] = np.arange(len(pair_of))
+        # the first edge of each distinct (orbit, cu, cv)
+        _, _, _, edge = _group(_lex_codes([lg.edge_orbit_of, cu, cv], radices),
+                               math.prod(radices))
         edge_table = [[] for _ in lg.edge_orbits]
         for eid, u, v in zip(lg.edge_orbit_of[edge].tolist(), cu[edge].tolist(),
                              cv[edge].tolist()):
@@ -416,16 +391,17 @@ def compute_orbits(model):
     ids follow the order of the rows.  The rows are held as 1-D columns:
     the node table's constant columns, gathered by endpoint for the edges,
     and each digit's range is known, so the codes need no min/max pass and
-    are counted by :func:`_distinct` over their range.
+    are grouped by :func:`~liftedtrw.model._group` over their range.  Each
+    orbit's ``rep``, its lowest-id member, is the first position of its
+    code.
     """
     table = model.node_table
     desc, width, n_types = table.desc, table.consts.shape[1], len(table.types)
     cols, valid = list(table.consts.T.copy()), list(table.valid.T.copy())
     radices = [n_types] + [width + 1] * width
-    _, node_orbit_of, sizes = _distinct(_lex_codes([desc, *_relabel_codes(cols, valid)], radices),
-                                        math.prod(radices))
+    _, node_orbit_of, sizes, reps = _group(
+        _lex_codes([desc, *_relabel_codes(cols, valid)], radices), math.prod(radices))
     node_order = _members(node_orbit_of, len(sizes))
-    reps = node_order[np.cumsum(sizes) - sizes]
     node_orbits = [NodeOrbit(oid, size, i, nv) for oid, (size, i, nv) in enumerate(zip(
         sizes.tolist(), reps.tolist(), table.n_values[reps].tolist()))]
 
@@ -442,9 +418,8 @@ def compute_orbits(model):
     fwd, bwd = codes[:n_edges], codes[n_edges:]
     backward = bwd < fwd
     flip = fwd == bwd
-    _, orbit_of, sizes = _distinct(np.minimum(fwd, bwd), math.prod(radices))
+    _, orbit_of, sizes, reps = _group(np.minimum(fwd, bwd), math.prod(radices))
     edge_order = _members(orbit_of, len(sizes))
-    reps = edge_order[np.cumsum(sizes) - sizes]  # each orbit's lowest-id edge
     if (flip != flip[reps][orbit_of]).any():  # pragma: no cover - codes pin the orientation pair
         raise TyingViolation("inconsistent flip flags in an edge orbit")
     # lead endpoint first

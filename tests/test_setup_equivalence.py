@@ -6,17 +6,20 @@ arrays.  The references are the per-grounding loop below and the joint tuple
 keying of conftest's ``ordered_key`` that they replaced, plus the per-member
 loops that filled the lifted arrays; every field must come out identical.
 The pinned node classes of ``symmetry._pinned_tables`` are checked against
-the same keying with the pinned constants kept by name.
+the same keying with the pinned constants kept by name, and ``model._group``,
+which groups the integer codes of all of them, against ``np.unique``.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import liftedtrw as lt
 from liftedtrw import model as model_module
-from liftedtrw.model import _first_seen
+from liftedtrw.model import _first_seen, _group
 from liftedtrw.symmetry import _lex_codes, _pinned_tables, _relabel_codes, trivial_lifting
 
 from conftest import build, hand_built, keyed_orbits, members, partition
@@ -243,20 +246,62 @@ def _assert_pinned_classes_match_keys(model, distinguished):
         assert sorted(edge_table[eo.id]) == sorted(set(map(tuple, pairs.tolist())))
 
 
+# (code count, bound) on both sides of the table pass: empty codes, one code,
+# bound 1, many repeats, codes spread thinly, either side of the crossover
+# and a bound near 2**62
+GROUP_CASES = [(0, 0), (0, 5), (1, 1), (7, 1), (1, 9), (1, 100), (50, 3), (400, 40),
+               (300, 1000), (20, 640), (20, 660), (300, 20000), (30, 2 ** 62 - 1)]
+
+
+def _codes(size, bound):
+    """``size`` codes below ``bound``, the largest among them where any are drawn."""
+    codes = np.random.default_rng(size + bound % 1000).integers(0, bound, size=size)
+    if size > 2:
+        codes[[0, size // 2]] = bound - 1
+    return codes
+
+
+def _assert_group_matches_unique(codes, bound):
+    got = _group(codes, bound)
+    want = np.unique(codes, return_index=True, return_inverse=True, return_counts=True)
+    for a, b in zip(got, (want[0], want[2], want[3], want[1])):
+        assert a.dtype == np.int64 and a.tolist() == b.tolist()
+
+
 class TestGroundingEquivalence:
     @pytest.mark.parametrize("label,model,n", MODELS, ids=[m[0] for m in MODELS])
     def test_pattern_tables_match_per_grounding_loop(self, label, model, n):
         _assert_same_ground(lt.ground(model, n), _ground_per_grounding(model, n))
 
-    @pytest.mark.parametrize("size,bound", [(0, 1), (0, 5), (1, 1), (7, 1), (1, 9), (50, 3),
-                                            (400, 40), (300, 1000)])
-    def test_linear_numbering_matches_sort(self, size, bound):
-        """Numbering codes below a bound by one pass over the bound gives the
-        ids and first positions of the stable argsort: empty arrays, one
-        code, codes repeated many times and codes spread thinly."""
-        codes = np.random.default_rng(size + bound).integers(0, bound, size=size)
-        for got, want in zip(_first_seen(codes, bound), _first_seen(codes)):
-            _assert_same_array(got, want)
+    @pytest.mark.parametrize("size,bound", GROUP_CASES)
+    def test_group_matches_unique(self, size, bound):
+        """``_group`` gives ``np.unique``'s distinct codes, inverse, counts
+        and first positions, by the table pass and by the sort."""
+        _assert_group_matches_unique(_codes(size, bound), bound)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3000).flatmap(
+        lambda bound: st.tuples(st.just(bound), st.lists(st.integers(0, bound - 1), max_size=120))))
+    def test_group_matches_unique_drawn(self, case):
+        bound, codes = case
+        _assert_group_matches_unique(np.array(codes, dtype=np.int64), bound)
+
+    def test_group_cases_take_both_paths(self):
+        table = {bound <= model_module._TABLE_SPAN * size for size, bound in GROUP_CASES}
+        assert table == {True, False}
+
+    @pytest.mark.parametrize("size,bound", GROUP_CASES)
+    def test_first_seen_numbers_by_first_appearance(self, size, bound):
+        codes = _codes(size, bound)
+        number, first = {}, []
+        for pos, c in enumerate(codes.tolist()):
+            if c not in number:
+                number[c] = len(number)
+                first.append(pos)
+        ids, got_first = _first_seen(codes, bound)
+        assert ids.dtype == got_first.dtype == np.int64
+        assert ids.tolist() == [number[c] for c in codes.tolist()]
+        assert got_first.tolist() == first
 
     def test_auxiliary_atoms_built_on_first_access(self):
         g = lt.ground(lt.parse_model(CORNER_TEXTS[0]), 3)
@@ -328,21 +373,21 @@ class TestSetupFromEitherForm:
 
 def test_setup_matches_on_a_larger_domain(monkeypatch):
     """Up to the sizes of the large-domain benchmark, whose models number
-    their edges both ways: by the table pass of ``_first_seen`` (a node
-    count squared within ``_TABLE_SPAN`` times the edge events) and by the
-    sort (friends_smokers, whose auxiliary nodes make the square large)."""
+    their edges both ways: by the table pass of ``_group`` (a node count
+    squared within ``_TABLE_SPAN`` times the edge events) and by the sort
+    (friends_smokers, whose auxiliary nodes make the square large)."""
     calls = []
-    first_seen = model_module._first_seen
+    group = model_module._group
 
-    def spied(codes, bound=None):
+    def spied(codes, bound):
         calls.append((codes.size, bound))  # the last call of a grounding numbers its edges
-        return first_seen(codes, bound)
+        return group(codes, bound)
 
     for name, n in (("friends_smokers", 12), ("complete_graph", 40), ("clique_cycle", 10),
                     ("complete_graph", 30), ("clique_cycle", 12), ("friends_smokers", 8),
                     ("complete_graph", 150), ("clique_cycle", 40), ("friends_smokers", 40)):
         with monkeypatch.context() as m:
-            m.setattr(model_module, "_first_seen", spied)
+            m.setattr(model_module, "_group", spied)
             g = build(name, n, 0.4)
         ref = _ground_per_grounding(lt.parse_model(lt.zoo.model_text(name)).bind_weight(0.4), n)
         _assert_same_ground(g, ref)
@@ -350,9 +395,8 @@ def test_setup_matches_on_a_larger_domain(monkeypatch):
         for a, b in zip(_lifted_and_rho(g), _lifted_and_rho(ref)):
             _assert_same_array(a, b)
         n_events, bound = calls[-1]
-        table_pass = g.n_nodes ** 2 <= model_module._TABLE_SPAN * n_events
-        assert table_pass == (name != "friends_smokers")
-        assert bound == (g.n_nodes ** 2 if table_pass else None)
+        assert bound == g.n_nodes ** 2
+        assert (bound <= model_module._TABLE_SPAN * n_events) == (name != "friends_smokers")
 
 
 @pytest.mark.parametrize("outer", ["local+exch", "cycle+exch"])
@@ -472,6 +516,6 @@ class TestArrayKeying:
         assert np.prod(radices, dtype=object) > 2 ** 63
         rows = list(zip(*(c.tolist() for c in cols)))
         rank = {r: i for i, r in enumerate(sorted(set(rows)))}
-        codes = _lex_codes(cols)
+        codes = _lex_codes([c - int(c.min()) for c in cols], radices)
         assert codes.dtype == np.int64
         assert np.unique(codes, return_inverse=True)[1].tolist() == [rank[r] for r in rows]
